@@ -127,9 +127,9 @@ type daemonCfg struct {
 	deadAfter         time.Duration
 }
 
-// peerRegistry hands out one shared binary-capable, breaker-guarded
-// client per fleet member, creating clients on demand — which is what
-// lets joins grow the member set while the daemon runs. The same
+// peerRegistry hands out one shared breaker-guarded client per fleet
+// member, creating clients on demand — which is what lets joins grow
+// the member set while the daemon runs. The same
 // client serves the fleet (replication RPCs) and the server (lookup
 // proxying), so breaker state is shared too.
 type peerRegistry struct {
@@ -153,7 +153,6 @@ func (r *peerRegistry) Client(name string) *storeclient.Client {
 	c := r.m[name]
 	if c == nil {
 		c = storeclient.New(name,
-			storeclient.WithBinary(),
 			storeclient.WithBreaker(5, 2*time.Second),
 			storeclient.WithRetries(1),
 		)

@@ -117,7 +117,6 @@ func newFleetClient(cfg loadCfg, inj *faults.Injector) (*storeclient.Fleet, erro
 		return nil, fmt.Errorf("-peers is required")
 	}
 	opts := []storeclient.Option{
-		storeclient.WithBinary(),
 		storeclient.WithRetries(1),
 		storeclient.WithJitterSeed(cfg.seed),
 	}

@@ -83,7 +83,6 @@ func (r *registry) client(name string) *storeclient.Client {
 	c := r.m[name]
 	if c == nil {
 		c = storeclient.New(name,
-			storeclient.WithBinary(),
 			storeclient.WithRetries(0),
 			storeclient.WithHTTPClient(&http.Client{Timeout: 2 * time.Second}),
 		)

@@ -22,10 +22,9 @@
 // (exact hits skip the search entirely; nearest-cap hits seed it) and
 // report their search results back, offline runs save to and replay from
 // the service, and -strategy replay needs no -history file. Requests use
-// the compact binary wire format when the daemon supports it (-binary,
-// on by default, falls back to JSON against older daemons), and
-// -report-batch N coalesces every N reports into one /v1/reports round
-// trip, flushed at the end of the run.
+// the compact binary wire format, and -report-batch N coalesces every N
+// reports into one /v1/reports round trip, flushed at the end of the
+// run.
 package main
 
 import (
@@ -57,7 +56,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "search seed")
 		histPath = flag.String("history", "", "history file to save (offline) or load (replay)")
 		server   = flag.String("server", "", "arcsd URL serving the configuration store (e.g. http://localhost:8090)")
-		binary   = flag.Bool("binary", true, "negotiate the binary wire format with the server (falls back to JSON automatically)")
 		batchN   = flag.Int("report-batch", 0, "buffer N reports per /v1/reports round trip (0 = report individually)")
 		profCSV  = flag.String("profile", "", "write the APEX profile of the tuned run to this CSV file")
 		traceOut = flag.String("trace", "", "write a Chrome trace of the tuned run to this JSON file")
@@ -67,7 +65,7 @@ func main() {
 		app: *appName, workload: *workload, arch: *archName, capW: *capW,
 		strategy: *strategy, algo: *algoName, steps: *steps, seed: *seed, histPath: *histPath,
 		server: *server, profCSV: *profCSV, traceOut: *traceOut,
-		binary: *binary, batchN: *batchN,
+		batchN: *batchN,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "arcsrun:", err)
 		os.Exit(1)
@@ -81,7 +79,6 @@ type runCfg struct {
 	capW                                float64
 	steps                               int
 	seed                                int64
-	binary                              bool
 	batchN                              int
 }
 
@@ -169,11 +166,7 @@ func doRun(cfg runCfg) (runResult, error) {
 		if histPath != "" {
 			return res, fmt.Errorf("-history and -server are mutually exclusive")
 		}
-		var copts []storeclient.Option
-		if cfg.binary {
-			copts = append(copts, storeclient.WithBinary())
-		}
-		client := storeclient.New(cfg.server, copts...)
+		client := storeclient.New(cfg.server)
 		hctx, hcancel := context.WithTimeout(context.Background(), 10*time.Second)
 		herr := client.Health(hctx)
 		hcancel()

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"arcs/internal/codec"
@@ -16,8 +18,8 @@ import (
 )
 
 // TestDigestEndpoint checks /v1/digest standalone: the per-shard
-// digests must partition the store's keys with the stored versions, in
-// both encodings, and reject bad shard numbers.
+// digests must partition the store's keys with the stored versions,
+// always as a KindDigest frame, and reject bad shard numbers.
 func TestDigestEndpoint(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -36,48 +38,33 @@ func TestDigestEndpoint(t *testing.T) {
 
 	got := map[string]uint64{}
 	for shard := 0; shard < store.NumShards; shard++ {
+		// No Accept header: the digest is a frame regardless.
 		resp, err := http.Get(fmt.Sprintf("%s/v1/digest?shard=%d", ts.URL, shard))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var d codec.Digest
-		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+		if ct := resp.Header.Get("Content-Type"); ct != codec.ContentType {
+			t.Fatalf("digest content-type = %q", ct)
+		}
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
+		kind, payload, _, err := codec.Frame(buf.Bytes())
+		if err != nil || kind != codec.KindDigest {
+			t.Fatalf("digest frame: kind %#x err %v", kind, err)
+		}
+		var dec codec.Decoder
+		d, err := dec.DecodeDigest(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if int(d.Shard) != shard {
 			t.Fatalf("digest shard = %d, want %d", d.Shard, shard)
 		}
 		for _, e := range d.Entries {
 			got[e.Key] = e.Version
-		}
-
-		// Binary negotiation must carry the identical digest.
-		req, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/digest?shard=%d", ts.URL, shard), nil)
-		req.Header.Set("Accept", codec.ContentType)
-		bresp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ct := bresp.Header.Get("Content-Type"); ct != codec.ContentType {
-			t.Fatalf("binary digest content-type = %q", ct)
-		}
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(bresp.Body); err != nil {
-			t.Fatal(err)
-		}
-		bresp.Body.Close()
-		kind, payload, _, err := codec.Frame(buf.Bytes())
-		if err != nil || kind != codec.KindDigest {
-			t.Fatalf("binary digest frame: kind %#x err %v", kind, err)
-		}
-		var dec codec.Decoder
-		bd, err := dec.DecodeDigest(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bd.Entries) != len(d.Entries) {
-			t.Fatalf("binary digest has %d entries, JSON %d", len(bd.Entries), len(d.Entries))
 		}
 	}
 	if len(got) != len(keys) {
@@ -101,9 +88,10 @@ func TestDigestEndpoint(t *testing.T) {
 	}
 }
 
-// TestMergeEndpoint checks /v1/merge: versioned entries are applied
+// TestMergeEndpoint checks /v1/merge: versioned entry frames are applied
 // under Supersedes (idempotent re-sends merge zero), serve afterwards,
-// and non-finite perf is rejected.
+// non-finite perf is rejected, and a JSON body is refused with 415
+// without touching the store.
 func TestMergeEndpoint(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -113,7 +101,6 @@ func TestMergeEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{Store: st})
 
 	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "main"}
-	entries := []store.Entry{{Key: k, Cfg: arcs.ConfigValues{Threads: 16}, Perf: 1.5, Version: 7}}
 	post := func(body []byte, ct string) (int, map[string]any) {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/merge", bytes.NewReader(body))
 		req.Header.Set("Content-Type", ct)
@@ -127,21 +114,22 @@ func TestMergeEndpoint(t *testing.T) {
 		return resp.StatusCode, out
 	}
 
-	body, _ := json.Marshal(entries)
-	code, out := post(body, "application/json")
+	var enc codec.Encoder
+	body := enc.AppendEntry(nil, &codec.Entry{Key: k, Cfg: arcs.ConfigValues{Threads: 16}, Perf: 1.5, Version: 7})
+	code, out := post(body, codec.ContentType)
 	if code != http.StatusOK || out["saved"] != float64(1) {
 		t.Fatalf("merge = %d %v, want 200 saved=1", code, out)
 	}
 	// Idempotent: the identical entry merges zero the second time.
-	if code, out = post(body, "application/json"); code != http.StatusOK || out["saved"] != float64(0) {
+	if code, out = post(body, codec.ContentType); code != http.StatusOK || out["saved"] != float64(0) {
 		t.Fatalf("re-merge = %d %v, want 200 saved=0", code, out)
 	}
 	if e, ok := st.Get(k); !ok || e.Version != 7 || e.Cfg.Threads != 16 {
 		t.Fatalf("merged entry = %+v ok=%v", e, ok)
 	}
 
-	// Binary: a concatenation of KindEntry frames, higher version wins.
-	var enc codec.Encoder
+	// Several entries: a concatenation of KindEntry frames, higher
+	// version wins.
 	ce := codec.Entry{Key: k, Cfg: arcs.ConfigValues{Threads: 32}, Perf: 1.2, Version: 9}
 	ce2 := codec.Entry{Key: arcs.HistoryKey{App: "LU", Region: "r"}, Cfg: arcs.ConfigValues{Threads: 2}, Perf: 3, Version: 1}
 	bin := enc.AppendEntry(nil, &ce)
@@ -153,9 +141,19 @@ func TestMergeEndpoint(t *testing.T) {
 		t.Fatalf("after binary merge entry = %+v", e)
 	}
 
-	bad, _ := json.Marshal([]map[string]any{{"key": map[string]string{"app": "X", "region": "r"}, "perf": "NaN"}})
-	if code, _ = post(bad, "application/json"); code != http.StatusBadRequest {
+	bad := enc.AppendEntry(nil, &codec.Entry{Key: arcs.HistoryKey{App: "X", Region: "r"}, Perf: math.NaN(), Version: 1})
+	if code, _ = post(bad, codec.ContentType); code != http.StatusBadRequest {
 		t.Fatalf("bad merge status = %d, want 400", code)
+	}
+
+	// A JSON body is refused outright: 415, a JSON error, no merge.
+	before := st.Entries()
+	jsonBody, _ := json.Marshal([]store.Entry{{Key: k, Cfg: arcs.ConfigValues{Threads: 2}, Perf: 0.5, Version: 99}})
+	if code, out = post(jsonBody, "application/json"); code != http.StatusUnsupportedMediaType || out["error"] == nil {
+		t.Fatalf("JSON merge = %d %v, want 415 with a JSON error", code, out)
+	}
+	if after := st.Entries(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused JSON merge changed the store: %+v -> %+v", before, after)
 	}
 }
 
@@ -172,9 +170,11 @@ func TestFleetLookupForwarding(t *testing.T) {
 			return
 		}
 		sawForwarded = r.Header.Get(codec.ForwardedHeader) != ""
-		_ = json.NewEncoder(w).Encode(ConfigResponse{
-			Config: arcs.ConfigValues{Threads: 64}, Perf: 1.25, Version: 3, Source: "exact",
-		})
+		var enc codec.Encoder
+		w.Header().Set("Content-Type", codec.ContentType)
+		_, _ = w.Write(enc.AppendConfigAnswer(nil, &codec.ConfigAnswer{
+			Cfg: arcs.ConfigValues{Threads: 64}, Perf: 1.25, Version: 3, Source: "exact",
+		}))
 	}))
 	t.Cleanup(owner.Close)
 
@@ -237,6 +237,73 @@ func TestFleetLookupForwarding(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("already-forwarded lookup status = %d, want 404 (local miss)", resp.StatusCode)
+	}
+}
+
+// TestFleetNearestCapProxyKey: a nearest-cap (fallback) lookup answers
+// the stored entry's key, cap distance, config and perf whether it lands
+// on the key's owner, which answers locally, or on a non-owner, which
+// proxies it one hop to the owner.
+func TestFleetNearestCapProxyKey(t *testing.T) {
+	const n = 3
+	servers := make([]*httptest.Server, n)
+	names := make([]string, n)
+	for i := range servers {
+		servers[i] = httptest.NewUnstartedServer(nil)
+		names[i] = "http://" + servers[i].Listener.Addr().String()
+	}
+	stored := store.Entry{
+		Key: arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "x_solve"},
+		Cfg: arcs.ConfigValues{Threads: 12, Chunk: 4}, Perf: 1.75, Version: 2,
+	}
+	var ring *fleet.Ring
+	for i, ts := range servers {
+		st, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		st.Merge(stored) // every replica holds the same entry
+		peers := map[string]*storeclient.Client{}
+		fpeers := map[string]fleet.Peer{}
+		for _, name := range names {
+			if name != names[i] {
+				peers[name] = storeclient.New(name, storeclient.WithRetries(0))
+				fpeers[name] = peers[name]
+			}
+		}
+		fl, err := fleet.New(fleet.Config{Self: names[i], Nodes: names, Replicas: 1, Store: st, Peers: fpeers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring = fl.Ring()
+		ts.Config.Handler = New(Config{Store: st, Fleet: fl, PeerClient: func(name string) *storeclient.Client { return peers[name] }})
+		ts.Start()
+		t.Cleanup(ts.Close)
+	}
+
+	queried := stored.Key
+	queried.CapW = 80
+	owner := ring.Primary(queried.String())
+	nonOwner := names[0]
+	if nonOwner == owner {
+		nonOwner = names[1]
+	}
+	q := "app=SP&workload=B&cap=80&region=x_solve&search=0"
+	fromOwner, code := getConfig(t, owner, q)
+	if code != http.StatusOK {
+		t.Fatalf("owner lookup status %d", code)
+	}
+	proxied, code := getConfig(t, nonOwner, q)
+	if code != http.StatusOK {
+		t.Fatalf("non-owner lookup status %d", code)
+	}
+	if fromOwner.Source != "fallback" || fromOwner.Key != stored.Key || fromOwner.CapDistance != 10 {
+		t.Fatalf("owner answer = %+v, want the stored cap-70 entry as a fallback", fromOwner)
+	}
+	if proxied.Key != fromOwner.Key || proxied.CapDistance != fromOwner.CapDistance ||
+		proxied.Config != fromOwner.Config || proxied.Perf != fromOwner.Perf {
+		t.Fatalf("proxied answer %+v differs from the owner's %+v", proxied, fromOwner)
 	}
 }
 

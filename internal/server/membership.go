@@ -51,10 +51,10 @@ func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMembership ingests an epoch-versioned member list pushed by a
-// peer (binary KindMemberList frame or JSON). The response is always
-// 200 with the list this node holds afterwards: applied=true when the
-// push superseded, otherwise the (newer) local list the pusher should
-// adopt — losing an epoch race is information, not an error.
+// peer as one KindMemberList frame. The response is always 200 with the
+// list this node holds afterwards: applied=true when the push
+// superseded, otherwise the (newer) local list the pusher should adopt
+// — losing an epoch race is information, not an error.
 func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		errorJSON(w, http.StatusMethodNotAllowed, "POST only")
@@ -64,26 +64,24 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusNotFound, "not a fleet member")
 		return
 	}
+	if !requireFrameBody(w, r) {
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, "read membership body: %v", err)
 		return
 	}
-	var m codec.MemberList
-	if binaryBody(r) {
-		kind, payload, _, err := codec.Frame(body)
-		if err != nil || kind != codec.KindMemberList {
-			errorJSON(w, http.StatusBadRequest, "bad membership frame: %v", err)
-			return
-		}
-		dec := binDecPool.Get().(*codec.Decoder)
-		defer binDecPool.Put(dec)
-		if m, err = dec.DecodeMemberList(payload); err != nil {
-			errorJSON(w, http.StatusBadRequest, "bad member list: %v", err)
-			return
-		}
-	} else if err := json.Unmarshal(body, &m); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad membership body: %v", err)
+	kind, payload, _, err := codec.Frame(body)
+	if err != nil || kind != codec.KindMemberList {
+		errorJSON(w, http.StatusBadRequest, "bad membership frame: %v", err)
+		return
+	}
+	dec := binDecPool.Get().(*codec.Decoder)
+	defer binDecPool.Put(dec)
+	m, err := dec.DecodeMemberList(payload)
+	if err != nil {
+		errorJSON(w, http.StatusBadRequest, "bad member list: %v", err)
 		return
 	}
 	if m.Epoch == 0 || len(m.Nodes) == 0 {
@@ -177,9 +175,9 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 // node — the bootstrap stream. The caller names the epoch its ring came
 // from; a mismatch answers 409 with the server's current member list,
 // so the caller adopts it and retries under the corrected ring instead
-// of pulling ranges that are about to be wrong. Binary responses are
-// one CRC-framed KindRangeTransfer, making a torn stream detectable as
-// a unit.
+// of pulling ranges that are about to be wrong. The response is one
+// CRC-framed KindRangeTransfer, making a torn stream detectable as a
+// unit.
 func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		errorJSON(w, http.StatusMethodNotAllowed, "GET only")
@@ -212,12 +210,6 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	}
 	entries := s.fleet.RangeEntries(shard, forNode)
 	s.met.transferredOut.Add(uint64(len(entries)))
-	if !acceptsBinary(r) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"epoch": epoch, "shard": shard, "entries": entries,
-		})
-		return
-	}
 	bb := binBufPool.Get().(*binBuf)
 	defer binBufPool.Put(bb)
 	t := codec.RangeTransfer{Epoch: epoch, Shard: uint64(shard), Entries: make([]codec.Entry, len(entries))}

@@ -94,9 +94,26 @@ func TestPingEndpoint(t *testing.T) {
 	}
 }
 
-// TestMembershipPush: a pushed superseding list is applied (JSON and
-// binary alike); a stale push answers the newer local list with
-// applied=false; malformed lists are rejected.
+// pushMembership posts m to url as one KindMemberList frame.
+func pushMembership(t *testing.T, url string, m codec.MemberList) (*http.Response, MembershipResponse) {
+	t.Helper()
+	var enc codec.Encoder
+	req, _ := http.NewRequest(http.MethodPost, url, bytes.NewReader(enc.AppendMemberList(nil, &m)))
+	req.Header.Set("Content-Type", codec.ContentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var mr MembershipResponse
+	_ = json.NewDecoder(resp.Body).Decode(&mr)
+	return resp, mr
+}
+
+// TestMembershipPush: a pushed superseding member-list frame is applied;
+// a stale push answers the newer local list with applied=false;
+// malformed lists are rejected, and a JSON body is refused with 415
+// without touching the membership.
 func TestMembershipPush(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -107,7 +124,7 @@ func TestMembershipPush(t *testing.T) {
 	url, fl := newMemberServer(t, st, self, other)
 
 	grown := codec.MemberList{Epoch: 5, Nodes: []string{self, other, "http://127.0.0.1:2"}}
-	resp, mr := postJSON(t, url+"/v1/membership", grown)
+	resp, mr := pushMembership(t, url+"/v1/membership", grown)
 	if resp.StatusCode != http.StatusOK || !mr.Applied || mr.Epoch != 5 {
 		t.Fatalf("push = %d %+v, want applied at epoch 5", resp.StatusCode, mr)
 	}
@@ -116,33 +133,40 @@ func TestMembershipPush(t *testing.T) {
 	}
 
 	// Stale push: not an error — the answer carries the newer list.
-	resp, mr = postJSON(t, url+"/v1/membership", codec.MemberList{Epoch: 2, Nodes: []string{self, other}})
+	resp, mr = pushMembership(t, url+"/v1/membership", codec.MemberList{Epoch: 2, Nodes: []string{self, other}})
 	if resp.StatusCode != http.StatusOK || mr.Applied || mr.Epoch != 5 {
 		t.Fatalf("stale push = %d %+v, want unapplied with current epoch 5", resp.StatusCode, mr)
 	}
 
-	// Binary frame push.
-	var enc codec.Encoder
-	bin := codec.MemberList{Epoch: 6, Nodes: []string{self, other}}
-	req, _ := http.NewRequest(http.MethodPost, url+"/v1/membership", bytes.NewReader(enc.AppendMemberList(nil, &bin)))
-	req.Header.Set("Content-Type", codec.ContentType)
-	bresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bmr MembershipResponse
-	_ = json.NewDecoder(bresp.Body).Decode(&bmr)
-	bresp.Body.Close()
-	if bresp.StatusCode != http.StatusOK || !bmr.Applied || fl.Epoch() != 6 {
-		t.Fatalf("binary push = %d %+v (fleet epoch %d), want applied at 6", bresp.StatusCode, bmr, fl.Epoch())
+	resp, mr = pushMembership(t, url+"/v1/membership", codec.MemberList{Epoch: 6, Nodes: []string{self, other}})
+	if resp.StatusCode != http.StatusOK || !mr.Applied || fl.Epoch() != 6 {
+		t.Fatalf("push = %d %+v (fleet epoch %d), want applied at 6", resp.StatusCode, mr, fl.Epoch())
 	}
 
-	if resp, _ = postJSON(t, url+"/v1/membership", codec.MemberList{}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ = pushMembership(t, url+"/v1/membership", codec.MemberList{}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("epoch-0 push status = %d, want 400", resp.StatusCode)
 	}
 
+	// A JSON body is refused outright: 415, a JSON error, and the
+	// membership it would have superseded with stays as it was.
+	before := fl.Membership()
+	b, _ := json.Marshal(codec.MemberList{Epoch: 9, Nodes: []string{self}})
+	jresp, err := http.Post(url+"/v1/membership", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jerr map[string]string
+	_ = json.NewDecoder(jresp.Body).Decode(&jerr)
+	jresp.Body.Close()
+	if jresp.StatusCode != http.StatusUnsupportedMediaType || jerr["error"] == "" {
+		t.Fatalf("JSON push = %d %v, want 415 with a JSON error", jresp.StatusCode, jerr)
+	}
+	if after := fl.Membership(); after.Epoch != before.Epoch || len(after.Nodes) != len(before.Nodes) {
+		t.Fatalf("refused JSON push changed membership: %+v -> %+v", before, after)
+	}
+
 	standalone := newTestServer(t, Config{Store: st})
-	if resp, _ = postJSON(t, standalone.URL+"/v1/membership", grown); resp.StatusCode != http.StatusNotFound {
+	if resp, _ = pushMembership(t, standalone.URL+"/v1/membership", grown); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("standalone push status = %d, want 404", resp.StatusCode)
 	}
 }
@@ -195,8 +219,8 @@ func TestJoinLeaveEndpoints(t *testing.T) {
 }
 
 // TestTransferEndpoint: the bootstrap stream serves exactly the shard
-// entries the named node owns, in both encodings; naming a stale epoch
-// answers 409 with the current membership.
+// entries the named node owns, always as one KindRangeTransfer frame;
+// naming a stale epoch answers 409 with the current membership as JSON.
 func TestTransferEndpoint(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -220,38 +244,19 @@ func TestTransferEndpoint(t *testing.T) {
 		t.Fatal("setup: the peer owns nothing")
 	}
 
-	gotJSON := map[string]bool{}
-	var binTotal int
+	got := map[string]bool{}
 	for shard := 0; shard < store.NumShards; shard++ {
-		target := fmt.Sprintf("%s/v1/transfer?shard=%d&for=%s&epoch=%d", url, shard, other, fl.Epoch())
-		resp, err := http.Get(target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body struct {
-			Epoch   uint64        `json:"epoch"`
-			Entries []store.Entry `json:"entries"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		for _, e := range body.Entries {
-			gotJSON[e.Key.String()] = true
-		}
-
-		// Binary: one CRC-framed KindRangeTransfer per shard.
-		req, _ := http.NewRequest(http.MethodGet, target, nil)
-		req.Header.Set("Accept", codec.ContentType)
-		bresp, err := http.DefaultClient.Do(req)
+		// No Accept header: one CRC-framed KindRangeTransfer per shard
+		// regardless.
+		resp, err := http.Get(fmt.Sprintf("%s/v1/transfer?shard=%d&for=%s&epoch=%d", url, shard, other, fl.Epoch()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(bresp.Body); err != nil {
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
 			t.Fatal(err)
 		}
-		bresp.Body.Close()
+		resp.Body.Close()
 		kind, payload, _, err := codec.Frame(buf.Bytes())
 		if err != nil || kind != codec.KindRangeTransfer {
 			t.Fatalf("shard %d: frame kind %#x err %v", shard, kind, err)
@@ -261,16 +266,18 @@ func TestTransferEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(tr.Shard) != shard || len(tr.Entries) != len(body.Entries) {
-			t.Fatalf("shard %d: binary carries %d entries, JSON %d", shard, len(tr.Entries), len(body.Entries))
+		if int(tr.Shard) != shard || tr.Epoch != fl.Epoch() {
+			t.Fatalf("shard %d: transfer header = shard %d epoch %d", shard, tr.Shard, tr.Epoch)
 		}
-		binTotal += len(tr.Entries)
+		for _, e := range tr.Entries {
+			got[e.Key.String()] = true
+		}
 	}
-	if len(gotJSON) != len(wantOwned) || binTotal != len(wantOwned) {
-		t.Fatalf("transfer served %d JSON / %d binary entries, want %d", len(gotJSON), binTotal, len(wantOwned))
+	if len(got) != len(wantOwned) {
+		t.Fatalf("transfer served %d entries, want %d", len(got), len(wantOwned))
 	}
 	for ck := range wantOwned {
-		if !gotJSON[ck] {
+		if !got[ck] {
 			t.Fatalf("owned key %q missing from transfer", ck)
 		}
 	}

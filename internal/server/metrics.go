@@ -110,7 +110,7 @@ func (m *metrics) write(w io.Writer, health store.Health, evc evalcache.Stats, f
 	counter("arcsd_search_shed_total", "Search requests shed by admission control (429).", m.searchShed.Load())
 	counter("arcsd_search_panics_total", "Searcher panics contained by the recovery wrapper.", m.searchPanics.Load())
 	counter("arcsd_handler_panics_total", "HTTP handler panics converted to 500s.", m.handlerPanics.Load())
-	counter("arcsd_reported_entries_total", "Entries ingested through /v1/report.", m.reported.Load())
+	counter("arcsd_reported_entries_total", "Entries ingested through /v1/reports.", m.reported.Load())
 	counter("arcsd_neighbors_served_total", "Neighbour records served through /v1/neighbors.", m.neighborsServed.Load())
 	counter("arcsd_evalcache_hits_total", "Probe evaluations served from the eval cache.", evc.Hits)
 	counter("arcsd_evalcache_misses_total", "Probe evaluations computed fresh (cache misses).", evc.Misses)

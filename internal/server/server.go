@@ -4,21 +4,23 @@
 // search against the simulator, deduplicated so N concurrent clients of
 // the same cold key trigger exactly one search.
 //
-// Endpoints:
+// Endpoints, each with its encoding ("frame" is the binary codec of
+// internal/codec, application/x-arcs-bin):
 //
 //	GET  /v1/config?app=&workload=&cap=&region=[&arch=][&fallback=0][&search=0]
-//	POST /v1/report   {"key":{...},"config":{...},"perf":N} or an array
-//	POST /v1/reports  batched ingest: JSON array or one binary report-batch frame
-//	GET  /v1/neighbors?app=&workload=&region=&cap=[&max=]   ranked transfer donors
-//	GET  /v1/dump     full entry set with versions, streamed
-//	GET  /v1/digest?shard=N   per-shard anti-entropy digest
-//	POST /v1/merge    intra-fleet replication of already-versioned entries
-//	GET  /v1/ping     liveness probe answering the current member list
-//	POST /v1/membership   epoch-versioned member-list gossip (fleet only)
-//	POST /v1/join     admin: add a node to the live membership
-//	POST /v1/leave    admin: remove a node (the node itself drains first)
-//	GET  /v1/transfer?shard=N&for=NODE&epoch=E   ring-aware bootstrap stream
-//	GET  /healthz
+//	                  JSON, or a frame under Accept: application/x-arcs-bin
+//	POST /v1/reports  a JSON array (or one object), or one report-batch frame;
+//	                  the ack follows Accept like /v1/config
+//	GET  /v1/neighbors?app=&workload=&region=&cap=[&max=]   JSON: ranked transfer donors
+//	GET  /v1/dump     JSON: full entry set with versions, streamed
+//	GET  /v1/digest?shard=N   frame: per-shard anti-entropy digest
+//	POST /v1/merge    entry frames: intra-fleet replication of versioned entries
+//	GET  /v1/ping     JSON: liveness probe answering the current member list
+//	POST /v1/membership   member-list frame: epoch-versioned gossip (fleet only)
+//	POST /v1/join     JSON admin: add a node to the live membership
+//	POST /v1/leave    JSON admin: remove a node (the node itself drains first)
+//	GET  /v1/transfer?shard=N&for=NODE&epoch=E   frame: ring-aware bootstrap stream
+//	GET  /healthz     JSON
 //	GET  /metrics     Prometheus text format
 //
 // With Config.Fleet set the server is one member of a replicated fleet
@@ -27,10 +29,10 @@
 // Forwarded header stops a second hop), and /v1/digest + /v1/merge
 // carry the fleet's replication and anti-entropy traffic.
 //
-// Every v1 endpoint content-negotiates: an Accept (responses) or
-// Content-Type (request bodies) of application/x-arcs-bin selects the
-// binary codec (internal/codec); JSON stays the default and the
-// fallback. See wire.go and DESIGN.md §11.
+// JSON serves only the endpoints a person drives with curl; every
+// fleet-internal hop has exactly one encoding, the binary frame, and a
+// JSON body there is refused with 415. Error bodies are always JSON.
+// See wire.go and DESIGN.md §11.
 package server
 
 import (
@@ -184,7 +186,6 @@ func New(cfg Config) *Server {
 	}
 	s.mux.HandleFunc("/v1/config", s.instrument("config", s.handleConfig))
 	s.mux.HandleFunc("/v1/neighbors", s.instrument("neighbors", s.handleNeighbors))
-	s.mux.HandleFunc("/v1/report", s.instrument("report", s.handleReport))
 	s.mux.HandleFunc("/v1/reports", s.instrument("reports", s.handleReport))
 	s.mux.HandleFunc("/v1/dump", s.instrument("dump", s.handleDump))
 	s.mux.HandleFunc("/v1/digest", s.instrument("digest", s.handleDigest))
@@ -215,7 +216,7 @@ type ConfigResponse struct {
 	CapDistance float64 `json:"cap_distance,omitempty"`
 }
 
-// ReportRequest is one POST /v1/report record.
+// ReportRequest is one JSON POST /v1/reports record.
 type ReportRequest struct {
 	Key  arcs.HistoryKey   `json:"key"`
 	Cfg  arcs.ConfigValues `json:"config"`
@@ -267,7 +268,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 			if err == nil {
 				s.met.fleetLookupFwd.Add(1)
 				writeConfig(w, r, ConfigResponse{
-					Key: key, Config: res.Config, Perf: res.Perf, Version: res.Version,
+					Key: res.Key, Config: res.Config, Perf: res.Perf, Version: res.Version,
 					Source: res.Source, CapDistance: res.CapDistance,
 				})
 				return
@@ -489,10 +490,8 @@ func (s *Server) runSearch(ctx context.Context, req SearchRequest) ([]SearchResu
 	return o.results, o.err
 }
 
-// handleReport serves both /v1/report and /v1/reports: the endpoints
-// share semantics (both accept one record or many), the second exists so
-// batching clients can probe for it — an old server 404s /v1/reports and
-// the client falls back to the array form on /v1/report.
+// handleReport serves /v1/reports: one record or many, acknowledged
+// with the saved count and the store size.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		errorJSON(w, http.StatusMethodNotAllowed, "POST only")
@@ -506,15 +505,14 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.writeAck(w, r, saved)
 }
 
-// ingestReports parses one report body — a binary report or report-batch
-// frame, a JSON array, or a single JSON object — validates each record
+// ingestReports parses one report body — a binary report-batch frame, a
+// JSON array, or a single JSON object — validates each record
 // and applies the batch: standalone servers Save locally; fleet members
 // route through fleet.Ingest (local save + replication for owned keys,
 // owner forwarding for the rest; a forwarded request is always applied
 // locally). On failure it writes the error response (corrupt binary
 // input is a 400, never a panic) and returns ok=false; records
-// validated before a mid-batch failure are still applied, exactly as
-// the pre-batch array path behaved.
+// validated before a mid-batch failure are still applied.
 func (s *Server) ingestReports(w http.ResponseWriter, r *http.Request) (saved int, ok bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
@@ -539,27 +537,16 @@ func (s *Server) ingestReports(w http.ResponseWriter, r *http.Request) (saved in
 			errorJSON(w, http.StatusBadRequest, "bad binary report body: %v", err)
 			return 0, false
 		}
-		dec := binDecPool.Get().(*codec.Decoder)
-		defer binDecPool.Put(dec)
-		switch kind {
-		case codec.KindReport:
-			var rep codec.Report
-			if err := dec.DecodeReport(payload, &rep); err != nil {
-				errorJSON(w, http.StatusBadRequest, "bad binary report: %v", err)
-				return 0, false
-			}
-			badInput = collect(rep.Key, rep.Cfg, rep.Perf)
-		case codec.KindReportBatch:
-			if err := dec.DecodeReportBatch(payload, func(rep *codec.Report) error {
-				return collect(rep.Key, rep.Cfg, rep.Perf)
-			}); err != nil {
-				if badInput == nil {
-					badInput = fmt.Errorf("bad binary report batch: %v", err)
-				}
-			}
-		default:
+		if kind != codec.KindReportBatch {
 			errorJSON(w, http.StatusBadRequest, "unexpected frame kind %#x", kind)
 			return 0, false
+		}
+		dec := binDecPool.Get().(*codec.Decoder)
+		defer binDecPool.Put(dec)
+		if err := dec.DecodeReportBatch(payload, func(rep *codec.Report) error {
+			return collect(rep.Key, rep.Cfg, rep.Perf)
+		}); err != nil {
+			badInput = fmt.Errorf("bad binary report batch: %v", err)
 		}
 	} else {
 		var reports []ReportRequest
@@ -616,10 +603,6 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d := fleet.BuildDigest(s.st, shard)
-	if !acceptsBinary(r) {
-		writeJSON(w, http.StatusOK, d)
-		return
-	}
 	bb := binBufPool.Get().(*binBuf)
 	defer binBufPool.Put(bb)
 	bb.buf = bb.enc.AppendDigest(bb.buf[:0], &d)
@@ -628,12 +611,15 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 
 // handleMerge ingests intra-fleet replication: already-versioned
 // entries applied under store.Supersedes, never re-replicated (the
-// authoring owner fans out itself). The binary body is a concatenation
-// of KindEntry frames — the WAL record format — JSON a []store.Entry.
-// Works standalone too (direct store merges, restore tooling).
+// authoring owner fans out itself). The body is a concatenation of
+// KindEntry frames — the WAL record format. Works standalone too
+// (direct store merges, restore tooling).
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		errorJSON(w, http.StatusMethodNotAllowed, "POST only")
+		return
+	}
+	if !requireFrameBody(w, r) {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
@@ -642,26 +628,21 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var entries []store.Entry
-	if binaryBody(r) {
-		dec := binDecPool.Get().(*codec.Decoder)
-		defer binDecPool.Put(dec)
-		for pos := 0; pos < len(body); {
-			kind, payload, n, err := codec.Frame(body[pos:])
-			if err != nil || kind != codec.KindEntry {
-				errorJSON(w, http.StatusBadRequest, "bad merge frame at offset %d: %v", pos, err)
-				return
-			}
-			var ce codec.Entry
-			if err := dec.DecodeEntry(payload, &ce); err != nil {
-				errorJSON(w, http.StatusBadRequest, "bad merge entry at offset %d: %v", pos, err)
-				return
-			}
-			entries = append(entries, store.Entry(ce))
-			pos += n
+	dec := binDecPool.Get().(*codec.Decoder)
+	defer binDecPool.Put(dec)
+	for pos := 0; pos < len(body); {
+		kind, payload, n, err := codec.Frame(body[pos:])
+		if err != nil || kind != codec.KindEntry {
+			errorJSON(w, http.StatusBadRequest, "bad merge frame at offset %d: %v", pos, err)
+			return
 		}
-	} else if err := json.Unmarshal(body, &entries); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad merge body: %v", err)
-		return
+		var ce codec.Entry
+		if err := dec.DecodeEntry(payload, &ce); err != nil {
+			errorJSON(w, http.StatusBadRequest, "bad merge entry at offset %d: %v", pos, err)
+			return
+		}
+		entries = append(entries, store.Entry(ce))
+		pos += n
 	}
 	for i := range entries {
 		if entries[i].Key.App == "" || entries[i].Key.Region == "" {
@@ -687,10 +668,10 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	s.writeAck(w, r, merged)
 }
 
-// handleDump streams the entry set record by record — a JSON array
-// element per entry, or one KindEntry frame per entry under binary —
-// instead of materialising one marshalled blob of the whole store, whose
-// size scaled with the store and stalled the handler while it built.
+// handleDump streams the entry set as a JSON array, one element per
+// entry, instead of materialising one marshalled blob of the whole
+// store, whose size scaled with the store and stalled the handler while
+// it built.
 func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		errorJSON(w, http.StatusMethodNotAllowed, "GET only")
@@ -698,21 +679,6 @@ func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
 	}
 	entries := s.st.Entries()
 	bw := bufio.NewWriterSize(w, 32<<10)
-	if acceptsBinary(r) {
-		w.Header().Set("Content-Type", codec.ContentType)
-		w.WriteHeader(http.StatusOK)
-		bb := binBufPool.Get().(*binBuf)
-		defer binBufPool.Put(bb)
-		for i := range entries {
-			ce := codec.Entry(entries[i])
-			bb.buf = bb.enc.AppendEntry(bb.buf[:0], &ce)
-			if _, err := bw.Write(bb.buf); err != nil {
-				return // client went away mid-stream; nothing left to tell it
-			}
-		}
-		_ = bw.Flush()
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_ = bw.WriteByte('[')

@@ -35,7 +35,7 @@ func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 func postReport(t *testing.T, base string, reports []ReportRequest) map[string]any {
 	t.Helper()
 	body, _ := json.Marshal(reports)
-	resp, err := http.Post(base+"/v1/report", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/reports", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestReportValidationAndKeepBest(t *testing.T) {
 
 	// A single object body works too.
 	one, _ := json.Marshal(ReportRequest{Key: arcs.HistoryKey{App: "BT", Workload: "B", CapW: 70, Region: "r2"}, Perf: 1})
-	resp, err := http.Post(ts.URL+"/v1/report", "application/json", bytes.NewReader(one))
+	resp, err := http.Post(ts.URL+"/v1/reports", "application/json", bytes.NewReader(one))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReportValidationAndKeepBest(t *testing.T) {
 		`[{"key":{"app":"A","region":"r"},"perf":"x"}]`,
 		`not json`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/report", "application/json", strings.NewReader(bad))
+		resp, err := http.Post(ts.URL+"/v1/reports", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestDumpHealthzMetrics(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		`arcsd_requests_total{endpoint="config",code="200"} 2`,
-		`arcsd_requests_total{endpoint="report",code="200"} 1`,
+		`arcsd_requests_total{endpoint="reports",code="200"} 1`,
 		"arcsd_lookup_hits_total 1",
 		"arcsd_lookup_fallbacks_total 1",
 		"arcsd_store_entries 1",
@@ -353,7 +353,7 @@ func TestConcurrentServing(t *testing.T) {
 				k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: region}
 				perf := float64(1 + (g*perG+i)%89)
 				body, _ := json.Marshal([]ReportRequest{{Key: k, Cfg: arcs.ConfigValues{Threads: 2 + g%30}, Perf: perf}})
-				resp, err := client.Post(ts.URL+"/v1/report", "application/json", bytes.NewReader(body))
+				resp, err := client.Post(ts.URL+"/v1/reports", "application/json", bytes.NewReader(body))
 				if err != nil || resp.StatusCode != 200 {
 					failures.Add(1)
 				}

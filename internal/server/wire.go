@@ -1,11 +1,11 @@
-// Content negotiation and pooled response encoding for the arcsd API.
+// Encodings and pooled response encoding for the arcsd API.
 //
-// JSON is the default and the permanent fallback: a request without an
-// Accept of application/x-arcs-bin gets exactly the responses it always
-// did. Binary is strictly opt-in per request, so a mixed fleet of old
-// and new clients shares one server. Error bodies are always JSON —
-// a binary client still reads the status code, and the body stays
-// debuggable with curl.
+// Each endpoint has one encoding per direction. The curl-facing
+// endpoints answer JSON; /v1/config and the /v1/reports ack switch to a
+// binary frame under an Accept of application/x-arcs-bin, which is what
+// storeclient always sends. Fleet-internal endpoints take and return
+// frames only. Error bodies are always JSON — a binary client still
+// reads the status code, and the body stays debuggable with curl.
 //
 // All response encoding goes through sync.Pools: the previous handlers
 // built a json.Encoder per response and wrote straight to the socket,
@@ -42,6 +42,17 @@ func acceptsBinary(r *http.Request) bool {
 func binaryBody(r *http.Request) bool {
 	ct := r.Header.Get("Content-Type")
 	return ct == codec.ContentType || strings.HasPrefix(ct, codec.ContentType+";")
+}
+
+// requireFrameBody refuses, with 415 and a JSON error, a request body
+// that is not a binary frame: fleet-internal endpoints have exactly one
+// encoding.
+func requireFrameBody(w http.ResponseWriter, r *http.Request) bool {
+	if binaryBody(r) {
+		return true
+	}
+	errorJSON(w, http.StatusUnsupportedMediaType, "body must be %s", codec.ContentType)
+	return false
 }
 
 // jsonBuf pairs a buffer with a json.Encoder bound to it for the life

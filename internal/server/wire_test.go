@@ -1,6 +1,6 @@
-// Content-negotiation tests for the binary wire format: binary clients
-// against this server, JSON clients against this server, and corrupt
-// binary input, which must be a 400 and never a panic.
+// Wire-format tests: binary clients against this server, JSON (curl)
+// clients against the endpoints that serve JSON, and corrupt binary
+// input, which must be a 400 and never a panic.
 package server
 
 import (
@@ -28,16 +28,16 @@ func binReq(t *testing.T, method, url string, body []byte) *http.Request {
 	return req
 }
 
-// TestBinaryConfigRoundTrip: a binary client posts a binary report and
-// reads the answer back as a ConfigAnswer frame.
+// TestBinaryConfigRoundTrip: a binary client posts a one-record report
+// batch and reads the answer back as a ConfigAnswer frame.
 func TestBinaryConfigRoundTrip(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	key := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "x_solve"}
 	cfg := arcs.ConfigValues{Threads: 16, Schedule: ompt.ScheduleGuided, Chunk: 8, FreqGHz: 2.2, Bind: ompt.BindSpread}
 
 	var enc codec.Encoder
-	rep := codec.Report{Key: key, Cfg: cfg, Perf: 1.5}
-	resp, err := http.DefaultClient.Do(binReq(t, http.MethodPost, ts.URL+"/v1/report", enc.AppendReport(nil, &rep)))
+	rep := []codec.Report{{Key: key, Cfg: cfg, Perf: 1.5}}
+	resp, err := http.DefaultClient.Do(binReq(t, http.MethodPost, ts.URL+"/v1/reports", enc.AppendReportBatch(nil, rep)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,8 @@ func TestBinaryReportBatch(t *testing.T) {
 }
 
 // TestJSONClientUnaffected: a client that never mentions the binary
-// type gets byte-compatible JSON on every endpoint, including the
-// streamed dump.
+// type gets JSON from the curl-facing endpoints. The streamed dump is
+// JSON only: even a binary Accept gets the JSON array.
 func TestJSONClientUnaffected(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "r"}
@@ -134,7 +134,7 @@ func TestJSONClientUnaffected(t *testing.T) {
 		t.Fatalf("JSON config = %+v (code %d)", cr, code)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/dump")
+	resp, err := http.DefaultClient.Do(binReq(t, http.MethodGet, ts.URL+"/v1/dump", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,61 +154,16 @@ func TestJSONClientUnaffected(t *testing.T) {
 	}
 }
 
-// TestBinaryDumpStreamsFrames: a binary dump is a concatenation of
-// KindEntry frames, one per record.
-func TestBinaryDumpStreamsFrames(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	var reports []ReportRequest
-	for i := 0; i < 3; i++ {
-		reports = append(reports, ReportRequest{
-			Key:  arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: string(rune('a' + i))},
-			Cfg:  arcs.ConfigValues{Threads: 2 + i},
-			Perf: float64(i + 1),
-		})
-	}
-	postReport(t, ts.URL, reports)
-
-	resp, err := http.DefaultClient.Do(binReq(t, http.MethodGet, ts.URL+"/v1/dump", nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != codec.ContentType {
-		t.Fatalf("binary dump Content-Type = %q", ct)
-	}
-	var dec codec.Decoder
-	var got []codec.Entry
-	for pos := 0; pos < len(body); {
-		kind, payload, n, err := codec.Frame(body[pos:])
-		if err != nil || kind != codec.KindEntry {
-			t.Fatalf("dump frame %d: kind=%#x err=%v", len(got), kind, err)
-		}
-		var e codec.Entry
-		if err := dec.DecodeEntry(payload, &e); err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, e)
-		pos += n
-	}
-	if len(got) != len(reports) {
-		t.Fatalf("binary dump returned %d entries, want %d", len(got), len(reports))
-	}
-	for i, e := range got {
-		if e.Key != reports[i].Key || e.Cfg != reports[i].Cfg || e.Perf != reports[i].Perf {
-			t.Fatalf("dump entry %d = %+v, want %+v", i, e, reports[i])
-		}
-	}
-}
-
 // TestCorruptBinaryBodyIs400 throws damaged frames at the report
-// endpoints: every one must come back 400 with a JSON error, and the
-// daemon must keep serving afterwards.
+// endpoint: every one must come back 400 with a JSON error, and the
+// daemon must keep serving afterwards. A single-report frame is a
+// verified frame of a kind /v1/reports no longer accepts.
 func TestCorruptBinaryBodyIs400(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	var enc codec.Encoder
 	rep := codec.Report{Key: arcs.HistoryKey{App: "SP", Region: "r"}, Perf: 1}
-	good := enc.AppendReport(nil, &rep)
+	good := enc.AppendReportBatch(nil, []codec.Report{rep})
+	single := enc.AppendReport(nil, &rep)
 
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)/2] ^= 0xFF
@@ -219,30 +174,29 @@ func TestCorruptBinaryBodyIs400(t *testing.T) {
 		"truncated":  good[:len(good)-3],
 		"bit-flip":   flipped,
 		"wrong-kind": wrongKind,
+		"single":     single,
 	}
 	for name, body := range cases {
-		for _, path := range []string{"/v1/report", "/v1/reports"} {
-			resp, err := http.DefaultClient.Do(binReq(t, http.MethodPost, ts.URL+path, body))
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, path, err)
-			}
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("%s %s: status %d (%s), want 400", name, path, resp.StatusCode, b)
-			}
-			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-				t.Fatalf("%s %s: error Content-Type = %q, want JSON", name, path, ct)
-			}
-			var e map[string]string
-			if err := json.Unmarshal(b, &e); err != nil || e["error"] == "" {
-				t.Fatalf("%s %s: error body %q not a JSON error", name, path, b)
-			}
+		resp, err := http.DefaultClient.Do(binReq(t, http.MethodPost, ts.URL+"/v1/reports", body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", name, resp.StatusCode, b)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s: error Content-Type = %q, want JSON", name, ct)
+		}
+		var e map[string]string
+		if err := json.Unmarshal(b, &e); err != nil || e["error"] == "" {
+			t.Fatalf("%s: error body %q not a JSON error", name, b)
 		}
 	}
 
 	// The server still works after the abuse.
-	resp, err := http.DefaultClient.Do(binReq(t, http.MethodPost, ts.URL+"/v1/report", good))
+	resp, err := http.DefaultClient.Do(binReq(t, http.MethodPost, ts.URL+"/v1/reports", good))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +207,7 @@ func TestCorruptBinaryBodyIs400(t *testing.T) {
 }
 
 // TestJSONReportsEndpoint: /v1/reports accepts the plain JSON array
-// form too — binary is negotiated, never required.
+// form too, for curl.
 func TestJSONReportsEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	body, _ := json.Marshal([]ReportRequest{

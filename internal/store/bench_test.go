@@ -1,12 +1,10 @@
-// Benchmarks backing the storage-format claims (ISSUE 6): binary WAL
-// records and the columnar snapshot must beat their JSON predecessors.
-// WALAppend measures record construction (the write syscall is identical
-// either way, only smaller); SnapshotReplay measures the full
-// Open-and-replay path against a snapshot written in each format.
+// Benchmarks for the storage formats: WALAppend measures binary record
+// construction (the write syscall is outside it); SnapshotReplay
+// measures the full Open-and-replay path against a columnar snapshot.
+// Both back rows of bench_baseline.json.
 package store
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,25 +33,11 @@ func BenchmarkWALAppend(b *testing.B) {
 			buf = enc.AppendEntry(buf[:0], &ce)
 		}
 	})
-	b.Run("json", func(b *testing.B) {
-		line, err := encodeWALLine(benchWALEntry)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(line)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := encodeWALLine(benchWALEntry); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
-// benchSnapshotDir writes a snapshot of n entries in the given format
-// and returns the directory, ready for Open to replay.
-func benchSnapshotDir(b *testing.B, n int, binary bool) string {
+// benchSnapshotDir writes a snapshot of n entries and returns the
+// directory, ready for Open to replay.
+func benchSnapshotDir(b *testing.B, n int) string {
 	b.Helper()
 	dir := b.TempDir()
 	entries := make([]Entry, n)
@@ -64,23 +48,13 @@ func benchSnapshotDir(b *testing.B, n int, binary bool) string {
 		entries[i].Key.App = [...]string{"SP", "BT", "LU", "MG"}[(i/4)%4]
 		entries[i].Version = uint64(i + 1)
 	}
-	var name string
-	var data []byte
-	if binary {
-		ces := make([]codec.Entry, len(entries))
-		for i, e := range entries {
-			ces[i] = codec.Entry(e)
-		}
-		var enc codec.Encoder
-		name, data = SnapshotBinName, enc.AppendSnapshot(nil, ces)
-	} else {
-		j, err := json.MarshalIndent(entries, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		name, data = SnapshotName, j
+	ces := make([]codec.Entry, len(entries))
+	for i, e := range entries {
+		ces[i] = codec.Entry(e)
 	}
-	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+	var enc codec.Encoder
+	data := enc.AppendSnapshot(nil, ces)
+	if err := os.WriteFile(filepath.Join(dir, SnapshotBinName), data, 0o644); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
@@ -107,6 +81,5 @@ func benchReplay(b *testing.B, dir string) {
 
 func BenchmarkSnapshotReplay(b *testing.B) {
 	const n = 2048
-	b.Run("binary", func(b *testing.B) { benchReplay(b, benchSnapshotDir(b, n, true)) })
-	b.Run("json", func(b *testing.B) { benchReplay(b, benchSnapshotDir(b, n, false)) })
+	b.Run("binary", func(b *testing.B) { benchReplay(b, benchSnapshotDir(b, n)) })
 }

@@ -1,31 +1,44 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"arcs/internal/codec"
 	arcs "arcs/internal/core"
+	"arcs/internal/ompt"
 )
 
 // FuzzStoreWAL mirrors core's FuzzLoadHistoryFile for the persistent
-// store: arbitrary bytes in the WAL and snapshot must never panic replay,
-// and whatever replay accepts must round-trip through snapshot + reload.
+// store: arbitrary bytes in the WAL and in the columnar snapshot — the
+// two files replay reads — must never panic Open, and whatever replay
+// accepts must round-trip through snapshot + reload.
 func FuzzStoreWAL(f *testing.F) {
-	f.Add([]byte(`{"key":{"app":"SP","workload":"B","cap_w":70,"region":"x"},`+
-		`"config":{"threads":16,"schedule":3,"chunk":1},"perf":1.5,"version":1}`+"\n"),
-		[]byte(`[]`))
-	f.Add([]byte("{torn"), []byte(`[{"key":{},"config":{},"perf":2,"version":7}]`))
-	f.Add([]byte("\n\n\x00\xff garbage\n"), []byte(`{not json`))
-	f.Add([]byte(`{"key":{"app":"a|b"},"config":{},"perf":1,"version":2}`+"\n"+
-		`{"key":{"app":"a|b"},"config":{"threads":4},"perf":9,"version":1}`+"\n"), []byte(``))
-	f.Add([]byte(``), []byte(``))
+	var enc codec.Encoder
+	e1 := codec.Entry{
+		Key:  arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "x"},
+		Cfg:  arcs.ConfigValues{Threads: 16, Schedule: ompt.ScheduleGuided, Chunk: 1},
+		Perf: 1.5, Version: 1,
+	}
+	e2 := codec.Entry{Key: arcs.HistoryKey{App: "a|b", Region: "r"}, Cfg: arcs.ConfigValues{Threads: 4}, Perf: 9, Version: 2}
+	frame := enc.AppendEntry(nil, &e1)
+	flipped := bytes.Clone(frame)
+	flipped[len(flipped)/2] ^= 0x10
+	snapshot := enc.AppendSnapshot(nil, []codec.Entry{e1, e2})
+
+	f.Add(frame, []byte(nil))                  // valid entry frame
+	f.Add(frame[:len(frame)-3], []byte(nil))   // torn final frame
+	f.Add(flipped, []byte(nil))                // bit-flipped frame
+	f.Add([]byte(nil), snapshot)               // valid columnar snapshot
+	f.Add(append(flipped, frame...), snapshot) // corruption followed by a good frame
 	f.Fuzz(func(t *testing.T, wal, snapshot []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, WALName), wal, 0o644); err != nil {
 			t.Skip()
 		}
-		if err := os.WriteFile(filepath.Join(dir, SnapshotName), snapshot, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, SnapshotBinName), snapshot, 0o644); err != nil {
 			t.Skip()
 		}
 		s, err := Open(dir, Options{SnapshotEvery: -1})

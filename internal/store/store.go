@@ -9,10 +9,7 @@
 //
 // Durability model: every accepted Save appends one CRC-framed binary
 // record (internal/codec) to the WAL before returning; snapshots use the
-// codec's columnar layout. Legacy JSON/JSONL files replay transparently
-// and are migrated one-way on the first compaction. Replay tolerates
-// arbitrary
-// corruption — torn tails from a crash, truncated snapshots, bit flips,
+// codec's columnar layout. Replay tolerates arbitrary corruption — torn tails from a crash, truncated snapshots, bit flips,
 // or garbage bytes — by skipping records whose checksum or encoding does
 // not verify; a record carries its own per-key monotonic version, so
 // replay order does not matter and a record duplicated across snapshot
@@ -29,17 +26,13 @@
 package store
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 
 	"arcs/internal/codec"
@@ -47,18 +40,18 @@ import (
 )
 
 const (
-	// SnapshotName, SnapshotBinName and WALName are the file names inside
-	// the store directory (exported for chaos and torture tests that
-	// truncate or corrupt them deliberately). SnapshotName is the legacy
-	// JSON snapshot, read-only since the binary migration: the first
-	// successful compaction writes SnapshotBinName and deletes the legacy
-	// file. WALName keeps its historical extension — the log has carried
-	// three record formats (plain JSON, CRC-prefixed JSON, binary frames)
-	// and replay accepts all of them, so renaming it would only orphan
-	// existing deployments.
-	SnapshotName    = "snapshot.json"
+	// SnapshotBinName and WALName are the file names inside the store
+	// directory (exported for chaos and torture tests that truncate or
+	// corrupt them deliberately). The WAL holds binary frames only;
+	// WALName keeps its historical extension because renaming it would
+	// orphan every store written since the binary format landed.
 	SnapshotBinName = "snapshot.bin"
 	WALName         = "wal.jsonl"
+
+	// legacySnapshotName is the JSON snapshot of stores that predate the
+	// binary format. Nothing reads it any more; Open refuses a directory
+	// that still holds one rather than coming up silently empty.
+	legacySnapshotName = "snapshot.json"
 
 	// NumShards is the fixed in-process shard count, bounding lock
 	// contention under concurrent serving; keys are distributed by FNV-1a
@@ -76,10 +69,6 @@ const (
 	// after which the store degrades to memory-only serving when
 	// Options.DegradeAfter is zero.
 	DefaultDegradeAfter = 3
-
-	// maxWALLine bounds a single replayed record; longer lines are
-	// corruption by construction (entries marshal to well under 1 KiB).
-	maxWALLine = 1 << 20
 )
 
 // Entry is one stored record: a tuned configuration, the performance that
@@ -142,7 +131,10 @@ type Store struct {
 
 // Open loads (or creates) a store rooted at dir, replaying the snapshot
 // and WAL found there. Corrupt or torn records are skipped, never fatal:
-// a crash-interrupted WAL must not take the service down.
+// a crash-interrupted WAL must not take the service down. A directory
+// still holding a pre-binary snapshot.json is refused: its records are
+// in a format nothing reads, and serving without them would be silent
+// data loss.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:           dir,
@@ -162,6 +154,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
+	if _, err := s.fs.ReadFile(filepath.Join(dir, legacySnapshotName)); err == nil {
+		return nil, fmt.Errorf("store: %s holds a pre-binary %s this store cannot read "+
+			"(compact it with an older arcsd first, or remove it)", dir, legacySnapshotName)
+	}
 	for i := range s.shards {
 		s.shards[i].entries = make(map[string]Entry) //arcslint:ignore guardedby constructor; the store has not escaped yet
 	}
@@ -175,9 +171,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) walPath() string         { return filepath.Join(s.dir, WALName) }
-func (s *Store) snapshotPath() string    { return filepath.Join(s.dir, SnapshotName) }
-func (s *Store) binSnapshotPath() string { return filepath.Join(s.dir, SnapshotBinName) }
+func (s *Store) walPath() string      { return filepath.Join(s.dir, WALName) }
+func (s *Store) snapshotPath() string { return filepath.Join(s.dir, SnapshotBinName) }
 
 func (s *Store) shard(canonicalKey string) *shard {
 	h := fnv.New32a()
@@ -185,146 +180,72 @@ func (s *Store) shard(canonicalKey string) *shard {
 	return &s.shards[h.Sum32()%NumShards]
 }
 
-// replaySnapshot loads the compacted snapshot, ignoring a missing or
-// undecodable file (the WAL is the source of truth for anything newer).
-// The binary columnar snapshot is preferred; a store that has never
-// compacted under the binary format falls back to the legacy JSON
-// snapshot, which replays byte-for-byte as it always did.
+// replaySnapshot loads the compacted columnar snapshot, ignoring a
+// missing or undecodable file (the WAL is the source of truth for
+// anything newer).
 func (s *Store) replaySnapshot() {
-	if data, err := s.fs.ReadFile(s.binSnapshotPath()); err == nil {
-		kind, payload, _, ferr := codec.Frame(data)
-		if ferr == nil && kind == codec.KindSnapshot {
-			var dec codec.Decoder
-			if list, derr := dec.DecodeSnapshot(payload); derr == nil {
-				for _, e := range list {
-					s.applyReplay(Entry(e))
-				}
-				return
-			}
-		}
-		// A corrupt binary snapshot is skipped, not fatal — and the
-		// legacy file (if any) predates it, so falling through can only
-		// add older records, which versioned replay resolves correctly.
-	}
 	data, err := s.fs.ReadFile(s.snapshotPath())
 	if err != nil {
 		return
 	}
-	var list []Entry
-	if err := json.Unmarshal(data, &list); err != nil {
+	kind, payload, _, err := codec.Frame(data)
+	if err != nil || kind != codec.KindSnapshot {
+		return
+	}
+	var dec codec.Decoder
+	list, err := dec.DecodeSnapshot(payload)
+	if err != nil {
 		return
 	}
 	for _, e := range list {
-		s.applyReplay(e)
+		s.applyReplay(Entry(e))
 	}
 }
 
-// replayWAL applies every verifiable WAL record and returns the count,
-// so a store reopened with a fat WAL compacts on schedule. The log may
-// interleave three generations of record format — binary frames
-// (current), CRC-prefixed JSON lines, and plain JSON lines — because a
-// store opened over a legacy WAL appends binary records after the old
-// ones until the next compaction rewrites everything. The parser
-// dispatches on the first byte: the frame magic is not printable ASCII,
-// so it can never collide with a JSON or hex-checksum line.
+// replayWAL applies every verifiable WAL frame and returns the count, so
+// a store reopened with a fat WAL compacts on schedule. Any byte that
+// does not start a verifiable frame is corruption: replay resyncs past
+// it byte by byte and reports how many bytes it skipped through Err. An
+// incomplete final frame is the crash-interrupted last append — a torn
+// tail, dropped silently because nothing can follow it.
 func (s *Store) replayWAL() int {
 	data, err := s.fs.ReadFile(s.walPath())
 	if err != nil {
 		return 0
 	}
-	n := 0
+	n, skipped := 0, 0
 	var dec codec.Decoder
 	var ce codec.Entry
-	pos := 0
-	for pos < len(data) {
-		switch c := data[pos]; {
-		case c == codec.Magic:
-			kind, payload, fn, err := codec.Frame(data[pos:])
-			switch {
-			case err == nil && kind == codec.KindEntry:
-				if dec.DecodeEntry(payload, &ce) == nil {
-					s.applyReplay(Entry(ce))
-					n++
-				}
-				pos += fn
-			case err == nil:
-				pos += fn // verified frame of an unexpected kind: skip whole
-			case errors.Is(err, codec.ErrTruncated):
-				// Torn tail: whole frames are appended under walMu, so an
-				// incomplete frame can only be the crash-interrupted last
-				// record. Nothing follows it.
-				return n
-			default:
-				pos++ // corrupt frame: resync byte by byte
-			}
-		case c == '\n', c == '\r', c == ' ', c == '\t':
+	for pos := 0; pos < len(data); {
+		if data[pos] != codec.Magic {
 			pos++
-		default:
-			// Legacy text record: one line, either CRC-prefixed or plain
-			// JSON. A torn or bit-flipped line fails its checksum or its
-			// parse and is skipped, exactly as the line scanner did.
-			line := data[pos:]
-			if i := bytes.IndexByte(line, '\n'); i >= 0 {
-				line = line[:i]
-				pos += i + 1
-			} else {
-				pos = len(data)
-			}
-			line = bytes.TrimSpace(line)
-			if len(line) == 0 || len(line) > maxWALLine {
-				continue
-			}
-			if e, ok := decodeWALLine(line); ok {
-				s.applyReplay(e)
+			skipped++
+			continue
+		}
+		kind, payload, fn, err := codec.Frame(data[pos:])
+		switch {
+		case err == nil && kind == codec.KindEntry:
+			if dec.DecodeEntry(payload, &ce) == nil {
+				s.applyReplay(Entry(ce))
 				n++
 			}
+			pos += fn
+		case err == nil:
+			pos += fn // verified frame of an unexpected kind: skip whole
+		case errors.Is(err, codec.ErrTruncated):
+			// Torn tail: whole frames are appended under walMu, so an
+			// incomplete frame can only be the crash-interrupted last
+			// record. Nothing follows it.
+			pos = len(data)
+		default:
+			pos++ // corrupt frame: resync byte by byte
+			skipped++
 		}
+	}
+	if skipped > 0 {
+		s.setErr(fmt.Errorf("store: replay skipped %d corrupt WAL bytes", skipped))
 	}
 	return n
-}
-
-// encodeWALLine renders one entry in the legacy v2 line format: eight
-// lowercase hex digits of the IEEE CRC32 of the JSON payload, one
-// space, the payload, a newline. New records are written as binary
-// frames (appendWAL); this encoder survives as the reference
-// implementation for the migration tests and the JSON-vs-binary WAL
-// benchmarks.
-func encodeWALLine(e Entry) ([]byte, error) {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return nil, err
-	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.ChecksumIEEE(payload))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// decodeWALLine parses either WAL line format. Legacy (pre-checksum)
-// lines start with '{' and are accepted as plain JSON so an existing WAL
-// replays unchanged; checksummed lines must verify their CRC32 before
-// the payload is even parsed.
-func decodeWALLine(line []byte) (Entry, bool) {
-	var e Entry
-	if line[0] != '{' {
-		if len(line) < 10 || line[8] != ' ' {
-			return Entry{}, false
-		}
-		sum, err := strconv.ParseUint(string(line[:8]), 16, 32)
-		if err != nil {
-			return Entry{}, false
-		}
-		payload := line[9:]
-		if crc32.ChecksumIEEE(payload) != uint32(sum) {
-			return Entry{}, false
-		}
-		line = payload
-	}
-	if err := json.Unmarshal(line, &e); err != nil {
-		return Entry{}, false
-	}
-	return e, true
 }
 
 // Supersedes reports whether e should replace old under the replicated
@@ -669,11 +590,6 @@ func (s *Store) Snapshot() error {
 // leaves the previous snapshot and the current WAL byte-identical: there
 // is no window where data exists in neither file.
 //
-// The snapshot is written in the binary columnar format. A store that
-// still carries a legacy JSON snapshot migrates here, one-way: once the
-// binary file is durably renamed into place it supersedes the JSON one,
-// which is deleted so replay never resurrects stale records from it.
-//
 //arcslint:locked walMu
 func (s *Store) snapshotLocked() error {
 	entries := s.Entries()
@@ -682,7 +598,7 @@ func (s *Store) snapshotLocked() error {
 		ces[i] = codec.Entry(e)
 	}
 	data := s.enc.AppendSnapshot(nil, ces)
-	tmp := s.binSnapshotPath() + ".tmp"
+	tmp := s.snapshotPath() + ".tmp"
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: create snapshot: %w", err)
@@ -701,16 +617,9 @@ func (s *Store) snapshotLocked() error {
 		_ = s.fs.Remove(tmp)
 		return fmt.Errorf("store: close snapshot: %w", err)
 	}
-	if err := s.fs.Rename(tmp, s.binSnapshotPath()); err != nil {
+	if err := s.fs.Rename(tmp, s.snapshotPath()); err != nil {
 		_ = s.fs.Remove(tmp)
 		return fmt.Errorf("store: publish snapshot: %w", err)
-	}
-	// The binary snapshot is durable; retire the legacy JSON one so a
-	// later replay cannot prefer or merge a stale generation. A failed
-	// remove is surfaced but not fatal — versioned replay keeps the
-	// overlap harmless until the next compaction retries it.
-	if err := s.fs.Remove(s.snapshotPath()); err != nil && !errors.Is(err, os.ErrNotExist) {
-		s.setErr(fmt.Errorf("store: remove legacy snapshot: %w", err))
 	}
 	// The snapshot now holds everything; start a fresh WAL.
 	if s.wal != nil {
@@ -819,10 +728,8 @@ func (s *Store) Health() Health {
 	if fi, err := os.Stat(s.walPath()); err == nil {
 		h.WALBytes = fi.Size()
 	}
-	if fi, err := os.Stat(s.binSnapshotPath()); err == nil {
+	if fi, err := os.Stat(s.snapshotPath()); err == nil {
 		h.SnapshotBytes = fi.Size()
-	} else if fi, err := os.Stat(s.snapshotPath()); err == nil {
-		h.SnapshotBytes = fi.Size() // not yet migrated off the JSON snapshot
 	}
 	return h
 }

@@ -119,8 +119,7 @@ func TestCrashTortureEveryByteOffset(t *testing.T) {
 // TestWALChecksumRejectsBitFlip flips every payload byte of a stored
 // binary WAL record in turn. The frame still parses structurally (length
 // and magic intact) but the CRC rejects it at replay, whatever byte was
-// hit; the same corruption in a legacy plain-JSON line can parse fine —
-// which is exactly the silent corruption the framing exists to catch.
+// hit, so a corrupted record is never served.
 func TestWALChecksumRejectsBitFlip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{SnapshotEvery: -1})
@@ -157,44 +156,6 @@ func TestWALChecksumRejectsBitFlip(t *testing.T) {
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// The analogous corruption in a legacy line (no checksum) is
-	// undetectable: it parses, and the wrong perf is served.
-	legacy := `{"key":{"app":"SP","workload":"B","cap_w":70,"region":"r"},"config":{"threads":16},"perf":9.25,"version":1}` + "\n"
-	if err := os.WriteFile(walPath, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st3, err := store.Open(dir, store.Options{SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := st3.Get(k); !ok || e.Perf != 9.25 {
-		t.Fatalf("legacy line replay = %+v ok=%v, want the (corrupted) 9.25 record", e, ok)
-	}
-	if err := st3.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyWALLinesStillReplay proves pre-checksum WALs open unchanged.
-func TestLegacyWALLinesStillReplay(t *testing.T) {
-	dir := t.TempDir()
-	k := arcs.HistoryKey{App: "BT", Workload: "A", CapW: 60, Region: "z"}
-	legacy := `{"key":{"app":"BT","workload":"A","cap_w":60,"region":"z"},"config":{"threads":4},"perf":2.5,"version":1}` + "\n"
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, store.WALName), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if e, ok := st.Get(k); !ok || e.Perf != 2.5 || e.Cfg.Threads != 4 {
-		t.Fatalf("legacy replay = %+v ok=%v", e, ok)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"arcs/internal/codec"
@@ -61,14 +60,6 @@ type Client struct {
 	backoff    time.Duration
 	maxBackoff time.Duration
 	br         *breaker
-
-	// binary enables the compact wire codec (WithBinary). binDown and
-	// batchDown are downgrade latches: once a server rejects a binary
-	// body or 404s /v1/reports, the client stops asking and speaks the
-	// JSON the old server understands for the rest of its life.
-	binary    bool
-	binDown   atomic.Bool
-	batchDown atomic.Bool
 
 	// epochHook observes the fleet membership epoch (codec.EpochHeader)
 	// stamped on responses, letting a fleet-aware caller notice a
@@ -147,13 +138,11 @@ func WithEpochHook(hook func(epoch uint64)) Option {
 	return func(c *Client) { c.epochHook = hook }
 }
 
-// WithBinary makes the client negotiate the compact binary wire codec
-// (application/x-arcs-bin) for lookups and reports. The client degrades
-// automatically against an old JSON-only arcsd: binary responses are
-// requested via Accept (a server that ignores it simply answers JSON),
-// and a server that rejects a binary request body gets the JSON form
-// resent once, after which the client latches onto JSON.
-func WithBinary() Option { return func(c *Client) { c.binary = true } }
+// WithBinary has no effect: lookups, reports and every fleet RPC always
+// use the binary wire codec (application/x-arcs-bin). It is kept only
+// because cmd/arcsperf, which builds against this package unchanged,
+// still passes it.
+func WithBinary() Option { return func(*Client) {} }
 
 // New creates a client for the arcsd at base (e.g. "http://localhost:8090").
 func New(base string, opts ...Option) *Client {
@@ -229,19 +218,10 @@ func (c *Client) Lookup(ctx context.Context, k arcs.HistoryKey, opts LookupOpts)
 	if !opts.Search {
 		q.Set("search", "0")
 	}
-	var out struct {
-		Key         arcs.HistoryKey   `json:"key"`
-		Config      arcs.ConfigValues `json:"config"`
-		Perf        float64           `json:"perf"`
-		Version     uint64            `json:"version"`
-		Source      string            `json:"source"`
-		CapDistance float64           `json:"cap_distance"`
-	}
 	var res Result
-	spec := reqSpec{method: http.MethodGet, path: "/v1/config?" + q.Encode(), out: &out, forwarded: opts.Forwarded}
-	if c.binary {
-		spec.acceptBinary = true
-		spec.onFrame = func(kind byte, payload []byte) error {
+	err := c.doSpec(ctx, reqSpec{
+		method: http.MethodGet, path: "/v1/config?" + q.Encode(), forwarded: opts.Forwarded,
+		onFrame: func(kind byte, payload []byte) error {
 			if kind != codec.KindConfigAnswer {
 				return fmt.Errorf("storeclient: unexpected frame kind %#x for config", kind)
 			}
@@ -256,19 +236,12 @@ func (c *Client) Lookup(ctx context.Context, k arcs.HistoryKey, opts LookupOpts)
 				Source: ans.Source, CapDistance: ans.CapDistance,
 			}
 			return nil
-		}
-	}
-	decoded, err := c.doSpec(ctx, spec)
+		},
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	if decoded == decodedFrame {
-		return res, nil
-	}
-	return Result{
-		Key: out.Key, Config: out.Config, Perf: out.Perf, Version: out.Version,
-		Source: out.Source, CapDistance: out.CapDistance,
-	}, nil
+	return res, nil
 }
 
 // Neighbors fetches the stored contexts nearest to k — the transfer
@@ -301,79 +274,24 @@ func (c *Client) Neighbors(ctx context.Context, k arcs.HistoryKey, max int) ([]a
 	return ns, nil
 }
 
-// Report ingests one search result into the served store. Under
-// WithBinary the record goes as one KindReport frame; a server that
-// rejects it (pre-codec arcsd) gets the JSON form resent, and a JSON
-// success latches the downgrade so the probe is paid once, not per call.
+// Report ingests one search result into the served store: a
+// ReportBatch of one record.
 func (c *Client) Report(ctx context.Context, k arcs.HistoryKey, cfg arcs.ConfigValues, perf float64) error {
-	body := []Report{{Key: k, Cfg: cfg, Perf: perf}}
-	if c.binary && !c.binDown.Load() {
-		eb := encPool.Get().(*encBuf)
-		rep := codec.Report{Key: k, Cfg: cfg, Perf: perf}
-		eb.buf = eb.enc.AppendReport(eb.buf[:0], &rep)
-		_, err := c.doSpec(ctx, reqSpec{
-			method: http.MethodPost, path: "/v1/report",
-			body: eb.buf, binaryBody: true, acceptBinary: true, onFrame: expectAck,
-		})
-		encPool.Put(eb)
-		if !binaryRejected(err) {
-			return err
-		}
-		// The binary body came back 400/415: almost certainly an old
-		// server. Resend as JSON; only a success proves the JSON path
-		// works (a data error fails both ways) and justifies latching
-		// the downgrade.
-		err = c.doJSON(ctx, http.MethodPost, "/v1/report", body, nil)
-		if err == nil {
-			c.binDown.Store(true)
-		}
-		return err
-	}
-	return c.doJSON(ctx, http.MethodPost, "/v1/report", body, nil)
+	return c.ReportBatch(ctx, []Report{{Key: k, Cfg: cfg, Perf: perf}})
 }
 
-// ReportBatch ingests many results in one round trip on /v1/reports —
-// a KindReportBatch frame under WithBinary, a JSON array otherwise. An
-// old arcsd without the endpoint (404/405) downgrades the client to
-// per-call JSON arrays on /v1/report, permanently and at most one probe.
+// ReportBatch ingests many results in one round trip: one
+// KindReportBatch frame on /v1/reports.
 func (c *Client) ReportBatch(ctx context.Context, reports []Report) error {
 	if len(reports) == 0 {
 		return nil
 	}
-	if !c.batchDown.Load() {
-		var err error
-		if c.binary && !c.binDown.Load() {
-			eb := encPool.Get().(*encBuf)
-			creps := make([]codec.Report, len(reports))
-			for i, r := range reports {
-				creps[i] = codec.Report(r)
-			}
-			eb.buf = eb.enc.AppendReportBatch(eb.buf[:0], creps)
-			_, err = c.doSpec(ctx, reqSpec{
-				method: http.MethodPost, path: "/v1/reports",
-				body: eb.buf, binaryBody: true, acceptBinary: true, onFrame: expectAck,
-			})
-			encPool.Put(eb)
-			if binaryRejected(err) {
-				// A server that has /v1/reports speaks binary; treat the
-				// rejection like any binary-body refusal and go JSON.
-				if jerr := c.doJSON(ctx, http.MethodPost, "/v1/reports", reports, nil); jerr == nil {
-					c.binDown.Store(true)
-					return nil
-				}
-				return err
-			}
-		} else {
-			err = c.doJSON(ctx, http.MethodPost, "/v1/reports", reports, nil)
-		}
-		if !endpointMissing(err) {
-			return err
-		}
-		// No /v1/reports: a pre-batch server, which is also pre-binary.
-		c.batchDown.Store(true)
-		c.binDown.Store(true)
+	creps := make([]codec.Report, len(reports))
+	for i, r := range reports {
+		creps[i] = codec.Report(r)
 	}
-	return c.doJSON(ctx, http.MethodPost, "/v1/report", reports, nil)
+	return c.postFrame(ctx, reqSpec{path: "/v1/reports", onFrame: expectAck},
+		func(enc *codec.Encoder, dst []byte) []byte { return enc.AppendReportBatch(dst, creps) })
 }
 
 // Report is one record for batched reporting (ReportBatch/ReportBuffer).
@@ -391,26 +309,6 @@ func expectAck(kind byte, payload []byte) error {
 	return nil
 }
 
-// binaryRejected reports whether err is a server refusing the binary
-// body itself (400/415), as a pre-codec arcsd does.
-func binaryRejected(err error) bool {
-	var se *statusError
-	if !errors.As(err, &se) {
-		return false
-	}
-	return se.code == http.StatusBadRequest || se.code == http.StatusUnsupportedMediaType
-}
-
-// endpointMissing reports whether err says the path does not exist on
-// this server (404 surfaces as ErrNotFound, 405 from older muxes).
-func endpointMissing(err error) bool {
-	if errors.Is(err, ErrNotFound) {
-		return true
-	}
-	var se *statusError
-	return errors.As(err, &se) && se.code == http.StatusMethodNotAllowed
-}
-
 // Dump retrieves the full entry set.
 func (c *Client) Dump(ctx context.Context) ([]store.Entry, error) {
 	var out []store.Entry
@@ -422,19 +320,16 @@ func (c *Client) Dump(ctx context.Context) ([]store.Entry, error) {
 
 // Health checks the daemon is up.
 func (c *Client) Health(ctx context.Context) error {
-	_, err := c.doSpec(ctx, reqSpec{method: http.MethodGet, path: "/healthz"})
-	return err
+	return c.doSpec(ctx, reqSpec{method: http.MethodGet, path: "/healthz"})
 }
 
 // reqSpec describes one logical request: what to send and how to decode
-// the answer. onFrame handles a binary response; out a JSON one. When
-// both are set, the response Content-Type picks — which is exactly how
-// a binary-capable client stays compatible with a JSON-only server.
+// the answer. A spec with onFrame asks for (Accept) and requires a
+// binary frame response; otherwise a JSON response decodes into out.
 type reqSpec struct {
 	method, path string
 	body         []byte
 	binaryBody   bool // Content-Type: application/x-arcs-bin (else JSON)
-	acceptBinary bool // send Accept: application/x-arcs-bin
 	forwarded    bool // send codec.ForwardedHeader (intra-fleet routing)
 	out          any  // JSON decode target; nil discards the body
 	onFrame      func(kind byte, payload []byte) error
@@ -443,15 +338,6 @@ type reqSpec struct {
 	// return falls through to the generic statusError.
 	on409 func(body []byte) error
 }
-
-// decodedKind reports which decode path doSpec took.
-type decodedKind int
-
-const (
-	decodedNothing decodedKind = iota
-	decodedJSON
-	decodedFrame
-)
 
 // encBuf pairs a codec.Encoder with its output buffer; jsonReqPool
 // amortises JSON request encoding the same way. decPool keeps Decoder
@@ -485,8 +371,17 @@ func (c *Client) doJSONSpec(ctx context.Context, spec reqSpec, body any) error {
 		}
 		spec.body = buf.Bytes()
 	}
-	_, err := c.doSpec(ctx, spec)
-	return err
+	return c.doSpec(ctx, spec)
+}
+
+// postFrame POSTs a binary body, encoded into a pooled buffer by encode,
+// under spec.
+func (c *Client) postFrame(ctx context.Context, spec reqSpec, encode func(enc *codec.Encoder, dst []byte) []byte) error {
+	eb := encPool.Get().(*encBuf)
+	defer encPool.Put(eb)
+	eb.buf = encode(&eb.enc, eb.buf[:0])
+	spec.method, spec.body, spec.binaryBody = http.MethodPost, eb.buf, true
+	return c.doSpec(ctx, spec)
 }
 
 // doSpec gates one logical request through the circuit breaker, runs the
@@ -495,11 +390,11 @@ func (c *Client) doJSONSpec(ctx context.Context, spec reqSpec, body any) error {
 // ErrNotFound — proves the daemon is alive and counts as success; only
 // network failures and retry-exhausted 5xx count as failures. Context
 // cancellation says nothing about the server and records neither.
-func (c *Client) doSpec(ctx context.Context, spec reqSpec) (decodedKind, error) {
+func (c *Client) doSpec(ctx context.Context, spec reqSpec) error {
 	if c.br != nil && !c.br.allow() {
-		return decodedNothing, fmt.Errorf("storeclient: %s %s: %w", spec.method, spec.path, ErrBreakerOpen)
+		return fmt.Errorf("storeclient: %s %s: %w", spec.method, spec.path, ErrBreakerOpen)
 	}
-	decoded, err := c.attempt(ctx, spec)
+	err := c.attempt(ctx, spec)
 	if c.br != nil {
 		switch {
 		case err == nil, errors.Is(err, ErrNotFound):
@@ -510,13 +405,13 @@ func (c *Client) doSpec(ctx context.Context, spec reqSpec) (decodedKind, error) 
 			c.br.record(errors.As(err, &se) && se.code < 500)
 		}
 	}
-	return decoded, err
+	return err
 }
 
 // attempt issues one request with the retry/backoff policy. Non-429 4xx
 // responses are terminal (404 maps to ErrNotFound); network errors, 5xx
 // and 429 retry.
-func (c *Client) attempt(ctx context.Context, spec reqSpec) (decodedKind, error) {
+func (c *Client) attempt(ctx context.Context, spec reqSpec) error {
 	var lastErr error
 	var retryAfter time.Duration
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -524,7 +419,7 @@ func (c *Client) attempt(ctx context.Context, spec reqSpec) (decodedKind, error)
 			select {
 			case <-time.After(c.delay(attempt, retryAfter)):
 			case <-ctx.Done():
-				return decodedNothing, ctx.Err()
+				return ctx.Err()
 			}
 		}
 		retryAfter = 0
@@ -534,7 +429,7 @@ func (c *Client) attempt(ctx context.Context, spec reqSpec) (decodedKind, error)
 		}
 		req, err := http.NewRequestWithContext(ctx, spec.method, c.base+spec.path, rd)
 		if err != nil {
-			return decodedNothing, fmt.Errorf("storeclient: build request: %w", err)
+			return fmt.Errorf("storeclient: build request: %w", err)
 		}
 		if spec.body != nil {
 			if spec.binaryBody {
@@ -543,7 +438,7 @@ func (c *Client) attempt(ctx context.Context, spec reqSpec) (decodedKind, error)
 				req.Header.Set("Content-Type", "application/json")
 			}
 		}
-		if spec.acceptBinary {
+		if spec.onFrame != nil {
 			req.Header.Set("Accept", codec.ContentType)
 		}
 		if spec.forwarded {
@@ -552,7 +447,7 @@ func (c *Client) attempt(ctx context.Context, spec reqSpec) (decodedKind, error)
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {
-				return decodedNothing, ctx.Err()
+				return ctx.Err()
 			}
 			lastErr = err
 			continue
@@ -572,12 +467,12 @@ func (c *Client) attempt(ctx context.Context, spec reqSpec) (decodedKind, error)
 		}
 		switch {
 		case resp.StatusCode == http.StatusNotFound:
-			return decodedNothing, ErrNotFound
+			return ErrNotFound
 		case resp.StatusCode == http.StatusConflict && spec.on409 != nil:
 			if cerr := spec.on409(data); cerr != nil {
-				return decodedNothing, cerr
+				return cerr
 			}
-			return decodedNothing, &statusError{method: spec.method, path: spec.path, code: resp.StatusCode, msg: firstLine(data)}
+			return &statusError{method: spec.method, path: spec.path, code: resp.StatusCode, msg: firstLine(data)}
 		case resp.StatusCode >= 500, resp.StatusCode == http.StatusTooManyRequests:
 			lastErr = &statusError{method: spec.method, path: spec.path, code: resp.StatusCode, msg: firstLine(data)}
 			if secs, perr := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); perr == nil && secs > 0 {
@@ -585,27 +480,24 @@ func (c *Client) attempt(ctx context.Context, spec reqSpec) (decodedKind, error)
 			}
 			continue
 		case resp.StatusCode >= 400:
-			return decodedNothing, &statusError{method: spec.method, path: spec.path, code: resp.StatusCode, msg: firstLine(data)}
+			return &statusError{method: spec.method, path: spec.path, code: resp.StatusCode, msg: firstLine(data)}
 		}
-		if spec.onFrame != nil && strings.HasPrefix(resp.Header.Get("Content-Type"), codec.ContentType) {
+		if spec.onFrame != nil {
 			kind, payload, _, ferr := codec.Frame(data)
 			if ferr != nil {
-				return decodedNothing, fmt.Errorf("storeclient: bad binary response: %w", ferr)
+				return fmt.Errorf("storeclient: bad binary response: %w", ferr)
 			}
-			if err := spec.onFrame(kind, payload); err != nil {
-				return decodedNothing, err
-			}
-			return decodedFrame, nil
+			return spec.onFrame(kind, payload)
 		}
 		if spec.out == nil {
-			return decodedNothing, nil
+			return nil
 		}
 		if err := json.Unmarshal(data, spec.out); err != nil {
-			return decodedNothing, fmt.Errorf("storeclient: decode response: %w", err)
+			return fmt.Errorf("storeclient: decode response: %w", err)
 		}
-		return decodedJSON, nil
+		return nil
 	}
-	return decodedNothing, fmt.Errorf("storeclient: %s %s failed after %d attempts: %w", spec.method, spec.path, c.retries+1, lastErr)
+	return fmt.Errorf("storeclient: %s %s failed after %d attempts: %w", spec.method, spec.path, c.retries+1, lastErr)
 }
 
 // delay computes the sleep before retry attempt n (1-based): doubling

@@ -74,8 +74,8 @@ func NewFleet(nodes []string, replicas int, opts ...Option) (*Fleet, error) {
 }
 
 // buildView constructs a view over nodes at the given epoch, reusing
-// clients from old where the node persists so connection pools (and
-// their binary-downgrade latches) survive membership changes.
+// clients from old where the node persists so connection pools and
+// breakers survive membership changes.
 func (f *Fleet) buildView(epoch uint64, nodes []string, old *clientView) (*clientView, error) {
 	ring, err := fleet.NewRing(nodes, 0)
 	if err != nil {
@@ -410,32 +410,18 @@ func (f *Fleet) Neighbors(ctx context.Context, k arcs.HistoryKey, max int) ([]ar
 	return out, nil
 }
 
-// Report ingests one result, trying the key's owners first (the owner
-// authors the replicated version and fans out to its co-owners), then
-// any other member (which forwards or accepts-and-hints). An ack from
-// any node means the fleet has taken responsibility for the record.
+// Report ingests one result: a ReportBatch of one record.
 func (f *Fleet) Report(ctx context.Context, k arcs.HistoryKey, cfg arcs.ConfigValues, perf float64) error {
-	v := f.view(ctx)
-	var lastErr error
-	for i, node := range v.route(k) {
-		err := v.clients[node].Report(ctx, k, cfg, perf)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		lastErr = err
-		if i+1 < len(v.nodes) {
-			f.failovers.Add(1)
-		}
-	}
-	return lastErr
+	return f.ReportBatch(ctx, []Report{{Key: k, Cfg: cfg, Perf: perf}})
 }
 
 // ReportBatch splits a batch by primary owner (so each sub-batch lands
-// where it will be versioned, one hop) and delivers each group with the
-// same failover order as Report.
+// where it will be versioned, one hop) and delivers each group to the
+// first node in its routing order that acknowledges: the key's owners
+// first (the owner authors the replicated version and fans out to its
+// co-owners), then any other member (which forwards or
+// accepts-and-hints). An ack from any node means the fleet has taken
+// responsibility for the group.
 func (f *Fleet) ReportBatch(ctx context.Context, reports []Report) error {
 	if len(reports) == 0 {
 		return nil

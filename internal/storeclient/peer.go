@@ -2,10 +2,9 @@ package storeclient
 
 // Intra-fleet peer RPCs. These methods make *Client satisfy fleet.Peer
 // (structurally — fleet defines the interface, this package implements
-// it; the dependency runs storeclient→fleet, never back). Fleet
-// members run the same build, so unlike the public report path there
-// is no permanent downgrade latch: a binary body rejection falls back
-// to JSON per call, which only ever matters mid-rolling-upgrade.
+// it; the dependency runs storeclient→fleet, never back). Every peer
+// RPC speaks the binary codec only: fleet members run the same build,
+// so a hop has exactly one encoding.
 
 import (
 	"context"
@@ -22,30 +21,20 @@ import (
 
 // MergeEntries replicates already-versioned entries to the peer (POST
 // /v1/merge): the receiver applies them under store.Supersedes and
-// never re-replicates. The binary body is a concatenation of KindEntry
-// frames — the WAL's own record format, decoded with the same loop.
+// never re-replicates. The body is a concatenation of KindEntry frames
+// — the WAL's own record format, decoded with the same loop.
 func (c *Client) MergeEntries(ctx context.Context, entries []store.Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	if c.binary && !c.binDown.Load() {
-		eb := encPool.Get().(*encBuf)
-		eb.buf = eb.buf[:0]
-		for i := range entries {
-			ce := codec.Entry(entries[i])
-			eb.buf = eb.enc.AppendEntry(eb.buf, &ce)
-		}
-		_, err := c.doSpec(ctx, reqSpec{
-			method: http.MethodPost, path: "/v1/merge",
-			body: eb.buf, binaryBody: true, acceptBinary: true, forwarded: true, onFrame: expectAck,
+	return c.postFrame(ctx, reqSpec{path: "/v1/merge", forwarded: true, onFrame: expectAck},
+		func(enc *codec.Encoder, dst []byte) []byte {
+			for i := range entries {
+				ce := codec.Entry(entries[i])
+				dst = enc.AppendEntry(dst, &ce)
+			}
+			return dst
 		})
-		encPool.Put(eb)
-		if !binaryRejected(err) {
-			return err
-		}
-	}
-	spec := reqSpec{method: http.MethodPost, path: "/v1/merge", forwarded: true}
-	return c.doJSONSpec(ctx, spec, entries)
 }
 
 // ForwardReports re-routes reports to a peer that owns them: the normal
@@ -55,34 +44,18 @@ func (c *Client) ForwardReports(ctx context.Context, reports []codec.Report) err
 	if len(reports) == 0 {
 		return nil
 	}
-	if c.binary && !c.binDown.Load() {
-		eb := encPool.Get().(*encBuf)
-		eb.buf = eb.enc.AppendReportBatch(eb.buf[:0], reports)
-		_, err := c.doSpec(ctx, reqSpec{
-			method: http.MethodPost, path: "/v1/reports",
-			body: eb.buf, binaryBody: true, acceptBinary: true, forwarded: true, onFrame: expectAck,
-		})
-		encPool.Put(eb)
-		if !binaryRejected(err) {
-			return err
-		}
-	}
-	spec := reqSpec{method: http.MethodPost, path: "/v1/reports", forwarded: true}
-	return c.doJSONSpec(ctx, spec, reports)
+	return c.postFrame(ctx, reqSpec{path: "/v1/reports", forwarded: true, onFrame: expectAck},
+		func(enc *codec.Encoder, dst []byte) []byte { return enc.AppendReportBatch(dst, reports) })
 }
 
 // ShardDigest fetches the peer's anti-entropy summary of one store
-// shard (GET /v1/digest?shard=N).
+// shard (GET /v1/digest?shard=N), one KindDigest frame.
 func (c *Client) ShardDigest(ctx context.Context, shard int) (codec.Digest, error) {
 	var res codec.Digest
-	spec := reqSpec{
+	err := c.doSpec(ctx, reqSpec{
 		method: http.MethodGet,
 		path:   "/v1/digest?shard=" + strconv.Itoa(shard),
-		out:    &res,
-	}
-	if c.binary {
-		spec.acceptBinary = true
-		spec.onFrame = func(kind byte, payload []byte) error {
+		onFrame: func(kind byte, payload []byte) error {
 			if kind != codec.KindDigest {
 				return fmt.Errorf("storeclient: unexpected frame kind %#x for digest", kind)
 			}
@@ -94,9 +67,9 @@ func (c *Client) ShardDigest(ctx context.Context, shard int) (codec.Digest, erro
 			}
 			res = d
 			return nil
-		}
-	}
-	if _, err := c.doSpec(ctx, spec); err != nil {
+		},
+	})
+	if err != nil {
 		return codec.Digest{}, err
 	}
 	return res, nil
@@ -122,38 +95,22 @@ func (m *membershipResponse) memberList() codec.MemberList {
 // epoch 0 and no nodes.
 func (c *Client) Ping(ctx context.Context) (codec.MemberList, error) {
 	var out membershipResponse
-	spec := reqSpec{method: http.MethodGet, path: "/v1/ping", out: &out}
-	if _, err := c.doSpec(ctx, spec); err != nil {
+	if err := c.doSpec(ctx, reqSpec{method: http.MethodGet, path: "/v1/ping", out: &out}); err != nil {
 		return codec.MemberList{}, err
 	}
 	return out.memberList(), nil
 }
 
 // PushMembership offers the peer an epoch-versioned member list (POST
-// /v1/membership) and returns the list the peer holds afterwards: m
-// itself when it superseded, or the peer's (newer) list when the push
-// lost the epoch race — which is how a proposer learns it must adopt
-// and retry. The binary body is one KindMemberList frame; a JSON body
-// is the fallback per call.
+// /v1/membership, one KindMemberList frame) and returns the list the
+// peer holds afterwards: m itself when it superseded, or the peer's
+// (newer) list when the push lost the epoch race — which is how a
+// proposer learns it must adopt and retry.
 func (c *Client) PushMembership(ctx context.Context, m codec.MemberList) (codec.MemberList, error) {
 	var out membershipResponse
-	if c.binary && !c.binDown.Load() {
-		eb := encPool.Get().(*encBuf)
-		eb.buf = eb.enc.AppendMemberList(eb.buf[:0], &m)
-		_, err := c.doSpec(ctx, reqSpec{
-			method: http.MethodPost, path: "/v1/membership",
-			body: eb.buf, binaryBody: true, out: &out,
-		})
-		encPool.Put(eb)
-		if !binaryRejected(err) {
-			if err != nil {
-				return codec.MemberList{}, err
-			}
-			return out.memberList(), nil
-		}
-	}
-	spec := reqSpec{method: http.MethodPost, path: "/v1/membership", out: &out}
-	if err := c.doJSONSpec(ctx, spec, m); err != nil {
+	err := c.postFrame(ctx, reqSpec{path: "/v1/membership", out: &out},
+		func(enc *codec.Encoder, dst []byte) []byte { return enc.AppendMemberList(dst, &m) })
+	if err != nil {
 		return codec.MemberList{}, err
 	}
 	return out.memberList(), nil
@@ -163,23 +120,15 @@ func (c *Client) PushMembership(ctx context.Context, m codec.MemberList) (codec.
 // the given epoch's ring (GET /v1/transfer) — the bootstrap stream. A
 // server on a different epoch rejects with 409 and its current member
 // list, surfaced as *fleet.EpochMismatchError so the caller adopts the
-// list and retries under the corrected ring. The binary response is
-// one CRC-framed KindRangeTransfer: a transfer torn mid-body fails the
-// frame checksum as a unit, so the caller can never merge half a
-// shard.
+// list and retries under the corrected ring. The response is one
+// CRC-framed KindRangeTransfer: a transfer torn mid-body fails the frame
+// checksum as a unit, so the caller can never merge half a shard.
 func (c *Client) TransferRange(ctx context.Context, shard int, forNode string, epoch uint64) ([]store.Entry, error) {
 	q := "shard=" + strconv.Itoa(shard) + "&for=" + url.QueryEscape(forNode) + "&epoch=" + strconv.FormatUint(epoch, 10)
-	var outJSON struct {
-		Epoch   uint64        `json:"epoch"`
-		Shard   uint64        `json:"shard"`
-		Entries []store.Entry `json:"entries"`
-	}
 	var entries []store.Entry
-	decodedBin := false
-	spec := reqSpec{
+	err := c.doSpec(ctx, reqSpec{
 		method: http.MethodGet,
 		path:   "/v1/transfer?" + q,
-		out:    &outJSON,
 		on409: func(body []byte) error {
 			var cur membershipResponse
 			if jerr := json.Unmarshal(body, &cur); jerr != nil || cur.Epoch == 0 {
@@ -187,10 +136,7 @@ func (c *Client) TransferRange(ctx context.Context, shard int, forNode string, e
 			}
 			return &fleet.EpochMismatchError{Current: cur.memberList()}
 		},
-	}
-	if c.binary {
-		spec.acceptBinary = true
-		spec.onFrame = func(kind byte, payload []byte) error {
+		onFrame: func(kind byte, payload []byte) error {
 			if kind != codec.KindRangeTransfer {
 				return fmt.Errorf("storeclient: unexpected frame kind %#x for transfer", kind)
 			}
@@ -204,17 +150,13 @@ func (c *Client) TransferRange(ctx context.Context, shard int, forNode string, e
 			for i, e := range t.Entries {
 				entries[i] = store.Entry(e)
 			}
-			decodedBin = true
 			return nil
-		}
-	}
-	if _, err := c.doSpec(ctx, spec); err != nil {
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
-	if decodedBin {
-		return entries, nil
-	}
-	return outJSON.Entries, nil
+	return entries, nil
 }
 
 // Join asks the member at this client's base URL to coordinate adding

@@ -1,11 +1,11 @@
-// Wire-negotiation tests from the client's side: a binary client
-// against a binary server, a binary client against a JSON-only
-// (pre-codec) server, and the batched report buffer.
+// Wire tests from the client's side: lookups, reports and every fleet
+// RPC travel as binary frames against a real server, and the batched
+// report buffer coalesces round trips.
 package storeclient_test
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +15,7 @@ import (
 
 	"arcs/internal/codec"
 	arcs "arcs/internal/core"
+	"arcs/internal/fleet"
 	"arcs/internal/server"
 	"arcs/internal/store"
 	. "arcs/internal/storeclient"
@@ -44,11 +45,11 @@ func testKey(region string) arcs.HistoryKey {
 	return arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: region}
 }
 
-// TestBinaryClientBinaryServer: WithBinary negotiates frames end to end
-// — report, batch and lookup all travel binary and round-trip exactly.
+// TestBinaryClientBinaryServer: report, batch and lookup all travel as
+// binary frames end to end and round-trip exactly.
 func TestBinaryClientBinaryServer(t *testing.T) {
 	var binResponses atomic.Int64
-	c := newServedCounting(t, &binResponses, WithBinary())
+	c := newServedCounting(t, &binResponses)
 	ctx := context.Background()
 	cfg := arcs.ConfigValues{Threads: 16, Chunk: 8, FreqGHz: 2.2}
 
@@ -73,86 +74,94 @@ func TestBinaryClientBinaryServer(t *testing.T) {
 	if n := binResponses.Load(); n != 3 {
 		t.Fatalf("binary responses = %d, want 3", n)
 	}
-	if c.BinaryDowngraded() || c.BatchDowngraded() {
-		t.Fatal("downgrade latches tripped against a binary-capable server")
-	}
 }
 
-// oldJSONServer mimics a pre-codec arcsd: JSON only, no /v1/reports.
-// It returns the handler counts so tests can see which path served.
-func oldJSONServer(t *testing.T) (base string, reports *atomic.Int64, saved *atomic.Int64) {
-	t.Helper()
-	reports, saved = new(atomic.Int64), new(atomic.Int64)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/report", func(w http.ResponseWriter, r *http.Request) {
-		reports.Add(1)
-		var recs []Report
-		if err := json.NewDecoder(r.Body).Decode(&recs); err != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			_, _ = w.Write([]byte(`{"error":"bad report body"}`))
-			return
-		}
-		saved.Add(int64(len(recs)))
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"saved":1,"store_len":1}`))
-	})
-	mux.HandleFunc("/v1/config", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"config":{"threads":4},"perf":2,"version":1,"source":"exact"}`))
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts.URL, reports, saved
-}
-
-// TestBinaryClientJSONOnlyServer: a WithBinary client against a
-// pre-codec server downgrades — one probe, then JSON for good — and
-// loses no reports doing it.
-func TestBinaryClientJSONOnlyServer(t *testing.T) {
-	base, reportCalls, saved := oldJSONServer(t)
-	c := New(base, WithBinary(), WithBackoff(time.Millisecond))
-	ctx := context.Background()
-
-	// Lookup: the old server ignores Accept and answers JSON, which the
-	// binary client must decode as it always did.
-	res, err := c.Lookup(ctx, testKey("r"), LookupOpts{})
+// TestPeerRPCsWithoutOptions: a client built with no options at all
+// replicates, forwards, pulls digests, pushes membership and transfers
+// ranges against a real fleet-member server — every fleet RPC speaks
+// the binary codec whatever the client was built with.
+func TestPeerRPCsWithoutOptions(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Config.Threads != 4 || res.Source != "exact" {
-		t.Fatalf("lookup against old server = %+v", res)
-	}
-
-	// Report: binary body → 400 → JSON resend succeeds → latch.
-	if err := c.Report(ctx, testKey("r"), arcs.ConfigValues{Threads: 4}, 2); err != nil {
-		t.Fatalf("report against old server: %v", err)
-	}
-	if !c.BinaryDowngraded() {
-		t.Fatal("binary downgrade not latched after a 400")
-	}
-	if n := reportCalls.Load(); n != 2 {
-		t.Fatalf("first report took %d requests, want 2 (binary probe + JSON resend)", n)
-	}
-	// Latched: the next report goes straight to JSON, no extra probe.
-	if err := c.Report(ctx, testKey("r"), arcs.ConfigValues{Threads: 4}, 1); err != nil {
+	t.Cleanup(func() { st.Close() })
+	self, other := "http://a.invalid", "http://127.0.0.1:1"
+	fl, err := fleet.New(fleet.Config{
+		Self: self, Nodes: []string{self, other}, Replicas: 2, Store: st,
+		NewPeer: func(name string) fleet.Peer { return New(name, WithRetries(0)) },
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := reportCalls.Load(); n != 3 {
-		t.Fatalf("latched report took %d total requests, want 3", n)
+	var binResponses atomic.Int64
+	srv := server.New(server.Config{Store: st, Fleet: fl})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		if strings.HasPrefix(w.Header().Get("Content-Type"), codec.ContentType) {
+			binResponses.Add(1)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	c := New(ts.URL)
+	ctx := context.Background()
+
+	merged := store.Entry{Key: testKey("merged"), Cfg: arcs.ConfigValues{Threads: 16}, Perf: 1.5, Version: 7}
+	if err := c.MergeEntries(ctx, []store.Entry{merged}); err != nil {
+		t.Fatalf("MergeEntries: %v", err)
+	}
+	if e, ok := st.Get(merged.Key); !ok || e != merged {
+		t.Fatalf("merged entry = %+v ok=%v, want %+v", e, ok, merged)
+	}
+	fwd := codec.Report{Key: testKey("forwarded"), Cfg: arcs.ConfigValues{Threads: 8}, Perf: 2.5}
+	if err := c.ForwardReports(ctx, []codec.Report{fwd}); err != nil {
+		t.Fatalf("ForwardReports: %v", err)
+	}
+	if e, ok := st.Get(fwd.Key); !ok || e.Cfg != fwd.Cfg || e.Perf != fwd.Perf {
+		t.Fatalf("forwarded report = %+v ok=%v", e, ok)
 	}
 
-	// Batch: /v1/reports 404s → falls back to a JSON array on /v1/report.
-	if err := c.ReportBatch(ctx, []Report{
-		{Key: testKey("a"), Perf: 1}, {Key: testKey("b"), Perf: 2},
-	}); err != nil {
-		t.Fatalf("batch against old server: %v", err)
+	digested := map[string]uint64{}
+	transferred := map[string]store.Entry{}
+	for shard := 0; shard < store.NumShards; shard++ {
+		d, err := c.ShardDigest(ctx, shard)
+		if err != nil {
+			t.Fatalf("ShardDigest(%d): %v", shard, err)
+		}
+		for _, e := range d.Entries {
+			digested[e.Key] = e.Version
+		}
+		entries, err := c.TransferRange(ctx, shard, other, fl.Epoch())
+		if err != nil {
+			t.Fatalf("TransferRange(%d): %v", shard, err)
+		}
+		for _, e := range entries {
+			transferred[e.Key.String()] = e
+		}
 	}
-	if !c.BatchDowngraded() {
-		t.Fatal("batch downgrade not latched after a 404")
+	if len(digested) != 2 || digested[merged.Key.String()] != 7 || digested[fwd.Key.String()] != 1 {
+		t.Fatalf("digests = %v, want both keys at their versions", digested)
 	}
-	if saved.Load() != 4 {
-		t.Fatalf("old server saved %d reports, want 4", saved.Load())
+	if len(transferred) != 2 || transferred[merged.Key.String()] != merged {
+		t.Fatalf("transfer = %v, want both entries", transferred)
+	}
+	var mismatch *fleet.EpochMismatchError
+	if _, err := c.TransferRange(ctx, 0, other, fl.Epoch()+9); !errors.As(err, &mismatch) || mismatch.Current.Epoch != fl.Epoch() {
+		t.Fatalf("stale-epoch transfer error = %v, want EpochMismatchError at epoch %d", err, fl.Epoch())
+	}
+
+	pushed := codec.MemberList{Epoch: 5, Nodes: []string{self, other, "http://127.0.0.1:2"}}
+	got, err := c.PushMembership(ctx, pushed)
+	if err != nil {
+		t.Fatalf("PushMembership: %v", err)
+	}
+	if got.Epoch != 5 || len(got.Nodes) != 3 || fl.Epoch() != 5 {
+		t.Fatalf("membership after push = %+v (fleet epoch %d), want epoch 5 with 3 nodes", got, fl.Epoch())
+	}
+	// Two acks, 2*NumShards digest and transfer frames; the 409 and the
+	// membership answer are JSON.
+	if want := int64(2 + 2*store.NumShards); binResponses.Load() != want {
+		t.Fatalf("binary responses = %d, want %d", binResponses.Load(), want)
 	}
 }
 
@@ -160,7 +169,7 @@ func TestBinaryClientJSONOnlyServer(t *testing.T) {
 // and Flush pushes the tail.
 func TestReportBufferFlushOnFull(t *testing.T) {
 	var binResponses atomic.Int64
-	c := newServedCounting(t, &binResponses, WithBinary())
+	c := newServedCounting(t, &binResponses)
 	b := NewReportBuffer(c, 3)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
@@ -214,7 +223,7 @@ func TestReportBufferDropsOnDeadServer(t *testing.T) {
 // the threshold, and Flush delivers the tail.
 func TestHistoryBatching(t *testing.T) {
 	var binResponses atomic.Int64
-	c := newServedCounting(t, &binResponses, WithBinary())
+	c := newServedCounting(t, &binResponses)
 	h := NewHistory(c, WithReportBatching(2))
 	h.Save(testKey("a"), arcs.ConfigValues{Threads: 2}, 2)
 	h.Save(testKey("b"), arcs.ConfigValues{Threads: 4}, 1) // threshold: one RPC
