@@ -256,8 +256,9 @@ func serve(ctx context.Context, cfg daemonCfg, logger *log.Logger, ready func(ad
 		return err
 	}
 	if fl != nil {
+		v := fl.View()
 		logger.Printf("fleet member %s: epoch %d, %d nodes, %d replicas, anti-entropy every %s",
-			fl.Self(), fl.Epoch(), len(fl.Ring().Nodes()), fl.Replicas(), cfg.antiEntropy)
+			fl.Self(), v.Epoch(), len(v.Membership().Nodes), v.Replicas(), cfg.antiEntropy)
 	}
 
 	srvCfg := server.Config{

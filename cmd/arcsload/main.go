@@ -204,9 +204,9 @@ func verify(ctx context.Context, cfg loadCfg, res *result, logger *log.Logger) e
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if _, err := fc.Refresh(ctx); err != nil {
+		if v, err := fc.Refresh(ctx); err != nil {
 			lastErr = fmt.Errorf("refresh membership: %w", err)
-		} else if lastErr = verifyOnce(ctx, cfg, fc, res); lastErr == nil {
+		} else if lastErr = verifyOnce(ctx, cfg, v, res); lastErr == nil {
 			logger.Printf("verify: round %d clean (%d keys)", round, len(res.AckedBest))
 			return nil
 		}
@@ -217,12 +217,12 @@ func verify(ctx context.Context, cfg loadCfg, res *result, logger *log.Logger) e
 	}
 }
 
-func verifyOnce(ctx context.Context, cfg loadCfg, fc *storeclient.Fleet, res *result) error {
+func verifyOnce(ctx context.Context, cfg loadCfg, v *fleet.View[*storeclient.Client], res *result) error {
 	// One dump per node, keyed by canonical key.
-	dumps := make(map[string]map[string]store.Entry, len(fc.Nodes()))
-	for _, node := range fc.Nodes() {
+	dumps := make(map[string]map[string]store.Entry, len(v.Peers()))
+	for _, node := range v.Peers() {
 		rctx, cancel := context.WithTimeout(ctx, cfg.timeout)
-		entries, err := fc.Client(node).Dump(rctx)
+		entries, err := v.Peer(node).Dump(rctx)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("dump %s: %w", node, err)
@@ -240,7 +240,7 @@ func verifyOnce(ctx context.Context, cfg loadCfg, fc *storeclient.Fleet, res *re
 	sort.Strings(cks)
 	for _, ck := range cks {
 		want := res.AckedBest[ck]
-		owners := fc.Owners(want.Key)
+		owners := v.Owners(ck, nil)
 		var first store.Entry
 		for i, node := range owners {
 			e, ok := dumps[node][ck]
@@ -264,11 +264,11 @@ func verifyOnce(ctx context.Context, cfg loadCfg, fc *storeclient.Fleet, res *re
 	// primary's winner.
 	for _, ck := range cks {
 		want := res.AckedBest[ck]
-		owners := fc.Owners(want.Key)
+		owners := v.Owners(ck, nil)
 		var primary storeclient.Result
 		for i, node := range owners {
 			rctx, cancel := context.WithTimeout(ctx, cfg.timeout)
-			got, err := fc.Client(node).Lookup(rctx, want.Key, storeclient.LookupOpts{Forwarded: true})
+			got, err := v.Peer(node).Lookup(rctx, want.Key, storeclient.LookupOpts{Forwarded: true})
 			cancel()
 			if err != nil {
 				return fmt.Errorf("warm read %q from %s: %w", ck, node, err)

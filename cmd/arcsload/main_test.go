@@ -322,10 +322,10 @@ func TestFleetJoinReplacementConverges(t *testing.T) {
 	if c.nodes[0].fl != fl0 || c.nodes[2].fl != fl2 {
 		t.Fatal("a surviving node was restarted")
 	}
-	if got := c.nodes[ni].fl.Epoch(); got != 3 {
+	if got := c.nodes[ni].fl.View().Epoch(); got != 3 {
 		t.Errorf("replacement at epoch %d, want 3 (join after leave after bootstrap)", got)
 	}
-	for _, n := range c.nodes[ni].fl.Ring().Nodes() {
+	for _, n := range c.nodes[ni].fl.View().Membership().Nodes {
 		if n == dead {
 			t.Fatalf("dead node %s still in the replacement's membership", dead)
 		}
@@ -379,7 +379,7 @@ func TestFleetDecommissionConverges(t *testing.T) {
 		t.Fatal("a surviving node was restarted")
 	}
 	for _, i := range []int{0, 1} {
-		for _, n := range c.nodes[i].fl.Ring().Nodes() {
+		for _, n := range c.nodes[i].fl.View().Membership().Nodes {
 			if n == departing {
 				t.Fatalf("node %d still has %s in its membership", i, departing)
 			}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"arcs/internal/codec"
@@ -69,9 +68,6 @@ type Config struct {
 	// Replicas is the number of owners per key, clamped to the live
 	// member count; zero selects DefaultReplicas.
 	Replicas int
-	// VNodes is the virtual-node count per member; zero selects
-	// DefaultVNodes.
-	VNodes int
 	// Store is the local knowledge store.
 	Store *store.Store
 	// Peers maps other member names to their clients. Members missing
@@ -145,33 +141,17 @@ type Stats struct {
 	Drained uint64 `json:"drained"`
 }
 
-// view is one membership epoch's immutable routing state. Lookups load
-// it atomically and use it unlocked; a membership change builds a new
-// view and swaps the pointer, so requests in flight finish under the
-// epoch they started with.
-type view struct {
-	epoch     uint64
-	replicas  int // effective: config clamped to the member count
-	ring      *Ring
-	nodes     []string        // sorted member names (self included, unless departed)
-	selfIn    bool            // self is a member of this epoch
-	peers     map[string]Peer // other members' clients
-	peerNames []string        // sorted, self excluded — the deterministic iteration order
-}
-
 // Fleet is one node's share of the replicated knowledge store. All
 // methods are safe for concurrent use; Tick and Heartbeat are
 // typically driven by timer goroutines but may race Ingest freely.
 type Fleet struct {
 	self       string
-	replicas   int // configured owners-per-key (pre-clamp)
-	vnodes     int
 	handoffMax int
 	st         *store.Store
 	seedPeers  map[string]Peer // Config.Peers; consulted before NewPeer
 	newPeer    func(name string) Peer
 	det        *Detector
-	cur        atomic.Pointer[view]
+	views      *Views[Peer] // other members' clients; self has no handle
 
 	mu    sync.Mutex
 	rng   *rand.Rand            // sweep/heartbeat-order source; guarded by mu
@@ -199,8 +179,6 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		self:       cfg.Self,
-		replicas:   replicas,
-		vnodes:     cfg.VNodes,
 		handoffMax: handoffMax,
 		st:         cfg.Store,
 		seedPeers:  cfg.Peers,
@@ -209,59 +187,26 @@ func New(cfg Config) (*Fleet, error) {
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		hints:      make(map[string]*hintQueue),
 	}
-	v, err := f.buildView(codec.MemberList{Epoch: epoch, Nodes: cfg.Nodes}, nil)
+	var err error
+	f.views, err = NewViews(codec.MemberList{Epoch: epoch, Nodes: cfg.Nodes}, replicas, f.resolvePeer)
 	if err != nil {
 		return nil, err
 	}
-	if !v.selfIn {
-		return nil, fmt.Errorf("fleet: self %q not in membership %v", cfg.Self, v.nodes)
+	v := f.View()
+	if !v.Has(cfg.Self) {
+		return nil, fmt.Errorf("fleet: self %q not in membership %v", cfg.Self, v.Membership().Nodes)
 	}
-	for _, n := range v.peerNames {
+	for _, n := range v.Peers() {
 		f.hints[n] = newHintQueue(handoffMax) //arcslint:ignore guardedby constructor; the fleet has not escaped yet
 	}
-	f.cur.Store(v)
 	return f, nil
 }
 
-// buildView constructs the routing state for member list m, reusing
-// clients from the previous view where the member persists.
-func (f *Fleet) buildView(m codec.MemberList, old *view) (*view, error) {
-	ring, err := NewRing(m.Nodes, f.vnodes)
-	if err != nil {
-		return nil, err
-	}
-	v := &view{
-		epoch:    m.Epoch,
-		replicas: f.replicas,
-		ring:     ring,
-		nodes:    ring.Nodes(),
-	}
-	if v.replicas > len(v.nodes) {
-		v.replicas = len(v.nodes)
-	}
-	v.peers = make(map[string]Peer, len(v.nodes))
-	for _, n := range v.nodes {
-		if n == f.self {
-			v.selfIn = true
-			continue
-		}
-		p, err := f.resolvePeer(old, n)
-		if err != nil {
-			return nil, err
-		}
-		v.peers[n] = p
-		v.peerNames = append(v.peerNames, n)
-	}
-	sort.Strings(v.peerNames)
-	return v, nil
-}
-
-// resolvePeer finds or builds the client for member name.
-func (f *Fleet) resolvePeer(old *view, name string) (Peer, error) {
-	if old != nil {
-		if p := old.peers[name]; p != nil {
-			return p, nil
-		}
+// resolvePeer builds the handle for a member new to the view: none for
+// self, else Config.Peers' client, else one from Config.NewPeer.
+func (f *Fleet) resolvePeer(name string) (Peer, error) {
+	if name == f.self {
+		return nil, nil
 	}
 	if p := f.seedPeers[name]; p != nil {
 		return p, nil
@@ -274,43 +219,16 @@ func (f *Fleet) resolvePeer(old *view, name string) (Peer, error) {
 	return nil, fmt.Errorf("fleet: no peer client for member %q", name)
 }
 
-// view returns the current epoch's routing state.
-func (f *Fleet) view() *view { return f.cur.Load() }
+// View returns the current membership epoch's placement. Load it once
+// per decision: a membership change swaps in a new View, so two loads
+// may see two epochs.
+func (f *Fleet) View() *View[Peer] { return f.views.View() }
 
 // Self returns this node's member name.
 func (f *Fleet) Self() string { return f.self }
 
-// Replicas returns the owners-per-key count in effect.
-func (f *Fleet) Replicas() int { return f.view().replicas }
-
-// Ring returns the current epoch's placement ring (immutable; a
-// membership change swaps in a new one).
-func (f *Fleet) Ring() *Ring { return f.view().ring }
-
 // Detector returns the failure detector (for /healthz reporting).
 func (f *Fleet) Detector() *Detector { return f.det }
-
-// Owners appends the owner list for a canonical key (primary first),
-// append-style.
-func (f *Fleet) Owners(ck string, dst []string) []string {
-	v := f.view()
-	return v.ring.Owners(ck, v.replicas, dst)
-}
-
-// OwnsKey reports whether this node is one of the key's owners.
-func (f *Fleet) OwnsKey(ck string) bool {
-	v := f.view()
-	if !v.selfIn {
-		return false
-	}
-	var stack [8]string
-	for _, o := range v.ring.Owners(ck, v.replicas, stack[:0]) {
-		if o == f.self {
-			return true
-		}
-	}
-	return false
-}
 
 // Ingest routes a batch of validated reports. Owned (or forwarded)
 // reports Save locally — the store authors the replicated version — and
@@ -330,7 +248,7 @@ func (f *Fleet) Ingest(ctx context.Context, reports []codec.Report, forwarded bo
 	if len(reports) == 0 {
 		return 0
 	}
-	v := f.view()
+	v := f.View()
 	accepted := 0
 	mergeBatch := make(map[string][]store.Entry) // peer -> entries to replicate
 	type fwdBatch struct {
@@ -341,16 +259,8 @@ func (f *Fleet) Ingest(ctx context.Context, reports []codec.Report, forwarded bo
 	var ownerBuf []string
 	for _, r := range reports {
 		ck := r.Key.String()
-		ownerBuf = v.ring.Owners(ck, v.replicas, ownerBuf[:0])
-		owned := false
-		if v.selfIn {
-			for _, o := range ownerBuf {
-				if o == f.self {
-					owned = true
-					break
-				}
-			}
-		}
+		ownerBuf = v.Owners(ck, ownerBuf[:0])
+		owned := containsNode(ownerBuf, f.self)
 		if owned || forwarded {
 			f.st.Save(r.Key, r.Cfg, r.Perf)
 			accepted++
@@ -375,7 +285,7 @@ func (f *Fleet) Ingest(ctx context.Context, reports []codec.Report, forwarded bo
 	// Replicate owned writes to their co-owners, one batch per peer.
 	for _, name := range sortedKeys(mergeBatch) {
 		entries := mergeBatch[name]
-		if err := v.peers[name].MergeEntries(ctx, entries); err != nil {
+		if err := v.Peer(name).MergeEntries(ctx, entries); err != nil {
 			f.mu.Lock()
 			for _, e := range entries {
 				f.hintAdd(name, e.Key.String(), hint{kind: hintMerge, key: e.Key})
@@ -393,7 +303,7 @@ func (f *Fleet) Ingest(ctx context.Context, reports []codec.Report, forwarded bo
 		b := forwards[primary]
 		sent := false
 		for _, o := range b.owners {
-			if err := v.peers[o].ForwardReports(ctx, b.reports); err == nil {
+			if err := v.Peer(o).ForwardReports(ctx, b.reports); err == nil {
 				sent = true
 				break
 			}
@@ -470,13 +380,13 @@ func (f *Fleet) Tick(ctx context.Context) {
 // node that missed a membership push while down). Driven externally
 // like Tick; now is injected so the detector stays deterministic.
 func (f *Fleet) Heartbeat(ctx context.Context, now time.Time) []Transition {
-	v := f.view()
+	v := f.View()
 	f.mu.Lock()
-	order := f.rng.Perm(len(v.peerNames))
+	order := f.rng.Perm(len(v.Peers()))
 	f.mu.Unlock()
 	for _, oi := range order {
-		name := v.peerNames[oi]
-		m, err := v.peers[name].Ping(ctx)
+		name := v.Peers()[oi]
+		m, err := v.Peer(name).Ping(ctx)
 		f.mu.Lock()
 		f.stats.Heartbeats++
 		if err != nil {
@@ -487,11 +397,9 @@ func (f *Fleet) Heartbeat(ctx context.Context, now time.Time) []Transition {
 			continue
 		}
 		f.det.Observe(name, now)
-		if MembershipSupersedes(m, f.Membership()) {
-			f.ApplyMembership(m)
-		}
+		f.ApplyMembership(m)
 	}
-	return f.det.Check(now, f.view().peerNames)
+	return f.det.Check(now, f.View().Peers())
 }
 
 // drainHints empties each peer's queue: merge hints re-resolve the
@@ -499,8 +407,8 @@ func (f *Fleet) Heartbeat(ctx context.Context, now time.Time) []Transition {
 // and report hints re-inject through the owner's report path. A peer
 // still down gets its hints back.
 func (f *Fleet) drainHints(ctx context.Context) {
-	v := f.view()
-	for _, name := range v.peerNames {
+	v := f.View()
+	for _, name := range v.Peers() {
 		if f.det.State(name) == StateDead {
 			continue // keep the hints; heartbeat revives the peer first
 		}
@@ -528,7 +436,7 @@ func (f *Fleet) drainHints(ctx context.Context) {
 		}
 		failed := hs[:0]
 		if len(entries) > 0 {
-			if err := v.peers[name].MergeEntries(ctx, entries); err != nil {
+			if err := v.Peer(name).MergeEntries(ctx, entries); err != nil {
 				for _, h := range hs {
 					if h.kind == hintMerge {
 						failed = append(failed, h)
@@ -537,7 +445,7 @@ func (f *Fleet) drainHints(ctx context.Context) {
 			}
 		}
 		if len(reports) > 0 {
-			if err := v.peers[name].ForwardReports(ctx, reports); err != nil {
+			if err := v.Peer(name).ForwardReports(ctx, reports); err != nil {
 				for _, h := range hs {
 					if h.kind == hintReport {
 						failed = append(failed, h)
@@ -562,16 +470,16 @@ func (f *Fleet) drainHints(ctx context.Context) {
 // direction, and the Supersedes total order makes the crossing pushes
 // converge byte-identically.
 func (f *Fleet) sweep(ctx context.Context) {
-	v := f.view()
+	v := f.View()
 	f.mu.Lock()
-	order := f.rng.Perm(len(v.peerNames))
+	order := f.rng.Perm(len(v.Peers()))
 	f.mu.Unlock()
 	for _, oi := range order {
-		name := v.peerNames[oi]
+		name := v.Peers()[oi]
 		if f.det.State(name) == StateDead {
 			continue // skip a declared-dead peer; heartbeat revives it
 		}
-		peer := v.peers[name]
+		peer := v.Peer(name)
 		var mergePush []store.Entry
 		var reportPush []codec.Report
 		down := false
@@ -592,17 +500,12 @@ func (f *Fleet) sweep(ctx context.Context) {
 			}
 			for _, e := range local {
 				ck := e.Key.String()
-				ownerBuf = v.ring.Owners(ck, v.replicas, ownerBuf[:0])
-				peerOwns, selfOwns := false, false
-				for _, o := range ownerBuf {
-					peerOwns = peerOwns || o == name
-					selfOwns = selfOwns || (v.selfIn && o == f.self)
-				}
-				if !peerOwns {
+				ownerBuf = v.Owners(ck, ownerBuf[:0])
+				if !containsNode(ownerBuf, name) {
 					continue // never push a key onto a node that does not own it
 				}
 				de, ok := remote[ck]
-				if selfOwns {
+				if containsNode(ownerBuf, f.self) {
 					// Owner-to-owner: repair when the peer is missing the
 					// key, behind on version, or divergent at the same
 					// version (different perf or config — both sides push,
@@ -667,18 +570,18 @@ func BuildDigest(st *store.Store, shard int) codec.Digest {
 
 // Stats snapshots the counters.
 func (f *Fleet) Stats() Stats {
-	v := f.view()
+	v := f.View()
 	f.mu.Lock()
 	s := f.stats
 	s.HandoffDepth = 0
-	for _, name := range v.peerNames {
+	for _, name := range v.Peers() {
 		if q := f.hints[name]; q != nil {
 			s.HandoffDepth += q.depth()
 		}
 	}
 	f.mu.Unlock()
-	s.Epoch = v.epoch
-	s.Members = len(v.nodes)
+	s.Epoch = v.Epoch()
+	s.Members = len(v.Membership().Nodes)
 	s.PeersSuspect, s.PeersDead = f.det.Counts()
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -59,8 +60,8 @@ func TestRingOwnersDistinct(t *testing.T) {
 			}
 			seen[o] = true
 		}
-		if r.Primary(k) != owners[0] {
-			t.Fatalf("key %q: Primary %q != Owners[0] %q", k, r.Primary(k), owners[0])
+		if primary := r.Owners(k, 1, nil)[0]; primary != owners[0] {
+			t.Fatalf("key %q: one-owner walk %q != Owners[0] %q", k, primary, owners[0])
 		}
 	}
 }
@@ -76,7 +77,7 @@ func TestRingBalanceAndShare(t *testing.T) {
 	counts := map[string]int{}
 	const n = 3000
 	for i := 0; i < n; i++ {
-		counts[r.Primary(fmt.Sprintf("app%d|w|%d|region%d", i%7, 40+i%5, i))]++
+		counts[r.Owners(fmt.Sprintf("app%d|w|%d|region%d", i%7, 40+i%5, i), 1, nil)[0]]++
 	}
 	for _, node := range nodes {
 		frac := float64(counts[node]) / n
@@ -172,7 +173,7 @@ func (p loopPeer) Ping(ctx context.Context) (codec.MemberList, error) {
 	if fl == nil {
 		return codec.MemberList{}, errDown
 	}
-	return fl.Membership(), nil
+	return fl.View().Membership(), nil
 }
 
 func (p loopPeer) PushMembership(ctx context.Context, m codec.MemberList) (codec.MemberList, error) {
@@ -181,7 +182,7 @@ func (p loopPeer) PushMembership(ctx context.Context, m codec.MemberList) (codec
 		return codec.MemberList{}, errDown
 	}
 	fl.ApplyMembership(m)
-	return fl.Membership(), nil
+	return fl.View().Membership(), nil
 }
 
 func (p loopPeer) TransferRange(ctx context.Context, shard int, forNode string, epoch uint64) ([]store.Entry, error) {
@@ -196,8 +197,8 @@ func (p loopPeer) TransferRange(ctx context.Context, shard int, forNode string, 
 		// transient (killing a node mid-transfer, then retrying).
 		return nil, errors.New("transfer frame failed checksum")
 	}
-	if fl.Epoch() != epoch {
-		return nil, &EpochMismatchError{Current: fl.Membership()}
+	if fl.View().Epoch() != epoch {
+		return nil, &EpochMismatchError{Current: fl.View().Membership()}
 	}
 	return fl.RangeEntries(shard, forNode), nil
 }
@@ -300,7 +301,13 @@ func (c *cluster) addNode(t *testing.T, name, via string, replicas int) *Fleet {
 
 // ownersOf returns (primary, all owners) for a key.
 func (c *cluster) ownersOf(k arcs.HistoryKey) []string {
-	return c.fleets[c.names[0]].Owners(k.String(), nil)
+	return c.fleets[c.names[0]].View().Owners(k.String(), nil)
+}
+
+// ownsKey reports whether fl's node owns the canonical key under its
+// current view.
+func ownsKey(fl *Fleet, ck string) bool {
+	return slices.Contains(fl.View().Owners(ck, nil), fl.Self())
 }
 
 // nonOwner returns a node that does not own k.
@@ -564,26 +571,45 @@ func TestHandoffOverflowDrops(t *testing.T) {
 	}
 }
 
-// BenchmarkFleetRoute measures ring routing on the serving path. It
-// must stay allocation-free (append-style owner lookup into a stack
-// buffer) — the CI perf gate enforces 0 allocs/op.
+// BenchmarkFleetRoute measures routing on the serving path: the ring's
+// owner walk (ring) and a 3-node View's full failover order (view).
+// Both must stay allocation-free (append-style into a stack buffer) —
+// the CI perf gate enforces 0 allocs/op.
 func BenchmarkFleetRoute(b *testing.B) {
-	nodes := []string{"http://a:1809", "http://b:1809", "http://c:1809", "http://d:1809", "http://e:1809"}
-	r, err := NewRing(nodes, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = testKey(fmt.Sprintf("region%d", i), float64(40+i%5)).String()
 	}
 	var stack [8]string
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		owners := r.Owners(keys[i%len(keys)], 3, stack[:0])
-		if len(owners) != 3 {
-			b.Fatal("bad owner count")
+	b.Run("ring", func(b *testing.B) {
+		nodes := []string{"http://a:1809", "http://b:1809", "http://c:1809", "http://d:1809", "http://e:1809"}
+		r, err := NewRing(nodes, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			owners := r.Owners(keys[i%len(keys)], 3, stack[:0])
+			if len(owners) != 3 {
+				b.Fatal("bad owner count")
+			}
+		}
+	})
+	b.Run("view", func(b *testing.B) {
+		nodes := []string{"http://a:1809", "http://b:1809", "http://c:1809"}
+		vs, err := NewViews(codec.MemberList{Epoch: 1, Nodes: nodes}, DefaultReplicas, func(string) (*int, error) { return new(int), nil })
+		if err != nil {
+			b.Fatal(err)
+		}
+		v := vs.View()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			route := v.Route(keys[i%len(keys)], stack[:0])
+			if len(route) != 3 {
+				b.Fatal("bad route length")
+			}
+		}
+	})
 }

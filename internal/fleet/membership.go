@@ -21,10 +21,11 @@ import (
 //   - the losing proposer adopts the winner and re-proposes at the next
 //     epoch, so raced changes converge within a round per conflict.
 //
-// A member applies a superseding list atomically: it rebuilds the
-// placement ring, swaps its routing view, reconciles the hinted-handoff
-// queues with the new peer set, and forgets detector state for removed
-// members. Requests in flight finish against the view they started
+// A member applies a superseding list atomically through Views.Adopt,
+// the one swap point server and client share: it builds the new View
+// (ring and handles), reconciles the hinted-handoff queues with the new
+// peer set, forgets detector state for removed members, and swaps the
+// view in. Requests in flight finish against the view they started
 // with; anti-entropy repairs whatever the transition window misplaced.
 
 // maxProposeAttempts bounds the adopt-and-retry loop a proposer runs
@@ -65,55 +66,35 @@ func (e *EpochMismatchError) Error() string {
 	return fmt.Sprintf("fleet: membership epoch mismatch (server at epoch %d)", e.Current.Epoch)
 }
 
-// Membership returns the current epoch-versioned member list.
-func (f *Fleet) Membership() codec.MemberList {
-	v := f.view()
-	return codec.MemberList{Epoch: v.epoch, Nodes: v.nodes}
-}
-
-// Epoch returns the current membership epoch.
-func (f *Fleet) Epoch() uint64 { return f.view().epoch }
-
-// IsMember reports whether node is in the current member list.
-func (f *Fleet) IsMember(node string) bool {
-	return containsNode(f.view().nodes, node)
-}
-
-// ApplyMembership installs m if it supersedes the current member list.
-// It returns whether m was installed and the list now in effect (m on
-// success, the still-current list on rejection — the payload a server
-// hands back so a stale caller can self-correct).
+// ApplyMembership installs m if it supersedes the current member list
+// (Views.Adopt). It returns whether m was installed and the list now in
+// effect (m on success, the still-current list on rejection — the
+// payload a server hands back so a stale caller can self-correct).
 func (f *Fleet) ApplyMembership(m codec.MemberList) (bool, codec.MemberList) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	old := f.cur.Load()
-	curM := codec.MemberList{Epoch: old.epoch, Nodes: old.nodes}
-	if !MembershipSupersedes(m, curM) {
-		return false, curM
-	}
-	v, err := f.buildView(m, old)
-	if err != nil {
-		return false, curM
-	}
-	// Reconcile the handoff queues with the new peer set: obligations
-	// to a removed member are dropped (counted — under the new ring the
-	// anti-entropy sweep re-derives what its replacement owners need),
-	// and a joining member gets a fresh queue.
-	for name, q := range f.hints {
-		if _, ok := v.peers[name]; !ok {
-			f.stats.HandoffDropped += uint64(q.depth())
-			delete(f.hints, name)
+	// An invalid list, or a member this node cannot build a client for,
+	// is a rejection like any other: the current list is the answer.
+	v, applied, _ := f.views.Adopt(m, func(v *View[Peer]) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		// Reconcile the handoff queues with the new peer set: obligations
+		// to a removed member are dropped (counted — under the new ring the
+		// anti-entropy sweep re-derives what its replacement owners need),
+		// and a joining member gets a fresh queue.
+		for name, q := range f.hints {
+			if v.Peer(name) == nil {
+				f.stats.HandoffDropped += uint64(q.depth())
+				delete(f.hints, name)
+			}
 		}
-	}
-	for name := range v.peers {
-		if f.hints[name] == nil {
-			f.hints[name] = newHintQueue(f.handoffMax)
+		for _, name := range v.Peers() {
+			if f.hints[name] == nil {
+				f.hints[name] = newHintQueue(f.handoffMax)
+			}
 		}
-	}
-	f.det.Retain(v.peerNames)
-	f.stats.MembershipChanges++
-	f.cur.Store(v)
-	return true, m
+		f.det.Retain(v.Peers())
+		f.stats.MembershipChanges++
+	})
+	return applied, v.Membership()
 }
 
 // ProposeJoin adds node to the membership at the next epoch and pushes
@@ -123,7 +104,7 @@ func (f *Fleet) ApplyMembership(m codec.MemberList) (bool, codec.MemberList) {
 // Raced proposals adopt the fleet-wide winner and retry.
 func (f *Fleet) ProposeJoin(ctx context.Context, node string) (codec.MemberList, error) {
 	if node == "" {
-		return f.Membership(), fmt.Errorf("fleet: join: empty node name")
+		return f.View().Membership(), fmt.Errorf("fleet: join: empty node name")
 	}
 	return f.propose(ctx, node, func(cur codec.MemberList) ([]string, bool) {
 		if containsNode(cur.Nodes, node) {
@@ -142,9 +123,9 @@ func (f *Fleet) ProposeJoin(ctx context.Context, node string) (codec.MemberList,
 // path for decommissioning a dead node. Idempotent like ProposeJoin.
 func (f *Fleet) ProposeLeave(ctx context.Context, node string) (codec.MemberList, error) {
 	if node == "" {
-		return f.Membership(), fmt.Errorf("fleet: leave: empty node name")
+		return f.View().Membership(), fmt.Errorf("fleet: leave: empty node name")
 	}
-	cur := f.Membership()
+	cur := f.View().Membership()
 	if len(cur.Nodes) <= 1 && containsNode(cur.Nodes, node) {
 		return cur, fmt.Errorf("fleet: leave: cannot remove the last member %q", node)
 	}
@@ -168,7 +149,8 @@ func (f *Fleet) ProposeLeave(ctx context.Context, node string) (codec.MemberList
 // try again from the new base.
 func (f *Fleet) propose(ctx context.Context, node string, change func(cur codec.MemberList) ([]string, bool)) (codec.MemberList, error) {
 	for attempt := 0; attempt < maxProposeAttempts; attempt++ {
-		cur := f.Membership()
+		oldV := f.View()
+		cur := oldV.Membership()
 		nodes, changed := change(cur)
 		if !changed {
 			// Already in the desired state; re-broadcast so a proposal
@@ -182,14 +164,13 @@ func (f *Fleet) propose(ctx context.Context, node string, change func(cur codec.
 		// moment it is applied, but they must still be told — a departing
 		// node that never hears the shrunk list keeps claiming ownership.
 		// Capture their clients from the pre-apply view.
-		oldV := f.view()
 		var removed map[string]Peer
-		for _, n := range oldV.peerNames {
+		for _, n := range oldV.Peers() {
 			if !containsNode(nodes, n) {
 				if removed == nil {
 					removed = make(map[string]Peer)
 				}
-				removed[n] = oldV.peers[n]
+				removed[n] = oldV.Peer(n)
 			}
 		}
 		if applied, _ := f.ApplyMembership(next); !applied {
@@ -200,7 +181,7 @@ func (f *Fleet) propose(ctx context.Context, node string, change func(cur codec.
 		}
 		return next, nil
 	}
-	return f.Membership(), fmt.Errorf("fleet: propose %q: too many epoch conflicts", node)
+	return f.View().Membership(), fmt.Errorf("fleet: propose %q: too many epoch conflicts", node)
 }
 
 // broadcast pushes m to every peer in the current view, plus extras —
@@ -226,9 +207,9 @@ func (f *Fleet) broadcast(ctx context.Context, m codec.MemberList, extras map[st
 			}
 		}
 	}
-	v := f.view()
-	for _, name := range v.peerNames {
-		push(v.peers[name])
+	v := f.View()
+	for _, name := range v.Peers() {
+		push(v.Peer(name))
 	}
 	for _, name := range sortedKeys(extras) {
 		push(extras[name])

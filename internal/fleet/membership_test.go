@@ -36,8 +36,8 @@ func TestMembershipSupersedes(t *testing.T) {
 func TestApplyMembershipSwapsView(t *testing.T) {
 	c := newCluster(t, 3, 2)
 	fl := c.fleets["node0"]
-	if fl.Epoch() != 1 {
-		t.Fatalf("initial epoch %d, want 1", fl.Epoch())
+	if fl.View().Epoch() != 1 {
+		t.Fatalf("initial epoch %d, want 1", fl.View().Epoch())
 	}
 
 	// Queue a hint for node2, then adopt a membership without node2.
@@ -46,7 +46,7 @@ func TestApplyMembershipSwapsView(t *testing.T) {
 	var owned arcs.HistoryKey
 	for i := 0; ; i++ {
 		k = testKey(testKeyName(i), 60)
-		owners := fl.Owners(k.String(), nil)
+		owners := fl.View().Owners(k.String(), nil)
 		if owners[0] == "node0" && contains(owners, "node2") {
 			owned = k
 			break
@@ -64,7 +64,7 @@ func TestApplyMembershipSwapsView(t *testing.T) {
 	if fl.Stats().HandoffDepth != 0 || fl.Stats().HandoffDropped == 0 {
 		t.Fatalf("removed peer's hints not counted as drops: %+v", fl.Stats())
 	}
-	if fl.IsMember("node2") {
+	if fl.View().Has("node2") {
 		t.Fatal("removed node still a member")
 	}
 
@@ -72,8 +72,8 @@ func TestApplyMembershipSwapsView(t *testing.T) {
 	if applied, _ := fl.ApplyMembership(codec.MemberList{Epoch: 3, Nodes: c.names}); applied {
 		t.Fatal("stale epoch applied")
 	}
-	if fl.Epoch() != 5 {
-		t.Fatalf("epoch regressed to %d", fl.Epoch())
+	if fl.View().Epoch() != 5 {
+		t.Fatalf("epoch regressed to %d", fl.View().Epoch())
 	}
 }
 
@@ -95,20 +95,20 @@ func TestProposeJoinPropagates(t *testing.T) {
 	nf := c.addNode(t, "node3", "node0", 2)
 	for _, name := range c.names {
 		fl := c.fleets[name]
-		if fl.Epoch() != 2 {
-			t.Fatalf("%s at epoch %d after join, want 2", name, fl.Epoch())
+		if fl.View().Epoch() != 2 {
+			t.Fatalf("%s at epoch %d after join, want 2", name, fl.View().Epoch())
 		}
-		if !fl.IsMember("node3") {
+		if !fl.View().Has("node3") {
 			t.Fatalf("%s does not see node3 as a member", name)
 		}
 	}
-	if !nf.IsMember("node3") {
+	if !nf.View().Has("node3") {
 		t.Fatal("joiner does not see itself")
 	}
 	// The ring must hand node3 some primaries.
 	owned := 0
 	for i := 0; i < 200; i++ {
-		if c.fleets["node3"].Owners(testKey(testKeyName(i), 60).String(), nil)[0] == "node3" {
+		if c.fleets["node3"].View().Owners(testKey(testKeyName(i), 60).String(), nil)[0] == "node3" {
 			owned++
 		}
 	}
@@ -126,16 +126,16 @@ func TestProposeLeavePropagates(t *testing.T) {
 	}
 	for _, name := range []string{"node0", "node1"} {
 		fl := c.fleets[name]
-		if fl.IsMember("node2") {
+		if fl.View().Has("node2") {
 			t.Fatalf("%s still lists node2", name)
 		}
-		if fl.Epoch() != 2 {
-			t.Fatalf("%s at epoch %d, want 2", name, fl.Epoch())
+		if fl.View().Epoch() != 2 {
+			t.Fatalf("%s at epoch %d, want 2", name, fl.View().Epoch())
 		}
 	}
 	// The departed node adopted the membership that excludes it: it
 	// owns nothing now and must not accept unforwarded reports as owner.
-	if c.fleets["node2"].OwnsKey(testKey("post-leave", 60).String()) {
+	if ownsKey(c.fleets["node2"], testKey("post-leave", 60).String()) {
 		t.Fatal("departed node still claims ownership")
 	}
 }
@@ -183,7 +183,7 @@ func TestConcurrentJoinConflictResolves(t *testing.T) {
 	}
 	c.fleets["node1"].ApplyMembership(mA)
 	c.fleets["node0"].ApplyMembership(mB)
-	g0, g1 := c.fleets["node0"].Membership(), c.fleets["node1"].Membership()
+	g0, g1 := c.fleets["node0"].View().Membership(), c.fleets["node1"].View().Membership()
 	if nodesKey(g0.Nodes) != nodesKey(win.Nodes) || nodesKey(g1.Nodes) != nodesKey(win.Nodes) {
 		t.Fatalf("tie-break disagreement: node0=%v node1=%v want %v", g0.Nodes, g1.Nodes, win.Nodes)
 	}
@@ -202,7 +202,7 @@ func TestConcurrentJoinConflictResolves(t *testing.T) {
 		t.Fatalf("final membership %v missing a racer", final.Nodes)
 	}
 	for _, name := range c.names {
-		if got := c.fleets[name].Membership(); nodesKey(got.Nodes) != nodesKey(final.Nodes) {
+		if got := c.fleets[name].View().Membership(); nodesKey(got.Nodes) != nodesKey(final.Nodes) {
 			t.Fatalf("%s converged to %v, want %v", name, got.Nodes, final.Nodes)
 		}
 	}
@@ -216,15 +216,15 @@ func TestHeartbeatAdoptsNewerEpoch(t *testing.T) {
 	// node2 misses the join (down during broadcast).
 	c.down["node2"] = true
 	c.addNode(t, "node3", "node0", 2)
-	if c.fleets["node2"].Epoch() != 1 {
+	if c.fleets["node2"].View().Epoch() != 1 {
 		t.Fatal("setup: node2 should have missed the epoch bump")
 	}
 	c.down["node2"] = false
 	c.fleets["node2"].Heartbeat(ctx, at(0))
-	if got := c.fleets["node2"].Epoch(); got != 2 {
+	if got := c.fleets["node2"].View().Epoch(); got != 2 {
 		t.Fatalf("node2 epoch %d after heartbeat, want 2", got)
 	}
-	if !c.fleets["node2"].IsMember("node3") {
+	if !c.fleets["node2"].View().Has("node3") {
 		t.Fatal("node2 still does not know node3")
 	}
 }

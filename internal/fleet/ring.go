@@ -1,19 +1,21 @@
 // Package fleet turns N independent arcsd processes into one logical
-// knowledge store. A deterministic consistent-hash ring over the
-// canonical (escaped-injective) HistoryKey string assigns every key a
-// primary node and R-1 further replicas; writes are accepted by any
-// owner, versioned by the store as usual, and replicated owner-to-owner
-// under last-writer-wins reconciliation (store.Supersedes); writes that
-// arrive at a non-owner are forwarded to the owners; a replica that is
-// down gets its updates buffered in a bounded hinted-handoff queue and
-// drained on recovery; and a periodic anti-entropy sweep exchanges
-// per-shard digests (codec.KindDigest) to repair whatever both of those
-// paths missed. See DESIGN.md §12.
+// knowledge store. A View is one membership epoch's placement: a
+// deterministic consistent-hash ring over the canonical HistoryKey
+// string that gives every key a primary and R-1 replicas, plus a handle
+// per member. The server engine (Fleet) and the client router
+// (storeclient.Fleet) share it, and Views.Adopt is the one place either
+// swaps in a superseding membership. Writes are accepted by any owner,
+// versioned by the store, and replicated owner-to-owner under
+// store.Supersedes; writes at a non-owner are forwarded to the owners;
+// a down replica's updates wait in a bounded hinted-handoff queue; and
+// a periodic anti-entropy sweep exchanges per-shard digests
+// (codec.KindDigest) to repair whatever both paths missed. See
+// DESIGN.md §12 and §15.
 //
 // Everything in the package is deterministic by contract (enforced by
-// arcslint): ring placement depends only on the member names and the
-// virtual-node count, sweep scheduling is driven by the caller's ticks
-// and a seeded generator, and no code path reads a wall clock.
+// arcslint): placement depends only on the member names, sweep
+// scheduling is driven by the caller's ticks and a seeded generator,
+// and no code path reads a wall clock.
 package fleet
 
 import (
@@ -23,7 +25,7 @@ import (
 )
 
 // DefaultVNodes is the number of virtual points each node projects onto
-// the ring when Config.VNodes is zero. 64 points per node keeps the
+// a View's ring (and NewRing's when vnodes is zero). 64 points per node keeps the
 // ownership share of a 3-node fleet within a few percent of 1/3 while
 // the ring stays small enough to rebuild instantly on membership
 // change.
@@ -99,7 +101,7 @@ func (r *Ring) Nodes() []string { return r.nodes }
 // extended slice (append-style, so routing allocates nothing at steady
 // state). n is clamped to the member count.
 //
-//arcslint:hotpath backs the 0-allocs/op BenchmarkFleetRoute baseline
+//arcslint:hotpath backs the 0-allocs/op BenchmarkFleetRoute/ring baseline
 func (r *Ring) Owners(key string, n int, dst []string) []string {
 	if n > len(r.nodes) {
 		n = len(r.nodes)
@@ -128,12 +130,6 @@ func (r *Ring) Owners(key string, n int, dst []string) []string {
 		}
 	}
 	return dst
-}
-
-// Primary returns the first owner of key.
-func (r *Ring) Primary(key string) string {
-	var stack [1]string
-	return r.Owners(key, 1, stack[:0])[0]
 }
 
 // OwnedShare returns the fraction of the hash space for which node is

@@ -90,10 +90,10 @@ func (f *Fleet) Bootstrap(ctx context.Context, opts BootstrapOptions) (Bootstrap
 		peer  string
 		shard int
 	}
-	v := f.view()
-	tasks := make([]task, 0, len(v.peerNames)*store.NumShards)
+	v := f.View()
+	tasks := make([]task, 0, len(v.Peers())*store.NumShards)
 	for shard := 0; shard < store.NumShards; shard++ {
-		for _, name := range v.peerNames {
+		for _, name := range v.Peers() {
 			tasks = append(tasks, task{peer: name, shard: shard})
 		}
 	}
@@ -152,14 +152,14 @@ func (f *Fleet) pullRange(ctx context.Context, peer string, shard int, opts Boot
 				return got, merged, retries, err
 			}
 		}
-		v := f.view()
-		p := v.peers[peer]
+		v := f.View()
+		p := v.Peer(peer)
 		if p == nil {
 			// The peer left the membership while we were bootstrapping;
 			// its ranges now belong to someone we are also pulling from.
 			return got, merged, retries, nil
 		}
-		entries, err := p.TransferRange(ctx, shard, f.self, v.epoch)
+		entries, err := p.TransferRange(ctx, shard, f.self, v.Epoch())
 		if err != nil {
 			var em *EpochMismatchError
 			if errors.As(err, &em) {
@@ -190,12 +190,12 @@ const drainBatch = 512
 // range this node held — the departing half of a clean leave. Returns
 // the number of entry-pushes acknowledged.
 func (f *Fleet) Drain(ctx context.Context) (int, error) {
-	v := f.view()
+	v := f.View()
 	batches := make(map[string][]store.Entry)
 	var ownerBuf []string
 	for shard := 0; shard < store.NumShards; shard++ {
 		for _, e := range f.st.ShardEntries(shard) {
-			ownerBuf = v.ring.Owners(e.Key.String(), v.replicas, ownerBuf[:0])
+			ownerBuf = v.Owners(e.Key.String(), ownerBuf[:0])
 			for _, o := range ownerBuf {
 				if o != f.self {
 					batches[o] = append(batches[o], e)
@@ -206,7 +206,7 @@ func (f *Fleet) Drain(ctx context.Context) (int, error) {
 	pushed := 0
 	var errs []error
 	for _, name := range sortedKeys(batches) {
-		p := v.peers[name]
+		p := v.Peer(name)
 		if p == nil {
 			errs = append(errs, fmt.Errorf("fleet: drain: no client for owner %q", name))
 			continue
@@ -248,16 +248,13 @@ func (f *Fleet) Drain(ctx context.Context) (int, error) {
 // order), so transfer frames are deterministic for a given store
 // state.
 func (f *Fleet) RangeEntries(shard int, forNode string) []store.Entry {
-	v := f.view()
+	v := f.View()
 	var out []store.Entry
 	var ownerBuf []string
 	for _, e := range f.st.ShardEntries(shard) {
-		ownerBuf = v.ring.Owners(e.Key.String(), v.replicas, ownerBuf[:0])
-		for _, o := range ownerBuf {
-			if o == forNode {
-				out = append(out, e)
-				break
-			}
+		ownerBuf = v.Owners(e.Key.String(), ownerBuf[:0])
+		if containsNode(ownerBuf, forNode) {
+			out = append(out, e)
 		}
 	}
 	return out

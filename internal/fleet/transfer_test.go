@@ -52,7 +52,7 @@ func TestBootstrapPullsOwnedRanges(t *testing.T) {
 
 	owned := 0
 	for _, k := range keys {
-		if !nf.OwnsKey(k.String()) {
+		if !ownsKey(nf, k.String()) {
 			continue
 		}
 		owned++
@@ -77,7 +77,7 @@ func TestBootstrapPullsOwnedRanges(t *testing.T) {
 	// RangeEntries only serves owned ranges, so the joiner's store must
 	// hold nothing it does not own.
 	for _, e := range c.stores["node3"].Entries() {
-		if !nf.OwnsKey(e.Key.String()) {
+		if !ownsKey(nf, e.Key.String()) {
 			t.Fatalf("joiner bootstrapped unowned key %v", e.Key)
 		}
 	}
@@ -124,8 +124,8 @@ func TestBootstrapStaleEpochAdoptsAndRetries(t *testing.T) {
 	if stats.Retries == 0 {
 		t.Fatal("stale-epoch rejection never triggered a retry")
 	}
-	if nf.Epoch() != 2 {
-		t.Fatalf("joiner epoch %d after bootstrap, want adopted 2", nf.Epoch())
+	if nf.View().Epoch() != 2 {
+		t.Fatalf("joiner epoch %d after bootstrap, want adopted 2", nf.View().Epoch())
 	}
 	if stats.Merged == 0 {
 		t.Fatalf("corrected retry merged nothing: %+v", stats)
@@ -159,7 +159,7 @@ func TestBootstrapTornFrameCrashTorture(t *testing.T) {
 	// The invariant under torture: whatever did land is a whole entry,
 	// byte-identical to the serving owner's copy. No partial merges.
 	for _, e := range c.stores["node3"].Entries() {
-		if !nf.OwnsKey(e.Key.String()) {
+		if !ownsKey(nf, e.Key.String()) {
 			t.Fatalf("torn bootstrap left unowned key %v", e.Key)
 		}
 		found := false
@@ -178,7 +178,7 @@ func TestBootstrapTornFrameCrashTorture(t *testing.T) {
 	c.setTorn("node0", 0)
 	c.tickAll(ctx, 3)
 	for _, k := range keys {
-		if !nf.OwnsKey(k.String()) {
+		if !ownsKey(nf, k.String()) {
 			continue
 		}
 		if _, ok := c.stores["node3"].Get(k); !ok {
@@ -204,7 +204,7 @@ func TestDrainPushesToNewOwners(t *testing.T) {
 	if _, err := leaving.ProposeLeave(ctx, "node2"); err != nil {
 		t.Fatal(err)
 	}
-	if leaving.OwnsKey(testKey("post", 60).String()) {
+	if ownsKey(leaving, testKey("post", 60).String()) {
 		t.Fatal("departed node still claims ownership before drain")
 	}
 	pushed, err := leaving.Drain(ctx)
@@ -259,7 +259,7 @@ func TestHandoffDropRepairedByAntiEntropy(t *testing.T) {
 	var owned []arcs.HistoryKey
 	for i := 0; len(owned) < 6; i++ {
 		k := testKey(fmt.Sprintf("drop%d", i), 60)
-		if fl.OwnsKey(k.String()) {
+		if ownsKey(fl, k.String()) {
 			owned = append(owned, k)
 			fl.Ingest(ctx, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 4}, Perf: 2}}, false)
 		}
@@ -277,7 +277,7 @@ func TestHandoffDropRepairedByAntiEntropy(t *testing.T) {
 	}
 	for _, k := range owned {
 		want, _ := st.Get(k)
-		for _, o := range fl.Owners(k.String(), nil) {
+		for _, o := range fl.View().Owners(k.String(), nil) {
 			if o == "node0" {
 				continue
 			}
@@ -297,6 +297,7 @@ func BenchmarkRingRebuild(b *testing.B) {
 	for i := range nodes {
 		nodes[i] = fmt.Sprintf("http://node%02d:1809", i)
 	}
+	var stack [1]string
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -304,7 +305,7 @@ func BenchmarkRingRebuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Primary("SP|B|60|bench") == "" {
+		if r.Owners("SP|B|60|bench", 1, stack[:0])[0] == "" {
 			b.Fatal("no primary")
 		}
 	}

@@ -210,7 +210,7 @@ func TestFleetLookupForwarding(t *testing.T) {
 	var stubKey arcs.HistoryKey
 	for i := 0; ; i++ {
 		k := arcs.HistoryKey{App: "BT", Workload: "A", CapW: 70, Region: fmt.Sprintf("r%d", i)}
-		if fl.Ring().Primary(k.String()) == owner.URL {
+		if fl.View().Owners(k.String(), nil)[0] == owner.URL {
 			stubKey = k
 			break
 		}
@@ -256,7 +256,7 @@ func TestFleetNearestCapProxyKey(t *testing.T) {
 		Key: arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "x_solve"},
 		Cfg: arcs.ConfigValues{Threads: 12, Chunk: 4}, Perf: 1.75, Version: 2,
 	}
-	var ring *fleet.Ring
+	var view *fleet.View[fleet.Peer]
 	for i, ts := range servers {
 		st, err := store.Open(t.TempDir(), store.Options{})
 		if err != nil {
@@ -276,7 +276,7 @@ func TestFleetNearestCapProxyKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring = fl.Ring()
+		view = fl.View()
 		ts.Config.Handler = New(Config{Store: st, Fleet: fl, PeerClient: func(name string) *storeclient.Client { return peers[name] }})
 		ts.Start()
 		t.Cleanup(ts.Close)
@@ -284,7 +284,7 @@ func TestFleetNearestCapProxyKey(t *testing.T) {
 
 	queried := stored.Key
 	queried.CapW = 80
-	owner := ring.Primary(queried.String())
+	owner := view.Owners(queried.String(), nil)[0]
 	nonOwner := names[0]
 	if nonOwner == owner {
 		nonOwner = names[1]

@@ -30,7 +30,7 @@ type MembershipResponse struct {
 }
 
 func (s *Server) membershipResponse(applied bool, drained int) MembershipResponse {
-	m := s.fleet.Membership()
+	m := s.fleet.View().Membership()
 	return MembershipResponse{Applied: applied, Epoch: m.Epoch, Nodes: m.Nodes, Drained: drained}
 }
 
@@ -203,7 +203,7 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "bad epoch %q", q.Get("epoch"))
 		return
 	}
-	if cur := s.fleet.Epoch(); epoch != cur {
+	if cur := s.fleet.View().Epoch(); epoch != cur {
 		s.met.transferEpochConflicts.Add(1)
 		writeJSON(w, http.StatusConflict, s.membershipResponse(false, 0))
 		return

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,8 +129,8 @@ func TestMembershipPush(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !mr.Applied || mr.Epoch != 5 {
 		t.Fatalf("push = %d %+v, want applied at epoch 5", resp.StatusCode, mr)
 	}
-	if fl.Epoch() != 5 {
-		t.Fatalf("fleet epoch %d after push, want 5", fl.Epoch())
+	if fl.View().Epoch() != 5 {
+		t.Fatalf("fleet epoch %d after push, want 5", fl.View().Epoch())
 	}
 
 	// Stale push: not an error — the answer carries the newer list.
@@ -139,8 +140,8 @@ func TestMembershipPush(t *testing.T) {
 	}
 
 	resp, mr = pushMembership(t, url+"/v1/membership", codec.MemberList{Epoch: 6, Nodes: []string{self, other}})
-	if resp.StatusCode != http.StatusOK || !mr.Applied || fl.Epoch() != 6 {
-		t.Fatalf("push = %d %+v (fleet epoch %d), want applied at 6", resp.StatusCode, mr, fl.Epoch())
+	if resp.StatusCode != http.StatusOK || !mr.Applied || fl.View().Epoch() != 6 {
+		t.Fatalf("push = %d %+v (fleet epoch %d), want applied at 6", resp.StatusCode, mr, fl.View().Epoch())
 	}
 
 	if resp, _ = pushMembership(t, url+"/v1/membership", codec.MemberList{}); resp.StatusCode != http.StatusBadRequest {
@@ -149,7 +150,7 @@ func TestMembershipPush(t *testing.T) {
 
 	// A JSON body is refused outright: 415, a JSON error, and the
 	// membership it would have superseded with stays as it was.
-	before := fl.Membership()
+	before := fl.View().Membership()
 	b, _ := json.Marshal(codec.MemberList{Epoch: 9, Nodes: []string{self}})
 	jresp, err := http.Post(url+"/v1/membership", "application/json", bytes.NewReader(b))
 	if err != nil {
@@ -161,7 +162,7 @@ func TestMembershipPush(t *testing.T) {
 	if jresp.StatusCode != http.StatusUnsupportedMediaType || jerr["error"] == "" {
 		t.Fatalf("JSON push = %d %v, want 415 with a JSON error", jresp.StatusCode, jerr)
 	}
-	if after := fl.Membership(); after.Epoch != before.Epoch || len(after.Nodes) != len(before.Nodes) {
+	if after := fl.View().Membership(); after.Epoch != before.Epoch || len(after.Nodes) != len(before.Nodes) {
 		t.Fatalf("refused JSON push changed membership: %+v -> %+v", before, after)
 	}
 
@@ -188,7 +189,7 @@ func TestJoinLeaveEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || mr.Epoch != 2 || len(mr.Nodes) != 3 {
 		t.Fatalf("join = %d %+v, want epoch 2 with 3 nodes", resp.StatusCode, mr)
 	}
-	if !fl.IsMember(newcomer) {
+	if !fl.View().Has(newcomer) {
 		t.Fatal("fleet does not list the joined node")
 	}
 
@@ -203,7 +204,7 @@ func TestJoinLeaveEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || mr.Drained != 0 {
 		t.Fatalf("self-leave = %d %+v", resp.StatusCode, mr)
 	}
-	if fl.OwnsKey("SP|B|60|post-leave") {
+	if slices.Contains(fl.View().Owners("SP|B|60|post-leave", nil), fl.Self()) {
 		t.Fatal("departed server still claims ownership")
 	}
 
@@ -234,7 +235,7 @@ func TestTransferEndpoint(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		k := arcs.HistoryKey{App: "BT", Workload: "C", CapW: float64(40 + i%5), Region: fmt.Sprintf("r%d", i)}
 		st.Save(k, arcs.ConfigValues{Threads: 1 + i%8}, 1+float64(i%3))
-		for _, o := range fl.Owners(k.String(), nil) {
+		for _, o := range fl.View().Owners(k.String(), nil) {
 			if o == other {
 				wantOwned[k.String()] = true
 			}
@@ -248,7 +249,7 @@ func TestTransferEndpoint(t *testing.T) {
 	for shard := 0; shard < store.NumShards; shard++ {
 		// No Accept header: one CRC-framed KindRangeTransfer per shard
 		// regardless.
-		resp, err := http.Get(fmt.Sprintf("%s/v1/transfer?shard=%d&for=%s&epoch=%d", url, shard, other, fl.Epoch()))
+		resp, err := http.Get(fmt.Sprintf("%s/v1/transfer?shard=%d&for=%s&epoch=%d", url, shard, other, fl.View().Epoch()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func TestTransferEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(tr.Shard) != shard || tr.Epoch != fl.Epoch() {
+		if int(tr.Shard) != shard || tr.Epoch != fl.View().Epoch() {
 			t.Fatalf("shard %d: transfer header = shard %d epoch %d", shard, tr.Shard, tr.Epoch)
 		}
 		for _, e := range tr.Entries {
@@ -290,8 +291,8 @@ func TestTransferEndpoint(t *testing.T) {
 	var mr MembershipResponse
 	_ = json.NewDecoder(resp.Body).Decode(&mr)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || mr.Epoch != fl.Epoch() {
-		t.Fatalf("stale-epoch transfer = %d %+v, want 409 with epoch %d", resp.StatusCode, mr, fl.Epoch())
+	if resp.StatusCode != http.StatusConflict || mr.Epoch != fl.View().Epoch() {
+		t.Fatalf("stale-epoch transfer = %d %+v, want 409 with epoch %d", resp.StatusCode, mr, fl.View().Epoch())
 	}
 
 	for _, q := range []string{"shard=-1&for=x&epoch=1", "shard=16&for=x&epoch=1", "shard=0&epoch=1", "shard=0&for=x&epoch=zz"} {

@@ -44,6 +44,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -254,28 +255,33 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	// record. Already-forwarded requests are answered locally whatever
 	// the ring says — one hop, never a loop. If every owner is
 	// unreachable (or has nothing), fall through and serve whatever is
-	// known locally: a stray answer beats an outage.
-	if s.fleet != nil && r.Header.Get(codec.ForwardedHeader) == "" && !s.fleet.OwnsKey(key.String()) {
-		arch := q.Get("arch")
-		for _, owner := range s.fleet.Owners(key.String(), nil) {
-			peer := s.peerClient(owner)
-			if peer == nil {
-				continue
-			}
-			res, err := peer.Lookup(r.Context(), key, storeclient.LookupOpts{
-				Arch: arch, Fallback: allowFallback, Search: allowSearch, Forwarded: true,
-			})
-			if err == nil {
-				s.met.fleetLookupFwd.Add(1)
-				writeConfig(w, r, ConfigResponse{
-					Key: res.Key, Config: res.Config, Perf: res.Perf, Version: res.Version,
-					Source: res.Source, CapDistance: res.CapDistance,
+	// known locally: a stray answer beats an outage. One view answers
+	// both "do I own it" and "who does", so the decision and the walk
+	// share an epoch.
+	if s.fleet != nil && r.Header.Get(codec.ForwardedHeader) == "" {
+		var stack [8]string
+		if owners := s.fleet.View().Owners(key.String(), stack[:0]); !slices.Contains(owners, s.fleet.Self()) {
+			arch := q.Get("arch")
+			for _, owner := range owners {
+				peer := s.peerClient(owner)
+				if peer == nil {
+					continue
+				}
+				res, err := peer.Lookup(r.Context(), key, storeclient.LookupOpts{
+					Arch: arch, Fallback: allowFallback, Search: allowSearch, Forwarded: true,
 				})
-				return
-			}
-			if r.Context().Err() != nil {
-				errorJSON(w, http.StatusServiceUnavailable, "lookup cancelled: %v", r.Context().Err())
-				return
+				if err == nil {
+					s.met.fleetLookupFwd.Add(1)
+					writeConfig(w, r, ConfigResponse{
+						Key: res.Key, Config: res.Config, Perf: res.Perf, Version: res.Version,
+						Source: res.Source, CapDistance: res.CapDistance,
+					})
+					return
+				}
+				if r.Context().Err() != nil {
+					errorJSON(w, http.StatusServiceUnavailable, "lookup cancelled: %v", r.Context().Err())
+					return
+				}
 			}
 		}
 	}
@@ -746,12 +752,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 	if s.fleet != nil {
+		v := s.fleet.View()
 		resp.Fleet = &FleetHealth{
 			Self:       s.fleet.Self(),
-			Epoch:      s.fleet.Epoch(),
-			Nodes:      s.fleet.Membership().Nodes,
-			Replicas:   s.fleet.Replicas(),
-			OwnedShare: s.fleet.Ring().OwnedShare(s.fleet.Self()),
+			Epoch:      v.Epoch(),
+			Nodes:      v.Membership().Nodes,
+			Replicas:   v.Replicas(),
+			OwnedShare: v.OwnedShare(s.fleet.Self()),
 			Peers:      s.fleet.Detector().States(),
 			Stats:      s.fleet.Stats(),
 		}
@@ -762,11 +769,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var fl *fleetMetrics
 	if s.fleet != nil {
+		v := s.fleet.View()
 		fl = &fleetMetrics{
 			stats:      s.fleet.Stats(),
-			nodes:      len(s.fleet.Ring().Nodes()),
-			replicas:   s.fleet.Replicas(),
-			ownedShare: s.fleet.Ring().OwnedShare(s.fleet.Self()),
+			nodes:      len(v.Membership().Nodes),
+			replicas:   v.Replicas(),
+			ownedShare: v.OwnedShare(s.fleet.Self()),
 		}
 	}
 	s.met.write(w, s.st.Health(), s.evc.Stats(), fl)
@@ -786,7 +794,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			// a join/leave handler bumps the epoch mid-request and must
 			// advertise the epoch it produced, not the one it started on.
 			sw.beforeWrite = func() {
-				sw.Header().Set(codec.EpochHeader, strconv.FormatUint(s.fleet.Epoch(), 10))
+				sw.Header().Set(codec.EpochHeader, strconv.FormatUint(s.fleet.View().Epoch(), 10))
 			}
 		}
 		func() {

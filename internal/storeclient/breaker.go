@@ -41,7 +41,6 @@ type breaker struct {
 	threshold int
 	openFor   time.Duration
 	now       func() time.Time
-	hook      func(from, to string) // state-transition observer; may be nil
 
 	mu       sync.Mutex
 	state    breakerState // guarded by mu
@@ -51,48 +50,32 @@ type breaker struct {
 	opens    uint64       // times the breaker tripped; guarded by mu
 }
 
-func newBreaker(threshold int, openFor time.Duration, now func() time.Time, hook func(from, to string)) *breaker {
+func newBreaker(threshold int, openFor time.Duration, now func() time.Time) *breaker {
 	if now == nil {
 		now = time.Now
 	}
-	return &breaker{threshold: threshold, openFor: openFor, now: now, hook: hook}
-}
-
-// notify reports a state transition to the hook, outside the mutex —
-// the hook is caller code (metrics, logs) and must not be able to
-// deadlock the breaker.
-func (b *breaker) notify(from, to breakerState) {
-	if b.hook != nil && from != to {
-		b.hook(from.String(), to.String())
-	}
+	return &breaker{threshold: threshold, openFor: openFor, now: now}
 }
 
 // allow reports whether a request may proceed right now.
 func (b *breaker) allow() bool {
 	b.mu.Lock()
-	from, to := b.state, b.state
-	var ok bool
+	defer b.mu.Unlock()
 	switch b.state {
-	case breakerClosed:
-		ok = true
 	case breakerOpen:
-		if b.now().Sub(b.openedAt) >= b.openFor {
-			b.state = breakerHalfOpen
-			to = breakerHalfOpen
-			b.probing = true
-			ok = true
+		if b.now().Sub(b.openedAt) < b.openFor {
+			return false
 		}
+		b.state = breakerHalfOpen
+		b.probing = true
+		return true
 	case breakerHalfOpen:
-		if !b.probing {
-			b.probing = true
-			ok = true
+		if b.probing {
+			return false
 		}
-	default:
-		ok = true
+		b.probing = true
 	}
-	b.mu.Unlock()
-	b.notify(from, to)
-	return ok
+	return true
 }
 
 // record feeds one request outcome into the state machine. Outcomes
@@ -101,7 +84,7 @@ func (b *breaker) allow() bool {
 // the caller does the classification.
 func (b *breaker) record(success bool) {
 	b.mu.Lock()
-	from := b.state
+	defer b.mu.Unlock()
 	if success {
 		b.state = breakerClosed
 		b.fails = 0
@@ -126,9 +109,6 @@ func (b *breaker) record(success bool) {
 			// already running, nothing to update.
 		}
 	}
-	to := b.state
-	b.mu.Unlock()
-	b.notify(from, to)
 }
 
 // snapshot returns the current state name and trip count (diagnostics).

@@ -1,8 +1,10 @@
 // Package storeclient is the client side of the arcsd tuning service: a
 // small HTTP client with timeout/retry/backoff, a circuit breaker that
-// stops hammering a dead daemon, and a History adapter that lets the
-// ARCS tuner warm-start directly from a served knowledge store
-// (arcsrun -server) and keep answering locally while the daemon is down.
+// stops hammering a dead daemon, a History adapter that lets the ARCS
+// tuner warm-start directly from a served knowledge store (arcsrun
+// -server) and keep answering locally while the daemon is down, and
+// Fleet, which routes across an arcsd fleet by the servers' own
+// fleet.View.
 package storeclient
 
 import (
@@ -62,15 +64,15 @@ type Client struct {
 	br         *breaker
 
 	// epochHook observes the fleet membership epoch (codec.EpochHeader)
-	// stamped on responses, letting a fleet-aware caller notice a
-	// membership change and refresh its ring view.
+	// stamped on responses; Fleet sets it on the clients it builds to
+	// notice a membership change. It must be fast and must not call back
+	// into the client.
 	epochHook func(epoch uint64)
 
 	// breaker construction parameters, resolved in New after options run.
 	brThreshold int
 	brOpenFor   time.Duration
 	brNow       func() time.Time
-	brHook      func(from, to string)
 
 	jmu  sync.Mutex
 	jrng *rand.Rand // jitter source; guarded by jmu
@@ -119,25 +121,6 @@ func WithBreakerClock(now func() time.Time) Option {
 	return func(c *Client) { c.brNow = now }
 }
 
-// WithBreakerHook observes circuit-breaker state transitions: the hook
-// runs (outside the breaker's lock) on every change, with the state
-// names BreakerState reports ("closed", "open", "half-open"). This is
-// how fleet failover becomes observable — a breaker opening against a
-// peer is the "replica down" signal arcsload and /metrics count. No
-// effect without WithBreaker. The hook must be fast and must not call
-// back into the client.
-func WithBreakerHook(hook func(from, to string)) Option {
-	return func(c *Client) { c.brHook = hook }
-}
-
-// WithEpochHook observes the fleet membership epoch advertised on every
-// response (codec.EpochHeader). The hook runs on each response carrying
-// the header, with whatever epoch the serving node reported; it must be
-// fast and must not call back into the client.
-func WithEpochHook(hook func(epoch uint64)) Option {
-	return func(c *Client) { c.epochHook = hook }
-}
-
 // WithBinary has no effect: lookups, reports and every fleet RPC always
 // use the binary wire codec (application/x-arcs-bin). It is kept only
 // because cmd/arcsperf, which builds against this package unchanged,
@@ -158,7 +141,7 @@ func New(base string, opts ...Option) *Client {
 		o(c)
 	}
 	if c.brThreshold > 0 {
-		c.br = newBreaker(c.brThreshold, c.brOpenFor, c.brNow, c.brHook)
+		c.br = newBreaker(c.brThreshold, c.brOpenFor, c.brNow)
 	}
 	return c
 }

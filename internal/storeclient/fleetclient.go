@@ -3,6 +3,7 @@ package storeclient
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -12,47 +13,34 @@ import (
 	"arcs/internal/store"
 )
 
-// Fleet is a fleet-aware client: it carries the same consistent-hash
-// ring the servers use, routes every request to the key's owners
-// (primary first), and fails over to the remaining replicas — then to
-// the rest of the fleet — when an owner is down. Reads can additionally
-// be merged across all owners by version (LookupMerged), which is how a
+// Fleet is a fleet-aware client: it holds the same fleet.View the
+// servers route by, sends every request to the key's owners (primary
+// first), and fails over to the remaining replicas — then to the rest
+// of the fleet — when an owner is down. Reads can additionally be
+// merged across all owners by version (LookupMerged), which is how a
 // reader gets the freshest acknowledged answer while replication or
 // anti-entropy is still in flight.
 //
 // Routing client-side is an optimisation, not a correctness
 // requirement: every fleet member forwards what it does not own, so a
-// request landing anywhere still finds its key. The ring here just
+// request landing anywhere still finds its key. The view here just
 // makes the common case one hop.
 //
 // Membership is live: every response carries the serving node's fleet
-// epoch in a header, and when a higher epoch than the client's ring was
-// built from is observed, the next operation first refreshes — pings
-// the members, adopts the highest-epoch member list, and rebuilds the
-// ring — so a join or leave propagates to clients without restarting
-// them.
+// epoch in a header, and when a higher epoch than the view's is
+// observed, the next operation first refreshes — pings the members and
+// adopts their newest member list through fleet.Views.Adopt, the same
+// rule the servers apply — so a join or leave propagates to clients
+// without restarting them.
 type Fleet struct {
-	cur          atomic.Pointer[clientView]
-	replicasWant int      // configured, pre-clamp
-	opts         []Option // per-node client options (epoch hook appended)
+	views *fleet.Views[*Client]
 
 	observed  atomic.Uint64 // highest fleet epoch seen in any response
-	refreshMu sync.Mutex    // serialises Refresh (view swaps stay ordered)
+	refreshMu sync.Mutex    // serialises ping rounds
 
 	failovers   atomic.Uint64
 	readRepairs atomic.Uint64
 	refreshes   atomic.Uint64
-}
-
-// clientView is one immutable membership snapshot: ring, clamped
-// replica count, sorted node list, and the per-node clients. Operations
-// load it once and run against it; Refresh swaps in a successor.
-type clientView struct {
-	epoch    uint64
-	ring     *fleet.Ring
-	replicas int
-	nodes    []string // sorted membership (ring order)
-	clients  map[string]*Client
 }
 
 // NewFleet builds a fleet client over the full membership (the same
@@ -64,45 +52,21 @@ func NewFleet(nodes []string, replicas int, opts ...Option) (*Fleet, error) {
 	if replicas <= 0 {
 		replicas = fleet.DefaultReplicas
 	}
-	f := &Fleet{replicasWant: replicas, opts: opts}
-	v, err := f.buildView(0, nodes, nil)
+	f := &Fleet{}
+	views, err := fleet.NewViews(codec.MemberList{Nodes: nodes}, replicas, func(n string) (*Client, error) {
+		c := New(n, opts...)
+		c.epochHook = f.observe
+		return c, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	f.cur.Store(v)
+	f.views = views
 	return f, nil
 }
 
-// buildView constructs a view over nodes at the given epoch, reusing
-// clients from old where the node persists so connection pools and
-// breakers survive membership changes.
-func (f *Fleet) buildView(epoch uint64, nodes []string, old *clientView) (*clientView, error) {
-	ring, err := fleet.NewRing(nodes, 0)
-	if err != nil {
-		return nil, err
-	}
-	replicas := f.replicasWant
-	if replicas > len(ring.Nodes()) {
-		replicas = len(ring.Nodes())
-	}
-	v := &clientView{epoch: epoch, ring: ring, replicas: replicas, nodes: ring.Nodes(), clients: map[string]*Client{}}
-	for _, n := range v.nodes {
-		if old != nil {
-			if c := old.clients[n]; c != nil {
-				v.clients[n] = c
-				continue
-			}
-		}
-		opts := make([]Option, 0, len(f.opts)+1)
-		opts = append(opts, f.opts...)
-		opts = append(opts, WithEpochHook(f.observe))
-		v.clients[n] = New(n, opts...)
-	}
-	return v, nil
-}
-
 // observe is the per-response epoch hook: it records the highest fleet
-// epoch any member has advertised, which arms maybeRefresh.
+// epoch any member has advertised, which arms a refresh.
 func (f *Fleet) observe(epoch uint64) {
 	for {
 		cur := f.observed.Load()
@@ -112,34 +76,49 @@ func (f *Fleet) observe(epoch uint64) {
 	}
 }
 
-// view returns the current membership snapshot, refreshing it first
-// when a member has advertised a newer epoch than the snapshot was
-// built from. Refresh failures are swallowed — the stale view still
-// routes correctly via server-side forwarding, just with extra hops.
-func (f *Fleet) view(ctx context.Context) *clientView {
-	v := f.cur.Load()
-	if obs := f.observed.Load(); obs > v.epoch {
-		if nv, err := f.Refresh(ctx); err == nil {
+// view returns the current view, refreshing it first when a member has
+// advertised a newer epoch than the view was built from. Refresh
+// failures are swallowed — the stale view still routes correctly via
+// server-side forwarding, just with extra hops.
+func (f *Fleet) view(ctx context.Context) *fleet.View[*Client] {
+	v := f.views.View()
+	if obs := f.observed.Load(); obs > v.Epoch() {
+		if nv, err := f.refresh(ctx, obs); err == nil {
 			return nv
 		}
 	}
 	return v
 }
 
-// Refresh pings the current members, adopts the highest-epoch member
-// list any of them returns, and rebuilds the ring and client set from
-// it. Safe to call concurrently; swaps are serialised and never move
-// the view backwards.
-func (f *Fleet) Refresh(ctx context.Context) (*clientView, error) {
+// View returns the current view: membership, placement and the
+// per-node clients, so callers can address one specific node — health
+// checks, dump comparisons. Its epoch is 0 until a refresh has adopted
+// a live membership.
+func (f *Fleet) View() *fleet.View[*Client] { return f.views.View() }
+
+// Refresh pings the current members, adopts the newest member list any
+// of them returns, and returns the view now in effect. Safe to call
+// concurrently; views never move backwards.
+func (f *Fleet) Refresh(ctx context.Context) (*fleet.View[*Client], error) {
+	return f.refresh(ctx, 0)
+}
+
+// refresh runs one ping round. A round triggered by an observed epoch
+// (want > 0) first checks whether a concurrent round already adopted
+// that epoch, so K operations that see one new epoch ping the fleet
+// once, not K times.
+func (f *Fleet) refresh(ctx context.Context, want uint64) (*fleet.View[*Client], error) {
 	f.refreshMu.Lock()
 	defer f.refreshMu.Unlock()
-	v := f.cur.Load()
+	v := f.views.View()
+	if want > 0 && v.Epoch() >= want {
+		return v, nil
+	}
 	armed := f.observed.Load()
-	best := codec.MemberList{Epoch: v.epoch, Nodes: v.nodes}
 	var lastErr error
-	got := false
-	for _, n := range v.nodes {
-		m, err := v.clients[n].Ping(ctx)
+	got, adopted := false, false
+	for _, n := range v.Peers() {
+		m, err := v.Peer(n).Ping(ctx)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return v, err
@@ -151,44 +130,25 @@ func (f *Fleet) Refresh(ctx context.Context) (*clientView, error) {
 			continue // standalone daemon: nothing to adopt
 		}
 		got = true
-		if fleet.MembershipSupersedes(m, best) {
-			best = m
+		_, ok, err := f.views.Adopt(m, nil)
+		if err != nil {
+			return v, fmt.Errorf("storeclient: adopt membership from %s: %w", n, err)
 		}
+		adopted = adopted || ok
 	}
 	if !got && lastErr != nil {
 		return v, lastErr
 	}
-	if best.Epoch <= v.epoch {
+	nv := f.views.View()
+	if !adopted {
 		// Nothing newer to adopt: disarm the trigger (unless a still-higher
 		// epoch was observed while we were pinging) so operations stop
 		// re-pinging the fleet on every call.
-		f.observed.CompareAndSwap(armed, v.epoch)
-		return v, nil
+		f.observed.CompareAndSwap(armed, nv.Epoch())
+		return nv, nil
 	}
-	nv, err := f.buildView(best.Epoch, best.Nodes, v)
-	if err != nil {
-		return v, err
-	}
-	f.cur.Store(nv)
 	f.refreshes.Add(1)
 	return nv, nil
-}
-
-// Nodes returns the sorted membership of the current view.
-func (f *Fleet) Nodes() []string { return f.cur.Load().nodes }
-
-// Epoch returns the fleet epoch the current view was built from (0
-// until a refresh has adopted a live membership).
-func (f *Fleet) Epoch() uint64 { return f.cur.Load().epoch }
-
-// Client returns the per-node client (nil for a non-member), so callers
-// can address one specific node — health checks, dump comparisons.
-func (f *Fleet) Client(node string) *Client { return f.cur.Load().clients[node] }
-
-// Owners returns the owner list (primary first) for a key.
-func (f *Fleet) Owners(k arcs.HistoryKey) []string {
-	v := f.cur.Load()
-	return v.ring.Owners(k.String(), v.replicas, nil)
 }
 
 // Failovers reports how many times a request had to skip past a failed
@@ -203,25 +163,6 @@ func (f *Fleet) ReadRepairs() uint64 { return f.readRepairs.Load() }
 // newer fleet epoch.
 func (f *Fleet) Refreshes() uint64 { return f.refreshes.Load() }
 
-// route appends the key's owners followed by the remaining members —
-// the full failover order for one key under the given view.
-func (v *clientView) route(k arcs.HistoryKey) []string {
-	order := v.ring.Owners(k.String(), v.replicas, make([]string, 0, len(v.nodes)))
-	for _, n := range v.nodes {
-		owned := false
-		for _, o := range order[:v.replicas] {
-			if o == n {
-				owned = true
-				break
-			}
-		}
-		if !owned {
-			order = append(order, n)
-		}
-	}
-	return order
-}
-
 // Lookup fetches the best configuration for a key from the first
 // responsive node in routing order. A served miss (ErrNotFound) is
 // remembered but does not stop the failover — a replica that has the
@@ -231,8 +172,9 @@ func (f *Fleet) Lookup(ctx context.Context, k arcs.HistoryKey, opts LookupOpts) 
 	v := f.view(ctx)
 	var lastErr error
 	notFound := false
-	for i, node := range v.route(k) {
-		res, err := v.clients[node].Lookup(ctx, k, opts)
+	route := v.Route(k.String(), nil)
+	for i, node := range route {
+		res, err := v.Peer(node).Lookup(ctx, k, opts)
 		if err == nil {
 			return res, nil
 		}
@@ -243,7 +185,7 @@ func (f *Fleet) Lookup(ctx context.Context, k arcs.HistoryKey, opts LookupOpts) 
 			notFound = true
 		} else {
 			lastErr = err
-			if i+1 < len(v.nodes) {
+			if i+1 < len(route) {
 				f.failovers.Add(1)
 			}
 		}
@@ -275,14 +217,14 @@ func (f *Fleet) Lookup(ctx context.Context, k arcs.HistoryKey, opts LookupOpts) 
 // is returned only when every owner failed.
 func (f *Fleet) LookupMerged(ctx context.Context, k arcs.HistoryKey, opts LookupOpts) (Result, error) {
 	v := f.view(ctx)
-	owners := v.ring.Owners(k.String(), v.replicas, nil)
+	owners := v.Owners(k.String(), nil)
 	var best Result
 	found := false
 	var lastErr error
 	results := make(map[string]Result, len(owners))
 	missing := make(map[string]bool, len(owners))
 	for _, node := range owners {
-		res, err := v.clients[node].Lookup(ctx, k, opts)
+		res, err := v.Peer(node).Lookup(ctx, k, opts)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return Result{}, err
@@ -348,7 +290,7 @@ func betterResult(a, b Result) bool {
 // the read path closes the gap without waiting for the next anti-entropy
 // sweep. The push carries the winner's own version, so the receiver's
 // Supersedes check makes re-pushing (or racing a newer write) harmless.
-func (f *Fleet) readRepair(ctx context.Context, v *clientView, k arcs.HistoryKey, best Result, owners []string, results map[string]Result, missing map[string]bool) {
+func (f *Fleet) readRepair(ctx context.Context, v *fleet.View[*Client], k arcs.HistoryKey, best Result, owners []string, results map[string]Result, missing map[string]bool) {
 	entry := store.Entry{Key: k, Cfg: best.Config, Perf: best.Perf, Version: best.Version}
 	for _, node := range owners {
 		res, answered := results[node]
@@ -357,7 +299,7 @@ func (f *Fleet) readRepair(ctx context.Context, v *clientView, k arcs.HistoryKey
 		if !stale {
 			continue
 		}
-		if err := v.clients[node].MergeEntries(ctx, []store.Entry{entry}); err == nil {
+		if err := v.Peer(node).MergeEntries(ctx, []store.Entry{entry}); err == nil {
 			f.readRepairs.Add(1)
 		}
 	}
@@ -376,8 +318,8 @@ func (f *Fleet) Neighbors(ctx context.Context, k arcs.HistoryKey, max int) ([]ar
 	byKey := make(map[string]arcs.Neighbor)
 	var lastErr error
 	answered := false
-	for _, node := range v.nodes {
-		ns, err := v.clients[node].Neighbors(ctx, k, max)
+	for _, node := range v.Peers() {
+		ns, err := v.Peer(node).Neighbors(ctx, k, max)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err
@@ -428,20 +370,22 @@ func (f *Fleet) ReportBatch(ctx context.Context, reports []Report) error {
 	}
 	v := f.view(ctx)
 	groups := make(map[string][]Report)
+	var stack [8]string
 	for _, r := range reports {
-		p := v.ring.Owners(r.Key.String(), 1, nil)[0]
+		p := v.Owners(r.Key.String(), stack[:0])[0]
 		groups[p] = append(groups[p], r)
 	}
 	var firstErr error
-	for _, primary := range v.nodes { // deterministic group order
+	for _, primary := range v.Peers() { // deterministic group order
 		batch := groups[primary]
 		if len(batch) == 0 {
 			continue
 		}
 		var lastErr error
 		sent := false
-		for i, node := range v.route(batch[0].Key) {
-			err := v.clients[node].ReportBatch(ctx, batch)
+		route := v.Route(batch[0].Key.String(), nil)
+		for i, node := range route {
+			err := v.Peer(node).ReportBatch(ctx, batch)
 			if err == nil {
 				sent = true
 				break
@@ -450,7 +394,7 @@ func (f *Fleet) ReportBatch(ctx context.Context, reports []Report) error {
 				return err
 			}
 			lastErr = err
-			if i+1 < len(v.nodes) {
+			if i+1 < len(route) {
 				f.failovers.Add(1)
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,21 +48,22 @@ func newFleetNodes(t *testing.T, n int) (*Fleet, []*store.Store) {
 		t.Fatal(err)
 	}
 	// Re-order stores to match the fleet's sorted membership so tests
-	// can address "the store behind node f.Nodes()[i]".
+	// can address "the store behind node f.View().Membership().Nodes[i]".
 	byURL := make(map[string]*store.Store, n)
 	for i, u := range urls {
 		byURL[u] = stores[i]
 	}
 	ordered := make([]*store.Store, n)
-	for i, u := range f.Nodes() {
+	for i, u := range f.View().Membership().Nodes {
 		ordered[i] = byURL[u]
 	}
 	return f, ordered
 }
 
-// liveMember is one real fleet-member daemon stack for the live-epoch
-// tests: store, fleet, HTTP server on a pre-bound listener.
-func startLiveMember(t *testing.T, ln net.Listener, self string, nodes []string, epoch uint64) *fleet.Fleet {
+// startLiveMember runs one real fleet-member daemon stack for the
+// live-epoch tests: store, fleet, HTTP server on a pre-bound listener.
+// A non-nil pings counts the /v1/ping requests the member serves.
+func startLiveMember(t *testing.T, ln net.Listener, self string, nodes []string, epoch uint64, pings *atomic.Int64) *fleet.Fleet {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -76,18 +79,25 @@ func startLiveMember(t *testing.T, ln net.Listener, self string, nodes []string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: server.New(server.Config{Store: st, Fleet: fl})}
+	var h http.Handler = server.New(server.Config{Store: st, Fleet: fl})
+	if pings != nil {
+		inner := h
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/ping" {
+				pings.Add(1)
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	hs := &http.Server{Handler: h}
 	go func() { _ = hs.Serve(ln) }()
 	t.Cleanup(func() { _ = hs.Close() })
 	return fl
 }
 
-// TestFleetClientAdoptsNewEpoch: every response advertises the serving
-// node's membership epoch; when the fleet grows behind the client's
-// back, the next operation observes the higher epoch, refreshes, and
-// routes over the grown membership — no client restart.
-func TestFleetClientAdoptsNewEpoch(t *testing.T) {
-	const n = 3
+// startLiveFleet runs n live members at epoch 1 and returns their URLs.
+func startLiveFleet(t *testing.T, n int, pings *atomic.Int64) []string {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
 	for i := range lns {
@@ -98,11 +108,18 @@ func TestFleetClientAdoptsNewEpoch(t *testing.T) {
 		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
 	}
-	fleets := make([]*fleet.Fleet, n)
 	for i := range urls {
-		fleets[i] = startLiveMember(t, lns[i], urls[i], urls, 1)
+		startLiveMember(t, lns[i], urls[i], urls, 1, pings)
 	}
+	return urls
+}
 
+// TestFleetClientAdoptsNewEpoch: every response advertises the serving
+// node's membership epoch; when the fleet grows behind the client's
+// back, the next operation observes the higher epoch, refreshes, and
+// routes over the grown membership — no client restart.
+func TestFleetClientAdoptsNewEpoch(t *testing.T) {
+	urls := startLiveFleet(t, 3, nil)
 	f, err := NewFleet(urls, 2, WithBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -116,8 +133,8 @@ func TestFleetClientAdoptsNewEpoch(t *testing.T) {
 	if _, err := f.Lookup(ctx, k, LookupOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Epoch() != 1 {
-		t.Fatalf("client epoch %d after first ops, want adopted 1", f.Epoch())
+	if f.View().Epoch() != 1 {
+		t.Fatalf("client epoch %d after first ops, want adopted 1", f.View().Epoch())
 	}
 
 	// Grow the fleet through the admin endpoint, then bring the joiner up.
@@ -126,28 +143,65 @@ func TestFleetClientAdoptsNewEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	url4 := "http://" + ln4.Addr().String()
-	m, err := f.Client(urls[0]).Join(ctx, url4)
+	m, err := f.View().Peer(urls[0]).Join(ctx, url4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Epoch != 2 {
 		t.Fatalf("join answered epoch %d, want 2", m.Epoch)
 	}
-	startLiveMember(t, ln4, url4, m.Nodes, m.Epoch)
+	startLiveMember(t, ln4, url4, m.Nodes, m.Epoch, nil)
 
 	// The join response already carried the new epoch header; the next
 	// operation refreshes and the view includes the newcomer.
 	if err := f.Report(ctx, k, arcs.ConfigValues{Threads: 16}, 1.5); err != nil {
 		t.Fatal(err)
 	}
-	if f.Epoch() != 2 || len(f.Nodes()) != 4 {
-		t.Fatalf("client view = epoch %d nodes %v, want epoch 2 with 4 nodes", f.Epoch(), f.Nodes())
+	if f.View().Epoch() != 2 || len(f.View().Membership().Nodes) != 4 {
+		t.Fatalf("client view = epoch %d nodes %v, want epoch 2 with 4 nodes", f.View().Epoch(), f.View().Membership().Nodes)
 	}
 	if f.Refreshes() == 0 {
 		t.Fatal("refresh counter never moved")
 	}
-	if f.Client(url4) == nil {
+	if f.View().Peer(url4) == nil {
 		t.Fatal("no client for the joined node")
+	}
+}
+
+// TestFleetClientRefreshNoStampede: concurrent operations that all
+// observe the same new epoch refresh once between them — one ping per
+// member — instead of each running its own ping round.
+func TestFleetClientRefreshNoStampede(t *testing.T) {
+	const n, ops = 3, 16
+	var pings atomic.Int64
+	urls := startLiveFleet(t, n, &pings)
+	f, err := NewFleet(urls, 2, WithBackoff(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "stampede"}
+	// The client starts at epoch 0; this first response arms the
+	// observer with the fleet's epoch 1.
+	if err := f.Report(ctx, k, arcs.ConfigValues{Threads: 8}, 2.0); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < ops; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := f.Lookup(ctx, k, LookupOpts{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := pings.Load(); got > n {
+		t.Fatalf("%d concurrent lookups sent %d pings, want at most %d", ops, got, n)
+	}
+	if got := f.View().Epoch(); got != 1 {
+		t.Fatalf("client epoch %d, want adopted 1", got)
 	}
 }
 

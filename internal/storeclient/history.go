@@ -33,10 +33,6 @@ type History struct {
 	// synchronously per Save.
 	buf *ReportBuffer
 
-	// onLocalAnswer observes each load answered from the local mirror
-	// instead of the server (WithLocalAnswerHook); may be nil.
-	onLocalAnswer func(k arcs.HistoryKey)
-
 	mu           sync.Mutex
 	local        *arcs.MemHistory // this process's own results; guarded by mu
 	localAnswers uint64           // loads answered locally; guarded by mu
@@ -58,16 +54,6 @@ func WithTimeout(d time.Duration) HistoryOption { return func(h *History) { h.ti
 // trip. Callers must Flush before shutdown to push the tail.
 func WithReportBatching(n int) HistoryOption {
 	return func(h *History) { h.buf = NewReportBuffer(h.c, n) }
-}
-
-// WithLocalAnswerHook observes every load the adapter answers from its
-// local mirror instead of the server — each call means the remote
-// lookup failed or missed, which is the degradation signal dashboards
-// (and arcsload) want as a stream, not just the LocalAnswers total. The
-// hook runs outside the adapter's lock and must not call back into the
-// History.
-func WithLocalAnswerHook(hook func(k arcs.HistoryKey)) HistoryOption {
-	return func(h *History) { h.onLocalAnswer = hook }
 }
 
 // NewHistory wraps a client as a History.
@@ -138,9 +124,6 @@ func (h *History) Load(k arcs.HistoryKey) (arcs.ConfigValues, bool) {
 		h.localAnswers++
 	}
 	h.mu.Unlock()
-	if ok && h.onLocalAnswer != nil {
-		h.onLocalAnswer(k)
-	}
 	return cfg, ok
 }
 
@@ -163,9 +146,6 @@ func (h *History) LoadNearest(k arcs.HistoryKey) (arcs.ConfigValues, float64, bo
 		h.localAnswers++
 	}
 	h.mu.Unlock()
-	if ok && h.onLocalAnswer != nil {
-		h.onLocalAnswer(k)
-	}
 	return cfg, dist, ok
 }
 

@@ -96,7 +96,7 @@ func TestRetryOn429WithRetryAfter(t *testing.T) {
 
 func TestBreakerStateMachine(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newBreaker(2, time.Minute, func() time.Time { return now }, nil)
+	b := newBreaker(2, time.Minute, func() time.Time { return now })
 	if !b.allow() {
 		t.Fatal("fresh breaker rejected a request")
 	}
@@ -113,7 +113,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Success resets the consecutive-failure count while closed.
-	b2 := newBreaker(2, time.Minute, func() time.Time { return now }, nil)
+	b2 := newBreaker(2, time.Minute, func() time.Time { return now })
 	b2.record(false)
 	b2.record(true)
 	b2.record(false)

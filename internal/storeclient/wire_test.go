@@ -131,7 +131,7 @@ func TestPeerRPCsWithoutOptions(t *testing.T) {
 		for _, e := range d.Entries {
 			digested[e.Key] = e.Version
 		}
-		entries, err := c.TransferRange(ctx, shard, other, fl.Epoch())
+		entries, err := c.TransferRange(ctx, shard, other, fl.View().Epoch())
 		if err != nil {
 			t.Fatalf("TransferRange(%d): %v", shard, err)
 		}
@@ -146,8 +146,8 @@ func TestPeerRPCsWithoutOptions(t *testing.T) {
 		t.Fatalf("transfer = %v, want both entries", transferred)
 	}
 	var mismatch *fleet.EpochMismatchError
-	if _, err := c.TransferRange(ctx, 0, other, fl.Epoch()+9); !errors.As(err, &mismatch) || mismatch.Current.Epoch != fl.Epoch() {
-		t.Fatalf("stale-epoch transfer error = %v, want EpochMismatchError at epoch %d", err, fl.Epoch())
+	if _, err := c.TransferRange(ctx, 0, other, fl.View().Epoch()+9); !errors.As(err, &mismatch) || mismatch.Current.Epoch != fl.View().Epoch() {
+		t.Fatalf("stale-epoch transfer error = %v, want EpochMismatchError at epoch %d", err, fl.View().Epoch())
 	}
 
 	pushed := codec.MemberList{Epoch: 5, Nodes: []string{self, other, "http://127.0.0.1:2"}}
@@ -155,8 +155,8 @@ func TestPeerRPCsWithoutOptions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PushMembership: %v", err)
 	}
-	if got.Epoch != 5 || len(got.Nodes) != 3 || fl.Epoch() != 5 {
-		t.Fatalf("membership after push = %+v (fleet epoch %d), want epoch 5 with 3 nodes", got, fl.Epoch())
+	if got.Epoch != 5 || len(got.Nodes) != 3 || fl.View().Epoch() != 5 {
+		t.Fatalf("membership after push = %+v (fleet epoch %d), want epoch 5 with 3 nodes", got, fl.View().Epoch())
 	}
 	// Two acks, 2*NumShards digest and transfer frames; the 409 and the
 	// membership answer are JSON.
