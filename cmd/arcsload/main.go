@@ -1,6 +1,7 @@
 // Command arcsload is a chaos-driven load generator for an arcsd fleet:
-// it hammers the cluster with reports and lookups through the
-// fleet-aware client (internal/storeclient.Fleet), optionally injecting
+// it spreads reports across the members round-robin (any member routes a
+// report to its key's owners), fails over to the next member when one
+// does not acknowledge, optionally injecting
 // transport faults (internal/faults) from a pinned seed, and then
 // verifies the durability contract the fleet advertises — every
 // acknowledged best survives, replicas converge to byte-identical
@@ -25,11 +26,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
 	"time"
 
+	"arcs/internal/codec"
 	arcs "arcs/internal/core"
 	"arcs/internal/faults"
 	"arcs/internal/fleet"
@@ -109,32 +112,25 @@ type result struct {
 	AckedBest map[string]acked // canonical key -> best acknowledged
 }
 
-// newFleetClient builds the fleet-aware client; inj, when non-nil,
+// clientOpts are the per-member client options; inj, when non-nil,
 // wraps the transport with fault injection.
-func newFleetClient(cfg loadCfg, inj *faults.Injector) (*storeclient.Fleet, error) {
-	nodes := cfg.members()
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("-peers is required")
+func clientOpts(cfg loadCfg, inj *faults.Injector) []storeclient.Option {
+	hc := &http.Client{Timeout: cfg.timeout}
+	if inj != nil {
+		hc.Transport = faults.NewTransport(inj, nil)
 	}
-	opts := []storeclient.Option{
+	return []storeclient.Option{
 		storeclient.WithRetries(1),
 		storeclient.WithJitterSeed(cfg.seed),
+		storeclient.WithHTTPClient(hc),
 	}
-	if inj != nil {
-		opts = append(opts, storeclient.WithHTTPClient(&http.Client{
-			Transport: faults.NewTransport(inj, nil),
-			Timeout:   cfg.timeout,
-		}))
-	} else {
-		opts = append(opts, storeclient.WithHTTPClient(&http.Client{Timeout: cfg.timeout}))
-	}
-	return storeclient.NewFleet(nodes, cfg.replicas, opts...)
 }
 
-// run drives the load: seeded synthetic reports routed through the
-// fleet client, best acknowledged perf tracked per key. Only an
-// acknowledged report enters AckedBest — an error means the fleet never
-// took responsibility, so verify must not demand the record back.
+// run drives the load: seeded synthetic reports, report i sent to
+// member i mod n and failed over through the rest, best acknowledged
+// perf tracked per key. Only an acknowledged report enters AckedBest —
+// an error from every member means the fleet never took responsibility,
+// so verify must not demand the record back.
 func run(ctx context.Context, cfg loadCfg, logger *log.Logger) (*result, error) {
 	if cfg.reports <= 0 || cfg.keys <= 0 {
 		return nil, fmt.Errorf("-reports and -keys must be positive")
@@ -148,9 +144,13 @@ func run(ctx context.Context, cfg loadCfg, logger *log.Logger) (*result, error) 
 		inj.Add(faults.Rule{Op: faults.OpHTTP, Kind: faults.Status5xx, Prob: cfg.chaos / 2})
 		inj.Add(faults.Rule{Op: faults.OpHTTP, Kind: faults.Latency, Prob: cfg.chaos, Latency: 5 * time.Millisecond})
 	}
-	fc, err := newFleetClient(cfg, inj)
-	if err != nil {
-		return nil, err
+	nodes := cfg.members()
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("-peers is required")
+	}
+	clients := make([]*storeclient.Client, len(nodes))
+	for i, n := range nodes {
+		clients[i] = storeclient.New(n, clientOpts(cfg, inj)...)
 	}
 	wl := newWorkload(cfg.seed, cfg.keys)
 	res := &result{AckedBest: make(map[string]acked)}
@@ -160,10 +160,7 @@ func run(ctx context.Context, cfg loadCfg, logger *log.Logger) (*result, error) 
 		}
 		k, c, perf := wl.next()
 		res.Sent++
-		rctx, cancel := context.WithTimeout(ctx, cfg.timeout)
-		err := fc.Report(rctx, k, c, perf)
-		cancel()
-		if err != nil {
+		if !report(ctx, cfg, clients, i, k, c, perf, &res.Failovers) {
 			continue // unacked: the fleet owes us nothing for this one
 		}
 		res.Acked++
@@ -172,7 +169,6 @@ func run(ctx context.Context, cfg loadCfg, logger *log.Logger) (*result, error) 
 			res.AckedBest[ck] = acked{Key: k, Cfg: c, Perf: perf}
 		}
 	}
-	res.Failovers = fc.Failovers()
 	if inj != nil {
 		res.Injected = inj.Injected(faults.OpHTTP)
 		logger.Printf("chaos: %s", inj)
@@ -180,9 +176,31 @@ func run(ctx context.Context, cfg loadCfg, logger *log.Logger) (*result, error) 
 	return res, nil
 }
 
+// report sends one report to clients[start mod n], then to each later
+// member in turn until one acknowledges, counting every skip past a
+// member that did not as a failover. It reports whether any member
+// acknowledged.
+func report(ctx context.Context, cfg loadCfg, clients []*storeclient.Client, start int, k arcs.HistoryKey, c arcs.ConfigValues, perf float64, failovers *uint64) bool {
+	for j := range clients {
+		if j > 0 {
+			*failovers++
+		}
+		rctx, cancel := context.WithTimeout(ctx, cfg.timeout)
+		err := clients[(start+j)%len(clients)].Report(rctx, k, c, perf)
+		cancel()
+		if err == nil {
+			return true
+		}
+		if ctx.Err() != nil {
+			return false
+		}
+	}
+	return false
+}
+
 // verify polls the fleet until every check passes or the settle budget
-// runs out (the last error is returned). Each round first refreshes the
-// client's membership from the live fleet, so a join or decommission
+// runs out (the last error is returned). Each round first refreshes its
+// membership view from the live fleet (refresh), so a join or decommission
 // that happened mid-run is verified under the ring the fleet actually
 // converged to — not the member list the command line was started with.
 // The checks, per polling round:
@@ -194,7 +212,17 @@ func run(ctx context.Context, cfg loadCfg, logger *log.Logger) (*result, error) 
 //  3. Warm reads: a /v1/config lookup answered locally by any owner
 //     (forwarded flag set, so no proxying) returns the primary's winner.
 func verify(ctx context.Context, cfg loadCfg, res *result, logger *log.Logger) error {
-	fc, err := newFleetClient(cfg, nil)
+	seeds := cfg.members()
+	clients := make(map[string]*storeclient.Client)
+	client := func(n string) (*storeclient.Client, error) {
+		c := clients[n]
+		if c == nil {
+			c = storeclient.New(n, clientOpts(cfg, nil)...)
+			clients[n] = c
+		}
+		return c, nil
+	}
+	views, err := fleet.NewViews(codec.MemberList{Nodes: seeds}, cfg.replicas, client)
 	if err != nil {
 		return err
 	}
@@ -204,7 +232,7 @@ func verify(ctx context.Context, cfg loadCfg, res *result, logger *log.Logger) e
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if v, err := fc.Refresh(ctx); err != nil {
+		if v, err := refresh(ctx, cfg, seeds, views, client); err != nil {
 			lastErr = fmt.Errorf("refresh membership: %w", err)
 		} else if lastErr = verifyOnce(ctx, cfg, v, res); lastErr == nil {
 			logger.Printf("verify: round %d clean (%d keys)", round, len(res.AckedBest))
@@ -215,6 +243,41 @@ func verify(ctx context.Context, cfg loadCfg, res *result, logger *log.Logger) e
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
+}
+
+// refresh pings the command-line members and the current view's
+// members, offers every member list they answer with to views (Adopt
+// keeps only a superseding one), and returns the view now in effect. A
+// standalone daemon answers epoch 0 and offers nothing.
+func refresh(ctx context.Context, cfg loadCfg, seeds []string, views *fleet.Views[*storeclient.Client], client func(string) (*storeclient.Client, error)) (*fleet.View[*storeclient.Client], error) {
+	names := append(slices.Clone(seeds), views.View().Peers()...)
+	slices.Sort(names)
+	var lastErr error
+	answered := false
+	for _, n := range slices.Compact(names) {
+		c, _ := client(n)
+		rctx, cancel := context.WithTimeout(ctx, cfg.timeout)
+		m, err := c.Ping(rctx)
+		cancel()
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			lastErr = err
+			continue
+		}
+		answered = true
+		if m.Epoch == 0 || len(m.Nodes) == 0 {
+			continue
+		}
+		if _, _, err := views.Adopt(m, nil); err != nil {
+			return nil, fmt.Errorf("adopt membership from %s: %w", n, err)
+		}
+	}
+	if !answered {
+		return nil, lastErr
+	}
+	return views.View(), nil
 }
 
 func verifyOnce(ctx context.Context, cfg loadCfg, v *fleet.View[*storeclient.Client], res *result) error {

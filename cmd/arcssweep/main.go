@@ -19,7 +19,7 @@ import (
 
 	"arcs/internal/cli"
 	arcs "arcs/internal/core"
-	"arcs/internal/ompt"
+	"arcs/internal/omp"
 	"arcs/internal/sim"
 )
 
@@ -85,7 +85,7 @@ func run(w io.Writer, appName, workload, archName string, capW float64, top int,
 	}
 
 	for _, spec := range app.Regions {
-		def := sim.Config{Threads: arch.HWThreads(), Sched: sim.SchedStatic, Chunk: 0}
+		def := omp.Resolve(arch, omp.ICV{})
 		defRes, err := mach.ProbeLoop(spec.Model, def)
 		if err != nil {
 			return err
@@ -94,7 +94,7 @@ func run(w io.Writer, appName, workload, archName string, capW float64, top int,
 		for _, th := range space.Threads {
 			for _, sk := range space.Schedules {
 				for _, ch := range space.Chunks {
-					cfg := toSimConfig(arch, th, sk, ch)
+					cfg := omp.Resolve(arch, omp.ICV{NumThreads: th, Schedule: sk, Chunk: ch})
 					res, err := mach.ProbeLoop(spec.Model, cfg)
 					if err != nil {
 						return err
@@ -130,22 +130,4 @@ func run(w io.Writer, appName, workload, archName string, capW float64, top int,
 		}
 	}
 	return nil
-}
-
-// toSimConfig resolves search-space values (0 = default) into a concrete
-// simulator configuration, mirroring the omp runtime's defaulting rules.
-func toSimConfig(arch *sim.Arch, threads int, kind ompt.ScheduleKind, chunk int) sim.Config {
-	if threads == 0 {
-		threads = arch.HWThreads()
-	}
-	var sched sim.Schedule
-	switch kind {
-	case ompt.ScheduleDynamic:
-		sched = sim.SchedDynamic
-	case ompt.ScheduleGuided:
-		sched = sim.SchedGuided
-	default:
-		sched = sim.SchedStatic
-	}
-	return sim.Config{Threads: threads, Sched: sched, Chunk: chunk}
 }

@@ -6,6 +6,7 @@ import (
 
 	arcs "arcs/internal/core"
 	"arcs/internal/kernels"
+	"arcs/internal/omp"
 	"arcs/internal/sim"
 )
 
@@ -52,12 +53,14 @@ func FeatureComparison(arch *sim.Arch, app *kernels.App, capW float64, regions [
 		if !ok {
 			return nil, fmt.Errorf("bench: no tuned configuration for region %q", name)
 		}
-		defCfg := sim.Config{Threads: arch.HWThreads(), Sched: sim.SchedStatic, Chunk: 0}
+		defCfg := omp.Resolve(arch, omp.ICV{})
 		defRes, err := mach.ProbeLoop(rs.Model, defCfg)
 		if err != nil {
 			return nil, err
 		}
-		tunedCfg := resolveConfig(arch, cfgVals.Threads, cfgVals.Schedule, cfgVals.Chunk)
+		tunedCfg := omp.Resolve(arch, omp.ICV{
+			NumThreads: cfgVals.Threads, Schedule: cfgVals.Schedule, Chunk: cfgVals.Chunk, Bind: cfgVals.Bind,
+		})
 		tunedRes, err := mach.ProbeLoop(rs.Model, tunedCfg)
 		if err != nil {
 			return nil, err

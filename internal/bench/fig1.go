@@ -6,7 +6,7 @@ import (
 
 	arcs "arcs/internal/core"
 	"arcs/internal/kernels"
-	"arcs/internal/ompt"
+	"arcs/internal/omp"
 	"arcs/internal/sim"
 )
 
@@ -69,7 +69,7 @@ func Fig1() (*Fig1Result, error) {
 		for _, th := range space.Threads {
 			for _, sk := range space.Schedules {
 				for _, ch := range space.Chunks {
-					cfg := resolveConfig(arch, th, sk, ch)
+					cfg := omp.Resolve(arch, omp.ICV{NumThreads: th, Schedule: sk, Chunk: ch})
 					r, err := mach.ProbeLoop(region.Model, cfg)
 					if err != nil {
 						return err
@@ -120,22 +120,4 @@ func (r *Fig1Result) Print(w io.Writer) {
 		fmt.Fprintf(w, " %12s", "("+b+")")
 	}
 	fmt.Fprintln(w)
-}
-
-// resolveConfig maps search-space values (0 = default) onto a simulator
-// configuration using the runtime's defaulting rules.
-func resolveConfig(arch *sim.Arch, threads int, kind ompt.ScheduleKind, chunk int) sim.Config {
-	if threads == 0 {
-		threads = arch.HWThreads()
-	}
-	var sched sim.Schedule
-	switch kind {
-	case ompt.ScheduleDynamic:
-		sched = sim.SchedDynamic
-	case ompt.ScheduleGuided:
-		sched = sim.SchedGuided
-	default:
-		sched = sim.SchedStatic
-	}
-	return sim.Config{Threads: threads, Sched: sched, Chunk: chunk}
 }

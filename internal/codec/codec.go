@@ -69,12 +69,6 @@ const ContentType = "application/x-arcs-bin"
 // stale or disagreeing ring cannot bounce a request around the fleet.
 const ForwardedHeader = "X-Arcs-Fleet-Forwarded"
 
-// EpochHeader carries the serving node's current membership epoch on
-// every fleet-mode response. Clients compare it against the epoch their
-// ring view was built from and refresh the view on mismatch instead of
-// failing over blindly against a stale member list.
-const EpochHeader = "X-Arcs-Fleet-Epoch"
-
 // Wire types, the low three bits of a field tag.
 const (
 	wtVarint = 0 // unsigned varint

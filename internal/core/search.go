@@ -8,6 +8,7 @@ import (
 
 	"arcs/internal/evalcache"
 	"arcs/internal/harmony"
+	"arcs/internal/omp"
 	"arcs/internal/ompt"
 	"arcs/internal/sim"
 )
@@ -64,6 +65,22 @@ type BatchSearchOptions struct {
 type TransferSeed struct {
 	Cfg  ConfigValues
 	Perf float64
+}
+
+// TransferSeeds turns the neighbours of context k into transfer seeds,
+// in the neighbours' order. A same-workload neighbour's perf is a
+// verifiable promise at a nearby cap; a neighbour of another workload
+// size only donates its configuration (Perf 0).
+func TransferSeeds(k HistoryKey, ns []Neighbor) []TransferSeed {
+	out := make([]TransferSeed, 0, len(ns))
+	for _, n := range ns {
+		perf := 0.0
+		if n.Key.Workload == k.Workload {
+			perf = n.Perf
+		}
+		out = append(out, TransferSeed{Cfg: n.Cfg, Perf: perf})
+	}
+	return out
 }
 
 // BatchSearchResult is one region's search outcome.
@@ -257,7 +274,9 @@ func probeConfig(machines chan *sim.Machine, lm *sim.LoopModel, cfg ConfigValues
 	if err := m.SetUserFreqGHz(cfg.FreqGHz); err != nil {
 		return 0, err
 	}
-	res, err := m.ProbeLoop(lm, cfg.simConfig(m.Arch()))
+	res, err := m.ProbeLoop(lm, omp.Resolve(m.Arch(), omp.ICV{
+		NumThreads: cfg.Threads, Schedule: cfg.Schedule, Chunk: cfg.Chunk, Bind: cfg.Bind,
+	}))
 	if err != nil {
 		return 0, err
 	}
@@ -267,29 +286,6 @@ func probeConfig(machines chan *sim.Machine, lm *sim.LoopModel, cfg ConfigValues
 		AvgPowerW:   res.AvgPowerW,
 		DRAMEnergyJ: res.DRAMEnergyJ,
 	})
-}
-
-// simConfig maps decoded values to a simulator configuration, mirroring
-// the omp runtime's ICV resolution (omp.Runtime.resolve).
-func (c ConfigValues) simConfig(arch *sim.Arch) sim.Config {
-	t := c.Threads
-	if t == 0 {
-		t = arch.HWThreads()
-	}
-	var sched sim.Schedule
-	switch c.Schedule {
-	case ompt.ScheduleDynamic:
-		sched = sim.SchedDynamic
-	case ompt.ScheduleGuided:
-		sched = sim.SchedGuided
-	default: // static and default
-		sched = sim.SchedStatic
-	}
-	bind := sim.BindSpread
-	if c.Bind == ompt.BindClose {
-		bind = sim.BindClose
-	}
-	return sim.Config{Threads: t, Sched: sched, Chunk: c.Chunk, Bind: bind}
 }
 
 // cacheConfigKey renders a configuration's canonical cache-key form. It is

@@ -448,17 +448,10 @@ func (t *Tuner) warmLookup(name string, rs *regionState) {
 	// just the single nearest cap: the model learns from all of them.
 	if t.resolvedAlgo() == AlgoSurrogate {
 		if nh, ok := t.opts.History.(NeighborHistory); ok {
-			for _, n := range nh.LoadNeighbors(k, DefaultTransferSeeds) {
-				if p, enc := t.opts.Space.Encode(n.Cfg); enc {
+			for _, sd := range TransferSeeds(k, nh.LoadNeighbors(k, DefaultTransferSeeds)) {
+				if p, enc := t.opts.Space.Encode(sd.Cfg); enc {
 					rs.seedPts = append(rs.seedPts, p)
-					// A same-workload neighbour's perf is a comparable
-					// promise the search can verify in one probe; another
-					// workload size is only a shape hint.
-					perf := 0.0
-					if n.Key.Workload == k.Workload {
-						perf = n.Perf
-					}
-					rs.seedPerfs = append(rs.seedPerfs, perf)
+					rs.seedPerfs = append(rs.seedPerfs, sd.Perf)
 				}
 			}
 			if len(rs.seedPts) > 0 {

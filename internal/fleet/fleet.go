@@ -24,7 +24,7 @@ const (
 // Peer is the fleet's view of one remote arcsd: the intra-fleet RPCs.
 // *storeclient.Client satisfies it. The interface lives here (and
 // names only store/codec/context types) so fleet does not import
-// storeclient — storeclient imports fleet for the ring.
+// storeclient — storeclient imports fleet for EpochMismatchError.
 type Peer interface {
 	// MergeEntries replicates already-versioned entries owner-to-owner
 	// (POST /v1/merge, applied under store.Supersedes).
@@ -507,11 +507,8 @@ func (f *Fleet) sweep(ctx context.Context) {
 				de, ok := remote[ck]
 				if containsNode(ownerBuf, f.self) {
 					// Owner-to-owner: repair when the peer is missing the
-					// key, behind on version, or divergent at the same
-					// version (different perf or config — both sides push,
-					// Supersedes picks the same winner on each).
-					//arcslint:ignore floatcmp exact divergence detection; any bit difference is divergence
-					if !ok || e.Version > de.Version || (e.Version == de.Version && (e.Perf != de.Perf || codec.ConfigChecksum(&e.Cfg) != de.CfgSum)) {
+					// key or its entry loses to ours under the merge order.
+					if !ok || store.SupersedesDigest(e, de) {
 						mergePush = append(mergePush, e)
 					}
 					continue

@@ -519,6 +519,31 @@ func TestSweepConvergesEqualVersionDivergence(t *testing.T) {
 	}
 }
 
+// TestSweepKeepsBestAtLowerVersion: an owner that missed updates
+// authors the better result at the lower version. Anti-entropy must
+// converge both owners on that acknowledged best, not on the other
+// owner's worse entry at the higher version.
+func TestSweepKeepsBestAtLowerVersion(t *testing.T) {
+	c := newCluster(t, 3, 2)
+	ctx := context.Background()
+	k := testKey("lagging", 70)
+	owners := c.ownersOf(k)
+	ahead, lagging := c.stores[owners[0]], c.stores[owners[1]]
+	ahead.Save(k, arcs.ConfigValues{Threads: 4}, 2.0) // version 1
+	e, _ := ahead.Get(k)
+	lagging.Merge(e)
+	ahead.Save(k, arcs.ConfigValues{Threads: 8}, 1.9)
+	ahead.Save(k, arcs.ConfigValues{Threads: 16}, 1.67)   // version 3
+	lagging.Save(k, arcs.ConfigValues{Threads: 32}, 1.38) // version 2, acknowledged
+	c.tickAll(ctx, 2)
+	want := store.Entry{Key: k, Cfg: arcs.ConfigValues{Threads: 32}, Perf: 1.38, Version: 2}
+	for _, o := range owners {
+		if got, _ := c.stores[o].Get(k); got != want {
+			t.Errorf("owner %s holds %+v after Tick, want the acknowledged best %+v", o, got, want)
+		}
+	}
+}
+
 // TestIngestForwardedNeverBounces: a forwarded report is applied
 // locally even by a non-owner and never re-forwarded.
 func TestIngestForwardedNeverBounces(t *testing.T) {
@@ -572,7 +597,7 @@ func TestHandoffOverflowDrops(t *testing.T) {
 }
 
 // BenchmarkFleetRoute measures routing on the serving path: the ring's
-// owner walk (ring) and a 3-node View's full failover order (view).
+// owner walk (ring) and a 3-node View's owner walk (view).
 // Both must stay allocation-free (append-style into a stack buffer) —
 // the CI perf gate enforces 0 allocs/op.
 func BenchmarkFleetRoute(b *testing.B) {
@@ -606,9 +631,9 @@ func BenchmarkFleetRoute(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			route := v.Route(keys[i%len(keys)], stack[:0])
-			if len(route) != 3 {
-				b.Fatal("bad route length")
+			owners := v.Owners(keys[i%len(keys)], stack[:0])
+			if len(owners) != DefaultReplicas {
+				b.Fatal("bad owner count")
 			}
 		}
 	})

@@ -22,7 +22,7 @@ import (
 //     epoch, so raced changes converge within a round per conflict.
 //
 // A member applies a superseding list atomically through Views.Adopt,
-// the one swap point server and client share: it builds the new View
+// the one swap point: it builds the new View
 // (ring and handles), reconciles the hinted-handoff queues with the new
 // peer set, forgets detector state for removed members, and swaps the
 // view in. Requests in flight finish against the view they started

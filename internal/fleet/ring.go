@@ -2,15 +2,15 @@
 // knowledge store. A View is one membership epoch's placement: a
 // deterministic consistent-hash ring over the canonical HistoryKey
 // string that gives every key a primary and R-1 replicas, plus a handle
-// per member. The server engine (Fleet) and the client router
-// (storeclient.Fleet) share it, and Views.Adopt is the one place either
-// swaps in a superseding membership. Writes are accepted by any owner,
-// versioned by the store, and replicated owner-to-owner under
-// store.Supersedes; writes at a non-owner are forwarded to the owners;
-// a down replica's updates wait in a bounded hinted-handoff queue; and
-// a periodic anti-entropy sweep exchanges per-shard digests
-// (codec.KindDigest) to repair whatever both paths missed. See
-// DESIGN.md §12 and §15.
+// per member; Views.Adopt is the one place a superseding membership is
+// swapped in. Clients may send to any member: writes are accepted by
+// any owner, versioned by the store, and replicated owner-to-owner under
+// store.Supersedes (keep-best: lower perf wins, then higher version);
+// writes at a non-owner are forwarded to the owners and lookups at a
+// non-owner are proxied one hop; a down replica's updates wait in a
+// bounded hinted-handoff queue; and a periodic anti-entropy sweep
+// exchanges per-shard digests (codec.KindDigest) to repair whatever
+// both paths missed. See DESIGN.md §12 and §15.
 //
 // Everything in the package is deterministic by contract (enforced by
 // arcslint): placement depends only on the member names, sweep

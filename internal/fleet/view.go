@@ -10,12 +10,12 @@ import (
 // View is one membership epoch's immutable placement: the epoch, the
 // sorted members, the ring at DefaultVNodes, the replica count clamped
 // to the member count, and a handle per member. The server engine holds
-// a View of Peer clients, the client router a View of
-// *storeclient.Client; both compute placement and failover order here,
-// so a server and a client on the same epoch always agree on who owns a
-// key. Operations load a View once and run against it: a membership
-// change swaps in a successor (Views.Adopt), so requests in flight
-// finish under the epoch they started with.
+// a View of Peer clients; arcsload's verifier holds a View of
+// *storeclient.Client to check each key on its owners. Owners is the
+// one placement walk, so every holder on the same epoch agrees on who
+// owns a key. Operations load a View once and run against it: a
+// membership change swaps in a successor (Views.Adopt), so requests in
+// flight finish under the epoch they started with.
 type View[H comparable] struct {
 	epoch    uint64
 	ring     *Ring
@@ -61,25 +61,8 @@ func (v *View[H]) Owners(ck string, dst []string) []string {
 	return v.ring.Owners(ck, v.replicas, dst)
 }
 
-// Route appends a key's owners followed by every other member in sorted
-// order: the one failover order for a key under this view. Each member
-// appears exactly once.
-//
-//arcslint:hotpath backs the 0-allocs/op BenchmarkFleetRoute/view baseline
-func (v *View[H]) Route(ck string, dst []string) []string {
-	base := len(dst)
-	dst = v.ring.Owners(ck, v.replicas, dst)
-	owned := len(dst)
-	for _, n := range v.ring.Nodes() {
-		if !containsNode(dst[base:owned], n) {
-			dst = append(dst, n)
-		}
-	}
-	return dst
-}
-
 // Views holds a fleet's current View. Adopt is the only way a new one
-// is swapped in, on the server engine and the client router alike.
+// is swapped in.
 type Views[H comparable] struct {
 	replicas int                          // configured owners-per-key (pre-clamp)
 	handle   func(name string) (H, error) // builds a new member's handle

@@ -187,14 +187,18 @@ var (
 
 // --- Execution ---
 
-// resolve maps the ICVs onto a simulator configuration.
-func (rt *Runtime) resolve() sim.Config {
-	t := rt.icv.NumThreads
+// Resolve maps ICVs onto a simulator configuration for arch under the
+// runtime's defaulting rules: NumThreads 0 is every hardware thread,
+// the default schedule is static, and the default binding is spread.
+// It is the one ICV resolution rule; tuners and sweeps that probe the
+// simulator directly resolve their configurations through it too.
+func Resolve(arch *sim.Arch, icv ICV) sim.Config {
+	t := icv.NumThreads
 	if t == 0 {
-		t = rt.MaxThreads()
+		t = arch.HWThreads()
 	}
 	var sched sim.Schedule
-	switch rt.icv.Schedule {
+	switch icv.Schedule {
 	case ompt.ScheduleDynamic:
 		sched = sim.SchedDynamic
 	case ompt.ScheduleGuided:
@@ -203,10 +207,10 @@ func (rt *Runtime) resolve() sim.Config {
 		sched = sim.SchedStatic
 	}
 	bind := sim.BindSpread
-	if rt.icv.Bind == ompt.BindClose {
+	if icv.Bind == ompt.BindClose {
 		bind = sim.BindClose
 	}
-	return sim.Config{Threads: t, Sched: sched, Chunk: rt.icv.Chunk, Bind: bind}
+	return sim.Config{Threads: t, Sched: sched, Chunk: icv.Chunk, Bind: bind}
 }
 
 // Run executes the region once under the current ICVs, firing OMPT events
@@ -228,7 +232,7 @@ func (rt *Runtime) Run(r *Region) (ompt.Metrics, error) {
 
 	t0, e0, d0 := rt.mach.Now(), rt.mach.EnergyJ(), rt.mach.DRAMEnergyJ()
 	rt.mach.AccountOverhead(overhead)
-	cfg := rt.resolve()
+	cfg := Resolve(rt.mach.Arch(), rt.icv)
 	res, err := rt.mach.ExecuteLoop(r.model, cfg)
 	if err != nil {
 		return ompt.Metrics{}, fmt.Errorf("omp: region %q: %w", r.info.Name, err)

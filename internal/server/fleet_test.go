@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	"arcs/internal/codec"
@@ -240,47 +241,106 @@ func TestFleetLookupForwarding(t *testing.T) {
 	}
 }
 
-// TestFleetNearestCapProxyKey: a nearest-cap (fallback) lookup answers
-// the stored entry's key, cap distance, config and perf whether it lands
-// on the key's owner, which answers locally, or on a non-owner, which
-// proxies it one hop to the owner.
-func TestFleetNearestCapProxyKey(t *testing.T) {
-	const n = 3
+// liveFleet is an n-member fleet of real servers on loopback listeners,
+// each over its own store, with the members' stores and engines in
+// member-list order.
+type liveFleet struct {
+	names  []string
+	stores []*store.Store
+	fleets []*fleet.Fleet
+}
+
+func newLiveFleet(t *testing.T, n, replicas int) *liveFleet {
+	t.Helper()
+	lf := &liveFleet{}
 	servers := make([]*httptest.Server, n)
-	names := make([]string, n)
 	for i := range servers {
 		servers[i] = httptest.NewUnstartedServer(nil)
-		names[i] = "http://" + servers[i].Listener.Addr().String()
+		lf.names = append(lf.names, "http://"+servers[i].Listener.Addr().String())
 	}
-	stored := store.Entry{
-		Key: arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "x_solve"},
-		Cfg: arcs.ConfigValues{Threads: 12, Chunk: 4}, Perf: 1.75, Version: 2,
-	}
-	var view *fleet.View[fleet.Peer]
 	for i, ts := range servers {
 		st, err := store.Open(t.TempDir(), store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
-		st.Merge(stored) // every replica holds the same entry
 		peers := map[string]*storeclient.Client{}
 		fpeers := map[string]fleet.Peer{}
-		for _, name := range names {
-			if name != names[i] {
+		for _, name := range lf.names {
+			if name != lf.names[i] {
 				peers[name] = storeclient.New(name, storeclient.WithRetries(0))
 				fpeers[name] = peers[name]
 			}
 		}
-		fl, err := fleet.New(fleet.Config{Self: names[i], Nodes: names, Replicas: 1, Store: st, Peers: fpeers})
+		fl, err := fleet.New(fleet.Config{Self: lf.names[i], Nodes: lf.names, Replicas: replicas, Store: st, Peers: fpeers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		view = fl.View()
 		ts.Config.Handler = New(Config{Store: st, Fleet: fl, PeerClient: func(name string) *storeclient.Client { return peers[name] }})
 		ts.Start()
 		t.Cleanup(ts.Close)
+		lf.stores = append(lf.stores, st)
+		lf.fleets = append(lf.fleets, fl)
 	}
+	return lf
+}
+
+// TestFleetReportForwarding checks the server-side write path over
+// HTTP: a /v1/reports batch posted to a member that owns none of its
+// keys is forwarded to the owners, which author one version and
+// replicate it to each other. The ack counts every report, both owners
+// hold each entry at the same version, and the receiver keeps none.
+func TestFleetReportForwarding(t *testing.T) {
+	lf := newLiveFleet(t, 3, 2)
+	receiver, view := lf.names[0], lf.fleets[0].View()
+	var batch []ReportRequest
+	for i := 0; len(batch) < 8; i++ {
+		k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: float64(50 + i%4*10), Region: fmt.Sprintf("r%d", i)}
+		if !slices.Contains(view.Owners(k.String(), nil), receiver) {
+			batch = append(batch, ReportRequest{Key: k, Cfg: arcs.ConfigValues{Threads: 1 + i%16}, Perf: 1 + float64(i%5)})
+		}
+	}
+	if out := postReport(t, receiver, batch); out["saved"] != float64(len(batch)) {
+		t.Fatalf("ack = %v, want saved=%d", out, len(batch))
+	}
+	index := map[string]int{}
+	for i, name := range lf.names {
+		index[name] = i
+	}
+	for _, rep := range batch {
+		if _, ok := lf.stores[0].Get(rep.Key); ok {
+			t.Errorf("receiver holds %v, which it does not own", rep.Key)
+		}
+		var first store.Entry
+		for i, o := range view.Owners(rep.Key.String(), nil) {
+			e, ok := lf.stores[index[o]].Get(rep.Key)
+			if !ok || e.Cfg != rep.Cfg || e.Perf != rep.Perf {
+				t.Fatalf("owner %s holds %+v (ok=%v), want report %+v", o, e, ok, rep)
+			}
+			if i == 0 {
+				first = e
+			} else if e.Version != first.Version {
+				t.Errorf("key %v: owners hold versions %d and %d", rep.Key, first.Version, e.Version)
+			}
+		}
+	}
+}
+
+// TestFleetNearestCapProxyKey: a nearest-cap (fallback) lookup answers
+// the stored entry's key, cap distance, config and perf whether it lands
+// on the key's owner, which answers locally, or on a non-owner, which
+// proxies it one hop to the owner.
+func TestFleetNearestCapProxyKey(t *testing.T) {
+	lf := newLiveFleet(t, 3, 1)
+	names := lf.names
+	stored := store.Entry{
+		Key: arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "x_solve"},
+		Cfg: arcs.ConfigValues{Threads: 12, Chunk: 4}, Perf: 1.75, Version: 2,
+	}
+	for _, st := range lf.stores {
+		st.Merge(stored) // every replica holds the same entry
+	}
+	view := lf.fleets[0].View()
 
 	queried := stored.Key
 	queried.CapW = 80

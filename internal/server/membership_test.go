@@ -46,8 +46,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, MembershipRes
 }
 
 // TestPingEndpoint: the heartbeat answers the member list (standalone:
-// epoch 0, nothing to adopt) and stamps the epoch header fleet-aware
-// clients gossip from.
+// epoch 0, nothing to adopt) and refuses anything but GET.
 func TestPingEndpoint(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -81,9 +80,6 @@ func TestPingEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if mr.Epoch != 1 || len(mr.Nodes) != 2 {
 		t.Fatalf("fleet ping = %+v, want epoch 1 with 2 nodes", mr)
-	}
-	if got := resp.Header.Get(codec.EpochHeader); got != "1" {
-		t.Fatalf("epoch header = %q, want 1", got)
 	}
 
 	if resp, err = http.Post(url+"/v1/ping", "application/json", nil); err != nil {

@@ -92,21 +92,8 @@ func (s SimSearcher) Search(ctx context.Context, req SearchRequest) ([]SearchRes
 			effCap = arch.TDPW
 		}
 		seeds = func(region string) []arcs.TransferSeed {
-			ns := s.Neighbors(arcs.HistoryKey{
-				App: app.Name, Workload: app.Workload, CapW: effCap, Region: region,
-			}, arcs.DefaultTransferSeeds)
-			out := make([]arcs.TransferSeed, 0, len(ns))
-			for _, n := range ns {
-				// A same-workload neighbour's perf is a verifiable promise
-				// at a nearby cap; a different workload size only donates
-				// its configuration.
-				perf := 0.0
-				if n.Key.Workload == app.Workload {
-					perf = n.Perf
-				}
-				out = append(out, arcs.TransferSeed{Cfg: n.Cfg, Perf: perf})
-			}
-			return out
+			k := arcs.HistoryKey{App: app.Name, Workload: app.Workload, CapW: effCap, Region: region}
+			return arcs.TransferSeeds(k, s.Neighbors(k, arcs.DefaultTransferSeeds))
 		}
 	}
 	results, err := arcs.BatchSearch(ctx, arch, regions, arcs.BatchSearchOptions{

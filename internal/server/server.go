@@ -787,16 +787,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		if s.fleet != nil {
-			// Every response advertises the membership epoch, so clients
-			// notice a join/leave from ordinary traffic and refresh their
-			// ring view without polling. Stamped at first write, not here:
-			// a join/leave handler bumps the epoch mid-request and must
-			// advertise the epoch it produced, not the one it started on.
-			sw.beforeWrite = func() {
-				sw.Header().Set(codec.EpochHeader, strconv.FormatUint(s.fleet.View().Epoch(), 10))
-			}
-		}
 		func() {
 			defer func() {
 				if rec := recover(); rec != nil {
@@ -814,25 +804,17 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 
 type statusWriter struct {
 	http.ResponseWriter
-	code        int
-	wrote       bool
-	beforeWrite func() // runs once, before the first header/body write
-}
-
-func (w *statusWriter) start() {
-	if !w.wrote && w.beforeWrite != nil {
-		w.beforeWrite()
-	}
-	w.wrote = true
+	code  int
+	wrote bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
-	w.start()
+	w.wrote = true
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
-	w.start()
+	w.wrote = true
 	return w.ResponseWriter.Write(p)
 }

@@ -78,6 +78,15 @@ func TestMergeIsJoin(t *testing.T) {
 			t.Fatalf("trial %d: %d keys stored, want %d", trial, len(base), len(want))
 		}
 
+		// Keep-best: no merge order loses the best perf offered for a key.
+		for _, got := range base {
+			for _, e := range entries {
+				if e.Key == got.Key && e.Perf < got.Perf {
+					t.Fatalf("trial %d: key %v: merged perf %v, but %v was offered", trial, got.Key, got.Perf, e.Perf)
+				}
+			}
+		}
+
 		// Commutativity/associativity: random reorderings converge
 		// identically.
 		for p := 0; p < 3; p++ {
@@ -126,6 +135,38 @@ func TestCrossMergeConverges(t *testing.T) {
 		ae, be := a.Entries(), b.Entries()
 		if !reflect.DeepEqual(ae, be) {
 			t.Fatalf("trial %d: replicas diverged after bidirectional merge:\n a %+v\n b %+v", trial, ae, be)
+		}
+	}
+}
+
+// TestMergeKeepsBestAtLowerVersion: versions are authored per owner, so
+// an owner that missed updates can author the better result at the
+// lower version. A acknowledges 2.0 (v1), B merges it, A improves twice
+// to 1.67 (v3) while B independently improves to 1.38 (v2). After the
+// replicas cross-merge, both must hold B's acknowledged 1.38.
+func TestMergeKeepsBestAtLowerVersion(t *testing.T) {
+	a := openStore(t, t.TempDir(), Options{})
+	b := openStore(t, t.TempDir(), Options{})
+	k := testKey("r19", 70)
+	a.Save(k, arcs.ConfigValues{Threads: 4}, 2.0)
+	e, _ := a.Get(k)
+	b.Merge(e)
+	a.Save(k, arcs.ConfigValues{Threads: 8}, 1.9)
+	a.Save(k, arcs.ConfigValues{Threads: 16}, 1.67)
+	b.Save(k, arcs.ConfigValues{Threads: 32}, 1.38)
+	if got, _ := b.Get(k); got.Version != 2 {
+		t.Fatalf("B authored version %d, want 2", got.Version)
+	}
+	for _, e := range a.Entries() {
+		b.Merge(e)
+	}
+	for _, e := range b.Entries() {
+		a.Merge(e)
+	}
+	want := Entry{Key: k, Cfg: arcs.ConfigValues{Threads: 32}, Perf: 1.38, Version: 2}
+	for name, s := range map[string]*Store{"A": a, "B": b} {
+		if got, _ := s.Get(k); got != want {
+			t.Errorf("store %s holds %+v after cross-merge, want the acknowledged best %+v", name, got, want)
 		}
 	}
 }
@@ -196,8 +237,8 @@ func TestDigest(t *testing.T) {
 
 // FuzzMergeInterleaving: arbitrary bytes decode into a multiset of
 // entries; applying it forwards, backwards, and deduplicated-last must
-// converge to the same state. This is the LWW invariant under inputs no
-// human thought to write.
+// converge to the same state. This is the join invariant under inputs
+// no human thought to write.
 func FuzzMergeInterleaving(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(bytes.Repeat([]byte{0xff, 0x00}, 12))

@@ -249,27 +249,54 @@ func (s *Store) replayWAL() int {
 }
 
 // Supersedes reports whether e should replace old under the replicated
-// merge order: higher version wins (last-writer-wins on the per-key
-// monotonic version); at equal versions the better (lower) perf wins;
-// at equal perf a deterministic config order breaks the tie. The rule
-// is a total order on entries, which is what makes Merge commutative,
-// associative and idempotent — any interleaving of replicated writes
-// converges every replica to the same single winner (TestMergeIsJoin).
-// Equal entries do not supersede each other, so re-applying a record is
-// a no-op.
+// merge order, which is keep-best: the better (lower) perf wins; at
+// equal perf the higher version wins; at equal version a deterministic
+// config order breaks the tie. Perf comes first because versions are
+// authored independently by each owner: an owner that missed updates
+// can author a better result at a lower version, and a version-first
+// order would throw that acknowledged best away. The rule is a total
+// order on entries, which is what makes Merge commutative, associative
+// and idempotent — any interleaving of replicated writes converges
+// every replica to the same single winner (TestMergeIsJoin). Equal
+// entries do not supersede each other, so re-applying a record is a
+// no-op.
 func Supersedes(e, old Entry) bool {
-	if e.Version != old.Version {
-		return e.Version > old.Version
-	}
-	//arcslint:ignore floatcmp exact tie-break; the merge must be a total order for replica convergence
-	if e.Perf != old.Perf {
-		return e.Perf < old.Perf
+	if c := rank(e.Perf, e.Version, old.Perf, old.Version); c != 0 {
+		return c > 0
 	}
 	return cfgLess(e.Cfg, old.Cfg)
 }
 
+// SupersedesDigest reports whether a replica whose digest row for e's
+// key is de needs e pushed to it: e outranks de under Supersedes's perf
+// and version keys, or ties them with a different config (both sides
+// push, and Supersedes's config order picks the same winner on each).
+func SupersedesDigest(e Entry, de codec.DigestEntry) bool {
+	if c := rank(e.Perf, e.Version, de.Perf, de.Version); c != 0 {
+		return c > 0
+	}
+	return codec.ConfigChecksum(&e.Cfg) != de.CfgSum
+}
+
+// rank compares two entries on the merge order's first two keys: +1
+// when (perf, version) a outranks b — lower perf, then higher version —
+// -1 when b outranks a, 0 on a tie.
+func rank(perfA float64, verA uint64, perfB float64, verB uint64) int {
+	switch {
+	case perfA < perfB:
+		return 1
+	case perfA > perfB:
+		return -1
+	case verA > verB:
+		return 1
+	case verA < verB:
+		return -1
+	}
+	return 0
+}
+
 // cfgLess is an arbitrary but deterministic total order on configs,
-// used only to break exact version+perf ties between divergent replicas.
+// used only to break exact perf+version ties between divergent replicas.
 func cfgLess(a, b arcs.ConfigValues) bool {
 	if a.Threads != b.Threads {
 		return a.Threads < b.Threads
@@ -288,8 +315,8 @@ func cfgLess(a, b arcs.ConfigValues) bool {
 }
 
 // applyReplay merges one replayed record under the Supersedes order:
-// higher version wins; equal versions (duplicated or divergent records)
-// resolve by keep-best perf, then config order.
+// better perf wins, then higher version, then config order, so a
+// duplicated or reordered record never displaces a better one.
 func (s *Store) applyReplay(e Entry) {
 	ck := e.Key.String()
 	sh := s.shard(ck)
@@ -305,8 +332,8 @@ func (s *Store) applyReplay(e Entry) {
 // Merge applies one already-versioned entry — a record replicated from
 // a fleet peer — under the Supersedes order, persisting an accepted
 // merge to the WAL exactly like a Save. Unlike Save it never assigns a
-// version: the entry's author did, and last-writer-wins reconciliation
-// depends on applying that version verbatim. Returns whether the entry
+// version: the entry's author did, and replicas converge byte-identically
+// only if that version is applied verbatim. Returns whether the entry
 // replaced (or created) the stored record. Non-finite perfs are
 // rejected as in Save.
 func (s *Store) Merge(e Entry) bool {

@@ -2,9 +2,10 @@
 // small HTTP client with timeout/retry/backoff, a circuit breaker that
 // stops hammering a dead daemon, a History adapter that lets the ARCS
 // tuner warm-start directly from a served knowledge store (arcsrun
-// -server) and keep answering locally while the daemon is down, and
-// Fleet, which routes across an arcsd fleet by the servers' own
-// fleet.View.
+// -server) and keep answering locally while the daemon is down, and the
+// peer RPCs fleet members use on each other. A client of an arcsd fleet
+// may send to any member: the member forwards reports to the key's
+// owners and proxies lookups one hop, so there is no client-side router.
 package storeclient
 
 import (
@@ -62,12 +63,6 @@ type Client struct {
 	backoff    time.Duration
 	maxBackoff time.Duration
 	br         *breaker
-
-	// epochHook observes the fleet membership epoch (codec.EpochHeader)
-	// stamped on responses; Fleet sets it on the clients it builds to
-	// notice a membership change. It must be fast and must not call back
-	// into the client.
-	epochHook func(epoch uint64)
 
 	// breaker construction parameters, resolved in New after options run.
 	brThreshold int
@@ -440,13 +435,6 @@ func (c *Client) attempt(ctx context.Context, spec reqSpec) error {
 		if err != nil {
 			lastErr = err
 			continue
-		}
-		if c.epochHook != nil {
-			if v := resp.Header.Get(codec.EpochHeader); v != "" {
-				if epoch, perr := strconv.ParseUint(v, 10, 64); perr == nil && epoch > 0 {
-					c.epochHook(epoch)
-				}
-			}
 		}
 		switch {
 		case resp.StatusCode == http.StatusNotFound:
