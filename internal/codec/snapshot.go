@@ -39,23 +39,20 @@ func (enc *Encoder) AppendSnapshot(dst []byte, entries []Entry) []byte {
 	p := enc.payload[:0]
 	p = AppendUvarint(p, snapshotVersion)
 
-	// String table, first-seen order (deterministic given input order).
-	index := make(map[string]uint64, 3*len(entries))
-	var table []string
-	idx := func(s string) uint64 {
-		if i, ok := index[s]; ok {
-			return i
-		}
-		i := uint64(len(table))
-		index[s] = i
-		table = append(table, s)
-		return i
+	// String table, first-seen order (deterministic given input order),
+	// staged in the Encoder's reused buffers as AppendRangeTransfer does,
+	// so a compaction's allocations do not grow with the entry count.
+	if enc.strIndex == nil {
+		enc.strIndex = make(map[string]uint64)
 	}
+	clear(enc.strIndex)
+	enc.strTable = enc.strTable[:0]
 	for i := range entries {
-		idx(entries[i].Key.App)
-		idx(entries[i].Key.Workload)
-		idx(entries[i].Key.Region)
+		enc.intern(entries[i].Key.App)
+		enc.intern(entries[i].Key.Workload)
+		enc.intern(entries[i].Key.Region)
 	}
+	index, table := enc.strIndex, enc.strTable
 	p = AppendUvarint(p, uint64(len(table)))
 	for _, s := range table {
 		p = AppendUvarint(p, uint64(len(s)))

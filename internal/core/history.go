@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -19,24 +20,56 @@ type HistoryKey struct {
 	Region   string  `json:"region"`
 }
 
-// keyFieldEscaper makes the canonical form injective: `|` separates the
-// fields, so a literal `|` (and the escape character itself) inside a
-// field must be escaped or distinct keys would collide.
-var keyFieldEscaper = strings.NewReplacer(`\`, `\\`, `|`, `\|`)
-
-func escapeKeyField(s string) string {
-	if !strings.ContainsAny(s, `|\`) {
-		return s
-	}
-	return keyFieldEscaper.Replace(s)
-}
+// maxCapLen bounds the shortest 'g' form of a float64: sign, 17
+// significant digits, point and a five-character exponent ("e-308").
+const maxCapLen = 24
 
 // String renders the canonical key form used in history files and as the
-// map key of every History implementation. The form is injective: `|`
-// and `\` inside App, Workload or Region are escaped.
+// map key of every History implementation: App|Workload|CapW|Region,
+// with CapW in fmt's %g form. The form is injective: `|` and `\` inside
+// App, Workload or Region are escaped with a `\`. Ring placement,
+// digests and snapshot order all depend on these exact bytes, so the
+// form must never change (FuzzHistoryKeyString pins it to the Sprintf
+// it replaced). It is built in one buffer of exactly its length — the
+// key is retained as a map key by every store, so slack would be paid
+// per entry — and allocates only its result.
 func (k HistoryKey) String() string {
-	return fmt.Sprintf("%s|%s|%g|%s",
-		escapeKeyField(k.App), escapeKeyField(k.Workload), k.CapW, escapeKeyField(k.Region))
+	var num [maxCapLen]byte
+	capW := strconv.AppendFloat(num[:0], k.CapW, 'g', -1, 64)
+	var b strings.Builder
+	b.Grow(escapedLen(k.App) + escapedLen(k.Workload) + len(capW) + escapedLen(k.Region) + 3)
+	writeKeyField(&b, k.App)
+	b.WriteByte('|')
+	writeKeyField(&b, k.Workload)
+	b.WriteByte('|')
+	b.Write(capW)
+	b.WriteByte('|')
+	writeKeyField(&b, k.Region)
+	return b.String()
+}
+
+// escapedLen is the length of s once writeKeyField has escaped it.
+func escapedLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if s[i] == '|' || s[i] == '\\' {
+			n++
+		}
+	}
+	return n
+}
+
+// writeKeyField writes s with a `\` before every `|` and `\`.
+func writeKeyField(b *strings.Builder, s string) {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] == '|' || s[i] == '\\' {
+			b.WriteString(s[start:i])
+			b.WriteByte('\\')
+			start = i // the escaped byte leads the next run
+		}
+	}
+	b.WriteString(s[start:])
 }
 
 // History stores the best configurations found by search runs so that
@@ -194,20 +227,24 @@ func (h *MemHistory) LoadNeighbors(k HistoryKey, max int) []Neighbor {
 // toward the lower cap and then the canonical key string, so every
 // NeighborHistory implementation ranks identically.
 func SortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		switch {
-		case ns[i].Dist < ns[j].Dist:
-			return true
-		case ns[i].Dist > ns[j].Dist:
-			return false
-		case ns[i].Key.CapW < ns[j].Key.CapW:
-			return true
-		case ns[i].Key.CapW > ns[j].Key.CapW:
-			return false
-		default:
-			return ns[i].Key.String() < ns[j].Key.String()
-		}
-	})
+	sort.Slice(ns, func(i, j int) bool { return NeighborLess(&ns[i], &ns[j]) })
+}
+
+// NeighborLess is the SortNeighbors order, for implementations that rank
+// neighbours carried inside their own records.
+func NeighborLess(a, b *Neighbor) bool {
+	switch {
+	case a.Dist < b.Dist:
+		return true
+	case a.Dist > b.Dist:
+		return false
+	case a.Key.CapW < b.Key.CapW:
+		return true
+	case a.Key.CapW > b.Key.CapW:
+		return false
+	default:
+		return a.Key.String() < b.Key.String()
+	}
 }
 
 // Len implements History.

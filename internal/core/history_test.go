@@ -145,3 +145,15 @@ func TestMemHistoryLoadNearest(t *testing.T) {
 		t.Errorf("fallback must not cross contexts")
 	}
 }
+
+// BenchmarkHistoryKeyString is the canonical key build every report,
+// lookup and anti-entropy row pays; it must allocate only its result.
+func BenchmarkHistoryKeyString(b *testing.B) {
+	k := HistoryKey{App: "LULESH", Workload: "30", CapW: 72.5, Region: "CalcHourglassControlForElems"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(k.String()) == 0 {
+			b.Fatal("empty key")
+		}
+	}
+}

@@ -466,6 +466,8 @@ func (f *Fleet) drainHints(ctx context.Context) {
 // sweep runs one push-side anti-entropy round: for every peer (visited
 // in a seed-driven order) and every store shard, fetch the peer's
 // digest and push whatever it is missing, behind on, or divergent on.
+// Shard i names the same contexts on every node (store.NumShards), so
+// the local shard and the peer's digest cover the same keys.
 // Pull is unnecessary — the peer's own sweep pushes the other
 // direction, and the Supersedes total order makes the crossing pushes
 // converge byte-identically.
@@ -546,7 +548,8 @@ func (f *Fleet) sweep(ctx context.Context) {
 	f.mu.Unlock()
 }
 
-// BuildDigest summarises one store shard for the /v1/digest handler.
+// BuildDigest summarises one store shard for the /v1/digest handler,
+// one row per entry in canonical key order (ShardEntries order).
 func BuildDigest(st *store.Store, shard int) codec.Digest {
 	entries := st.ShardEntries(shard)
 	d := codec.Digest{Shard: uint64(shard)}

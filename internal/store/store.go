@@ -28,7 +28,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -54,11 +53,14 @@ const (
 	legacySnapshotName = "snapshot.json"
 
 	// NumShards is the fixed in-process shard count, bounding lock
-	// contention under concurrent serving; keys are distributed by FNV-1a
-	// hash of the canonical form. Exported because the fleet's
+	// contention under concurrent serving. A key's shard is the FNV-1a
+	// hash of its context — App, Workload and Region, not the cap — so
+	// every cap of one context lives in one shard and a nearest-cap
+	// lookup scans only that shard. Exported because the fleet's
 	// anti-entropy sweep walks the store shard by shard (ShardEntries)
 	// and exchanges per-shard digests — every node computes the same
-	// key→shard mapping, so the constant is part of the fleet protocol.
+	// key→shard mapping, so the constant and the mapping are part of the
+	// fleet protocol.
 	NumShards = 16
 
 	// DefaultSnapshotEvery is the number of WAL appends between automatic
@@ -101,7 +103,7 @@ type Options struct {
 
 type shard struct {
 	mu      sync.RWMutex
-	entries map[string]Entry // guarded by mu
+	entries map[string]Entry // keyed by canonical key; guarded by mu
 }
 
 // Store is a concurrent, persistent History. It implements
@@ -174,10 +176,31 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) walPath() string      { return filepath.Join(s.dir, WALName) }
 func (s *Store) snapshotPath() string { return filepath.Join(s.dir, SnapshotBinName) }
 
-func (s *Store) shard(canonicalKey string) *shard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(canonicalKey))
-	return &s.shards[h.Sum32()%NumShards]
+// FNV-1a, 32 bit, written out so the shard hash walks the key's fields
+// in place instead of allocating a joined string.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+func fnvString(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= fnvPrime32
+	}
+	return h
+}
+
+// shard returns the shard of k's context: the FNV-1a hash of App,
+// Workload and Region, each followed by a '|'. The cap is left out on
+// purpose (see NumShards).
+func (s *Store) shard(k arcs.HistoryKey) *shard {
+	h := uint32(fnvOffset32)
+	for _, f := range [...]string{k.App, k.Workload, k.Region} {
+		h = fnvString(h, f)
+		h = (h ^ '|') * fnvPrime32
+	}
+	return &s.shards[h%NumShards]
 }
 
 // replaySnapshot loads the compacted columnar snapshot, ignoring a
@@ -319,7 +342,7 @@ func cfgLess(a, b arcs.ConfigValues) bool {
 // duplicated or reordered record never displaces a better one.
 func (s *Store) applyReplay(e Entry) {
 	ck := e.Key.String()
-	sh := s.shard(ck)
+	sh := s.shard(e.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	old, ok := sh.entries[ck]
@@ -342,7 +365,7 @@ func (s *Store) Merge(e Entry) bool {
 		return false
 	}
 	ck := e.Key.String()
-	sh := s.shard(ck)
+	sh := s.shard(e.Key)
 	sh.mu.Lock()
 	old, ok := sh.entries[ck]
 	if ok && !Supersedes(e, old) {
@@ -365,7 +388,7 @@ func (s *Store) Save(k arcs.HistoryKey, cfg arcs.ConfigValues, perf float64) {
 		return
 	}
 	ck := k.String()
-	sh := s.shard(ck)
+	sh := s.shard(k)
 	sh.mu.Lock()
 	old, ok := sh.entries[ck]
 	if ok && old.Perf <= perf {
@@ -387,7 +410,7 @@ func (s *Store) Load(k arcs.HistoryKey) (arcs.ConfigValues, bool) {
 // Get returns the full stored record for a key.
 func (s *Store) Get(k arcs.HistoryKey) (Entry, bool) {
 	ck := k.String()
-	sh := s.shard(ck)
+	sh := s.shard(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e, ok := sh.entries[ck]
@@ -415,28 +438,32 @@ func (s *Store) LoadNearest(k arcs.HistoryKey) (arcs.ConfigValues, float64, bool
 	return e.Cfg, dist, ok
 }
 
-// GetNearest is LoadNearest returning the full record.
+// GetNearest is LoadNearest returning the full record. Every cap of k's
+// context lives in k's shard, so the scan reads that shard alone. Caps
+// that compare equal (0 and -0) break the tie by canonical key, so the
+// answer never depends on map order.
 func (s *Store) GetNearest(k arcs.HistoryKey) (Entry, float64, bool) {
-	if e, ok := s.Get(k); ok {
+	ck := k.String()
+	sh := s.shard(k)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if e, ok := sh.entries[ck]; ok {
 		return e, 0, true
 	}
 	var best Entry
+	var bestKey string
 	bestDist := math.Inf(1)
 	found := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			if e.Key.App != k.App || e.Key.Workload != k.Workload || e.Key.Region != k.Region {
-				continue
-			}
-			d := math.Abs(e.Key.CapW - k.CapW)
-			//arcslint:ignore floatcmp exact tie-break between identically computed distances
-			if d < bestDist || (d == bestDist && e.Key.CapW < best.Key.CapW) {
-				best, bestDist, found = e, d, true
-			}
+	for ek, e := range sh.entries {
+		if e.Key.App != k.App || e.Key.Workload != k.Workload || e.Key.Region != k.Region {
+			continue
 		}
-		sh.mu.RUnlock()
+		d := math.Abs(e.Key.CapW - k.CapW)
+		//arcslint:ignore floatcmp exact tie-breaks between identically computed distances and stored caps
+		tie := d == bestDist && (e.Key.CapW < best.Key.CapW || (e.Key.CapW == best.Key.CapW && ek < bestKey))
+		if d < bestDist || tie {
+			best, bestKey, bestDist, found = e, ek, d, true
+		}
 	}
 	if !found {
 		return Entry{}, 0, false
@@ -461,26 +488,30 @@ func (s *Store) Neighbors(k arcs.HistoryKey, max int) []Neighbor {
 	if max <= 0 {
 		return nil
 	}
-	var ns []arcs.Neighbor
-	byKey := make(map[string]Entry)
+	// Each candidate carries its stored entry beside the ranked view, so
+	// the survivors need no lookup after the sort.
+	type candidate struct {
+		n arcs.Neighbor
+		e Entry
+	}
+	var cs []candidate
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for ck, e := range sh.entries {
+		for _, e := range sh.entries {
 			if d, ok := arcs.NeighborDistance(k, e.Key); ok {
-				ns = append(ns, arcs.Neighbor{Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Dist: d})
-				byKey[ck] = e
+				cs = append(cs, candidate{arcs.Neighbor{Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Dist: d}, e})
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	arcs.SortNeighbors(ns)
-	if len(ns) > max {
-		ns = ns[:max]
+	sort.Slice(cs, func(i, j int) bool { return arcs.NeighborLess(&cs[i].n, &cs[j].n) })
+	if len(cs) > max {
+		cs = cs[:max]
 	}
-	out := make([]Neighbor, len(ns))
-	for i, n := range ns {
-		out[i] = Neighbor{Entry: byKey[n.Key.String()], Dist: n.Dist}
+	out := make([]Neighbor, len(cs))
+	for i, c := range cs {
+		out[i] = Neighbor{Entry: c.e, Dist: c.n.Dist}
 	}
 	return out
 }
@@ -498,56 +529,62 @@ func (s *Store) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 // Entries returns every stored record sorted by canonical key
 // (deterministic dumps and snapshots).
 func (s *Store) Entries() []Entry {
-	var out []Entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			out = append(out, e)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
-	return out
+	return sortedCopy(s.shards[:], func(e Entry) Entry { return e })
 }
 
 // ShardEntries returns the records of one in-process shard, sorted by
 // canonical key. The fleet's anti-entropy sweep walks the store shard
 // by shard so a digest exchange touches one shard lock at a time; every
-// node computes the same key→shard mapping (FNV-1a mod NumShards), so
-// shard i here summarises exactly the keys a peer's shard i holds.
+// node computes the same key→shard mapping (FNV-1a of the context, mod
+// NumShards), so shard i here summarises exactly the keys a peer's
+// shard i holds, and all caps of one context travel in one digest.
 // Indexes outside [0, NumShards) return nil.
 func (s *Store) ShardEntries(i int) []Entry {
 	if i < 0 || i >= NumShards {
 		return nil
 	}
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	out := make([]Entry, 0, len(sh.entries))
-	for _, e := range sh.entries {
-		out = append(out, e)
-	}
-	sh.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
-	return out
+	return sortedCopy(s.shards[i:i+1], func(e Entry) Entry { return e })
 }
 
-// Digest returns the per-key versions of every stored record, keyed by
-// canonical key string. It is the cheap summary anti-entropy starts
-// from (and a convenient standalone view for /v1/dump consumers):
-// comparing two stores' Digests finds every key where one side is
-// missing or behind without shipping any configs.
-func (s *Store) Digest() map[string]uint64 {
-	out := make(map[string]uint64, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
+// sortedCopy copies the records of shards into one slice of E, sorted
+// by canonical key. It sorts on the map keys the shards already hold —
+// the canonical strings — rather than re-deriving a key per comparison,
+// and makes one copy of the table: a key slice beside the entry slice,
+// each allocated once at its final size. Each shard is read under its
+// own lock; a write landing mid-walk is either in the copy or not, as
+// with any snapshot of a live store.
+func sortedCopy[E any](shards []shard, conv func(Entry) E) []E {
+	n := 0
+	for i := range shards {
+		shards[i].mu.RLock()
+		n += len(shards[i].entries)
+		shards[i].mu.RUnlock()
+	}
+	t := keyed[E]{keys: make([]string, 0, n), ents: make([]E, 0, n)}
+	for i := range shards {
+		sh := &shards[i]
 		sh.mu.RLock()
 		for ck, e := range sh.entries {
-			out[ck] = e.Version
+			t.keys = append(t.keys, ck)
+			t.ents = append(t.ents, conv(e))
 		}
 		sh.mu.RUnlock()
 	}
-	return out
+	sort.Sort(&t)
+	return t.ents
+}
+
+// keyed sorts a table copy by the canonical keys collected beside it.
+type keyed[E any] struct {
+	keys []string
+	ents []E
+}
+
+func (t *keyed[E]) Len() int           { return len(t.keys) }
+func (t *keyed[E]) Less(i, j int) bool { return t.keys[i] < t.keys[j] }
+func (t *keyed[E]) Swap(i, j int) {
+	t.keys[i], t.keys[j] = t.keys[j], t.keys[i]
+	t.ents[i], t.ents[j] = t.ents[j], t.ents[i]
 }
 
 // appendWAL serialises one accepted update as a single CRC-framed
@@ -619,11 +656,7 @@ func (s *Store) Snapshot() error {
 //
 //arcslint:locked walMu
 func (s *Store) snapshotLocked() error {
-	entries := s.Entries()
-	ces := make([]codec.Entry, len(entries))
-	for i, e := range entries {
-		ces[i] = codec.Entry(e)
-	}
+	ces := sortedCopy(s.shards[:], func(e Entry) codec.Entry { return codec.Entry(e) })
 	data := s.enc.AppendSnapshot(nil, ces)
 	tmp := s.snapshotPath() + ".tmp"
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
