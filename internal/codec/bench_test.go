@@ -1,7 +1,9 @@
 // Benchmarks backing the wire-format claims: the binary codec must beat
 // the JSON path by ≥5× on encode/decode throughput at 0 allocs/op.
 // These (and their allocs/op in particular) are enforced by the CI perf
-// gate against bench_baseline.json — see .github/workflows/ci.yml.
+// gate against bench_baseline.json — see .github/workflows/ci.yml. The
+// JSON rows time only paths a JSON endpoint still runs: /v1/dump
+// encodes entries and storeclient.Dump decodes them.
 package codec
 
 import (
@@ -19,14 +21,6 @@ var benchEntry = Entry{
 	Cfg:     arcs.ConfigValues{Threads: 16, Schedule: ompt.ScheduleGuided, Chunk: 8, FreqGHz: 2.4, Bind: ompt.BindSpread},
 	Perf:    1.2345,
 	Version: 17,
-}
-
-// jsonEntry is the shape the pre-binary WAL and wire used.
-type jsonEntry struct {
-	Key     arcs.HistoryKey   `json:"key"`
-	Cfg     arcs.ConfigValues `json:"config"`
-	Perf    float64           `json:"perf"`
-	Version uint64            `json:"version"`
 }
 
 func BenchmarkCodecEncodeEntry(b *testing.B) {
@@ -64,8 +58,7 @@ func BenchmarkCodecDecodeEntry(b *testing.B) {
 }
 
 func BenchmarkJSONEncodeEntry(b *testing.B) {
-	je := jsonEntry(benchEntry)
-	data, err := json.Marshal(je)
+	data, err := json.Marshal(benchEntry)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -73,21 +66,21 @@ func BenchmarkJSONEncodeEntry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(je); err != nil {
+		if _, err := json.Marshal(benchEntry); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkJSONDecodeEntry(b *testing.B) {
-	data, err := json.Marshal(jsonEntry(benchEntry))
+	data, err := json.Marshal(benchEntry)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	var e jsonEntry
+	var e Entry
 	for i := 0; i < b.N; i++ {
 		if err := json.Unmarshal(data, &e); err != nil {
 			b.Fatal(err)
@@ -139,31 +132,6 @@ func BenchmarkCodecDecodeReportBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkJSONEncodeReportBatch(b *testing.B) {
-	type jsonReport struct {
-		Key  arcs.HistoryKey   `json:"key"`
-		Cfg  arcs.ConfigValues `json:"config"`
-		Perf float64           `json:"perf"`
-	}
-	reports := benchReports(64)
-	jr := make([]jsonReport, len(reports))
-	for i, r := range reports {
-		jr[i] = jsonReport(r)
-	}
-	data, err := json.Marshal(jr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(jr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchSnapshotEntries(n int) []Entry {
 	entries := make([]Entry, n)
 	for i := range entries {
@@ -184,25 +152,5 @@ func BenchmarkCodecEncodeSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = enc.AppendSnapshot(buf[:0], entries)
-	}
-}
-
-func BenchmarkJSONEncodeSnapshot(b *testing.B) {
-	entries := benchSnapshotEntries(1024)
-	je := make([]jsonEntry, len(entries))
-	for i, e := range entries {
-		je[i] = jsonEntry(e)
-	}
-	data, err := json.MarshalIndent(je, "", "  ") // the legacy snapshot used MarshalIndent
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.MarshalIndent(je, "", "  "); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

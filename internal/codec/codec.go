@@ -1,8 +1,10 @@
 // Package codec implements the compact binary wire and storage encoding
 // used by arcsd and the knowledge store: a length-prefixed, CRC-framed,
-// field-tagged format for the core serving types (history keys, tuned
-// configurations, store entries, report batches, search requests and
-// results) plus a columnar snapshot layout.
+// field-tagged format for the serving records (store entries, report
+// batches, config answers, acks, member lists and digests) plus one
+// columnar layout for entry sets. The types in this package are the
+// records themselves: each carries its JSON tags too, so the store,
+// server, fleet and client declare no copies and convert nothing.
 //
 // Design goals, in order:
 //
@@ -28,7 +30,8 @@
 // The frame is the unit of the wire protocol (one message per frame,
 // or one batch per frame) and of the binary WAL (one entry per frame).
 // The columnar snapshot is a single frame whose payload holds a string
-// table plus per-field columns for the whole entry set.
+// table plus per-field columns for a whole entry set: the store's
+// snapshot file and the /v1/transfer bootstrap response.
 package codec
 
 import (
@@ -45,19 +48,21 @@ import (
 // by this byte alone.
 const Magic = 0xA7
 
-// Frame kinds. Append-only: never renumber.
+// Frame kinds. Append-only: never renumber, and never reuse a retired
+// value — the constants of retired kinds stay so the schema gate
+// refuses a new kind that takes their number.
 const (
-	KindEntry         = 0x01 // one store entry (WAL record, dump stream element)
-	KindReport        = 0x02 // one report (key, config, perf)
+	KindEntry         = 0x01 // one store entry (WAL record, /v1/merge element)
+	KindReport        = 0x02 // retired: single report, never sent (batches carry reports)
 	KindReportBatch   = 0x03 // uvarint count + count length-prefixed reports
 	KindConfigAnswer  = 0x04 // /v1/config response
-	KindAck           = 0x05 // /v1/report(s) response
-	KindSearchReq     = 0x06 // server-side search request
-	KindSearchRes     = 0x07 // one search result
-	KindSnapshot      = 0x08 // columnar snapshot of the full entry set
+	KindAck           = 0x05 // /v1/reports and /v1/merge response
+	KindSearchReq     = 0x06 // retired: server-side search request, never sent
+	KindSearchRes     = 0x07 // retired: search result, never sent
+	KindSnapshot      = 0x08 // columnar entry set (snapshot file, /v1/transfer)
 	KindDigest        = 0x09 // per-shard anti-entropy digest (/v1/digest)
 	KindMemberList    = 0x0A // epoch-versioned fleet member list (/v1/membership)
-	KindRangeTransfer = 0x0B // columnar shard-range transfer for bootstrap (/v1/transfer)
+	KindRangeTransfer = 0x0B // retired: /v1/transfer answers KindSnapshot
 )
 
 // ContentType is the negotiated media type for binary request and

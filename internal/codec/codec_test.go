@@ -122,38 +122,6 @@ func TestConfigAnswerAckRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSearchRoundTrip(t *testing.T) {
-	var enc Encoder
-	var dec Decoder
-	req := SearchRequest{App: "LULESH", Workload: "30", Arch: "xeon", CapW: 80, MaxEvals: 40}
-	buf := enc.AppendSearchRequest(nil, &req)
-	kind, payload, _, err := Frame(buf)
-	if err != nil || kind != KindSearchReq {
-		t.Fatalf("Frame = kind %d err %v", kind, err)
-	}
-	var gotReq SearchRequest
-	if err := dec.DecodeSearchRequest(payload, &gotReq); err != nil {
-		t.Fatal(err)
-	}
-	if gotReq != req {
-		t.Errorf("request round trip = %+v, want %+v", gotReq, req)
-	}
-
-	res := SearchResult{Region: "lagrange", CapW: 80, Cfg: arcs.ConfigValues{Threads: 16}, Perf: 3.25}
-	buf = enc.AppendSearchResult(buf[:0], &res)
-	kind, payload, _, err = Frame(buf)
-	if err != nil || kind != KindSearchRes {
-		t.Fatalf("result Frame = kind %d err %v", kind, err)
-	}
-	var gotRes SearchResult
-	if err := dec.DecodeSearchResult(payload, &gotRes); err != nil {
-		t.Fatal(err)
-	}
-	if gotRes != res {
-		t.Errorf("result round trip = %+v, want %+v", gotRes, res)
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	var enc Encoder
 	var dec Decoder

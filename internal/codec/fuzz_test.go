@@ -88,8 +88,6 @@ func FuzzDecodeArbitrary(f *testing.F) {
 		var ent Entry
 		var ans ConfigAnswer
 		var ack Ack
-		var req SearchRequest
-		var res SearchResult
 		var rep Report
 		// Every decoder must tolerate every payload (kind confusion is a
 		// real wire failure mode): errors are fine, panics are not.
@@ -97,8 +95,6 @@ func FuzzDecodeArbitrary(f *testing.F) {
 		_ = dec.DecodeReport(payload, &rep)
 		_ = dec.DecodeConfigAnswer(payload, &ans)
 		_ = dec.DecodeAck(payload, &ack)
-		_ = dec.DecodeSearchRequest(payload, &req)
-		_ = dec.DecodeSearchResult(payload, &res)
 		_ = dec.DecodeReportBatch(payload, func(*Report) error { return nil })
 		_, _ = dec.DecodeDigest(payload)
 		if _, err := dec.DecodeSnapshot(payload); err == nil && kind != KindSnapshot {

@@ -2,40 +2,38 @@ package codec
 
 import "fmt"
 
-// Fleet membership and bootstrap frames.
+// Fleet membership frames and replies.
 //
 // A MemberList is the epoch-versioned fleet member list: the unit the
-// join/leave protocol gossips (one KindMemberList frame per push). A
-// RangeTransfer is one shard's worth of entries streamed to a joining
-// (or empty replacement) node, columnar like the snapshot so a whole
-// shard costs one string table and no per-row tag bytes. Both frames
-// are CRC-framed like every other frame, which is what makes transfers
-// resumable: a connection torn mid-shard fails the frame checksum as a
-// unit, the receiver merges nothing, and the retry re-pulls the shard.
+// join/leave protocol gossips (one KindMemberList frame per push).
+// Bootstrap moves shard ranges as KindSnapshot frames (snapshot.go):
+// CRC-framed like every other frame, which is what makes transfers
+// resumable — a connection torn mid-shard fails the frame checksum as
+// a unit, the receiver merges nothing, and the retry re-pulls the
+// shard.
 
 // MemberList is the epoch-versioned fleet membership. Nodes is sorted
 // (the canonical order); Epoch totally orders member lists fleet-wide.
-// The JSON tags are the /v1/ping, /v1/join and /v1/leave response
-// shape, so the same type is the wire truth for both encodings.
 type MemberList struct {
 	Epoch uint64   `json:"epoch"`
 	Nodes []string `json:"nodes"`
 }
 
+// MembershipReply is the JSON body of /v1/ping, /v1/membership,
+// /v1/join, /v1/leave and the /v1/transfer 409: the serving node's
+// member list, plus what the call did to it. The embedded list keeps
+// the field order applied, epoch, nodes, drained.
+type MembershipReply struct {
+	// Applied reports whether a pushed member list superseded (and
+	// replaced) the local one.
+	Applied bool `json:"applied,omitempty"`
+	MemberList
+	// Drained is the entry-push count of a self-leave drain.
+	Drained int `json:"drained,omitempty"`
+}
+
 // memberListVersion is the member-list payload format version.
 const memberListVersion = 1
-
-// rangeTransferVersion is the range-transfer payload format version.
-const rangeTransferVersion = 1
-
-// RangeTransfer is one shard range streamed during bootstrap: the
-// entries of shard Shard owned by the requesting node under epoch
-// Epoch's ring.
-type RangeTransfer struct {
-	Epoch   uint64
-	Shard   uint64
-	Entries []Entry
-}
 
 // AppendMemberList appends m as one framed KindMemberList message:
 // uvarint version, uvarint epoch, uvarint node count, then each node
@@ -90,125 +88,4 @@ func (d *Decoder) DecodeMemberList(payload []byte) (MemberList, error) {
 		return MemberList{}, fmt.Errorf("%w: %d trailing bytes after member list", ErrMalformed, len(payload)-r.pos)
 	}
 	return m, nil
-}
-
-// intern stages s into the encoder's reusable string table, returning
-// its index.
-//
-//arcslint:hotpath string-table staging under the transfer encode loop
-func (enc *Encoder) intern(s string) uint64 {
-	if i, ok := enc.strIndex[s]; ok {
-		return i
-	}
-	i := uint64(len(enc.strTable))
-	enc.strIndex[s] = i
-	enc.strTable = append(enc.strTable, s)
-	return i
-}
-
-// AppendRangeTransfer appends t as one framed KindRangeTransfer
-// message. The payload is columnar, mirroring the snapshot layout with
-// an epoch + shard header:
-//
-//	uvarint formatVersion (currently 1)
-//	uvarint epoch
-//	uvarint shard
-//	uvarint stringTableLen, then that many (uvarint len, bytes) strings
-//	uvarint rowCount
-//	columns: app, workload, region (string-table indices), capW,
-//	threads, schedule, chunk, freqGHz, bind, perf, version
-//
-// Entries should be in a deterministic order (owners stream them
-// sorted by canonical key). The string table is staged in buffers the
-// Encoder reuses, so steady-state transfer encoding allocates nothing.
-//
-//arcslint:hotpath backs the 0-allocs/op BenchmarkRangeTransferEncode baseline
-func (enc *Encoder) AppendRangeTransfer(dst []byte, t *RangeTransfer) []byte {
-	if enc.strIndex == nil {
-		enc.strIndex = make(map[string]uint64)
-	}
-	clear(enc.strIndex)
-	enc.strTable = enc.strTable[:0]
-
-	p := enc.payload[:0]
-	p = AppendUvarint(p, rangeTransferVersion)
-	p = AppendUvarint(p, t.Epoch)
-	p = AppendUvarint(p, t.Shard)
-
-	entries := t.Entries
-	for i := range entries {
-		enc.intern(entries[i].Key.App)
-		enc.intern(entries[i].Key.Workload)
-		enc.intern(entries[i].Key.Region)
-	}
-	p = AppendUvarint(p, uint64(len(enc.strTable)))
-	for _, s := range enc.strTable {
-		p = AppendUvarint(p, uint64(len(s)))
-		p = append(p, s...)
-	}
-
-	p = AppendUvarint(p, uint64(len(entries)))
-	for i := range entries {
-		p = AppendUvarint(p, enc.strIndex[entries[i].Key.App])
-	}
-	for i := range entries {
-		p = AppendUvarint(p, enc.strIndex[entries[i].Key.Workload])
-	}
-	for i := range entries {
-		p = AppendUvarint(p, enc.strIndex[entries[i].Key.Region])
-	}
-	for i := range entries {
-		p = appendFloat(p, entries[i].Key.CapW)
-	}
-	for i := range entries {
-		p = AppendUvarint(p, uint64(entries[i].Cfg.Threads))
-	}
-	for i := range entries {
-		p = AppendUvarint(p, uint64(entries[i].Cfg.Schedule))
-	}
-	for i := range entries {
-		p = AppendUvarint(p, uint64(entries[i].Cfg.Chunk))
-	}
-	for i := range entries {
-		p = appendFloat(p, entries[i].Cfg.FreqGHz)
-	}
-	for i := range entries {
-		p = AppendUvarint(p, uint64(entries[i].Cfg.Bind))
-	}
-	for i := range entries {
-		p = appendFloat(p, entries[i].Perf)
-	}
-	for i := range entries {
-		p = AppendUvarint(p, entries[i].Version)
-	}
-	enc.payload = p
-	return AppendFrame(dst, KindRangeTransfer, p)
-}
-
-// DecodeRangeTransfer parses a KindRangeTransfer frame payload. Like
-// snapshot decoding it allocates the result normally: transfers run
-// once per shard during bootstrap, not on the serving hot path.
-func (d *Decoder) DecodeRangeTransfer(payload []byte) (RangeTransfer, error) {
-	r := snapReader{buf: payload}
-	ver, err := r.uvarint()
-	if err != nil {
-		return RangeTransfer{}, err
-	}
-	if ver != rangeTransferVersion {
-		return RangeTransfer{}, fmt.Errorf("%w: range transfer version %d (want %d)", ErrMalformed, ver, rangeTransferVersion)
-	}
-	var t RangeTransfer
-	if t.Epoch, err = r.uvarint(); err != nil {
-		return RangeTransfer{}, err
-	}
-	if t.Shard, err = r.uvarint(); err != nil {
-		return RangeTransfer{}, err
-	}
-	if t.Entries, err = d.decodeEntryColumns(&r, payload); err != nil {
-		return RangeTransfer{}, err
-	}
-	if r.pos != len(payload) {
-		return RangeTransfer{}, fmt.Errorf("%w: %d trailing bytes after range transfer", ErrMalformed, len(payload)-r.pos)
-	}
-	return t, nil
 }

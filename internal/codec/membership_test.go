@@ -2,13 +2,12 @@ package codec
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
-func sampleTransfer() RangeTransfer {
-	return RangeTransfer{Epoch: 7, Shard: 3, Entries: sampleEntries()}
-}
+// sampleTransfer is one shard range as /v1/transfer sends it: a few
+// entries in canonical-key order.
+func sampleTransfer() []Entry { return sampleEntries() }
 
 func TestMemberListRoundTrip(t *testing.T) {
 	var enc Encoder
@@ -38,45 +37,47 @@ func TestMemberListRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRangeTransferRoundTrip: a shard range, and an empty one, survive
+// the KindSnapshot frame /v1/transfer answers with, row for row.
 func TestRangeTransferRoundTrip(t *testing.T) {
 	var enc Encoder
 	var dec Decoder
-	for _, tr := range []RangeTransfer{sampleTransfer(), {Epoch: 2, Shard: 15}} {
-		buf := enc.AppendRangeTransfer(nil, &tr)
+	for _, tr := range [][]Entry{sampleTransfer(), nil} {
+		buf := enc.AppendSnapshot(nil, tr)
 		kind, payload, n, err := Frame(buf)
-		if err != nil || kind != KindRangeTransfer || n != len(buf) {
+		if err != nil || kind != KindSnapshot || n != len(buf) {
 			t.Fatalf("Frame = kind %#x n %d err %v", kind, n, err)
 		}
-		got, err := dec.DecodeRangeTransfer(payload)
+		got, err := dec.DecodeSnapshot(payload)
 		if err != nil {
 			t.Fatalf("decode range transfer: %v", err)
 		}
-		if got.Epoch != tr.Epoch || got.Shard != tr.Shard || len(got.Entries) != len(tr.Entries) {
-			t.Fatalf("header round trip = %+v, want %+v", got, tr)
+		if len(got) != len(tr) {
+			t.Fatalf("round trip = %d rows, want %d", len(got), len(tr))
 		}
-		for i := range tr.Entries {
-			if got.Entries[i] != tr.Entries[i] {
-				t.Errorf("row %d: %+v, want %+v", i, got.Entries[i], tr.Entries[i])
+		for i := range tr {
+			if got[i] != tr[i] {
+				t.Errorf("row %d: %+v, want %+v", i, got[i], tr[i])
 			}
 		}
 	}
 }
 
-// TestRangeTransferDeterministic: equal inputs encode byte-identically
-// (the determinism contract transfers inherit from the snapshot
-// layout), and re-encoding with a warm encoder is allocation-free — the
-// contract BenchmarkRangeTransferEncode gates.
+// TestRangeTransferDeterministic: equal ranges encode byte-identically
+// (the snapshot layout's determinism contract), and re-encoding with a
+// warm encoder is allocation-free — the contract
+// BenchmarkCodecEncodeSnapshot gates.
 func TestRangeTransferDeterministic(t *testing.T) {
 	tr := sampleTransfer()
 	var enc1, enc2 Encoder
-	a := enc1.AppendRangeTransfer(nil, &tr)
-	b := enc2.AppendRangeTransfer(nil, &tr)
+	a := enc1.AppendSnapshot(nil, tr)
+	b := enc2.AppendSnapshot(nil, tr)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("equal transfers encoded differently")
 	}
 	buf := a
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = enc1.AppendRangeTransfer(buf[:0], &tr)
+		buf = enc1.AppendSnapshot(buf[:0], tr)
 	})
 	if allocs != 0 {
 		t.Errorf("warm transfer encode allocates %.1f/op, want 0", allocs)
@@ -89,7 +90,7 @@ func TestRangeTransferDeterministic(t *testing.T) {
 func TestRangeTransferCorruption(t *testing.T) {
 	tr := sampleTransfer()
 	var enc Encoder
-	buf := enc.AppendRangeTransfer(nil, &tr)
+	buf := enc.AppendSnapshot(nil, tr)
 
 	t.Run("truncation", func(t *testing.T) {
 		for n := 0; n < len(buf); n++ {
@@ -99,27 +100,16 @@ func TestRangeTransferCorruption(t *testing.T) {
 		}
 	})
 	t.Run("bit-flip", func(t *testing.T) {
-		want := tr.Entries
 		for i := range buf {
 			bad := append([]byte{}, buf...)
 			bad[i] ^= 0x40
 			kind, payload, _, err := Frame(bad)
-			if err != nil || kind != KindRangeTransfer {
+			if err != nil || kind != KindSnapshot {
 				continue // rejected at the frame layer: good
 			}
 			var dec Decoder
-			got, derr := dec.DecodeRangeTransfer(payload)
-			if derr == nil && len(got.Entries) == len(want) && got.Epoch == tr.Epoch {
-				same := true
-				for j := range want {
-					if got.Entries[j] != want[j] {
-						same = false
-						break
-					}
-				}
-				if same {
-					t.Errorf("flip at %d silently produced the original transfer", i)
-				}
+			if got, derr := dec.DecodeSnapshot(payload); derr == nil && reflect.DeepEqual(got, tr) {
+				t.Errorf("flip at %d silently produced the original transfer", i)
 			}
 		}
 	})
@@ -137,28 +127,4 @@ func TestRangeTransferCorruption(t *testing.T) {
 			}
 		}
 	})
-}
-
-// BenchmarkRangeTransferEncode measures encoding a realistic shard
-// range (64 rows sharing a handful of app/region names). Must stay at
-// 0 allocs/op — the string table and payload buffers are reused — which
-// the CI perf gate enforces.
-func BenchmarkRangeTransferEncode(b *testing.B) {
-	entries := make([]Entry, 64)
-	base := sampleEntries()[0]
-	for i := range entries {
-		entries[i] = base
-		entries[i].Key.Region = "region" + strings.Repeat("x", i%4)
-		entries[i].Key.CapW = float64(40 + i%8)
-		entries[i].Version = uint64(i)
-	}
-	tr := RangeTransfer{Epoch: 12, Shard: 5, Entries: entries}
-	var enc Encoder
-	buf := enc.AppendRangeTransfer(nil, &tr)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = enc.AppendRangeTransfer(buf[:0], &tr)
-	}
 }

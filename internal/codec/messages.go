@@ -7,58 +7,48 @@ import (
 	"arcs/internal/ompt"
 )
 
-// The wire mirrors of the serving types. codec deliberately depends
-// only on internal/core (and ompt through it): the store and server
-// convert to and from these at their boundaries, so no import cycle
-// forms and the wire schema is owned in exactly one place.
+// The serving records. Each is declared once, here, for both
+// encodings: the JSON tags are the arcsd HTTP bodies and the Append*/
+// Decode* pairs below are the binary frames. codec depends only on
+// internal/core (and ompt through it), so the store, server, fleet and
+// client packages all name these types directly and no import cycle
+// forms.
 
-// Entry is one stored record: the binary twin of store.Entry.
+// Entry is one stored record: a tuned configuration, the performance
+// that earned it, and a per-key monotonic version (bumped on every
+// accepted update, never reused). It is the WAL record, the /v1/merge
+// and /v1/dump element, and a snapshot row.
 type Entry struct {
-	Key     arcs.HistoryKey
-	Cfg     arcs.ConfigValues
-	Perf    float64
-	Version uint64
+	Key     arcs.HistoryKey   `json:"key"`
+	Cfg     arcs.ConfigValues `json:"config"`
+	Perf    float64           `json:"perf"`
+	Version uint64            `json:"version"`
 }
 
-// Report is one ingested result: the binary twin of server.ReportRequest.
+// Report is one ingested result: a POST /v1/reports record.
 type Report struct {
-	Key  arcs.HistoryKey
-	Cfg  arcs.ConfigValues
-	Perf float64
+	Key  arcs.HistoryKey   `json:"key"`
+	Cfg  arcs.ConfigValues `json:"config"`
+	Perf float64           `json:"perf"`
 }
 
-// ConfigAnswer is the binary /v1/config response body.
+// ConfigAnswer is the GET /v1/config response body.
 type ConfigAnswer struct {
-	Key         arcs.HistoryKey
-	Cfg         arcs.ConfigValues
-	Perf        float64
-	Version     uint64
-	Source      string
-	CapDistance float64
+	Key     arcs.HistoryKey   `json:"key"`
+	Cfg     arcs.ConfigValues `json:"config"`
+	Perf    float64           `json:"perf"`
+	Version uint64            `json:"version"`
+	// Source is how the answer was found: "exact", "fallback" (nearest
+	// cap) or "searched" (server-side search just ran).
+	Source string `json:"source"`
+	// CapDistance is the |Δcap| in watts for fallback answers (0 exact).
+	CapDistance float64 `json:"cap_distance,omitempty"`
 }
 
-// Ack is the binary /v1/report and /v1/reports response body.
+// Ack is the /v1/reports and /v1/merge response body.
 type Ack struct {
-	Saved    uint64
-	StoreLen uint64
-}
-
-// SearchRequest is the binary twin of server.SearchRequest (carried by
-// future fleet RPCs; encoded here so the schema evolves with the rest).
-type SearchRequest struct {
-	App      string
-	Workload string
-	Arch     string
-	CapW     float64
-	MaxEvals uint64
-}
-
-// SearchResult is the binary twin of server.SearchResult.
-type SearchResult struct {
-	Region string
-	CapW   float64
-	Cfg    arcs.ConfigValues
-	Perf   float64
+	Saved    uint64 `json:"saved"`
+	StoreLen uint64 `json:"store_len"`
 }
 
 // Field numbers. Append-only: adding a field means taking the next
@@ -90,17 +80,6 @@ const (
 
 	ackSaved    = 1 // varint
 	ackStoreLen = 2 // varint
-
-	sreqApp      = 1 // string
-	sreqWorkload = 2 // string
-	sreqArch     = 3 // string
-	sreqCapW     = 4 // fixed8
-	sreqMaxEvals = 5 // varint
-
-	sresRegion = 1 // string
-	sresCapW   = 2 // fixed8
-	sresCfg    = 3 // bytes
-	sresPerf   = 4 // fixed8
 )
 
 // --- nested message encoders -----------------------------------------
@@ -152,8 +131,8 @@ type Encoder struct {
 	scratch2 []byte // per-element staging inside batch encodes
 	payload  []byte // whole-message staging for framed appends
 
-	// Columnar string-table staging, reused across AppendRangeTransfer
-	// calls so steady-state transfer encoding allocates nothing.
+	// Columnar string-table staging, reused across AppendSnapshot calls
+	// so steady-state snapshot and transfer encoding allocates nothing.
 	strIndex map[string]uint64
 	strTable []string
 }
@@ -175,19 +154,11 @@ func (enc *Encoder) AppendEntry(dst []byte, e *Entry) []byte {
 // appendReportPayload appends r's tagged fields (entry numbering: a
 // Report is an Entry without a version, and shares its field numbers).
 //
-//arcslint:hotpath shared payload body for single and batched reports
+//arcslint:hotpath payload body of each batched report
 func (enc *Encoder) appendReportPayload(dst []byte, r *Report) []byte {
 	dst = appendKeyField(dst, entKey, &r.Key, &enc.scratch)
 	dst = appendCfgField(dst, entCfg, &r.Cfg, &enc.scratch)
 	return appendFloatField(dst, entPerf, r.Perf)
-}
-
-// AppendReport appends r as one framed KindReport message.
-//
-//arcslint:hotpath report encode fast path
-func (enc *Encoder) AppendReport(dst []byte, r *Report) []byte {
-	enc.payload = enc.appendReportPayload(enc.payload[:0], r)
-	return AppendFrame(dst, KindReport, enc.payload)
 }
 
 // AppendReportBatch appends reports as one framed KindReportBatch
@@ -228,29 +199,6 @@ func (enc *Encoder) AppendAck(dst []byte, a *Ack) []byte {
 	p = appendUintField(p, ackStoreLen, a.StoreLen)
 	enc.payload = p
 	return AppendFrame(dst, KindAck, p)
-}
-
-// AppendSearchRequest appends r as one framed KindSearchReq message.
-func (enc *Encoder) AppendSearchRequest(dst []byte, r *SearchRequest) []byte {
-	p := enc.payload[:0]
-	p = appendStringField(p, sreqApp, r.App)
-	p = appendStringField(p, sreqWorkload, r.Workload)
-	p = appendStringField(p, sreqArch, r.Arch)
-	p = appendFloatField(p, sreqCapW, r.CapW)
-	p = appendUintField(p, sreqMaxEvals, r.MaxEvals)
-	enc.payload = p
-	return AppendFrame(dst, KindSearchReq, p)
-}
-
-// AppendSearchResult appends r as one framed KindSearchRes message.
-func (enc *Encoder) AppendSearchResult(dst []byte, r *SearchResult) []byte {
-	p := enc.payload[:0]
-	p = appendStringField(p, sresRegion, r.Region)
-	p = appendFloatField(p, sresCapW, r.CapW)
-	p = appendCfgField(p, sresCfg, &r.Cfg, &enc.scratch)
-	p = appendFloatField(p, sresPerf, r.Perf)
-	enc.payload = p
-	return AppendFrame(dst, KindSearchRes, p)
 }
 
 // --- Decoder ----------------------------------------------------------
@@ -370,8 +318,7 @@ func (d *Decoder) DecodeEntry(payload []byte, e *Entry) error {
 	}
 }
 
-// DecodeReport parses a KindReport frame payload (or one batch element)
-// into rep.
+// DecodeReport parses one report-batch element into rep.
 //
 //arcslint:hotpath report decode fast path
 func (d *Decoder) DecodeReport(payload []byte, rep *Report) error {
@@ -463,54 +410,6 @@ func (d *Decoder) DecodeAck(payload []byte, a *Ack) error {
 			a.Saved = uintVal(val)
 		case num == ackStoreLen && wt == wtVarint:
 			a.StoreLen = uintVal(val)
-		}
-	}
-}
-
-// DecodeSearchRequest parses a KindSearchReq frame payload into req.
-func (d *Decoder) DecodeSearchRequest(payload []byte, req *SearchRequest) error {
-	*req = SearchRequest{}
-	r := fieldReader{buf: payload}
-	for {
-		num, wt, val, done, err := r.next()
-		if done || err != nil {
-			return err
-		}
-		switch {
-		case num == sreqApp && wt == wtBytes:
-			req.App = d.str(val)
-		case num == sreqWorkload && wt == wtBytes:
-			req.Workload = d.str(val)
-		case num == sreqArch && wt == wtBytes:
-			req.Arch = d.str(val)
-		case num == sreqCapW && wt == wtFixed8:
-			req.CapW = floatVal(val)
-		case num == sreqMaxEvals && wt == wtVarint:
-			req.MaxEvals = uintVal(val)
-		}
-	}
-}
-
-// DecodeSearchResult parses a KindSearchRes frame payload into res.
-func (d *Decoder) DecodeSearchResult(payload []byte, res *SearchResult) error {
-	*res = SearchResult{}
-	r := fieldReader{buf: payload}
-	for {
-		num, wt, val, done, err := r.next()
-		if done || err != nil {
-			return err
-		}
-		switch {
-		case num == sresRegion && wt == wtBytes:
-			res.Region = d.str(val)
-		case num == sresCapW && wt == wtFixed8:
-			res.CapW = floatVal(val)
-		case num == sresCfg && wt == wtBytes:
-			if err := d.decodeCfg(val, &res.Cfg); err != nil {
-				return err
-			}
-		case num == sresPerf && wt == wtFixed8:
-			res.Perf = floatVal(val)
 		}
 	}
 }

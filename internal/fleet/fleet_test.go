@@ -197,10 +197,11 @@ func (p loopPeer) TransferRange(ctx context.Context, shard int, forNode string, 
 		// transient (killing a node mid-transfer, then retrying).
 		return nil, errors.New("transfer frame failed checksum")
 	}
-	if fl.View().Epoch() != epoch {
-		return nil, &EpochMismatchError{Current: fl.View().Membership()}
+	v := fl.View()
+	if v.Epoch() != epoch {
+		return nil, &EpochMismatchError{Current: v.Membership()}
 	}
-	return fl.RangeEntries(shard, forNode), nil
+	return fl.RangeEntries(v, shard, forNode), nil
 }
 
 type cluster struct {

@@ -12,8 +12,8 @@ import (
 
 // Ring-aware bootstrap and drain. A joining (or wiped replacement)
 // node owns key ranges it holds no data for; Bootstrap pulls exactly
-// those ranges — shard by shard, from every current member — over the
-// columnar KindRangeTransfer frame. Each response is one CRC-framed
+// those ranges — shard by shard, from every current member — each as
+// one columnar KindSnapshot frame. Each response is one CRC-framed
 // unit: a connection cut mid-shard fails the checksum, nothing merges,
 // and the retry re-pulls the whole shard, so a crashed transfer can
 // never leave a torn entry behind. The symmetric path is Drain: a
@@ -243,12 +243,13 @@ func (f *Fleet) Drain(ctx context.Context) (int, error) {
 }
 
 // RangeEntries returns the entries of one local store shard owned by
-// forNode under the current ring — the serving side of a range
-// transfer. Entries come back sorted by canonical key (ShardEntries
-// order), so transfer frames are deterministic for a given store
-// state.
-func (f *Fleet) RangeEntries(shard int, forNode string) []store.Entry {
-	v := f.View()
+// forNode under v's ring — the serving side of a range transfer. The
+// caller passes the view it checked the requested epoch against, so the
+// range always follows the ring of the epoch the transfer names, even
+// if a membership change is adopted meanwhile. Entries come back sorted
+// by canonical key (ShardEntries order), so transfer frames are
+// deterministic for a given store state.
+func (f *Fleet) RangeEntries(v *View[Peer], shard int, forNode string) []store.Entry {
 	var out []store.Entry
 	var ownerBuf []string
 	for _, e := range f.st.ShardEntries(shard) {

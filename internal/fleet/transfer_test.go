@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -308,5 +310,44 @@ func BenchmarkRingRebuild(b *testing.B) {
 		if r.Owners("SP|B|60|bench", 1, stack[:0])[0] == "" {
 			b.Fatal("no primary")
 		}
+	}
+}
+
+// TestRangeEntriesFollowCapturedView: the serving side of a transfer
+// computes the range under the view whose epoch it checked, even when a
+// membership change is adopted between the check and the scan.
+func TestRangeEntriesFollowCapturedView(t *testing.T) {
+	c := newCluster(t, 3, 1)
+	fl, st := c.fleets["node0"], c.stores["node0"]
+	// node0 holds entries of every owner, as a node that has not yet
+	// dropped its moved ranges would.
+	for i := 0; i < 64; i++ {
+		st.Save(testKey(fmt.Sprintf("r%d", i), float64(40+i%4)), arcs.ConfigValues{Threads: 1 + i%8}, 1)
+	}
+	const forNode = "node1"
+	v := fl.View()
+	// node1 leaves: every key it owned moves to a survivor.
+	if applied, _ := fl.ApplyMembership(codec.MemberList{Epoch: v.Epoch() + 1, Nodes: []string{"node0", "node2"}}); !applied {
+		t.Fatal("setup: membership change not adopted")
+	}
+
+	served := 0
+	for shard := 0; shard < store.NumShards; shard++ {
+		var want []store.Entry
+		for _, e := range st.ShardEntries(shard) {
+			if slices.Contains(v.Owners(e.Key.String(), nil), forNode) {
+				want = append(want, e)
+			}
+		}
+		if got := fl.RangeEntries(v, shard, forNode); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shard %d: range under the captured view = %v, want %v", shard, got, want)
+		}
+		if got := fl.RangeEntries(fl.View(), shard, forNode); len(got) != 0 {
+			t.Fatalf("shard %d: %s owns %d entries under the adopted view, want none", shard, forNode, len(got))
+		}
+		served += len(want)
+	}
+	if served == 0 {
+		t.Fatalf("setup: %s owned none of the saved keys under the captured view", forNode)
 	}
 }

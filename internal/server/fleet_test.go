@@ -220,7 +220,7 @@ func TestFleetLookupForwarding(t *testing.T) {
 	q := fmt.Sprintf("app=%s&workload=%s&cap=%g&region=%s&fallback=0&search=0",
 		stubKey.App, stubKey.Workload, stubKey.CapW, stubKey.Region)
 	cr, code := getConfig(t, ts.URL, q)
-	if code != http.StatusOK || cr.Config.Threads != 64 || cr.Version != 3 {
+	if code != http.StatusOK || cr.Cfg.Threads != 64 || cr.Version != 3 {
 		t.Fatalf("forwarded lookup = %d %+v, want the stub's answer", code, cr)
 	}
 	if !sawForwarded {
@@ -293,11 +293,11 @@ func newLiveFleet(t *testing.T, n, replicas int) *liveFleet {
 func TestFleetReportForwarding(t *testing.T) {
 	lf := newLiveFleet(t, 3, 2)
 	receiver, view := lf.names[0], lf.fleets[0].View()
-	var batch []ReportRequest
+	var batch []codec.Report
 	for i := 0; len(batch) < 8; i++ {
 		k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: float64(50 + i%4*10), Region: fmt.Sprintf("r%d", i)}
 		if !slices.Contains(view.Owners(k.String(), nil), receiver) {
-			batch = append(batch, ReportRequest{Key: k, Cfg: arcs.ConfigValues{Threads: 1 + i%16}, Perf: 1 + float64(i%5)})
+			batch = append(batch, codec.Report{Key: k, Cfg: arcs.ConfigValues{Threads: 1 + i%16}, Perf: 1 + float64(i%5)})
 		}
 	}
 	if out := postReport(t, receiver, batch); out["saved"] != float64(len(batch)) {
@@ -362,7 +362,7 @@ func TestFleetNearestCapProxyKey(t *testing.T) {
 		t.Fatalf("owner answer = %+v, want the stored cap-70 entry as a fallback", fromOwner)
 	}
 	if proxied.Key != fromOwner.Key || proxied.CapDistance != fromOwner.CapDistance ||
-		proxied.Config != fromOwner.Config || proxied.Perf != fromOwner.Perf {
+		proxied.Cfg != fromOwner.Cfg || proxied.Perf != fromOwner.Perf {
 		t.Fatalf("proxied answer %+v differs from the owner's %+v", proxied, fromOwner)
 	}
 }

@@ -17,21 +17,8 @@ import (
 	"arcs/internal/store"
 )
 
-// MembershipResponse is the JSON body shared by the membership
-// endpoints: the node's current member list, plus what the call did.
-type MembershipResponse struct {
-	// Applied reports whether a pushed member list superseded (and
-	// replaced) the local one.
-	Applied bool     `json:"applied,omitempty"`
-	Epoch   uint64   `json:"epoch"`
-	Nodes   []string `json:"nodes"`
-	// Drained is the entry-push count of a self-leave drain.
-	Drained int `json:"drained,omitempty"`
-}
-
-func (s *Server) membershipResponse(applied bool, drained int) MembershipResponse {
-	m := s.fleet.View().Membership()
-	return MembershipResponse{Applied: applied, Epoch: m.Epoch, Nodes: m.Nodes, Drained: drained}
+func (s *Server) membershipReply(applied bool, drained int) codec.MembershipReply {
+	return codec.MembershipReply{Applied: applied, MemberList: s.fleet.View().Membership(), Drained: drained}
 }
 
 // handlePing answers liveness probes with the current member list — the
@@ -44,10 +31,10 @@ func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.fleet == nil {
-		writeJSON(w, http.StatusOK, MembershipResponse{})
+		writeJSON(w, http.StatusOK, codec.MembershipReply{})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.membershipResponse(false, 0))
+	writeJSON(w, http.StatusOK, s.membershipReply(false, 0))
 }
 
 // handleMembership ingests an epoch-versioned member list pushed by a
@@ -92,7 +79,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	if applied {
 		s.met.membershipApplied.Add(1)
 	}
-	writeJSON(w, http.StatusOK, s.membershipResponse(applied, 0))
+	writeJSON(w, http.StatusOK, s.membershipReply(applied, 0))
 }
 
 // adminNodeRequest is the POST /v1/join and /v1/leave body.
@@ -139,7 +126,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusServiceUnavailable, "join %s: %v", node, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.membershipResponse(true, 0))
+	writeJSON(w, http.StatusOK, s.membershipReply(true, 0))
 }
 
 // handleLeave removes a node from the live membership. When the node
@@ -168,16 +155,17 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 			s.met.drainErrors.Add(1)
 		}
 	}
-	writeJSON(w, http.StatusOK, s.membershipResponse(true, drained))
+	writeJSON(w, http.StatusOK, s.membershipReply(true, drained))
 }
 
 // handleTransfer serves one shard's entries owned by the requesting
 // node — the bootstrap stream. The caller names the epoch its ring came
 // from; a mismatch answers 409 with the server's current member list,
 // so the caller adopts it and retries under the corrected ring instead
-// of pulling ranges that are about to be wrong. The response is one
-// CRC-framed KindRangeTransfer, making a torn stream detectable as a
-// unit.
+// of pulling ranges that are about to be wrong. The check, the 409
+// body and the range all use one loaded view, so the entries follow the
+// ring of the epoch the caller named. The response is one CRC-framed
+// KindSnapshot of the range, making a torn stream detectable as a unit.
 func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		errorJSON(w, http.StatusMethodNotAllowed, "GET only")
@@ -203,19 +191,16 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "bad epoch %q", q.Get("epoch"))
 		return
 	}
-	if cur := s.fleet.View().Epoch(); epoch != cur {
+	v := s.fleet.View()
+	if epoch != v.Epoch() {
 		s.met.transferEpochConflicts.Add(1)
-		writeJSON(w, http.StatusConflict, s.membershipResponse(false, 0))
+		writeJSON(w, http.StatusConflict, codec.MembershipReply{MemberList: v.Membership()})
 		return
 	}
-	entries := s.fleet.RangeEntries(shard, forNode)
+	entries := s.fleet.RangeEntries(v, shard, forNode)
 	s.met.transferredOut.Add(uint64(len(entries)))
 	bb := binBufPool.Get().(*binBuf)
 	defer binBufPool.Put(bb)
-	t := codec.RangeTransfer{Epoch: epoch, Shard: uint64(shard), Entries: make([]codec.Entry, len(entries))}
-	for i, e := range entries {
-		t.Entries[i] = codec.Entry(e)
-	}
-	bb.buf = bb.enc.AppendRangeTransfer(bb.buf[:0], &t)
+	bb.buf = bb.enc.AppendSnapshot(bb.buf[:0], entries)
 	writeFrame(w, http.StatusOK, bb.buf)
 }

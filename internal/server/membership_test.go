@@ -32,7 +32,7 @@ func newMemberServer(t *testing.T, st *store.Store, self, other string) (string,
 	return ts.URL, fl
 }
 
-func postJSON(t *testing.T, url string, body any) (*http.Response, MembershipResponse) {
+func postJSON(t *testing.T, url string, body any) (*http.Response, codec.MembershipReply) {
 	t.Helper()
 	b, _ := json.Marshal(body)
 	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
@@ -40,7 +40,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, MembershipRes
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var mr MembershipResponse
+	var mr codec.MembershipReply
 	_ = json.NewDecoder(resp.Body).Decode(&mr)
 	return resp, mr
 }
@@ -59,7 +59,7 @@ func TestPingEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mr MembershipResponse
+	var mr codec.MembershipReply
 	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPingEndpoint(t *testing.T) {
 }
 
 // pushMembership posts m to url as one KindMemberList frame.
-func pushMembership(t *testing.T, url string, m codec.MemberList) (*http.Response, MembershipResponse) {
+func pushMembership(t *testing.T, url string, m codec.MemberList) (*http.Response, codec.MembershipReply) {
 	t.Helper()
 	var enc codec.Encoder
 	req, _ := http.NewRequest(http.MethodPost, url, bytes.NewReader(enc.AppendMemberList(nil, &m)))
@@ -102,7 +102,7 @@ func pushMembership(t *testing.T, url string, m codec.MemberList) (*http.Respons
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var mr MembershipResponse
+	var mr codec.MembershipReply
 	_ = json.NewDecoder(resp.Body).Decode(&mr)
 	return resp, mr
 }
@@ -216,7 +216,7 @@ func TestJoinLeaveEndpoints(t *testing.T) {
 }
 
 // TestTransferEndpoint: the bootstrap stream serves exactly the shard
-// entries the named node owns, always as one KindRangeTransfer frame;
+// entries the named node owns, always as one KindSnapshot frame;
 // naming a stale epoch answers 409 with the current membership as JSON.
 func TestTransferEndpoint(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -243,7 +243,7 @@ func TestTransferEndpoint(t *testing.T) {
 
 	got := map[string]bool{}
 	for shard := 0; shard < store.NumShards; shard++ {
-		// No Accept header: one CRC-framed KindRangeTransfer per shard
+		// No Accept header: one CRC-framed KindSnapshot per shard
 		// regardless.
 		resp, err := http.Get(fmt.Sprintf("%s/v1/transfer?shard=%d&for=%s&epoch=%d", url, shard, other, fl.View().Epoch()))
 		if err != nil {
@@ -255,18 +255,15 @@ func TestTransferEndpoint(t *testing.T) {
 		}
 		resp.Body.Close()
 		kind, payload, _, err := codec.Frame(buf.Bytes())
-		if err != nil || kind != codec.KindRangeTransfer {
+		if err != nil || kind != codec.KindSnapshot {
 			t.Fatalf("shard %d: frame kind %#x err %v", shard, kind, err)
 		}
 		var dec codec.Decoder
-		tr, err := dec.DecodeRangeTransfer(payload)
+		entries, err := dec.DecodeSnapshot(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(tr.Shard) != shard || tr.Epoch != fl.View().Epoch() {
-			t.Fatalf("shard %d: transfer header = shard %d epoch %d", shard, tr.Shard, tr.Epoch)
-		}
-		for _, e := range tr.Entries {
+		for _, e := range entries {
 			got[e.Key.String()] = true
 		}
 	}
@@ -284,7 +281,7 @@ func TestTransferEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mr MembershipResponse
+	var mr codec.MembershipReply
 	_ = json.NewDecoder(resp.Body).Decode(&mr)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict || mr.Epoch != fl.View().Epoch() {

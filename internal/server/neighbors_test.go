@@ -12,7 +12,7 @@ import (
 )
 
 // getNeighbors fetches /v1/neighbors and decodes the JSON array.
-func getNeighbors(t *testing.T, base, query string) ([]NeighborResponse, int) {
+func getNeighbors(t *testing.T, base, query string) ([]store.Neighbor, int) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/neighbors?" + query)
 	if err != nil {
@@ -22,7 +22,7 @@ func getNeighbors(t *testing.T, base, query string) ([]NeighborResponse, int) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, resp.StatusCode
 	}
-	var out []NeighborResponse
+	var out []store.Neighbor
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

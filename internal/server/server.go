@@ -204,26 +204,6 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// ConfigResponse is the GET /v1/config payload.
-type ConfigResponse struct {
-	Key     arcs.HistoryKey   `json:"key"`
-	Config  arcs.ConfigValues `json:"config"`
-	Perf    float64           `json:"perf"`
-	Version uint64            `json:"version"`
-	// Source is how the answer was found: "exact", "fallback" (nearest
-	// cap) or "searched" (server-side search just ran).
-	Source string `json:"source"`
-	// CapDistance is the |Δcap| in watts for fallback answers (0 exact).
-	CapDistance float64 `json:"cap_distance,omitempty"`
-}
-
-// ReportRequest is one JSON POST /v1/reports record.
-type ReportRequest struct {
-	Key  arcs.HistoryKey   `json:"key"`
-	Cfg  arcs.ConfigValues `json:"config"`
-	Perf float64           `json:"perf"`
-}
-
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		errorJSON(w, http.StatusMethodNotAllowed, "GET only")
@@ -272,8 +252,8 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 				})
 				if err == nil {
 					s.met.fleetLookupFwd.Add(1)
-					writeConfig(w, r, ConfigResponse{
-						Key: res.Key, Config: res.Config, Perf: res.Perf, Version: res.Version,
+					writeConfig(w, r, codec.ConfigAnswer{
+						Key: res.Key, Cfg: res.Config, Perf: res.Perf, Version: res.Version,
 						Source: res.Source, CapDistance: res.CapDistance,
 					})
 					return
@@ -288,16 +268,16 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 
 	if e, ok := s.st.Get(key); ok {
 		s.met.hits.Add(1)
-		writeConfig(w, r, ConfigResponse{
-			Key: e.Key, Config: e.Cfg, Perf: e.Perf, Version: e.Version, Source: "exact",
+		writeConfig(w, r, codec.ConfigAnswer{
+			Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Version: e.Version, Source: "exact",
 		})
 		return
 	}
 	if allowFallback {
 		if e, dist, ok := s.st.GetNearest(key); ok {
 			s.met.fallbacks.Add(1)
-			writeConfig(w, r, ConfigResponse{
-				Key: e.Key, Config: e.Cfg, Perf: e.Perf, Version: e.Version,
+			writeConfig(w, r, codec.ConfigAnswer{
+				Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Version: e.Version,
 				Source: "fallback", CapDistance: dist,
 			})
 			return
@@ -325,8 +305,8 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if e, ok := s.st.Get(key); ok {
-			writeConfig(w, r, ConfigResponse{
-				Key: e.Key, Config: e.Cfg, Perf: e.Perf, Version: e.Version, Source: "searched",
+			writeConfig(w, r, codec.ConfigAnswer{
+				Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Version: e.Version, Source: "searched",
 			})
 			return
 		}
@@ -335,16 +315,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.misses.Add(1)
 	errorJSON(w, http.StatusNotFound, "no configuration for %v", key)
-}
-
-// NeighborResponse is one GET /v1/neighbors record: a stored entry from
-// a neighbouring tuned context plus its transfer distance.
-type NeighborResponse struct {
-	Key     arcs.HistoryKey   `json:"key"`
-	Config  arcs.ConfigValues `json:"config"`
-	Perf    float64           `json:"perf"`
-	Version uint64            `json:"version"`
-	Dist    float64           `json:"dist"`
 }
 
 // handleNeighbors serves the neighbour scan behind surrogate transfer
@@ -386,15 +356,8 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		max = m
 	}
 	ns := s.st.Neighbors(key, max)
-	out := make([]NeighborResponse, len(ns))
-	for i, n := range ns {
-		out[i] = NeighborResponse{
-			Key: n.Entry.Key, Config: n.Entry.Cfg, Perf: n.Entry.Perf,
-			Version: n.Entry.Version, Dist: n.Dist,
-		}
-	}
-	s.met.neighborsServed.Add(uint64(len(out)))
-	writeJSON(w, http.StatusOK, out)
+	s.met.neighborsServed.Add(uint64(len(ns)))
+	writeJSON(w, http.StatusOK, ns)
 }
 
 // searchOnce runs the bounded server-side search for an app-level context
@@ -555,15 +518,15 @@ func (s *Server) ingestReports(w http.ResponseWriter, r *http.Request) (saved in
 			badInput = fmt.Errorf("bad binary report batch: %v", err)
 		}
 	} else {
-		var reports []ReportRequest
+		var reports []codec.Report
 		if err := json.Unmarshal(body, &reports); err != nil {
 			// One-shot clients may post a single object instead of an array.
-			var one ReportRequest
+			var one codec.Report
 			if err2 := json.Unmarshal(body, &one); err2 != nil {
 				errorJSON(w, http.StatusBadRequest, "bad report body: %v", err)
 				return 0, false
 			}
-			reports = []ReportRequest{one}
+			reports = []codec.Report{one}
 		}
 		for _, rep := range reports {
 			if badInput = collect(rep.Key, rep.Cfg, rep.Perf); badInput != nil {
@@ -642,12 +605,12 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 			errorJSON(w, http.StatusBadRequest, "bad merge frame at offset %d: %v", pos, err)
 			return
 		}
-		var ce codec.Entry
-		if err := dec.DecodeEntry(payload, &ce); err != nil {
+		var e store.Entry
+		if err := dec.DecodeEntry(payload, &e); err != nil {
 			errorJSON(w, http.StatusBadRequest, "bad merge entry at offset %d: %v", pos, err)
 			return
 		}
-		entries = append(entries, store.Entry(ce))
+		entries = append(entries, e)
 		pos += n
 	}
 	for i := range entries {

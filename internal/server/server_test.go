@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"arcs/internal/codec"
 	arcs "arcs/internal/core"
 	"arcs/internal/store"
 )
@@ -32,7 +33,7 @@ func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	return ts
 }
 
-func postReport(t *testing.T, base string, reports []ReportRequest) map[string]any {
+func postReport(t *testing.T, base string, reports []codec.Report) map[string]any {
 	t.Helper()
 	body, _ := json.Marshal(reports)
 	resp, err := http.Post(base+"/v1/reports", "application/json", bytes.NewReader(body))
@@ -51,14 +52,14 @@ func postReport(t *testing.T, base string, reports []ReportRequest) map[string]a
 	return out
 }
 
-func getConfig(t *testing.T, base string, query string) (ConfigResponse, int) {
+func getConfig(t *testing.T, base string, query string) (codec.ConfigAnswer, int) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/config?" + query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var cr ConfigResponse
+	var cr codec.ConfigAnswer
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
 			t.Fatal(err)
@@ -71,16 +72,16 @@ func TestLookupExactFallbackMiss(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "x_solve"}
 	cfg := arcs.ConfigValues{Threads: 16, Chunk: 8}
-	postReport(t, ts.URL, []ReportRequest{{Key: k, Cfg: cfg, Perf: 1.5}})
+	postReport(t, ts.URL, []codec.Report{{Key: k, Cfg: cfg, Perf: 1.5}})
 
 	// Exact.
 	cr, code := getConfig(t, ts.URL, "app=SP&workload=B&cap=70&region=x_solve")
-	if code != 200 || cr.Source != "exact" || cr.Config != cfg || cr.Version != 1 {
+	if code != 200 || cr.Source != "exact" || cr.Cfg != cfg || cr.Version != 1 {
 		t.Errorf("exact lookup = %+v (code %d)", cr, code)
 	}
 	// Nearest-cap fallback with distance annotation.
 	cr, code = getConfig(t, ts.URL, "app=SP&workload=B&cap=80&region=x_solve")
-	if code != 200 || cr.Source != "fallback" || cr.CapDistance != 10 || cr.Config != cfg {
+	if code != 200 || cr.Source != "fallback" || cr.CapDistance != 10 || cr.Cfg != cfg {
 		t.Errorf("fallback lookup = %+v (code %d)", cr, code)
 	}
 	// Fallback disabled.
@@ -103,19 +104,19 @@ func TestLookupExactFallbackMiss(t *testing.T) {
 func TestReportValidationAndKeepBest(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "r"}
-	postReport(t, ts.URL, []ReportRequest{{Key: k, Cfg: arcs.ConfigValues{Threads: 8}, Perf: 2.0}})
+	postReport(t, ts.URL, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 8}, Perf: 2.0}})
 	// Worse report is ignored; better replaces.
-	postReport(t, ts.URL, []ReportRequest{
+	postReport(t, ts.URL, []codec.Report{
 		{Key: k, Cfg: arcs.ConfigValues{Threads: 2}, Perf: 5.0},
 		{Key: k, Cfg: arcs.ConfigValues{Threads: 24}, Perf: 1.0},
 	})
 	cr, _ := getConfig(t, ts.URL, "app=SP&workload=B&cap=70&region=r")
-	if cr.Config.Threads != 24 || cr.Perf != 1.0 || cr.Version != 2 {
+	if cr.Cfg.Threads != 24 || cr.Perf != 1.0 || cr.Version != 2 {
 		t.Errorf("keep-best over the wire: %+v", cr)
 	}
 
 	// A single object body works too.
-	one, _ := json.Marshal(ReportRequest{Key: arcs.HistoryKey{App: "BT", Workload: "B", CapW: 70, Region: "r2"}, Perf: 1})
+	one, _ := json.Marshal(codec.Report{Key: arcs.HistoryKey{App: "BT", Workload: "B", CapW: 70, Region: "r2"}, Perf: 1})
 	resp, err := http.Post(ts.URL+"/v1/reports", "application/json", bytes.NewReader(one))
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestReportValidationAndKeepBest(t *testing.T) {
 
 func TestDumpHealthzMetrics(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	postReport(t, ts.URL, []ReportRequest{
+	postReport(t, ts.URL, []codec.Report{
 		{Key: arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "r"}, Perf: 1},
 	})
 	getConfig(t, ts.URL, "app=SP&workload=B&cap=70&region=r")
@@ -224,7 +225,7 @@ func TestSingleFlightCollapsesColdKeySearches(t *testing.T) {
 	const clients = 16
 	var wg sync.WaitGroup
 	var ok32 atomic.Int64
-	results := make([]ConfigResponse, clients)
+	results := make([]codec.ConfigAnswer, clients)
 	errs := make([]error, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -264,7 +265,7 @@ func TestSingleFlightCollapsesColdKeySearches(t *testing.T) {
 		t.Errorf("single-flight failed: %d searches for one cold key", calls)
 	}
 	for i, r := range results {
-		if r.Config.Threads != 16 {
+		if r.Cfg.Threads != 16 {
 			t.Errorf("client %d got %+v", i, r)
 		}
 		if r.Source != "searched" && r.Source != "exact" {
@@ -352,7 +353,7 @@ func TestConcurrentServing(t *testing.T) {
 				region := fmt.Sprintf("r%d", i%4)
 				k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: region}
 				perf := float64(1 + (g*perG+i)%89)
-				body, _ := json.Marshal([]ReportRequest{{Key: k, Cfg: arcs.ConfigValues{Threads: 2 + g%30}, Perf: perf}})
+				body, _ := json.Marshal([]codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 2 + g%30}, Perf: perf}})
 				resp, err := client.Post(ts.URL+"/v1/reports", "application/json", bytes.NewReader(body))
 				if err != nil || resp.StatusCode != 200 {
 					failures.Add(1)

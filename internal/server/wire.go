@@ -115,31 +115,26 @@ func writeFrame(w http.ResponseWriter, status int, frame []byte) {
 }
 
 // writeConfig answers /v1/config in the negotiated encoding.
-func writeConfig(w http.ResponseWriter, r *http.Request, resp ConfigResponse) {
+func writeConfig(w http.ResponseWriter, r *http.Request, ans codec.ConfigAnswer) {
 	if !acceptsBinary(r) {
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, ans)
 		return
 	}
 	bb := binBufPool.Get().(*binBuf)
 	defer binBufPool.Put(bb)
-	ans := codec.ConfigAnswer{
-		Key: resp.Key, Cfg: resp.Config, Perf: resp.Perf, Version: resp.Version,
-		Source: resp.Source, CapDistance: resp.CapDistance,
-	}
 	bb.buf = bb.enc.AppendConfigAnswer(bb.buf[:0], &ans)
 	writeFrame(w, http.StatusOK, bb.buf)
 }
 
 // writeAck acknowledges a report ingest in the negotiated encoding.
 func (s *Server) writeAck(w http.ResponseWriter, r *http.Request, saved int) {
-	n := s.st.Len()
+	ack := codec.Ack{Saved: uint64(saved), StoreLen: uint64(s.st.Len())}
 	if !acceptsBinary(r) {
-		writeJSON(w, http.StatusOK, map[string]any{"saved": saved, "store_len": n})
+		writeJSON(w, http.StatusOK, ack)
 		return
 	}
 	bb := binBufPool.Get().(*binBuf)
 	defer binBufPool.Put(bb)
-	ack := codec.Ack{Saved: uint64(saved), StoreLen: uint64(n)}
 	bb.buf = bb.enc.AppendAck(bb.buf[:0], &ack)
 	writeFrame(w, http.StatusOK, bb.buf)
 }

@@ -127,10 +127,10 @@ func TestBinaryReportBatch(t *testing.T) {
 func TestJSONClientUnaffected(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "r"}
-	postReport(t, ts.URL, []ReportRequest{{Key: k, Cfg: arcs.ConfigValues{Threads: 4}, Perf: 2}})
+	postReport(t, ts.URL, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 4}, Perf: 2}})
 
 	cr, code := getConfig(t, ts.URL, "app=SP&workload=B&cap=70&region=r")
-	if code != 200 || cr.Source != "exact" || cr.Config.Threads != 4 {
+	if code != 200 || cr.Source != "exact" || cr.Cfg.Threads != 4 {
 		t.Fatalf("JSON config = %+v (code %d)", cr, code)
 	}
 
@@ -156,14 +156,15 @@ func TestJSONClientUnaffected(t *testing.T) {
 
 // TestCorruptBinaryBodyIs400 throws damaged frames at the report
 // endpoint: every one must come back 400 with a JSON error, and the
-// daemon must keep serving afterwards. A single-report frame is a
-// verified frame of a kind /v1/reports no longer accepts.
+// daemon must keep serving afterwards. A frame of the retired
+// single-report kind is verified but not accepted by /v1/reports.
 func TestCorruptBinaryBodyIs400(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	var enc codec.Encoder
 	rep := codec.Report{Key: arcs.HistoryKey{App: "SP", Region: "r"}, Perf: 1}
 	good := enc.AppendReportBatch(nil, []codec.Report{rep})
-	single := enc.AppendReport(nil, &rep)
+	_, entry, _, _ := codec.Frame(enc.AppendEntry(nil, &codec.Entry{Key: rep.Key, Perf: rep.Perf}))
+	single := codec.AppendFrame(nil, codec.KindReport, entry)
 
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)/2] ^= 0xFF
@@ -210,7 +211,7 @@ func TestCorruptBinaryBodyIs400(t *testing.T) {
 // form too, for curl.
 func TestJSONReportsEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	body, _ := json.Marshal([]ReportRequest{
+	body, _ := json.Marshal([]codec.Report{
 		{Key: arcs.HistoryKey{App: "SP", Region: "a"}, Perf: 1},
 		{Key: arcs.HistoryKey{App: "SP", Region: "b"}, Perf: 2},
 	})

@@ -27,13 +27,13 @@ var benchWALEntry = Entry{
 func BenchmarkWALAppend(b *testing.B) {
 	b.Run("binary", func(b *testing.B) {
 		var enc codec.Encoder
-		ce := codec.Entry(benchWALEntry)
-		buf := enc.AppendEntry(nil, &ce)
+		e := benchWALEntry
+		buf := enc.AppendEntry(nil, &e)
 		b.SetBytes(int64(len(buf)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf = enc.AppendEntry(buf[:0], &ce)
+			buf = enc.AppendEntry(buf[:0], &e)
 		}
 	})
 }
@@ -51,12 +51,8 @@ func benchSnapshotDir(b *testing.B, n int) string {
 		entries[i].Key.App = [...]string{"SP", "BT", "LU", "MG"}[(i/4)%4]
 		entries[i].Version = uint64(i + 1)
 	}
-	ces := make([]codec.Entry, len(entries))
-	for i, e := range entries {
-		ces[i] = codec.Entry(e)
-	}
 	var enc codec.Encoder
-	data := enc.AppendSnapshot(nil, ces)
+	data := enc.AppendSnapshot(nil, entries)
 	if err := os.WriteFile(filepath.Join(dir, SnapshotBinName), data, 0o644); err != nil {
 		b.Fatal(err)
 	}

@@ -75,13 +75,9 @@ const (
 
 // Entry is one stored record: a tuned configuration, the performance that
 // earned it, and a per-key monotonic version (bumped on every accepted
-// update, never reused).
-type Entry struct {
-	Key     arcs.HistoryKey   `json:"key"`
-	Cfg     arcs.ConfigValues `json:"config"`
-	Perf    float64           `json:"perf"`
-	Version uint64            `json:"version"`
-}
+// update, never reused). The record is declared once, in the codec, for
+// the WAL, the snapshot and both wire encodings.
+type Entry = codec.Entry
 
 // Options tunes a Store.
 type Options struct {
@@ -221,7 +217,7 @@ func (s *Store) replaySnapshot() {
 		return
 	}
 	for _, e := range list {
-		s.applyReplay(Entry(e))
+		s.applyReplay(e)
 	}
 }
 
@@ -238,7 +234,7 @@ func (s *Store) replayWAL() int {
 	}
 	n, skipped := 0, 0
 	var dec codec.Decoder
-	var ce codec.Entry
+	var e Entry
 	for pos := 0; pos < len(data); {
 		if data[pos] != codec.Magic {
 			pos++
@@ -248,8 +244,8 @@ func (s *Store) replayWAL() int {
 		kind, payload, fn, err := codec.Frame(data[pos:])
 		switch {
 		case err == nil && kind == codec.KindEntry:
-			if dec.DecodeEntry(payload, &ce) == nil {
-				s.applyReplay(Entry(ce))
+			if dec.DecodeEntry(payload, &e) == nil {
+				s.applyReplay(e)
 				n++
 			}
 			pos += fn
@@ -472,10 +468,12 @@ func (s *Store) GetNearest(k arcs.HistoryKey) (Entry, float64, bool) {
 }
 
 // Neighbor is one neighbouring-context record: the stored entry plus its
-// transfer distance from the queried key (arcs.NeighborDistance).
+// transfer distance from the queried key (arcs.NeighborDistance). Its
+// JSON form is the GET /v1/neighbors record: the entry's fields, then
+// dist.
 type Neighbor struct {
-	Entry Entry   `json:"entry"`
-	Dist  float64 `json:"dist"`
+	Entry
+	Dist float64 `json:"dist"`
 }
 
 // Neighbors scans for the contexts nearest to k — same app and region,
@@ -529,7 +527,7 @@ func (s *Store) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 // Entries returns every stored record sorted by canonical key
 // (deterministic dumps and snapshots).
 func (s *Store) Entries() []Entry {
-	return sortedCopy(s.shards[:], func(e Entry) Entry { return e })
+	return sortedCopy(s.shards[:])
 }
 
 // ShardEntries returns the records of one in-process shard, sorted by
@@ -543,30 +541,30 @@ func (s *Store) ShardEntries(i int) []Entry {
 	if i < 0 || i >= NumShards {
 		return nil
 	}
-	return sortedCopy(s.shards[i:i+1], func(e Entry) Entry { return e })
+	return sortedCopy(s.shards[i : i+1])
 }
 
-// sortedCopy copies the records of shards into one slice of E, sorted
+// sortedCopy copies the records of shards into one slice, sorted
 // by canonical key. It sorts on the map keys the shards already hold —
 // the canonical strings — rather than re-deriving a key per comparison,
 // and makes one copy of the table: a key slice beside the entry slice,
 // each allocated once at its final size. Each shard is read under its
 // own lock; a write landing mid-walk is either in the copy or not, as
 // with any snapshot of a live store.
-func sortedCopy[E any](shards []shard, conv func(Entry) E) []E {
+func sortedCopy(shards []shard) []Entry {
 	n := 0
 	for i := range shards {
 		shards[i].mu.RLock()
 		n += len(shards[i].entries)
 		shards[i].mu.RUnlock()
 	}
-	t := keyed[E]{keys: make([]string, 0, n), ents: make([]E, 0, n)}
+	t := keyed{keys: make([]string, 0, n), ents: make([]Entry, 0, n)}
 	for i := range shards {
 		sh := &shards[i]
 		sh.mu.RLock()
 		for ck, e := range sh.entries {
 			t.keys = append(t.keys, ck)
-			t.ents = append(t.ents, conv(e))
+			t.ents = append(t.ents, e)
 		}
 		sh.mu.RUnlock()
 	}
@@ -575,14 +573,14 @@ func sortedCopy[E any](shards []shard, conv func(Entry) E) []E {
 }
 
 // keyed sorts a table copy by the canonical keys collected beside it.
-type keyed[E any] struct {
+type keyed struct {
 	keys []string
-	ents []E
+	ents []Entry
 }
 
-func (t *keyed[E]) Len() int           { return len(t.keys) }
-func (t *keyed[E]) Less(i, j int) bool { return t.keys[i] < t.keys[j] }
-func (t *keyed[E]) Swap(i, j int) {
+func (t *keyed) Len() int           { return len(t.keys) }
+func (t *keyed) Less(i, j int) bool { return t.keys[i] < t.keys[j] }
+func (t *keyed) Swap(i, j int) {
 	t.keys[i], t.keys[j] = t.keys[j], t.keys[i]
 	t.ents[i], t.ents[j] = t.ents[j], t.ents[i]
 }
@@ -608,8 +606,7 @@ func (s *Store) appendWAL(e Entry) {
 		s.droppedSaves++
 		return
 	}
-	ce := codec.Entry(e)
-	s.walBuf = s.enc.AppendEntry(s.walBuf[:0], &ce)
+	s.walBuf = s.enc.AppendEntry(s.walBuf[:0], &e)
 	if _, err := s.wal.Write(s.walBuf); err != nil {
 		s.appendFails++
 		//arcslint:ignore hotpathalloc WAL write failure is the cold degraded branch
@@ -656,8 +653,7 @@ func (s *Store) Snapshot() error {
 //
 //arcslint:locked walMu
 func (s *Store) snapshotLocked() error {
-	ces := sortedCopy(s.shards[:], func(e Entry) codec.Entry { return codec.Entry(e) })
-	data := s.enc.AppendSnapshot(nil, ces)
+	data := s.enc.AppendSnapshot(nil, sortedCopy(s.shards[:]))
 	tmp := s.snapshotPath() + ".tmp"
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {

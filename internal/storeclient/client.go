@@ -236,18 +236,9 @@ func (c *Client) Neighbors(ctx context.Context, k arcs.HistoryKey, max int) ([]a
 	if max > 0 {
 		q.Set("max", strconv.Itoa(max))
 	}
-	var out []struct {
-		Key    arcs.HistoryKey   `json:"key"`
-		Config arcs.ConfigValues `json:"config"`
-		Perf   float64           `json:"perf"`
-		Dist   float64           `json:"dist"`
-	}
-	if err := c.doJSON(ctx, http.MethodGet, "/v1/neighbors?"+q.Encode(), nil, &out); err != nil {
+	var ns []arcs.Neighbor
+	if err := c.doJSON(ctx, http.MethodGet, "/v1/neighbors?"+q.Encode(), nil, &ns); err != nil {
 		return nil, err
-	}
-	ns := make([]arcs.Neighbor, len(out))
-	for i, n := range out {
-		ns[i] = arcs.Neighbor{Key: n.Key, Cfg: n.Config, Perf: n.Perf, Dist: n.Dist}
 	}
 	return ns, nil
 }
@@ -264,20 +255,12 @@ func (c *Client) ReportBatch(ctx context.Context, reports []Report) error {
 	if len(reports) == 0 {
 		return nil
 	}
-	creps := make([]codec.Report, len(reports))
-	for i, r := range reports {
-		creps[i] = codec.Report(r)
-	}
 	return c.postFrame(ctx, reqSpec{path: "/v1/reports", onFrame: expectAck},
-		func(enc *codec.Encoder, dst []byte) []byte { return enc.AppendReportBatch(dst, creps) })
+		func(enc *codec.Encoder, dst []byte) []byte { return enc.AppendReportBatch(dst, reports) })
 }
 
 // Report is one record for batched reporting (ReportBatch/ReportBuffer).
-type Report struct {
-	Key  arcs.HistoryKey   `json:"key"`
-	Cfg  arcs.ConfigValues `json:"config"`
-	Perf float64           `json:"perf"`
-}
+type Report = codec.Report
 
 // expectAck is the onFrame for report RPCs: any verified Ack is fine.
 func expectAck(kind byte, payload []byte) error {

@@ -30,8 +30,7 @@ func (c *Client) MergeEntries(ctx context.Context, entries []store.Entry) error 
 	return c.postFrame(ctx, reqSpec{path: "/v1/merge", forwarded: true, onFrame: expectAck},
 		func(enc *codec.Encoder, dst []byte) []byte {
 			for i := range entries {
-				ce := codec.Entry(entries[i])
-				dst = enc.AppendEntry(dst, &ce)
+				dst = enc.AppendEntry(dst, &entries[i])
 			}
 			return dst
 		})
@@ -75,30 +74,16 @@ func (c *Client) ShardDigest(ctx context.Context, shard int) (codec.Digest, erro
 	return res, nil
 }
 
-// membershipResponse is the JSON body of the membership endpoints
-// (/v1/ping, /v1/membership, /v1/join, /v1/leave): the serving node's
-// current member list, plus what the call did to it.
-type membershipResponse struct {
-	Applied bool     `json:"applied,omitempty"`
-	Epoch   uint64   `json:"epoch"`
-	Nodes   []string `json:"nodes"`
-	Drained int      `json:"drained,omitempty"`
-}
-
-func (m *membershipResponse) memberList() codec.MemberList {
-	return codec.MemberList{Epoch: m.Epoch, Nodes: m.Nodes}
-}
-
 // Ping probes liveness (GET /v1/ping) and returns the peer's current
 // member list — one round trip serves as both the heartbeat and the
 // epoch-gossip channel. A standalone (fleetless) daemon answers with
 // epoch 0 and no nodes.
 func (c *Client) Ping(ctx context.Context) (codec.MemberList, error) {
-	var out membershipResponse
+	var out codec.MembershipReply
 	if err := c.doSpec(ctx, reqSpec{method: http.MethodGet, path: "/v1/ping", out: &out}); err != nil {
 		return codec.MemberList{}, err
 	}
-	return out.memberList(), nil
+	return out.MemberList, nil
 }
 
 // PushMembership offers the peer an epoch-versioned member list (POST
@@ -107,13 +92,13 @@ func (c *Client) Ping(ctx context.Context) (codec.MemberList, error) {
 // (newer) list when the push lost the epoch race — which is how a
 // proposer learns it must adopt and retry.
 func (c *Client) PushMembership(ctx context.Context, m codec.MemberList) (codec.MemberList, error) {
-	var out membershipResponse
+	var out codec.MembershipReply
 	err := c.postFrame(ctx, reqSpec{path: "/v1/membership", out: &out},
 		func(enc *codec.Encoder, dst []byte) []byte { return enc.AppendMemberList(dst, &m) })
 	if err != nil {
 		return codec.MemberList{}, err
 	}
-	return out.memberList(), nil
+	return out.MemberList, nil
 }
 
 // TransferRange pulls one store shard's entries owned by forNode under
@@ -121,8 +106,9 @@ func (c *Client) PushMembership(ctx context.Context, m codec.MemberList) (codec.
 // server on a different epoch rejects with 409 and its current member
 // list, surfaced as *fleet.EpochMismatchError so the caller adopts the
 // list and retries under the corrected ring. The response is one
-// CRC-framed KindRangeTransfer: a transfer torn mid-body fails the frame
-// checksum as a unit, so the caller can never merge half a shard.
+// CRC-framed KindSnapshot of the range: a transfer torn mid-body fails
+// the frame checksum as a unit, so the caller can never merge half a
+// shard.
 func (c *Client) TransferRange(ctx context.Context, shard int, forNode string, epoch uint64) ([]store.Entry, error) {
 	q := "shard=" + strconv.Itoa(shard) + "&for=" + url.QueryEscape(forNode) + "&epoch=" + strconv.FormatUint(epoch, 10)
 	var entries []store.Entry
@@ -130,25 +116,21 @@ func (c *Client) TransferRange(ctx context.Context, shard int, forNode string, e
 		method: http.MethodGet,
 		path:   "/v1/transfer?" + q,
 		on409: func(body []byte) error {
-			var cur membershipResponse
+			var cur codec.MembershipReply
 			if jerr := json.Unmarshal(body, &cur); jerr != nil || cur.Epoch == 0 {
 				return nil // not a membership payload; generic statusError
 			}
-			return &fleet.EpochMismatchError{Current: cur.memberList()}
+			return &fleet.EpochMismatchError{Current: cur.MemberList}
 		},
 		onFrame: func(kind byte, payload []byte) error {
-			if kind != codec.KindRangeTransfer {
+			if kind != codec.KindSnapshot {
 				return fmt.Errorf("storeclient: unexpected frame kind %#x for transfer", kind)
 			}
 			dec := decPool.Get().(*codec.Decoder)
 			defer decPool.Put(dec)
-			t, err := dec.DecodeRangeTransfer(payload)
-			if err != nil {
+			var err error
+			if entries, err = dec.DecodeSnapshot(payload); err != nil {
 				return fmt.Errorf("storeclient: decode range transfer: %w", err)
-			}
-			entries = make([]store.Entry, len(t.Entries))
-			for i, e := range t.Entries {
-				entries[i] = store.Entry(e)
 			}
 			return nil
 		},
@@ -163,12 +145,12 @@ func (c *Client) TransferRange(ctx context.Context, shard int, forNode string, e
 // node to the fleet (POST /v1/join), returning the membership that
 // resulted.
 func (c *Client) Join(ctx context.Context, node string) (codec.MemberList, error) {
-	var out membershipResponse
+	var out codec.MembershipReply
 	spec := reqSpec{method: http.MethodPost, path: "/v1/join", out: &out}
 	if err := c.doJSONSpec(ctx, spec, map[string]string{"node": node}); err != nil {
 		return codec.MemberList{}, err
 	}
-	return out.memberList(), nil
+	return out.MemberList, nil
 }
 
 // Leave asks the member at this client's base URL to coordinate
@@ -176,10 +158,10 @@ func (c *Client) Join(ctx context.Context, node string) (codec.MemberList, error
 // node itself makes it drain its entries to the new owners before
 // acknowledging. Returns the membership that resulted.
 func (c *Client) Leave(ctx context.Context, node string) (codec.MemberList, error) {
-	var out membershipResponse
+	var out codec.MembershipReply
 	spec := reqSpec{method: http.MethodPost, path: "/v1/leave", out: &out}
 	if err := c.doJSONSpec(ctx, spec, map[string]string{"node": node}); err != nil {
 		return codec.MemberList{}, err
 	}
-	return out.memberList(), nil
+	return out.MemberList, nil
 }
