@@ -6,9 +6,8 @@
 //
 // Patterns are module-relative ("./...", "./internal/store",
 // "./internal/...", or full import paths). The per-package check table
-// is lint.DefaultPolicy; -policy overrides it with a file of
-// "<pattern> <check>[,<check>...]" lines, and -list-packages prints
-// which checks apply where without analyzing anything.
+// is lint.DefaultPolicy; -list-packages prints which checks apply where
+// without analyzing anything.
 //
 // Wire-schema lockfile modes:
 //
@@ -42,7 +41,6 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("arcslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	policyPath := fs.String("policy", "", "policy file overriding the built-in per-package check table")
 	listPkgs := fs.Bool("list-packages", false, "print each package and its enabled checks, then exit")
 	jsonOut := fs.Bool("json", false, "print findings as one JSON object per line")
 	schemaOnly := fs.Bool("schema-only", false, "run only the wire-schema gate (codec extraction + lockfile diff)")
@@ -92,18 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	pol := lint.DefaultPolicy()
-	if *policyPath != "" {
-		data, err := os.ReadFile(*policyPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "arcslint:", err)
-			return 2
-		}
-		pol, err = lint.ParsePolicy(string(data))
-		if err != nil {
-			fmt.Fprintln(stderr, "arcslint:", err)
-			return 2
-		}
-	}
 
 	if *listPkgs {
 		if err := listPackages(root, patterns, pol, stdout); err != nil {

@@ -46,23 +46,6 @@ func TestRunSinglePackage(t *testing.T) {
 	}
 }
 
-// TestPolicyOverride points arcslint at a custom policy file that
-// disables everything except guardedby for one package.
-func TestPolicyOverride(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "policy.txt")
-	if err := os.WriteFile(path, []byte("arcs/internal/evalcache guardedby\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-policy", path, "./internal/evalcache"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
-	}
-	if code := run([]string{"-policy", filepath.Join(dir, "missing.txt"), "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("run with missing policy file = %d, want 2", code)
-	}
-}
-
 func TestBadPattern(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"./no/such/package"}, &stdout, &stderr); code != 2 {

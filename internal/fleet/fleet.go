@@ -94,51 +94,48 @@ type Config struct {
 }
 
 // Stats is a point-in-time snapshot of the fleet counters, exported on
-// /healthz and /metrics.
+// /healthz and, through each field's metric and help tags, on /metrics.
 type Stats struct {
 	// Epoch is the current membership epoch.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64 `json:"epoch" metric:"arcsd_fleet_epoch,gauge" help:"Current membership epoch."`
 	// Members is the current member count (self included).
-	Members int `json:"members"`
+	Members int `json:"members" metric:"arcsd_fleet_nodes,gauge" help:"Fleet membership size."`
 	// MembershipChanges counts epochs this node has installed.
-	MembershipChanges uint64 `json:"membership_changes"`
+	MembershipChanges uint64 `json:"membership_changes" metric:"arcsd_fleet_membership_changes_total,counter" help:"Membership epochs adopted since start."`
 	// Forwards counts reports this node routed to an owner because it
 	// did not own the key.
-	Forwards uint64 `json:"forwards"`
+	Forwards uint64 `json:"forwards" metric:"arcsd_fleet_report_forwards_total,counter" help:"Reports forwarded to owning peers."`
 	// Replicated counts entries pushed owner-to-owner at write time.
-	Replicated uint64 `json:"replicated"`
-	// MergedIn counts replicated entries this node accepted (a pushed
-	// entry that lost its Supersedes race is not counted).
-	MergedIn uint64 `json:"merged_in"`
+	Replicated uint64 `json:"replicated" metric:"arcsd_fleet_replicated_total,counter" help:"Locally authored entries replicated out to co-owners."`
 	// Repairs counts entries pushed by the anti-entropy sweep to a peer
 	// that was missing, behind, or divergent.
-	Repairs uint64 `json:"repairs"`
+	Repairs uint64 `json:"repairs" metric:"arcsd_fleet_repairs_total,counter" help:"Entries pushed to peers by the anti-entropy sweep."`
 	// Sweeps counts completed anti-entropy rounds.
-	Sweeps uint64 `json:"sweeps"`
+	Sweeps uint64 `json:"sweeps" metric:"arcsd_fleet_sweeps_total,counter" help:"Completed anti-entropy sweeps."`
 	// HandoffDepth is the current total of queued hints across peers.
-	HandoffDepth int `json:"handoff_depth"`
+	HandoffDepth int `json:"handoff_depth" metric:"arcsd_fleet_handoff_depth,gauge" help:"Hints queued for currently unreachable peers."`
 	// HandoffDropped counts hints dropped — on queue overflow or when
 	// a membership change retired the peer the hint was owed to. Both
 	// are repaired later by anti-entropy. Cumulative, so a dropped
 	// hint stays counted after its queue is gone.
-	HandoffDropped uint64 `json:"handoff_dropped"`
+	HandoffDropped uint64 `json:"handoff_dropped" metric:"arcsd_fleet_hints_dropped_total,counter" help:"Hints dropped because a handoff queue overflowed or its peer left."`
 	// Fallbacks counts reports accepted locally by a non-owner because
 	// every owner was unreachable.
-	Fallbacks uint64 `json:"fallbacks"`
+	Fallbacks uint64 `json:"fallbacks" metric:"arcsd_fleet_fallbacks_total,counter" help:"Reports accepted locally because every owner was unreachable."`
 	// Heartbeats and HeartbeatFailures count liveness probes sent and
 	// failed.
-	Heartbeats        uint64 `json:"heartbeats"`
-	HeartbeatFailures uint64 `json:"heartbeat_failures"`
+	Heartbeats        uint64 `json:"heartbeats" metric:"arcsd_fleet_heartbeats_total,counter" help:"Heartbeat pings sent to peers."`
+	HeartbeatFailures uint64 `json:"heartbeat_failures" metric:"arcsd_fleet_heartbeat_failures_total,counter" help:"Heartbeat pings that failed."`
 	// PeersSuspect and PeersDead gauge the detector's current view.
-	PeersSuspect int `json:"peers_suspect"`
-	PeersDead    int `json:"peers_dead"`
+	PeersSuspect int `json:"peers_suspect" metric:"arcsd_fleet_peers_suspect,gauge" help:"Peers the failure detector currently suspects."`
+	PeersDead    int `json:"peers_dead" metric:"arcsd_fleet_peers_dead,gauge" help:"Peers the failure detector currently declares dead."`
 	// TransferredIn counts entries this node merged from bootstrap
 	// range transfers; TransferRetries counts transfer attempts that
 	// had to be retried.
-	TransferredIn   uint64 `json:"transferred_in"`
-	TransferRetries uint64 `json:"transfer_retries"`
+	TransferredIn   uint64 `json:"transferred_in" metric:"arcsd_fleet_transferred_in_total,counter" help:"Entries merged from bootstrap range transfers."`
+	TransferRetries uint64 `json:"transfer_retries" metric:"arcsd_fleet_transfer_retries_total,counter" help:"Range-transfer attempts that were retried."`
 	// Drained counts entry-pushes acknowledged while leaving.
-	Drained uint64 `json:"drained"`
+	Drained uint64 `json:"drained" metric:"arcsd_fleet_drained_total,counter" help:"Entries pushed to new owners by a decommission drain."`
 }
 
 // Fleet is one node's share of the replicated knowledge store. All
@@ -345,23 +342,6 @@ func (f *Fleet) hintAdd(name, ck string, h hint) {
 	if !q.add(ck, h) {
 		f.stats.HandoffDropped++
 	}
-}
-
-// MergeLocal applies entries a peer replicated to this node (the
-// /v1/merge handler). Deliberately no onward replication: the authoring
-// owner pushes to every co-owner itself, so a merge fans out once, not
-// transitively. Returns the number of entries accepted.
-func (f *Fleet) MergeLocal(entries []store.Entry) int {
-	n := 0
-	for _, e := range entries {
-		if f.st.Merge(e) {
-			n++
-		}
-	}
-	f.mu.Lock()
-	f.stats.MergedIn += uint64(n)
-	f.mu.Unlock()
-	return n
 }
 
 // Tick runs one maintenance round: drain every handoff queue whose

@@ -148,7 +148,9 @@ func (p loopPeer) MergeEntries(ctx context.Context, entries []store.Entry) error
 	if fl == nil {
 		return errDown
 	}
-	fl.MergeLocal(entries)
+	for _, e := range entries {
+		fl.st.Merge(e)
+	}
 	return nil
 }
 

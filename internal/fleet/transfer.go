@@ -21,15 +21,9 @@ import (
 // owners under the post-departure ring before it goes, so the fleet
 // never dips below its replication factor on a clean leave.
 
-// Bootstrap tuning. Zero values select the defaults.
+// BootstrapOptions holds Bootstrap's test seam; the zero value is what
+// production runs.
 type BootstrapOptions struct {
-	// Concurrency bounds in-flight range pulls; default 4.
-	Concurrency int
-	// Retries is the attempt count per (peer, shard) task; default 4.
-	Retries int
-	// Backoff is the first retry delay, doubled per attempt; default
-	// 50ms.
-	Backoff time.Duration
 	// Sleep is the backoff waiter, injectable so tests run instantly.
 	// The default honours context cancellation.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -65,25 +59,18 @@ func ctxSleep(ctx context.Context, d time.Duration) error {
 }
 
 // Bootstrap streams every shard range this node owns from the current
-// members and merges it into the local store. Pulls run with bounded
-// concurrency and per-task retry/backoff; a peer answering with a
-// stale-epoch rejection hands back its member list, which is adopted
-// before the retry, so a bootstrap started mid-membership-change
+// members and merges it into the local store. Pulls run
+// defaultTransferConcurrency at a time, each tried up to
+// defaultTransferRetries times with doubling backoff; a peer answering
+// with a stale-epoch rejection hands back its member list, which is
+// adopted before the retry, so a bootstrap started mid-membership-change
 // converges on the final ring instead of failing. Partial failure is
 // not fatal — anti-entropy is the backstop — but is reported so the
 // caller can log it.
 func (f *Fleet) Bootstrap(ctx context.Context, opts BootstrapOptions) (BootstrapStats, error) {
-	if opts.Concurrency <= 0 {
-		opts.Concurrency = defaultTransferConcurrency
-	}
-	if opts.Retries <= 0 {
-		opts.Retries = defaultTransferRetries
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = defaultTransferBackoff
-	}
-	if opts.Sleep == nil {
-		opts.Sleep = ctxSleep
+	sleep := opts.Sleep
+	if sleep == nil {
+		sleep = ctxSleep
 	}
 
 	type task struct {
@@ -105,17 +92,14 @@ func (f *Fleet) Bootstrap(ctx context.Context, opts BootstrapOptions) (Bootstrap
 	)
 	stats.Tasks = len(tasks)
 	ch := make(chan task)
-	workers := opts.Concurrency
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers := min(defaultTransferConcurrency, len(tasks))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for t := range ch {
-				got, merged, retries, err := f.pullRange(ctx, t.peer, t.shard, opts)
+				got, merged, retries, err := f.pullRange(ctx, t.peer, t.shard, sleep)
 				mu.Lock()
 				stats.Entries += got
 				stats.Merged += merged
@@ -143,12 +127,12 @@ func (f *Fleet) Bootstrap(ctx context.Context, opts BootstrapOptions) (Bootstrap
 
 // pullRange pulls one (peer, shard) range with retry/backoff, merging
 // whole CRC-valid responses only.
-func (f *Fleet) pullRange(ctx context.Context, peer string, shard int, opts BootstrapOptions) (got, merged, retries int, err error) {
+func (f *Fleet) pullRange(ctx context.Context, peer string, shard int, sleep func(context.Context, time.Duration) error) (got, merged, retries int, err error) {
 	var lastErr error
-	for attempt := 0; attempt < opts.Retries; attempt++ {
+	for attempt := 0; attempt < defaultTransferRetries; attempt++ {
 		if attempt > 0 {
 			retries++
-			if err := opts.Sleep(ctx, opts.Backoff<<(attempt-1)); err != nil {
+			if err := sleep(ctx, defaultTransferBackoff<<(attempt-1)); err != nil {
 				return got, merged, retries, err
 			}
 		}

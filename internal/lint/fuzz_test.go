@@ -108,47 +108,3 @@ func FuzzParseLockfile(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParsePolicy hardens the policy-table parser the same way:
-// arbitrary input must yield a valid table or an error, and the
-// resulting table must answer ChecksFor without panicking.
-func FuzzParsePolicy(f *testing.F) {
-	seeds := []string{
-		"",
-		"# just a comment\n",
-		"arcs/... guardedby",
-		"arcs/internal/sim determinism,floatcmp\narcs/internal/store errcheck-io",
-		"... guardedby",
-		"arcs/internal/sim",
-		"arcs/internal/sim nosuchcheck",
-		"a b c",
-		"arcs/inter...nal floatcmp",
-		"\x00 \xff",
-		"arcs/... determinism,determinism,determinism",
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, src string) {
-		pol, err := ParsePolicy(src)
-		if err != nil {
-			if len(pol.Rules) != 0 {
-				t.Fatalf("ParsePolicy error carried a non-empty table")
-			}
-			return
-		}
-		for _, r := range pol.Rules {
-			if len(r.Checks) == 0 {
-				t.Fatalf("ParsePolicy accepted rule with no checks: %+v", r)
-			}
-			for _, c := range r.Checks {
-				if !validChecks[c] {
-					t.Fatalf("ParsePolicy accepted unknown check %q", c)
-				}
-			}
-		}
-		for _, path := range []string{"arcs", "arcs/internal/sim", "x/y/z", ""} {
-			_ = pol.ChecksFor(path)
-		}
-	})
-}

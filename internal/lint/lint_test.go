@@ -162,37 +162,6 @@ func TestParseDirective(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	pol, err := ParsePolicy(`
-# comment
-arcs/... guardedby
-arcs/internal/sim determinism,floatcmp
-`)
-	if err != nil {
-		t.Fatalf("ParsePolicy: %v", err)
-	}
-	got := pol.ChecksFor("arcs/internal/sim")
-	want := []string{CheckDeterminism, CheckFloatCmp, CheckGuardedBy}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("ChecksFor(sim) = %v, want %v", got, want)
-	}
-	if checks := pol.ChecksFor("other/pkg"); checks != nil {
-		t.Errorf("ChecksFor(other/pkg) = %v, want none", checks)
-	}
-
-	for _, bad := range []string{
-		"arcs/internal/sim",                // missing checks
-		"arcs/internal/sim nosuchcheck",    // unknown check
-		"arcs/...x determinism",            // bad pattern
-		"a b c",                            // too many fields
-		"arcs/inter...nal/sim determinism", // embedded wildcard
-	} {
-		if _, err := ParsePolicy(bad); err == nil {
-			t.Errorf("ParsePolicy(%q) succeeded, want error", bad)
-		}
-	}
-}
-
 func TestMatchPattern(t *testing.T) {
 	cases := []struct {
 		pattern, path string

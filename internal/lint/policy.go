@@ -19,8 +19,8 @@ const (
 	CheckHotPath     = "hotpathalloc"
 )
 
-// validChecks are the names accepted in policy rules and in ignore
-// directives ("all" additionally suppresses every check on a line).
+// validChecks are the names accepted in ignore directives ("all"
+// additionally suppresses every check on a line).
 var validChecks = map[string]bool{
 	CheckDeterminism: true,
 	CheckGuardedBy:   true,
@@ -130,60 +130,6 @@ func DefaultPolicy() Policy {
 		p.Rules = append(p.Rules, Rule{Pattern: path, Checks: []string{CheckDeterminism, CheckFloatCmp}})
 	}
 	return p
-}
-
-// ParsePolicy parses the text form of a policy table, used by the
-// -policy flag of cmd/arcslint to override DefaultPolicy. Each
-// non-blank, non-# line is
-//
-//	<pattern> <check>[,<check>...]
-//
-// e.g. "arcs/internal/sim determinism,floatcmp".
-func ParsePolicy(src string) (Policy, error) {
-	var p Policy
-	for i, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return Policy{}, fmt.Errorf("policy line %d: want \"<pattern> <check>[,<check>...]\", got %q", i+1, line)
-		}
-		pattern := fields[0]
-		if err := validatePattern(pattern); err != nil {
-			return Policy{}, fmt.Errorf("policy line %d: %v", i+1, err)
-		}
-		var checks []string
-		for _, c := range strings.Split(fields[1], ",") {
-			if !validChecks[c] {
-				return Policy{}, fmt.Errorf("policy line %d: unknown check %q (valid: %s)", i+1, c, strings.Join(checkNames(), ", "))
-			}
-			checks = append(checks, c)
-		}
-		p.Rules = append(p.Rules, Rule{Pattern: pattern, Checks: checks})
-	}
-	return p, nil
-}
-
-func validatePattern(pattern string) error {
-	trimmed, wild := strings.CutSuffix(pattern, "...")
-	if wild {
-		if trimmed == "" {
-			return nil // bare "..."
-		}
-		if !strings.HasSuffix(trimmed, "/") {
-			return fmt.Errorf("pattern %q: \"...\" must follow a \"/\"", pattern)
-		}
-		trimmed = strings.TrimSuffix(trimmed, "/")
-	}
-	if trimmed == "" || strings.ContainsAny(trimmed, " \t") {
-		return fmt.Errorf("invalid pattern %q", pattern)
-	}
-	if strings.Contains(trimmed, "...") {
-		return fmt.Errorf("pattern %q: \"...\" is only valid as a trailing element", pattern)
-	}
-	return nil
 }
 
 func checkNames() []string {

@@ -77,7 +77,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	}
 	applied, _ := s.fleet.ApplyMembership(m)
 	if applied {
-		s.met.membershipApplied.Add(1)
+		s.met.MembershipApplied.Add(1)
 	}
 	writeJSON(w, http.StatusOK, s.membershipReply(applied, 0))
 }
@@ -152,7 +152,7 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 			// Partial drain: the proposal already landed, so report what
 			// moved and let anti-entropy repair the rest rather than
 			// pretending the leave failed.
-			s.met.drainErrors.Add(1)
+			s.met.DrainErrors.Add(1)
 		}
 	}
 	writeJSON(w, http.StatusOK, s.membershipReply(true, drained))
@@ -193,12 +193,12 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	}
 	v := s.fleet.View()
 	if epoch != v.Epoch() {
-		s.met.transferEpochConflicts.Add(1)
+		s.met.TransferEpochConflicts.Add(1)
 		writeJSON(w, http.StatusConflict, codec.MembershipReply{MemberList: v.Membership()})
 		return
 	}
 	entries := s.fleet.RangeEntries(v, shard, forNode)
-	s.met.transferredOut.Add(uint64(len(entries)))
+	s.met.TransferredOut.Add(uint64(len(entries)))
 	bb := binBufPool.Get().(*binBuf)
 	defer binBufPool.Put(bb)
 	bb.buf = bb.enc.AppendSnapshot(bb.buf[:0], entries)

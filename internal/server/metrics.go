@@ -1,172 +1,186 @@
 package server
 
+// arcsd's /metrics. Each series is declared once, as a struct field
+// tagged `metric:"<name>,<type>" help:"<text>"` beside the value it
+// reads. The snapshot structs /healthz already serves (store.Health,
+// evalcache.Stats, fleet.Stats, FleetHealth) declare theirs; the
+// server's own counters are serverSeries and fleetSeries below.
+// writeMetrics renders every tagged field of its sources in one loop,
+// sorted by family name, so adding a series is adding one field.
+
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
+	"reflect"
+	"slices"
+	"strings"
 	"sync/atomic"
-
-	"arcs/internal/evalcache"
-	"arcs/internal/fleet"
-	"arcs/internal/store"
+	"time"
 )
 
-// reqKey labels one requests-counter series.
-type reqKey struct {
-	endpoint string
-	code     int
+// samples renders a labelled family's sample lines itself; every other
+// tagged field is a single unlabelled sample.
+type samples func(b []byte, name string) []byte
+
+// serverSeries are the series every arcsd serves.
+type serverSeries struct {
+	Requests        samples       `metric:"arcsd_requests_total,counter" help:"HTTP requests by endpoint and status code."`
+	Latency         samples       `metric:"arcsd_request_seconds,summary" help:"Cumulative request latency by endpoint."`
+	Hits            atomic.Uint64 `metric:"arcsd_lookup_hits_total,counter" help:"Exact-key lookup hits."`
+	Fallbacks       atomic.Uint64 `metric:"arcsd_lookup_fallbacks_total,counter" help:"Lookups answered by the nearest-cap fallback."`
+	Misses          atomic.Uint64 `metric:"arcsd_lookup_misses_total,counter" help:"Lookups with no answer at all."`
+	Searches        atomic.Uint64 `metric:"arcsd_searches_total,counter" help:"Server-side searches executed."`
+	SearchDeduped   atomic.Uint64 `metric:"arcsd_search_dedup_total,counter" help:"Searches avoided by single-flight deduplication."`
+	SearchErrors    atomic.Uint64 `metric:"arcsd_search_errors_total,counter" help:"Server-side searches that failed."`
+	SearchShed      atomic.Uint64 `metric:"arcsd_search_shed_total,counter" help:"Search requests shed by admission control (429)."`
+	SearchPanics    atomic.Uint64 `metric:"arcsd_search_panics_total,counter" help:"Searcher panics contained by the recovery wrapper."`
+	HandlerPanics   atomic.Uint64 `metric:"arcsd_handler_panics_total,counter" help:"HTTP handler panics converted to 500s."`
+	Reported        atomic.Uint64 `metric:"arcsd_reported_entries_total,counter" help:"Entries ingested through /v1/reports."`
+	NeighborsServed atomic.Uint64 `metric:"arcsd_neighbors_served_total,counter" help:"Neighbour records served through /v1/neighbors."`
+	Merged          atomic.Uint64 `metric:"arcsd_merged_entries_total,counter" help:"Entries accepted through /v1/merge replication."`
 }
 
-// metrics is a dependency-free Prometheus-text exporter: request counts
-// and latency sums per endpoint/status, lookup outcome counters, and the
-// store size gauge.
-type metrics struct {
-	hits, misses, fallbacks  atomic.Uint64
-	searches, searchDeduped  atomic.Uint64
-	searchErrors, reported   atomic.Uint64
-	searchShed, searchPanics atomic.Uint64
-	handlerPanics            atomic.Uint64
-	merged                   atomic.Uint64
-	fleetLookupFwd           atomic.Uint64
-	neighborsServed          atomic.Uint64
-	membershipApplied        atomic.Uint64
-	drainErrors              atomic.Uint64
-	transferEpochConflicts   atomic.Uint64
-	transferredOut           atomic.Uint64
+// fleetSeries are the server's own series that only a fleet member
+// serves.
+type fleetSeries struct {
+	LookupForwards         atomic.Uint64 `metric:"arcsd_fleet_lookup_forwards_total,counter" help:"Config lookups answered by forwarding to an owning peer."`
+	MembershipApplied      atomic.Uint64 `metric:"arcsd_fleet_membership_applied_total,counter" help:"Pushed member lists that superseded the local one."`
+	TransferredOut         atomic.Uint64 `metric:"arcsd_fleet_transferred_out_total,counter" help:"Entries served through /v1/transfer."`
+	TransferEpochConflicts atomic.Uint64 `metric:"arcsd_fleet_transfer_epoch_conflicts_total,counter" help:"Transfer requests rejected for naming a stale epoch."`
+	DrainErrors            atomic.Uint64 `metric:"arcsd_fleet_drain_errors_total,counter" help:"Decommission drains that completed partially."`
+}
 
-	mu       sync.Mutex
-	requests map[reqKey]uint64  // guarded by mu
-	latSum   map[string]float64 // endpoint -> seconds; guarded by mu
-	latCount map[string]uint64  // endpoint -> observations; guarded by mu
+// metrics holds the server's own series and the per-endpoint request
+// table behind the two labelled ones.
+type metrics struct {
+	serverSeries
+	fleetSeries
+	endpoints []*endpoint // sorted by name; filled by New before serving
+}
+
+// endpoint is one instrumented endpoint's request series. instrument
+// resolves it once, at registration, so observing a request takes no
+// lock and allocates nothing.
+type endpoint struct {
+	name   string
+	status [16]statusCount // claimed in first-seen order; code 0 is free
+	nanos  atomic.Int64    // summed latency
+}
+
+// statusCount counts the requests answered with one status code.
+type statusCount struct {
+	code atomic.Uint32
+	n    atomic.Uint64
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		requests: make(map[reqKey]uint64),
-		latSum:   make(map[string]float64),
-		latCount: make(map[string]uint64),
-	}
+	m := &metrics{}
+	m.Requests = m.appendRequests
+	m.Latency = m.appendLatency
+	return m
 }
 
-func (m *metrics) observe(endpoint string, code int, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[reqKey{endpoint, code}]++
-	m.latSum[endpoint] += seconds
-	m.latCount[endpoint]++
+// endpoint registers a request series for one endpoint name.
+func (m *metrics) endpoint(name string) *endpoint {
+	ep := &endpoint{name: name}
+	m.endpoints = append(m.endpoints, ep)
+	slices.SortFunc(m.endpoints, func(a, b *endpoint) int { return strings.Compare(a.name, b.name) })
+	return ep
 }
 
-// fleetMetrics carries the fleet-scoped series into write; nil means
-// the server runs standalone and the fleet section is omitted.
-type fleetMetrics struct {
-	stats      fleet.Stats
-	nodes      int
-	replicas   int
-	ownedShare float64
-}
-
-// write renders the Prometheus text exposition format, deterministically
-// ordered so scrapes and tests are stable.
-func (m *metrics) write(w io.Writer, health store.Health, evc evalcache.Stats, fl *fleetMetrics) {
-	fmt.Fprintln(w, "# HELP arcsd_requests_total HTTP requests by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE arcsd_requests_total counter")
-	m.mu.Lock()
-	reqKeys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		reqKeys = append(reqKeys, k)
-	}
-	sort.Slice(reqKeys, func(i, j int) bool {
-		if reqKeys[i].endpoint != reqKeys[j].endpoint {
-			return reqKeys[i].endpoint < reqKeys[j].endpoint
+// observe counts one request under its status, claiming the next free
+// slot the first time a status is seen. Slots are claimed in order and
+// never released, so each status holds exactly one. Sixteen cover every
+// status a handler writes (/v1/config, with nine, writes the most);
+// past them a request would go uncounted.
+//
+//arcslint:hotpath once per served request
+func (ep *endpoint) observe(code int, d time.Duration) {
+	c := uint32(code)
+	for i := range ep.status {
+		s := &ep.status[i]
+		if s.code.Load() == 0 {
+			s.code.CompareAndSwap(0, c)
 		}
-		return reqKeys[i].code < reqKeys[j].code
-	})
-	for _, k := range reqKeys {
-		fmt.Fprintf(w, "arcsd_requests_total{endpoint=%q,code=\"%d\"} %d\n", k.endpoint, k.code, m.requests[k])
+		if s.code.Load() == c {
+			s.n.Add(1)
+			ep.nanos.Add(int64(d))
+			return
+		}
 	}
-	fmt.Fprintln(w, "# HELP arcsd_request_seconds Cumulative request latency by endpoint.")
-	fmt.Fprintln(w, "# TYPE arcsd_request_seconds summary")
-	latKeys := make([]string, 0, len(m.latCount))
-	for k := range m.latCount {
-		latKeys = append(latKeys, k)
-	}
-	sort.Strings(latKeys)
-	for _, k := range latKeys {
-		fmt.Fprintf(w, "arcsd_request_seconds_sum{endpoint=%q} %g\n", k, m.latSum[k])
-		fmt.Fprintf(w, "arcsd_request_seconds_count{endpoint=%q} %d\n", k, m.latCount[k])
-	}
-	m.mu.Unlock()
+}
 
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+func (m *metrics) appendRequests(b []byte, name string) []byte {
+	for _, ep := range m.endpoints {
+		var rows [][2]uint64 // status code, count
+		for i := range ep.status {
+			if n := ep.status[i].n.Load(); n > 0 {
+				rows = append(rows, [2]uint64{uint64(ep.status[i].code.Load()), n})
+			}
+		}
+		slices.SortFunc(rows, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+		for _, r := range rows {
+			b = fmt.Appendf(b, "%s{endpoint=%q,code=\"%d\"} %d\n", name, ep.name, r[0], r[1])
+		}
 	}
-	counter("arcsd_lookup_hits_total", "Exact-key lookup hits.", m.hits.Load())
-	counter("arcsd_lookup_fallbacks_total", "Lookups answered by the nearest-cap fallback.", m.fallbacks.Load())
-	counter("arcsd_lookup_misses_total", "Lookups with no answer at all.", m.misses.Load())
-	counter("arcsd_searches_total", "Server-side searches executed.", m.searches.Load())
-	counter("arcsd_search_dedup_total", "Searches avoided by single-flight deduplication.", m.searchDeduped.Load())
-	counter("arcsd_search_errors_total", "Server-side searches that failed.", m.searchErrors.Load())
-	counter("arcsd_search_shed_total", "Search requests shed by admission control (429).", m.searchShed.Load())
-	counter("arcsd_search_panics_total", "Searcher panics contained by the recovery wrapper.", m.searchPanics.Load())
-	counter("arcsd_handler_panics_total", "HTTP handler panics converted to 500s.", m.handlerPanics.Load())
-	counter("arcsd_reported_entries_total", "Entries ingested through /v1/reports.", m.reported.Load())
-	counter("arcsd_neighbors_served_total", "Neighbour records served through /v1/neighbors.", m.neighborsServed.Load())
-	counter("arcsd_evalcache_hits_total", "Probe evaluations served from the eval cache.", evc.Hits)
-	counter("arcsd_evalcache_misses_total", "Probe evaluations computed fresh (cache misses).", evc.Misses)
-	counter("arcsd_evalcache_dedup_total", "Probe evaluations shared with a concurrent in-flight compute.", evc.Dedups)
-	fmt.Fprintf(w, "# HELP arcsd_store_entries Current number of stored configurations.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_store_entries gauge\narcsd_store_entries %d\n", health.Entries)
-	degraded := 0
-	if health.Degraded {
-		degraded = 1
+	return b
+}
+
+func (m *metrics) appendLatency(b []byte, name string) []byte {
+	for _, ep := range m.endpoints {
+		var n uint64
+		for i := range ep.status {
+			n += ep.status[i].n.Load()
+		}
+		if n > 0 {
+			sum := time.Duration(ep.nanos.Load()).Seconds()
+			b = fmt.Appendf(b, "%s_sum{endpoint=%q} %g\n%s_count{endpoint=%q} %d\n", name, ep.name, sum, name, ep.name, n)
+		}
 	}
-	fmt.Fprintf(w, "# HELP arcsd_store_degraded 1 when the store is in degraded memory-only mode.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_store_degraded gauge\narcsd_store_degraded %d\n", degraded)
-	fmt.Fprintf(w, "# HELP arcsd_store_dropped_saves_total Saves accepted in memory but not persisted while degraded.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_store_dropped_saves_total counter\narcsd_store_dropped_saves_total %d\n", health.DroppedSaves)
-	fmt.Fprintf(w, "# HELP arcsd_store_wal_bytes On-disk size of the write-ahead log.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_store_wal_bytes gauge\narcsd_store_wal_bytes %d\n", health.WALBytes)
-	fmt.Fprintf(w, "# HELP arcsd_store_snapshot_bytes On-disk size of the compacted snapshot.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_store_snapshot_bytes gauge\narcsd_store_snapshot_bytes %d\n", health.SnapshotBytes)
-	fmt.Fprintf(w, "# HELP arcsd_evalcache_entries Resident eval-cache entries.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_evalcache_entries gauge\narcsd_evalcache_entries %d\n", evc.Entries)
-	fmt.Fprintf(w, "# HELP arcsd_evalcache_inflight Probe computations currently running.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_evalcache_inflight gauge\narcsd_evalcache_inflight %d\n", evc.InFlight)
-	counter("arcsd_merged_entries_total", "Entries accepted through /v1/merge replication.", m.merged.Load())
-	if fl == nil {
-		return
+	return b
+}
+
+// family is one declared series: a tagged field and the value it holds.
+type family struct {
+	name, typ, help string
+	val             reflect.Value
+}
+
+// writeMetrics renders the Prometheus text exposition format for every
+// metric-tagged field of srcs, which are pointers to structs: one
+// family per field, sorted by name so scrapes and tests are stable.
+func writeMetrics(w io.Writer, srcs ...any) error {
+	var fams []family
+	for _, src := range srcs {
+		v := reflect.ValueOf(src).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if decl, ok := f.Tag.Lookup("metric"); ok {
+				name, typ, _ := strings.Cut(decl, ",")
+				fams = append(fams, family{name, typ, f.Tag.Get("help"), v.Field(i)})
+			}
+		}
 	}
-	counter("arcsd_fleet_lookup_forwards_total", "Config lookups answered by forwarding to an owning peer.", m.fleetLookupFwd.Load())
-	counter("arcsd_fleet_report_forwards_total", "Report batches forwarded to owning peers.", fl.stats.Forwards)
-	counter("arcsd_fleet_replicated_total", "Locally authored entries replicated out to co-owners.", fl.stats.Replicated)
-	counter("arcsd_fleet_merged_in_total", "Entries accepted from peer replication or anti-entropy.", fl.stats.MergedIn)
-	counter("arcsd_fleet_repairs_total", "Entries pushed to peers by the anti-entropy sweep.", fl.stats.Repairs)
-	counter("arcsd_fleet_sweeps_total", "Completed anti-entropy sweeps.", fl.stats.Sweeps)
-	counter("arcsd_fleet_hints_dropped_total", "Hints dropped because a handoff queue overflowed or its peer left.", fl.stats.HandoffDropped)
-	counter("arcsd_fleet_fallbacks_total", "Reports accepted locally because every owner was unreachable.", fl.stats.Fallbacks)
-	counter("arcsd_fleet_membership_changes_total", "Membership epochs adopted since start.", fl.stats.MembershipChanges)
-	counter("arcsd_fleet_membership_applied_total", "Pushed member lists that superseded the local one.", m.membershipApplied.Load())
-	counter("arcsd_fleet_heartbeats_total", "Heartbeat pings sent to peers.", fl.stats.Heartbeats)
-	counter("arcsd_fleet_heartbeat_failures_total", "Heartbeat pings that failed.", fl.stats.HeartbeatFailures)
-	counter("arcsd_fleet_transferred_in_total", "Entries merged from bootstrap range transfers.", fl.stats.TransferredIn)
-	counter("arcsd_fleet_transferred_out_total", "Entries served through /v1/transfer.", m.transferredOut.Load())
-	counter("arcsd_fleet_transfer_retries_total", "Range-transfer attempts that were retried.", fl.stats.TransferRetries)
-	counter("arcsd_fleet_transfer_epoch_conflicts_total", "Transfer requests rejected for naming a stale epoch.", m.transferEpochConflicts.Load())
-	counter("arcsd_fleet_drained_total", "Entries pushed to new owners by a decommission drain.", fl.stats.Drained)
-	counter("arcsd_fleet_drain_errors_total", "Decommission drains that completed partially.", m.drainErrors.Load())
-	fmt.Fprintf(w, "# HELP arcsd_fleet_handoff_depth Hints queued for currently unreachable peers.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_fleet_handoff_depth gauge\narcsd_fleet_handoff_depth %d\n", fl.stats.HandoffDepth)
-	fmt.Fprintf(w, "# HELP arcsd_fleet_epoch Current membership epoch.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_fleet_epoch gauge\narcsd_fleet_epoch %d\n", fl.stats.Epoch)
-	fmt.Fprintf(w, "# HELP arcsd_fleet_peers_suspect Peers the failure detector currently suspects.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_fleet_peers_suspect gauge\narcsd_fleet_peers_suspect %d\n", fl.stats.PeersSuspect)
-	fmt.Fprintf(w, "# HELP arcsd_fleet_peers_dead Peers the failure detector currently declares dead.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_fleet_peers_dead gauge\narcsd_fleet_peers_dead %d\n", fl.stats.PeersDead)
-	fmt.Fprintf(w, "# HELP arcsd_fleet_nodes Fleet membership size.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_fleet_nodes gauge\narcsd_fleet_nodes %d\n", fl.nodes)
-	fmt.Fprintf(w, "# HELP arcsd_fleet_replicas Configured replication factor.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_fleet_replicas gauge\narcsd_fleet_replicas %d\n", fl.replicas)
-	fmt.Fprintf(w, "# HELP arcsd_fleet_owned_share Fraction of the ring this node owns as primary.\n")
-	fmt.Fprintf(w, "# TYPE arcsd_fleet_owned_share gauge\narcsd_fleet_owned_share %g\n", fl.ownedShare)
+	slices.SortFunc(fams, func(a, b family) int { return strings.Compare(a.name, b.name) })
+	var b []byte
+	for _, f := range fams {
+		b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		switch x := f.val.Addr().Interface().(type) {
+		case *samples:
+			b = (*x)(b, f.name)
+		case *atomic.Uint64:
+			b = fmt.Appendf(b, "%s %d\n", f.name, x.Load())
+		case *bool:
+			if *x {
+				b = fmt.Appendf(b, "%s 1\n", f.name)
+			} else {
+				b = fmt.Appendf(b, "%s 0\n", f.name)
+			}
+		default: // a plain integer or float snapshot field
+			b = fmt.Appendf(b, "%s %v\n", f.name, f.val.Interface())
+		}
+	}
+	_, err := w.Write(b)
+	return err
 }

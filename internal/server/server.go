@@ -44,6 +44,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"sync"
@@ -210,22 +211,9 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	key := arcs.HistoryKey{
-		App:      q.Get("app"),
-		Workload: q.Get("workload"),
-		Region:   q.Get("region"),
-	}
-	if key.App == "" || key.Region == "" {
-		errorJSON(w, http.StatusBadRequest, "app and region are required")
+	key, ok := parseKey(w, q)
+	if !ok {
 		return
-	}
-	if capStr := q.Get("cap"); capStr != "" {
-		capW, err := strconv.ParseFloat(capStr, 64)
-		if err != nil || math.IsNaN(capW) || math.IsInf(capW, 0) {
-			errorJSON(w, http.StatusBadRequest, "bad cap %q", capStr)
-			return
-		}
-		key.CapW = capW
 	}
 	allowFallback := q.Get("fallback") != "0"
 	allowSearch := q.Get("search") != "0"
@@ -251,7 +239,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 					Arch: arch, Fallback: allowFallback, Search: allowSearch, Forwarded: true,
 				})
 				if err == nil {
-					s.met.fleetLookupFwd.Add(1)
+					s.met.LookupForwards.Add(1)
 					writeConfig(w, r, codec.ConfigAnswer{
 						Key: res.Key, Cfg: res.Config, Perf: res.Perf, Version: res.Version,
 						Source: res.Source, CapDistance: res.CapDistance,
@@ -267,7 +255,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if e, ok := s.st.Get(key); ok {
-		s.met.hits.Add(1)
+		s.met.Hits.Add(1)
 		writeConfig(w, r, codec.ConfigAnswer{
 			Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Version: e.Version, Source: "exact",
 		})
@@ -275,7 +263,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	}
 	if allowFallback {
 		if e, dist, ok := s.st.GetNearest(key); ok {
-			s.met.fallbacks.Add(1)
+			s.met.Fallbacks.Add(1)
 			writeConfig(w, r, codec.ConfigAnswer{
 				Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Version: e.Version,
 				Source: "fallback", CapDistance: dist,
@@ -296,10 +284,10 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Retry-After", "1")
 				errorJSON(w, http.StatusTooManyRequests, "server busy: %v", err)
 			case errors.Is(err, errSearchTimeout) || errors.Is(err, context.DeadlineExceeded):
-				s.met.searchErrors.Add(1)
+				s.met.SearchErrors.Add(1)
 				errorJSON(w, http.StatusGatewayTimeout, "server-side search: %v", err)
 			default:
-				s.met.searchErrors.Add(1)
+				s.met.SearchErrors.Add(1)
 				errorJSON(w, http.StatusBadGateway, "server-side search: %v", err)
 			}
 			return
@@ -313,8 +301,41 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		// The search ran but this region never executed (wrong region
 		// name, or app has fewer regions): an honest miss.
 	}
-	s.met.misses.Add(1)
+	s.met.Misses.Add(1)
 	errorJSON(w, http.StatusNotFound, "no configuration for %v", key)
+}
+
+// parseKey reads the app/workload/region/cap query that /v1/config and
+// /v1/neighbors share. On bad input it writes the 400 and returns
+// ok=false.
+func parseKey(w http.ResponseWriter, q url.Values) (key arcs.HistoryKey, ok bool) {
+	key = arcs.HistoryKey{App: q.Get("app"), Workload: q.Get("workload"), Region: q.Get("region")}
+	if key.App == "" || key.Region == "" {
+		errorJSON(w, http.StatusBadRequest, "app and region are required")
+		return key, false
+	}
+	if capStr := q.Get("cap"); capStr != "" {
+		capW, err := strconv.ParseFloat(capStr, 64)
+		if err != nil || math.IsNaN(capW) || math.IsInf(capW, 0) {
+			errorJSON(w, http.StatusBadRequest, "bad cap %q", capStr)
+			return key, false
+		}
+		key.CapW = capW
+	}
+	return key, true
+}
+
+// checkRecord is the check every record passes before it is stored,
+// whether it arrives as a report or as a merged entry: app and region
+// present, perf finite.
+func checkRecord(key arcs.HistoryKey, perf float64) error {
+	if key.App == "" || key.Region == "" {
+		return errors.New("app and region are required")
+	}
+	if math.IsNaN(perf) || math.IsInf(perf, 0) {
+		return errors.New("non-finite perf")
+	}
+	return nil
 }
 
 // handleNeighbors serves the neighbour scan behind surrogate transfer
@@ -329,22 +350,9 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	key := arcs.HistoryKey{
-		App:      q.Get("app"),
-		Workload: q.Get("workload"),
-		Region:   q.Get("region"),
-	}
-	if key.App == "" || key.Region == "" {
-		errorJSON(w, http.StatusBadRequest, "app and region are required")
+	key, ok := parseKey(w, q)
+	if !ok {
 		return
-	}
-	if capStr := q.Get("cap"); capStr != "" {
-		capW, err := strconv.ParseFloat(capStr, 64)
-		if err != nil || math.IsNaN(capW) || math.IsInf(capW, 0) {
-			errorJSON(w, http.StatusBadRequest, "bad cap %q", capStr)
-			return
-		}
-		key.CapW = capW
 	}
 	max := arcs.DefaultTransferSeeds
 	if maxStr := q.Get("max"); maxStr != "" {
@@ -356,7 +364,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		max = m
 	}
 	ns := s.st.Neighbors(key, max)
-	s.met.neighborsServed.Add(uint64(len(ns)))
+	s.met.NeighborsServed.Add(uint64(len(ns)))
 	writeJSON(w, http.StatusOK, ns)
 }
 
@@ -372,7 +380,7 @@ func (s *Server) searchOnce(ctx context.Context, req SearchRequest) error {
 	s.sfMu.Lock()
 	if f, ok := s.inflight[key]; ok {
 		s.sfMu.Unlock()
-		s.met.searchDeduped.Add(1)
+		s.met.SearchDeduped.Add(1)
 		select {
 		case <-f.done:
 			return f.err
@@ -385,7 +393,7 @@ func (s *Server) searchOnce(ctx context.Context, req SearchRequest) error {
 		case s.searchSem <- struct{}{}:
 		default:
 			s.sfMu.Unlock()
-			s.met.searchShed.Add(1)
+			s.met.SearchShed.Add(1)
 			return fmt.Errorf("%w (%d in flight)", errSearchShed, cap(s.searchSem))
 		}
 	}
@@ -395,7 +403,7 @@ func (s *Server) searchOnce(ctx context.Context, req SearchRequest) error {
 
 	results, err := s.runSearch(ctx, req)
 	if err == nil {
-		s.met.searches.Add(1)
+		s.met.Searches.Add(1)
 		for _, res := range results {
 			s.st.Save(arcs.HistoryKey{
 				App: req.App, Workload: req.Workload, CapW: res.CapW, Region: res.Region,
@@ -418,8 +426,8 @@ func (s *Server) searchOnce(ctx context.Context, req SearchRequest) error {
 // abandoned at the deadline; its goroutine keeps its admission slot
 // until it actually returns, so a wedged backend saturates the bounded
 // semaphore — surfacing as 429s — rather than growing goroutines without
-// limit. A panicking searcher is converted into an error plus the
-// arcsd_search_panics_total metric instead of killing the daemon.
+// limit. A panicking searcher is converted into an error plus a count
+// in SearchPanics instead of killing the daemon.
 func (s *Server) runSearch(ctx context.Context, req SearchRequest) ([]SearchResult, error) {
 	sctx := context.WithoutCancel(ctx)
 	cancel := context.CancelFunc(func() {})
@@ -438,7 +446,7 @@ func (s *Server) runSearch(ctx context.Context, req SearchRequest) ([]SearchResu
 				<-s.searchSem
 			}
 			if r := recover(); r != nil {
-				s.met.searchPanics.Add(1)
+				s.met.SearchPanics.Add(1)
 				ch <- outcome{err: fmt.Errorf("server: searcher panicked: %v", r)}
 			}
 		}()
@@ -470,7 +478,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.met.reported.Add(uint64(saved))
+	s.met.Reported.Add(uint64(saved))
 	s.writeAck(w, r, saved)
 }
 
@@ -490,11 +498,8 @@ func (s *Server) ingestReports(w http.ResponseWriter, r *http.Request) (saved in
 	}
 	var valid []codec.Report
 	collect := func(key arcs.HistoryKey, cfg arcs.ConfigValues, perf float64) error {
-		if key.App == "" || key.Region == "" {
-			return fmt.Errorf("report %d: app and region are required", len(valid))
-		}
-		if math.IsNaN(perf) || math.IsInf(perf, 0) {
-			return fmt.Errorf("report %d: non-finite perf", len(valid))
+		if err := checkRecord(key, perf); err != nil {
+			return fmt.Errorf("report %d: %v", len(valid), err)
 		}
 		valid = append(valid, codec.Report{Key: key, Cfg: cfg, Perf: perf})
 		return nil
@@ -580,7 +585,8 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 
 // handleMerge ingests intra-fleet replication: already-versioned
 // entries applied under store.Supersedes, never re-replicated (the
-// authoring owner fans out itself). The body is a concatenation of
+// authoring owner pushes to every co-owner itself, so a merge fans out
+// once, not transitively). The body is a concatenation of
 // KindEntry frames — the WAL record format. Works standalone too
 // (direct store merges, restore tooling).
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
@@ -614,26 +620,18 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		pos += n
 	}
 	for i := range entries {
-		if entries[i].Key.App == "" || entries[i].Key.Region == "" {
-			errorJSON(w, http.StatusBadRequest, "merge entry %d: app and region are required", i)
-			return
-		}
-		if math.IsNaN(entries[i].Perf) || math.IsInf(entries[i].Perf, 0) {
-			errorJSON(w, http.StatusBadRequest, "merge entry %d: non-finite perf", i)
+		if err := checkRecord(entries[i].Key, entries[i].Perf); err != nil {
+			errorJSON(w, http.StatusBadRequest, "merge entry %d: %v", i, err)
 			return
 		}
 	}
 	var merged int
-	if s.fleet != nil {
-		merged = s.fleet.MergeLocal(entries)
-	} else {
-		for _, e := range entries {
-			if s.st.Merge(e) {
-				merged++
-			}
+	for _, e := range entries {
+		if s.st.Merge(e) {
+			merged++
 		}
 	}
-	s.met.merged.Add(uint64(merged))
+	s.met.Merged.Add(uint64(merged))
 	s.writeAck(w, r, merged)
 }
 
@@ -684,13 +682,14 @@ type HealthResponse struct {
 
 // FleetHealth is the fleet section of /healthz: identity, membership,
 // and the live replication counters, so an operator can see from any
-// one node whether replication and anti-entropy are keeping up.
+// one node whether replication and anti-entropy are keeping up. The
+// tagged fields are /metrics series too.
 type FleetHealth struct {
 	Self       string   `json:"self"`
 	Epoch      uint64   `json:"epoch"`
 	Nodes      []string `json:"nodes"`
-	Replicas   int      `json:"replicas"`
-	OwnedShare float64  `json:"owned_share"`
+	Replicas   int      `json:"replicas" metric:"arcsd_fleet_replicas,gauge" help:"Configured replication factor."`
+	OwnedShare float64  `json:"owned_share" metric:"arcsd_fleet_owned_share,gauge" help:"Fraction of the ring this node owns as primary."`
 	// Peers maps each peer to its failure-detector state ("alive",
 	// "suspect" or "dead").
 	Peers map[string]string `json:"peers,omitempty"`
@@ -715,45 +714,50 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 	if s.fleet != nil {
-		v := s.fleet.View()
-		resp.Fleet = &FleetHealth{
-			Self:       s.fleet.Self(),
-			Epoch:      v.Epoch(),
-			Nodes:      v.Membership().Nodes,
-			Replicas:   v.Replicas(),
-			OwnedShare: v.OwnedShare(s.fleet.Self()),
-			Peers:      s.fleet.Detector().States(),
-			Stats:      s.fleet.Stats(),
-		}
+		resp.Fleet = s.fleetHealth()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var fl *fleetMetrics
-	if s.fleet != nil {
-		v := s.fleet.View()
-		fl = &fleetMetrics{
-			stats:      s.fleet.Stats(),
-			nodes:      len(v.Membership().Nodes),
-			replicas:   v.Replicas(),
-			ownedShare: v.OwnedShare(s.fleet.Self()),
-		}
+// fleetHealth snapshots the fleet section that /healthz serves and
+// /metrics renders.
+func (s *Server) fleetHealth() *FleetHealth {
+	v := s.fleet.View()
+	return &FleetHealth{
+		Self:       s.fleet.Self(),
+		Epoch:      v.Epoch(),
+		Nodes:      v.Membership().Nodes,
+		Replicas:   v.Replicas(),
+		OwnedShare: v.OwnedShare(s.fleet.Self()),
+		Peers:      s.fleet.Detector().States(),
+		Stats:      s.fleet.Stats(),
 	}
-	s.met.write(w, s.st.Health(), s.evc.Stats(), fl)
+}
+
+// handleMetrics serves the server's own series, the store's and the
+// eval cache's, and on a fleet member the fleet's.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	health, evc := s.st.Health(), s.evc.Stats()
+	srcs := []any{&s.met.serverSeries, &health, &evc}
+	if s.fleet != nil {
+		fh := s.fleetHealth()
+		srcs = append(srcs, &s.met.fleetSeries, fh, &fh.Stats)
+	}
+	_ = writeMetrics(w, srcs...) // a failed write means the scraper went away
 }
 
 // instrument wraps a handler with request counting, latency tracking,
-// and panic recovery: a panicking handler becomes a 500 plus the
-// arcsd_handler_panics_total metric, never a dead daemon.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+// and panic recovery: a panicking handler becomes a 500 plus a count in
+// HandlerPanics, never a dead daemon.
+func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+	ep := s.met.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		func() {
 			defer func() {
 				if rec := recover(); rec != nil {
-					s.met.handlerPanics.Add(1)
+					s.met.HandlerPanics.Add(1)
 					if !sw.wrote {
 						errorJSON(sw, http.StatusInternalServerError, "internal panic: %v", rec)
 					}
@@ -761,7 +765,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			}()
 			h(sw, r)
 		}()
-		s.met.observe(endpoint, sw.code, time.Since(start).Seconds())
+		ep.observe(sw.code, time.Since(start))
 	}
 }
 

@@ -741,13 +741,14 @@ func (s *Store) setErr(err error) {
 }
 
 // Health is a point-in-time report of the store's persistence state,
-// served by arcsd's /healthz. Reading it does not clear Err.
+// served by arcsd's /healthz and, through the metric and help tags, on
+// /metrics. Reading it does not clear Err.
 type Health struct {
 	// Entries is the number of served records (memory, degraded or not).
-	Entries int `json:"entries"`
+	Entries int `json:"entries" metric:"arcsd_store_entries,gauge" help:"Current number of stored configurations."`
 	// Degraded reports memory-only mode: serving works, persistence is
 	// stopped until a successful Snapshot.
-	Degraded bool `json:"degraded"`
+	Degraded bool `json:"degraded" metric:"arcsd_store_degraded,gauge" help:"1 when the store is in degraded memory-only mode."`
 	// DegradedCause is why the store degraded (empty when healthy).
 	DegradedCause string `json:"degraded_cause,omitempty"`
 	// LastErr is the pending background error Err would return (without
@@ -758,11 +759,11 @@ type Health struct {
 	WALRecords int `json:"wal_records"`
 	// DroppedSaves counts Saves accepted in memory but not persisted
 	// while degraded.
-	DroppedSaves uint64 `json:"dropped_saves,omitempty"`
+	DroppedSaves uint64 `json:"dropped_saves,omitempty" metric:"arcsd_store_dropped_saves_total,counter" help:"Saves accepted in memory but not persisted while degraded."`
 	// WALBytes and SnapshotBytes are the on-disk file sizes (0 when the
 	// file is missing or unreadable).
-	WALBytes      int64 `json:"wal_bytes"`
-	SnapshotBytes int64 `json:"snapshot_bytes"`
+	WALBytes      int64 `json:"wal_bytes" metric:"arcsd_store_wal_bytes,gauge" help:"On-disk size of the write-ahead log."`
+	SnapshotBytes int64 `json:"snapshot_bytes" metric:"arcsd_store_snapshot_bytes,gauge" help:"On-disk size of the compacted snapshot."`
 }
 
 // Health reports the persistence state without mutating anything.
