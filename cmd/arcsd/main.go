@@ -84,9 +84,7 @@ func main() {
 	flag.IntVar(&cfg.replicas, "replicas", fleet.DefaultReplicas,
 		"owners per key, primary included (clamped to the fleet size)")
 	flag.DurationVar(&cfg.antiEntropy, "anti-entropy", 10*time.Second,
-		"interval between hinted-handoff drains and anti-entropy sweeps")
-	flag.IntVar(&cfg.handoffMax, "handoff-max", fleet.DefaultHandoffMax,
-		"max hints queued per unreachable peer before new ones are dropped")
+		"interval between anti-entropy sweeps")
 	flag.Int64Var(&cfg.fleetSeed, "fleet-seed", 1,
 		"seed for the sweep's peer-order shuffle and ticker jitter (determinism for tests)")
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", 2*time.Second,
@@ -120,7 +118,6 @@ type daemonCfg struct {
 	advertise         string
 	replicas          int
 	antiEntropy       time.Duration
-	handoffMax        int
 	fleetSeed         int64
 	heartbeat         time.Duration
 	suspectAfter      time.Duration
@@ -223,7 +220,6 @@ func buildFleet(ctx context.Context, cfg daemonCfg, st *store.Store, logger *log
 		Store:        st,
 		NewPeer:      reg.peer,
 		Seed:         cfg.fleetSeed,
-		HandoffMax:   cfg.handoffMax,
 		SuspectAfter: cfg.suspectAfter,
 		DeadAfter:    cfg.deadAfter,
 	})

@@ -124,7 +124,7 @@ func (c *testCluster) startMember(i int, ln net.Listener, nodes []string, epoch 
 	reg := &registry{self: c.urls[i], m: make(map[string]*storeclient.Client)}
 	fl, err := fleet.New(fleet.Config{
 		Self: c.urls[i], Nodes: nodes, Epoch: epoch, Replicas: 2,
-		Store: st, NewPeer: reg.peer, Seed: int64(1000 + i), HandoffMax: 4096,
+		Store: st, NewPeer: reg.peer, Seed: int64(1000 + i),
 	})
 	if err != nil {
 		c.t.Fatal(err)
@@ -226,7 +226,7 @@ func TestFleetConvergesThroughKillRestart(t *testing.T) {
 	}
 
 	// Kill one member mid-run; the load must keep getting acks from the
-	// survivors (failover plus hinted handoff on the server side).
+	// survivors (failover on the server side, repaired later by anti-entropy).
 	c.kill(1)
 	cfg2 := cfg
 	cfg2.seed = 43

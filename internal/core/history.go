@@ -74,7 +74,9 @@ func writeKeyField(b *strings.Builder, s string) {
 
 // History stores the best configurations found by search runs so that
 // later executions "can use the saved values instead of repeating the
-// search process" (§III-B).
+// search process" (§III-B). Besides exact lookups it answers the two
+// nearby-context queries warm starts use: the nearest cap in the same
+// context and the ranked neighbouring contexts.
 type History interface {
 	// Save records the best configuration for a context. A duplicate Save
 	// keeps whichever entry has the better (lower) perf, so merging
@@ -85,24 +87,24 @@ type History interface {
 	Load(k HistoryKey) (ConfigValues, bool)
 	// Len reports the number of stored entries.
 	Len() int
-}
-
-// FallbackHistory is an optional History extension that can answer an
-// exact-key miss with the entry for the closest power cap in the same
-// app/workload/region context — the optimum drifts smoothly with the cap
-// (§II), so a near-cap configuration is a far better search seed than the
-// default.
-type FallbackHistory interface {
-	History
-	// LoadNearest returns the entry whose key matches App, Workload and
-	// Region exactly and whose CapW is closest to k's. dist is the
-	// absolute cap difference in watts (0 for an exact hit); on a distance
-	// tie the lower cap wins, deterministically.
+	// LoadNearest answers an exact-key miss with the entry whose key
+	// matches App, Workload and Region exactly and whose CapW is closest
+	// to k's — the optimum drifts smoothly with the cap (§II), so a
+	// near-cap configuration is a far better search seed than the
+	// default. dist is the absolute cap difference in watts (0 for an
+	// exact hit); on a distance tie the lower cap wins, deterministically.
 	LoadNearest(k HistoryKey) (cfg ConfigValues, dist float64, ok bool)
+	// LoadNeighbors returns up to max entries from the contexts nearest
+	// to k — same app and region, in ascending NeighborDistance order
+	// (ties: lower cap, then key string), so cross-workload entries come
+	// after all same-workload ones. Surrogate search uses them to seed
+	// its model and start simplex in a new context (§II: optima drift
+	// smoothly with cap and workload).
+	LoadNeighbors(k HistoryKey, max int) []Neighbor
 }
 
 // Neighbor is one entry from a neighbouring tuned context, returned by
-// NeighborHistory.LoadNeighbors in ascending-distance order.
+// History.LoadNeighbors in ascending-distance order.
 type Neighbor struct {
 	Key  HistoryKey   `json:"key"`
 	Cfg  ConfigValues `json:"config"`
@@ -131,18 +133,6 @@ func NeighborDistance(k, ek HistoryKey) (float64, bool) {
 		return 0, false // the exact context: not a neighbour
 	}
 	return d, true
-}
-
-// NeighborHistory is an optional History extension that enumerates the
-// contexts nearest to a query key: same app and region, ranked by cap
-// distance with cross-workload entries after all same-workload ones.
-// Surrogate search uses the result to seed its model and start simplex
-// in a new context (§II: optima drift smoothly with cap and workload).
-type NeighborHistory interface {
-	History
-	// LoadNeighbors returns up to max neighbouring entries in ascending
-	// NeighborDistance order (ties: lower cap, then key string).
-	LoadNeighbors(k HistoryKey, max int) []Neighbor
 }
 
 // historyEntry is the serialised record.
@@ -178,7 +168,7 @@ func (h *MemHistory) Load(k HistoryKey) (ConfigValues, bool) {
 	return e.Cfg, ok
 }
 
-// LoadNearest implements FallbackHistory with a linear scan (in-memory
+// LoadNearest implements History with a linear scan (in-memory
 // histories are small — one entry per tuned region).
 func (h *MemHistory) LoadNearest(k HistoryKey) (ConfigValues, float64, bool) {
 	if cfg, ok := h.Load(k); ok {
@@ -203,7 +193,7 @@ func (h *MemHistory) LoadNearest(k HistoryKey) (ConfigValues, float64, bool) {
 	return best.Cfg, bestDist, true
 }
 
-// LoadNeighbors implements NeighborHistory with a linear scan and a
+// LoadNeighbors implements History with a linear scan and a
 // deterministic sort: distance, then lower cap, then key string.
 func (h *MemHistory) LoadNeighbors(k HistoryKey, max int) []Neighbor {
 	if max <= 0 {
@@ -225,7 +215,7 @@ func (h *MemHistory) LoadNeighbors(k HistoryKey, max int) []Neighbor {
 
 // SortNeighbors orders neighbours by ascending distance, breaking ties
 // toward the lower cap and then the canonical key string, so every
-// NeighborHistory implementation ranks identically.
+// History implementation ranks identically.
 func SortNeighbors(ns []Neighbor) {
 	sort.Slice(ns, func(i, j int) bool { return NeighborLess(&ns[i], &ns[j]) })
 }
@@ -320,7 +310,4 @@ func LoadHistoryFile(path string) (*MemHistory, error) {
 	return h, nil
 }
 
-var (
-	_ FallbackHistory = (*MemHistory)(nil)
-	_ NeighborHistory = (*MemHistory)(nil)
-)
+var _ History = (*MemHistory)(nil)

@@ -1,8 +1,9 @@
 // Package historytest is a conformance suite for arcs.History
 // implementations. Every implementation — the in-memory MemHistory, the
 // persistent internal/store, and the network-backed internal/storeclient —
-// must expose identical Save/Load/Len semantics; running them all through
-// this suite keeps the contract from drifting.
+// must expose identical Save/Load/Len/LoadNearest/LoadNeighbors
+// semantics; running them all through this suite keeps the contract from
+// drifting.
 package historytest
 
 import (
@@ -17,7 +18,8 @@ import (
 type Factory func(t *testing.T) arcs.History
 
 // Run exercises the History contract: round-trips, key isolation, the
-// keep-best-perf-on-duplicate-Save rule, and canonical-key injectivity.
+// keep-best-perf-on-duplicate-Save rule, canonical-key injectivity, and
+// the nearest-cap and neighbour queries.
 func Run(t *testing.T, newHistory Factory) {
 	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "x_solve"}
 	cfgA := arcs.ConfigValues{Threads: 16, Schedule: ompt.ScheduleGuided, Chunk: 8}
@@ -115,23 +117,14 @@ func Run(t *testing.T, newHistory Factory) {
 		}
 	})
 
-	if _, ok := newHistory(t).(arcs.FallbackHistory); ok {
-		RunFallback(t, func(t *testing.T) arcs.FallbackHistory {
-			return newHistory(t).(arcs.FallbackHistory)
-		})
-	}
-	if _, ok := newHistory(t).(arcs.NeighborHistory); ok {
-		RunNeighbors(t, func(t *testing.T) arcs.NeighborHistory {
-			return newHistory(t).(arcs.NeighborHistory)
-		})
-	}
+	runFallback(t, newHistory)
+	runNeighbors(t, newHistory)
 }
 
-// RunFallback exercises the FallbackHistory contract: exact hits at zero
+// runFallback exercises the LoadNearest contract: exact hits at zero
 // distance, nearest-cap answers on a miss, and the deterministic
-// lower-cap preference on a distance tie. Run invokes it automatically
-// when the factory's History implements the interface.
-func RunFallback(t *testing.T, newHistory func(t *testing.T) arcs.FallbackHistory) {
+// lower-cap preference on a distance tie.
+func runFallback(t *testing.T, newHistory func(t *testing.T) arcs.History) {
 	cfg60 := arcs.ConfigValues{Threads: 8, Schedule: ompt.ScheduleDynamic, Chunk: 4}
 	cfg80 := arcs.ConfigValues{Threads: 16, Schedule: ompt.ScheduleGuided, Chunk: 8}
 	key := func(cap float64) arcs.HistoryKey {
@@ -180,11 +173,10 @@ func RunFallback(t *testing.T, newHistory func(t *testing.T) arcs.FallbackHistor
 	})
 }
 
-// RunNeighbors exercises the NeighborHistory contract: ranked neighbour
+// runNeighbors exercises the LoadNeighbors contract: ranked neighbour
 // scans excluding the exact key, same-workload entries ahead of
-// cross-workload ones, and the max bound. Run invokes it automatically
-// when the factory's History implements the interface.
-func RunNeighbors(t *testing.T, newHistory func(t *testing.T) arcs.NeighborHistory) {
+// cross-workload ones, and the max bound.
+func runNeighbors(t *testing.T, newHistory func(t *testing.T) arcs.History) {
 	cfgN := func(threads int) arcs.ConfigValues {
 		return arcs.ConfigValues{Threads: threads, Schedule: ompt.ScheduleDynamic, Chunk: 4}
 	}

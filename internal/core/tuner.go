@@ -61,8 +61,8 @@ const (
 	AlgoCoordinate
 	// AlgoSurrogate forces model-guided search: a regression-forest
 	// surrogate proposing expected-improvement candidates, with transfer
-	// seeding from neighbouring contexts when a NeighborHistory is
-	// available, and a Nelder-Mead refinement tail.
+	// seeding from neighbouring contexts when a History is set, and a
+	// Nelder-Mead refinement tail.
 	AlgoSurrogate
 )
 
@@ -119,8 +119,8 @@ type Options struct {
 	// WarmStart lets the online strategy consult History before searching:
 	// an exact hit is applied directly (the paper's "use the saved values
 	// instead of repeating the search process", with zero evaluations),
-	// and when History implements FallbackHistory a nearest-cap hit seeds
-	// the search at the served configuration instead of the default point.
+	// and otherwise the history's nearest-cap hit seeds the search at the
+	// served configuration instead of the default point.
 	// Requires History and Key. This is how a shared knowledge store
 	// (internal/store, cmd/arcsd) amortises searches across runs.
 	WarmStart bool
@@ -447,25 +447,21 @@ func (t *Tuner) warmLookup(name string, rs *regionState) {
 	// Surrogate searches take every nearby context as a transfer seed, not
 	// just the single nearest cap: the model learns from all of them.
 	if t.resolvedAlgo() == AlgoSurrogate {
-		if nh, ok := t.opts.History.(NeighborHistory); ok {
-			for _, sd := range TransferSeeds(k, nh.LoadNeighbors(k, DefaultTransferSeeds)) {
-				if p, enc := t.opts.Space.Encode(sd.Cfg); enc {
-					rs.seedPts = append(rs.seedPts, p)
-					rs.seedPerfs = append(rs.seedPerfs, sd.Perf)
-				}
-			}
-			if len(rs.seedPts) > 0 {
-				t.apx.IncrCounter("arcs.transfer_seeds", float64(len(rs.seedPts)))
+		for _, sd := range TransferSeeds(k, t.opts.History.LoadNeighbors(k, DefaultTransferSeeds)) {
+			if p, enc := t.opts.Space.Encode(sd.Cfg); enc {
+				rs.seedPts = append(rs.seedPts, p)
+				rs.seedPerfs = append(rs.seedPerfs, sd.Perf)
 			}
 		}
+		if len(rs.seedPts) > 0 {
+			t.apx.IncrCounter("arcs.transfer_seeds", float64(len(rs.seedPts)))
+		}
 	}
-	if fh, ok := t.opts.History.(FallbackHistory); ok {
-		if cfg, _, ok := fh.LoadNearest(k); ok {
-			if p, enc := t.opts.Space.Encode(cfg); enc {
-				rs.warmSeed = p
-				t.apx.IncrCounter("arcs.warm_seeds", 1)
-				return
-			}
+	if cfg, _, ok := t.opts.History.LoadNearest(k); ok {
+		if p, enc := t.opts.Space.Encode(cfg); enc {
+			rs.warmSeed = p
+			t.apx.IncrCounter("arcs.warm_seeds", 1)
+			return
 		}
 	}
 	if len(rs.seedPts) == 0 {

@@ -17,7 +17,8 @@ const (
 	// DefaultReplicas is the number of owners per key (primary
 	// included): every key survives one node failure.
 	DefaultReplicas = 2
-	// DefaultHandoffMax bounds each per-peer hint queue.
+	// DefaultHandoffMax is a no-op kept for callers that still set
+	// Config.HandoffMax; the fleet has no handoff queues.
 	DefaultHandoffMax = 4096
 )
 
@@ -84,8 +85,8 @@ type Config struct {
 	// contract): equal seeds and equal tick sequences behave
 	// identically.
 	Seed int64
-	// HandoffMax bounds each per-peer hint queue; zero selects
-	// DefaultHandoffMax.
+	// HandoffMax is a no-op kept for callers that still set it: the
+	// anti-entropy sweep is the fleet's only repair path.
 	HandoffMax int
 	// SuspectAfter and DeadAfter configure the failure detector; zero
 	// selects DefaultSuspectAfter / DefaultDeadAfter.
@@ -112,13 +113,6 @@ type Stats struct {
 	Repairs uint64 `json:"repairs" metric:"arcsd_fleet_repairs_total,counter" help:"Entries pushed to peers by the anti-entropy sweep."`
 	// Sweeps counts completed anti-entropy rounds.
 	Sweeps uint64 `json:"sweeps" metric:"arcsd_fleet_sweeps_total,counter" help:"Completed anti-entropy sweeps."`
-	// HandoffDepth is the current total of queued hints across peers.
-	HandoffDepth int `json:"handoff_depth" metric:"arcsd_fleet_handoff_depth,gauge" help:"Hints queued for currently unreachable peers."`
-	// HandoffDropped counts hints dropped — on queue overflow or when
-	// a membership change retired the peer the hint was owed to. Both
-	// are repaired later by anti-entropy. Cumulative, so a dropped
-	// hint stays counted after its queue is gone.
-	HandoffDropped uint64 `json:"handoff_dropped" metric:"arcsd_fleet_hints_dropped_total,counter" help:"Hints dropped because a handoff queue overflowed or its peer left."`
 	// Fallbacks counts reports accepted locally by a non-owner because
 	// every owner was unreachable.
 	Fallbacks uint64 `json:"fallbacks" metric:"arcsd_fleet_fallbacks_total,counter" help:"Reports accepted locally because every owner was unreachable."`
@@ -142,18 +136,16 @@ type Stats struct {
 // methods are safe for concurrent use; Tick and Heartbeat are
 // typically driven by timer goroutines but may race Ingest freely.
 type Fleet struct {
-	self       string
-	handoffMax int
-	st         *store.Store
-	seedPeers  map[string]Peer // Config.Peers; consulted before NewPeer
-	newPeer    func(name string) Peer
-	det        *Detector
-	views      *Views[Peer] // other members' clients; self has no handle
+	self      string
+	st        *store.Store
+	seedPeers map[string]Peer // Config.Peers; consulted before NewPeer
+	newPeer   func(name string) Peer
+	det       *Detector
+	views     *Views[Peer] // other members' clients; self has no handle
 
 	mu    sync.Mutex
-	rng   *rand.Rand            // sweep/heartbeat-order source; guarded by mu
-	hints map[string]*hintQueue // per-peer handoff queues; guarded by mu
-	stats Stats                 // guarded by mu
+	rng   *rand.Rand // sweep/heartbeat-order source; guarded by mu
+	stats Stats      // guarded by mu
 }
 
 // New validates the initial membership and builds the node's fleet
@@ -166,23 +158,17 @@ func New(cfg Config) (*Fleet, error) {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
-	handoffMax := cfg.HandoffMax
-	if handoffMax <= 0 {
-		handoffMax = DefaultHandoffMax
-	}
 	epoch := cfg.Epoch
 	if epoch == 0 {
 		epoch = 1
 	}
 	f := &Fleet{
-		self:       cfg.Self,
-		handoffMax: handoffMax,
-		st:         cfg.Store,
-		seedPeers:  cfg.Peers,
-		newPeer:    cfg.NewPeer,
-		det:        NewDetector(cfg.SuspectAfter, cfg.DeadAfter),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		hints:      make(map[string]*hintQueue),
+		self:      cfg.Self,
+		st:        cfg.Store,
+		seedPeers: cfg.Peers,
+		newPeer:   cfg.NewPeer,
+		det:       NewDetector(cfg.SuspectAfter, cfg.DeadAfter),
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
 	var err error
 	f.views, err = NewViews(codec.MemberList{Epoch: epoch, Nodes: cfg.Nodes}, replicas, f.resolvePeer)
@@ -192,9 +178,6 @@ func New(cfg Config) (*Fleet, error) {
 	v := f.View()
 	if !v.Has(cfg.Self) {
 		return nil, fmt.Errorf("fleet: self %q not in membership %v", cfg.Self, v.Membership().Nodes)
-	}
-	for _, n := range v.Peers() {
-		f.hints[n] = newHintQueue(handoffMax) //arcslint:ignore guardedby constructor; the fleet has not escaped yet
 	}
 	return f, nil
 }
@@ -229,11 +212,11 @@ func (f *Fleet) Detector() *Detector { return f.det }
 
 // Ingest routes a batch of validated reports. Owned (or forwarded)
 // reports Save locally — the store authors the replicated version — and
-// the resulting entries replicate to the other owners, falling back to
-// the handoff queue when an owner is down. Unowned reports forward to
-// their owners in ring order; if every owner is unreachable the report
-// is accepted locally anyway (never drop an acknowledged best) and a
-// report-kind hint re-injects it at the primary later.
+// the resulting entries replicate to the other owners; a co-owner that
+// misses the push is repaired by the next anti-entropy sweep. Unowned
+// reports forward to their owners in ring order; if every owner is
+// unreachable the report is accepted locally anyway (never drop an
+// acknowledged best) and the sweep later re-injects it at an owner.
 //
 // forwarded marks a request another member already routed (the
 // codec.ForwardedHeader): it is always applied locally and never
@@ -283,12 +266,7 @@ func (f *Fleet) Ingest(ctx context.Context, reports []codec.Report, forwarded bo
 	for _, name := range sortedKeys(mergeBatch) {
 		entries := mergeBatch[name]
 		if err := v.Peer(name).MergeEntries(ctx, entries); err != nil {
-			f.mu.Lock()
-			for _, e := range entries {
-				f.hintAdd(name, e.Key.String(), hint{kind: hintMerge, key: e.Key})
-			}
-			f.mu.Unlock()
-			continue
+			continue // the sweep pushes what the co-owner missed
 		}
 		f.mu.Lock()
 		f.stats.Replicated += uint64(len(entries))
@@ -313,12 +291,9 @@ func (f *Fleet) Ingest(ctx context.Context, reports []codec.Report, forwarded bo
 			continue
 		}
 		// Total owner outage: accept locally so the client's ack means
-		// something, and owe the primary a re-injection.
+		// something; the sweep re-injects the stray at an owner.
 		f.mu.Lock()
 		f.stats.Fallbacks += uint64(len(b.reports))
-		for _, r := range b.reports {
-			f.hintAdd(primary, r.Key.String(), hint{kind: hintReport, key: r.Key, report: r})
-		}
 		f.mu.Unlock()
 		for _, r := range b.reports {
 			f.st.Save(r.Key, r.Cfg, r.Perf)
@@ -328,31 +303,11 @@ func (f *Fleet) Ingest(ctx context.Context, reports []codec.Report, forwarded bo
 	return accepted
 }
 
-// hintAdd queues an obligation to a peer, counting the drop if the
-// queue is full or the peer has left the membership since the caller
-// loaded its view (anti-entropy repairs both).
-//
-//arcslint:locked mu
-func (f *Fleet) hintAdd(name, ck string, h hint) {
-	q := f.hints[name]
-	if q == nil {
-		f.stats.HandoffDropped++
-		return
-	}
-	if !q.add(ck, h) {
-		f.stats.HandoffDropped++
-	}
-}
-
-// Tick runs one maintenance round: drain every handoff queue whose
-// peer answers, then one anti-entropy sweep. Driven externally (cmd/
-// arcsd's timer goroutine, tests calling it directly) — the package
-// itself never schedules anything, which is what keeps it under the
-// determinism contract.
-func (f *Fleet) Tick(ctx context.Context) {
-	f.drainHints(ctx)
-	f.sweep(ctx)
-}
+// Tick runs one maintenance round: one anti-entropy sweep, the fleet's
+// only repair path. Driven externally (cmd/arcsd's timer goroutine,
+// tests calling it directly) — the package itself never schedules
+// anything, which is what keeps it under the determinism contract.
+func (f *Fleet) Tick(ctx context.Context) { f.sweep(ctx) }
 
 // Heartbeat runs one liveness round at the injected time: ping every
 // peer in a seeded order, feed the failure detector, and adopt any
@@ -380,67 +335,6 @@ func (f *Fleet) Heartbeat(ctx context.Context, now time.Time) []Transition {
 		f.ApplyMembership(m)
 	}
 	return f.det.Check(now, f.View().Peers())
-}
-
-// drainHints empties each peer's queue: merge hints re-resolve the
-// key's current entry (one send covers any number of queued updates)
-// and report hints re-inject through the owner's report path. A peer
-// still down gets its hints back.
-func (f *Fleet) drainHints(ctx context.Context) {
-	v := f.View()
-	for _, name := range v.Peers() {
-		if f.det.State(name) == StateDead {
-			continue // keep the hints; heartbeat revives the peer first
-		}
-		f.mu.Lock()
-		q := f.hints[name]
-		var hs []hint
-		if q != nil {
-			hs = q.take()
-		}
-		f.mu.Unlock()
-		if len(hs) == 0 {
-			continue
-		}
-		var entries []store.Entry
-		var reports []codec.Report
-		for _, h := range hs {
-			switch h.kind {
-			case hintMerge:
-				if e, ok := f.st.Get(h.key); ok {
-					entries = append(entries, e)
-				}
-			case hintReport:
-				reports = append(reports, h.report)
-			}
-		}
-		failed := hs[:0]
-		if len(entries) > 0 {
-			if err := v.Peer(name).MergeEntries(ctx, entries); err != nil {
-				for _, h := range hs {
-					if h.kind == hintMerge {
-						failed = append(failed, h)
-					}
-				}
-			}
-		}
-		if len(reports) > 0 {
-			if err := v.Peer(name).ForwardReports(ctx, reports); err != nil {
-				for _, h := range hs {
-					if h.kind == hintReport {
-						failed = append(failed, h)
-					}
-				}
-			}
-		}
-		if len(failed) > 0 {
-			f.mu.Lock()
-			for _, h := range failed {
-				f.hintAdd(name, h.key.String(), h)
-			}
-			f.mu.Unlock()
-		}
-	}
 }
 
 // sweep runs one push-side anti-entropy round: for every peer (visited
@@ -553,12 +447,6 @@ func (f *Fleet) Stats() Stats {
 	v := f.View()
 	f.mu.Lock()
 	s := f.stats
-	s.HandoffDepth = 0
-	for _, name := range v.Peers() {
-		if q := f.hints[name]; q != nil {
-			s.HandoffDepth += q.depth()
-		}
-	}
 	f.mu.Unlock()
 	s.Epoch = v.Epoch()
 	s.Members = len(v.Membership().Nodes)

@@ -208,6 +208,7 @@ func (p loopPeer) TransferRange(ctx context.Context, shard int, forNode string, 
 
 type cluster struct {
 	names  []string
+	dirs   map[string]string // store directories, for restarts
 	stores map[string]*store.Store
 	fleets map[string]*Fleet
 	down   map[string]bool
@@ -241,6 +242,7 @@ func (c *cluster) tornHit(name string) bool {
 func newCluster(t *testing.T, n, replicas int) *cluster {
 	t.Helper()
 	c := &cluster{
+		dirs:   map[string]string{},
 		stores: map[string]*store.Store{},
 		fleets: map[string]*Fleet{},
 		down:   map[string]bool{},
@@ -250,7 +252,8 @@ func newCluster(t *testing.T, n, replicas int) *cluster {
 		c.names = append(c.names, fmt.Sprintf("node%d", i))
 	}
 	for _, name := range c.names {
-		st, err := store.Open(t.TempDir(), store.Options{})
+		c.dirs[name] = t.TempDir()
+		st, err := store.Open(c.dirs[name], store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,6 +271,31 @@ func newCluster(t *testing.T, n, replicas int) *cluster {
 		c.fleets[name] = fl
 	}
 	return c
+}
+
+// restart closes a node's store and reopens it, and a fresh fleet on
+// top of it, from the same directory and membership: whatever the node
+// held only in memory is gone, whatever its WAL holds survives.
+func (c *cluster) restart(t *testing.T, name string, replicas int) {
+	t.Helper()
+	m := c.fleets[name].View().Membership()
+	if err := c.stores[name].Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(c.dirs[name], store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	fl, err := New(Config{
+		Self: name, Nodes: m.Nodes, Epoch: m.Epoch, Replicas: replicas,
+		Store: st, NewPeer: c.newPeer, Seed: int64(100 + slices.Index(c.names, name)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.stores[name] = st
+	c.fleets[name] = fl
 }
 
 // newPeer is the cluster's fleet.Config.NewPeer: loopPeers are cheap
@@ -408,33 +436,53 @@ func TestIngestForwardsUnowned(t *testing.T) {
 	}
 }
 
-// TestHandoffQueuesAndDrains: replication to a down co-owner queues a
-// hint; when the peer recovers, Tick drains it and the replicas
-// converge.
-func TestHandoffQueuesAndDrains(t *testing.T) {
+// TestSweepRepairsAcrossOwnerRestart: writes a co-owner missed while
+// it was down reach it through the anti-entropy sweep alone, even when
+// the owner restarted in between (nothing in memory survives; the WAL
+// does). One Tick on the owner converges every missed key, including
+// one updated twice while the co-owner was away.
+func TestSweepRepairsAcrossOwnerRestart(t *testing.T) {
 	c := newCluster(t, 3, 2)
 	ctx := context.Background()
-	k := testKey("handoff", 60)
-	owners := c.ownersOf(k)
-	c.down[owners[1]] = true
-	c.fleets[owners[0]].Ingest(ctx, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 2}, Perf: 5.0}}, false)
-	c.fleets[owners[0]].Ingest(ctx, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 8}, Perf: 1.0}}, false)
-	if d := c.fleets[owners[0]].Stats().HandoffDepth; d != 1 {
-		t.Fatalf("handoff depth = %d, want 1 (two updates to one key dedup)", d)
+	owner, co := "node0", "node1"
+	var keys []arcs.HistoryKey
+	for i := 0; len(keys) < 6; i++ {
+		k := testKey(fmt.Sprintf("restart%d", i), 60)
+		if owners := c.ownersOf(k); slices.Contains(owners, owner) && slices.Contains(owners, co) {
+			keys = append(keys, k)
+		}
 	}
-	if _, ok := c.stores[owners[1]].Get(k); ok {
-		t.Fatal("down peer somehow has the entry")
+	c.down[co] = true
+	for _, k := range keys {
+		c.fleets[owner].Ingest(ctx, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 2}, Perf: 5.0}}, false)
 	}
-	c.down[owners[1]] = false
-	c.fleets[owners[0]].Tick(ctx)
-	if d := c.fleets[owners[0]].Stats().HandoffDepth; d != 0 {
-		t.Fatalf("handoff depth = %d after drain, want 0", d)
+	c.fleets[owner].Ingest(ctx, []codec.Report{{Key: keys[0], Cfg: arcs.ConfigValues{Threads: 8}, Perf: 1.0}}, false)
+	for _, k := range keys {
+		if _, ok := c.stores[co].Get(k); ok {
+			t.Fatalf("down peer somehow has %v", k)
+		}
 	}
-	prim, _ := c.stores[owners[0]].Get(k)
-	rep, ok := c.stores[owners[1]].Get(k)
-	if !ok || rep != prim {
-		t.Fatalf("after drain replica holds %+v (ok=%v), want %+v", rep, ok, prim)
+
+	c.restart(t, owner, 2)
+	c.down[co] = false
+	c.fleets[owner].Tick(ctx)
+	if got := c.fleets[owner].Stats().Repairs; got != uint64(len(keys)) {
+		t.Errorf("Repairs = %d, want %d (one push per missed key)", got, len(keys))
 	}
+	for _, k := range keys {
+		want, ok := c.stores[owner].Get(k)
+		if !ok {
+			t.Fatalf("owner lost %v across the restart", k)
+		}
+		if got, ok := c.stores[co].Get(k); !ok || got != want {
+			t.Fatalf("after one Tick %s holds %+v (ok=%v) for %v, want %+v", co, got, ok, k, want)
+		}
+	}
+	//arcslint:ignore floatcmp exact value round-trips untouched
+	if e, _ := c.stores[co].Get(keys[0]); e.Perf != 1.0 {
+		t.Fatalf("co-owner holds perf %v for the twice-updated key, want the latest 1.0", e.Perf)
+	}
+	c.assertConverged(t)
 }
 
 // TestFallbackWhenAllOwnersDown: a non-owner whose forwards all fail
@@ -563,39 +611,6 @@ func TestIngestForwardedNeverBounces(t *testing.T) {
 	}
 	if f := c.fleets[stray].Stats().Forwards; f != 0 {
 		t.Fatalf("forwarded report re-forwarded %d times", f)
-	}
-}
-
-// TestHandoffOverflowDrops: the queue bounds memory; overflow is
-// counted, not fatal, and anti-entropy still repairs the loss.
-func TestHandoffOverflowDrops(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	c2 := newCluster(t, 3, 2) // provides a live peer target (unused)
-	fl, err := New(Config{
-		Self: "node0", Nodes: c2.names, Replicas: 2, Store: st,
-		Peers:      map[string]Peer{"node1": loopPeer{c: c2, name: "node1"}, "node2": loopPeer{c: c2, name: "node2"}},
-		HandoffMax: 4, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.down["node1"] = true
-	c2.down["node2"] = true
-	ctx := context.Background()
-	for i := 0; i < 30; i++ {
-		k := testKey(fmt.Sprintf("of%d", i), 60)
-		fl.Ingest(ctx, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 2}, Perf: 1}}, false)
-	}
-	s := fl.Stats()
-	if s.HandoffDepth > 8 {
-		t.Fatalf("handoff depth %d exceeds 2 queues × max 4", s.HandoffDepth)
-	}
-	if s.HandoffDropped == 0 {
-		t.Error("overflow did not count drops")
 	}
 }
 

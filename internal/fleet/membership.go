@@ -23,9 +23,8 @@ import (
 //
 // A member applies a superseding list atomically through Views.Adopt,
 // the one swap point: it builds the new View
-// (ring and handles), reconciles the hinted-handoff queues with the new
-// peer set, forgets detector state for removed members, and swaps the
-// view in. Requests in flight finish against the view they started
+// (ring and handles), forgets detector state for removed members, and
+// swaps the view in. Requests in flight finish against the view they started
 // with; anti-entropy repairs whatever the transition window misplaced.
 
 // maxProposeAttempts bounds the adopt-and-retry loop a proposer runs
@@ -74,25 +73,10 @@ func (f *Fleet) ApplyMembership(m codec.MemberList) (bool, codec.MemberList) {
 	// An invalid list, or a member this node cannot build a client for,
 	// is a rejection like any other: the current list is the answer.
 	v, applied, _ := f.views.Adopt(m, func(v *View[Peer]) {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		// Reconcile the handoff queues with the new peer set: obligations
-		// to a removed member are dropped (counted — under the new ring the
-		// anti-entropy sweep re-derives what its replacement owners need),
-		// and a joining member gets a fresh queue.
-		for name, q := range f.hints {
-			if v.Peer(name) == nil {
-				f.stats.HandoffDropped += uint64(q.depth())
-				delete(f.hints, name)
-			}
-		}
-		for _, name := range v.Peers() {
-			if f.hints[name] == nil {
-				f.hints[name] = newHintQueue(f.handoffMax)
-			}
-		}
 		f.det.Retain(v.Peers())
+		f.mu.Lock()
 		f.stats.MembershipChanges++
+		f.mu.Unlock()
 	})
 	return applied, v.Membership()
 }

@@ -7,10 +7,10 @@
 // any owner, versioned by the store, and replicated owner-to-owner under
 // store.Supersedes (keep-best: lower perf wins, then higher version);
 // writes at a non-owner are forwarded to the owners and lookups at a
-// non-owner are proxied one hop; a down replica's updates wait in a
-// bounded hinted-handoff queue; and a periodic anti-entropy sweep
-// exchanges per-shard digests (codec.KindDigest) to repair whatever
-// both paths missed. See DESIGN.md §12 and §15.
+// non-owner are proxied one hop; and a periodic anti-entropy sweep,
+// the one repair path, exchanges per-shard digests (codec.KindDigest)
+// and pushes whatever a down or lagging owner missed from the durable
+// store. See DESIGN.md §12 and §15.
 //
 // Everything in the package is deterministic by contract (enforced by
 // arcslint): placement depends only on the member names, sweep

@@ -235,62 +235,6 @@ func TestDrainPushesToNewOwners(t *testing.T) {
 	}
 }
 
-// TestHandoffDropRepairedByAntiEntropy is the overflow observability
-// contract: a hint dropped on queue overflow is counted, and the entry
-// it stood for still reaches the co-owner via the anti-entropy sweep.
-func TestHandoffDropRepairedByAntiEntropy(t *testing.T) {
-	c := newCluster(t, 3, 2)
-	ctx := context.Background()
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	// A separate "node0" whose hint queues hold a single entry each, so
-	// replicating more than one owned key to a down co-owner must drop.
-	fl, err := New(Config{
-		Self: "node0", Nodes: c.names, Replicas: 2, Store: st,
-		NewPeer: c.newPeer, HandoffMax: 1, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.down["node1"] = true
-	c.down["node2"] = true
-
-	var owned []arcs.HistoryKey
-	for i := 0; len(owned) < 6; i++ {
-		k := testKey(fmt.Sprintf("drop%d", i), 60)
-		if ownsKey(fl, k.String()) {
-			owned = append(owned, k)
-			fl.Ingest(ctx, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 4}, Perf: 2}}, false)
-		}
-	}
-	s := fl.Stats()
-	if s.HandoffDropped == 0 {
-		t.Fatalf("overflow did not drop: %+v", s)
-	}
-
-	c.down["node1"] = false
-	c.down["node2"] = false
-	fl.Tick(ctx) // drains the surviving hint, sweeps the dropped ones
-	if fl.Stats().Repairs == 0 {
-		t.Fatal("sweep repaired nothing despite dropped hints")
-	}
-	for _, k := range owned {
-		want, _ := st.Get(k)
-		for _, o := range fl.View().Owners(k.String(), nil) {
-			if o == "node0" {
-				continue
-			}
-			got, ok := c.stores[o].Get(k)
-			if !ok || got != want {
-				t.Fatalf("dropped entry %v not repaired on %s: %+v ok=%v", k, o, got, ok)
-			}
-		}
-	}
-}
-
 // BenchmarkRingRebuild measures the membership-change hot cost: building
 // a fresh placement ring for a fleet-sized member list. Gated by the CI
 // perf baseline so a join/leave never becomes accidentally quadratic.

@@ -94,8 +94,8 @@ func (vs *Views[H]) View() *View[H] { return vs.cur.Load() }
 // that persist, so breakers and connection pools survive an epoch
 // change. reconcile, when non-nil, runs with the new view before it is
 // swapped in and while no other Adopt can run, so it must not call
-// Adopt itself; state that must track the member set (hint queues,
-// detector entries) is updated there. An error means m was invalid or
+// Adopt itself; state that must track the member set (detector
+// entries) is updated there. An error means m was invalid or
 // a handle could not be built; the current view stays.
 func (vs *Views[H]) Adopt(m codec.MemberList, reconcile func(next *View[H])) (*View[H], bool, error) {
 	vs.mu.Lock()

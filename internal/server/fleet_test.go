@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -243,14 +244,15 @@ func TestFleetLookupForwarding(t *testing.T) {
 
 // liveFleet is an n-member fleet of real servers on loopback listeners,
 // each over its own store, with the members' stores and engines in
-// member-list order.
+// member-list order. Every server is built from srv with its own store,
+// fleet and peer clients filled in.
 type liveFleet struct {
 	names  []string
 	stores []*store.Store
 	fleets []*fleet.Fleet
 }
 
-func newLiveFleet(t *testing.T, n, replicas int) *liveFleet {
+func newLiveFleet(t *testing.T, n, replicas int, srv Config) *liveFleet {
 	t.Helper()
 	lf := &liveFleet{}
 	servers := make([]*httptest.Server, n)
@@ -276,7 +278,9 @@ func newLiveFleet(t *testing.T, n, replicas int) *liveFleet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts.Config.Handler = New(Config{Store: st, Fleet: fl, PeerClient: func(name string) *storeclient.Client { return peers[name] }})
+		srv.Store, srv.Fleet = st, fl
+		srv.PeerClient = func(name string) *storeclient.Client { return peers[name] }
+		ts.Config.Handler = New(srv)
 		ts.Start()
 		t.Cleanup(ts.Close)
 		lf.stores = append(lf.stores, st)
@@ -291,7 +295,7 @@ func newLiveFleet(t *testing.T, n, replicas int) *liveFleet {
 // replicate it to each other. The ack counts every report, both owners
 // hold each entry at the same version, and the receiver keeps none.
 func TestFleetReportForwarding(t *testing.T) {
-	lf := newLiveFleet(t, 3, 2)
+	lf := newLiveFleet(t, 3, 2, Config{})
 	receiver, view := lf.names[0], lf.fleets[0].View()
 	var batch []codec.Report
 	for i := 0; len(batch) < 8; i++ {
@@ -326,12 +330,47 @@ func TestFleetReportForwarding(t *testing.T) {
 	}
 }
 
+// fixedSearcher answers every search with one region's result at the
+// requested cap.
+type fixedSearcher struct{ res SearchResult }
+
+func (f fixedSearcher) Search(ctx context.Context, req SearchRequest) ([]SearchResult, error) {
+	res := f.res
+	res.CapW = req.CapW
+	return []SearchResult{res}, nil
+}
+
+// TestFleetSearchedResultReplicates: a searched lookup's results take
+// the report write path, so the co-owner holds the entry as soon as the
+// lookup answers, before any anti-entropy Tick, and a lookup landing
+// there is an exact hit instead of a second search.
+func TestFleetSearchedResultReplicates(t *testing.T) {
+	res := SearchResult{Region: "x_solve", Cfg: arcs.ConfigValues{Threads: 24, Chunk: 8}, Perf: 1.5}
+	lf := newLiveFleet(t, 2, 2, Config{Searcher: fixedSearcher{res}, SearchBudget: 4})
+	q := "app=SP&workload=B&cap=70&region=x_solve&arch=crill"
+	cr, code := getConfig(t, lf.names[0], q)
+	if code != http.StatusOK || cr.Source != "searched" {
+		t.Fatalf("first lookup = %d %+v, want 200 searched", code, cr)
+	}
+	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "x_solve"}
+	searched, _ := lf.stores[0].Get(k)
+	if e, ok := lf.stores[1].Get(k); !ok || e != searched {
+		t.Fatalf("co-owner holds %+v (ok=%v) before any Tick, want %+v", e, ok, searched)
+	}
+	if cr, code = getConfig(t, lf.names[1], q); code != http.StatusOK || cr.Source != "exact" {
+		t.Fatalf("co-owner lookup = %d %+v, want 200 exact", code, cr)
+	}
+	if got := lf.fleets[0].Stats().Replicated; got != 1 {
+		t.Errorf("Replicated = %d, want 1", got)
+	}
+}
+
 // TestFleetNearestCapProxyKey: a nearest-cap (fallback) lookup answers
 // the stored entry's key, cap distance, config and perf whether it lands
 // on the key's owner, which answers locally, or on a non-owner, which
 // proxies it one hop to the owner.
 func TestFleetNearestCapProxyKey(t *testing.T) {
-	lf := newLiveFleet(t, 3, 1)
+	lf := newLiveFleet(t, 3, 1, Config{})
 	names := lf.names
 	stored := store.Entry{
 		Key: arcs.HistoryKey{App: "SP", Workload: "B", CapW: 70, Region: "x_solve"},
@@ -423,8 +462,7 @@ func TestFleetHealthAndMetrics(t *testing.T) {
 	mresp.Body.Close()
 	for _, series := range []string{
 		"arcsd_fleet_nodes 2", "arcsd_fleet_replicas 2",
-		"arcsd_fleet_handoff_depth 0", "arcsd_fleet_sweeps_total 0",
-		"arcsd_fleet_epoch 1", "arcsd_fleet_hints_dropped_total 0",
+		"arcsd_fleet_sweeps_total 0", "arcsd_fleet_epoch 1",
 		"arcsd_fleet_peers_suspect 0", "arcsd_fleet_peers_dead 0",
 		"arcsd_fleet_membership_changes_total 0",
 		"arcsd_fleet_transferred_in_total 0", "arcsd_fleet_drained_total 0",

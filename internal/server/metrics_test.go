@@ -53,10 +53,8 @@ var fleetFamilies = []string{
 	"arcsd_fleet_drained_total",
 	"arcsd_fleet_epoch",
 	"arcsd_fleet_fallbacks_total",
-	"arcsd_fleet_handoff_depth",
 	"arcsd_fleet_heartbeat_failures_total",
 	"arcsd_fleet_heartbeats_total",
-	"arcsd_fleet_hints_dropped_total",
 	"arcsd_fleet_lookup_forwards_total",
 	"arcsd_fleet_membership_applied_total",
 	"arcsd_fleet_membership_changes_total",

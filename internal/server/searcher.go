@@ -16,7 +16,7 @@ type SearchRequest struct {
 	App      string
 	Workload string
 	Arch     string
-	CapW     float64 // 0 = run at TDP
+	CapW     float64 // 0 or the machine's TDP = run uncapped
 	MaxEvals int     // per-region evaluation budget
 }
 
@@ -71,6 +71,12 @@ func (s SimSearcher) Search(ctx context.Context, req SearchRequest) ([]SearchRes
 	if err != nil {
 		return nil, err
 	}
+	// A cap at TDP is no cap (sim.Machine.Capped), and the uncapped
+	// sentinel also runs on machines without capping privilege.
+	capW := req.CapW
+	if capW == arch.TDPW { //arcslint:ignore floatcmp lookups key an omitted cap at exactly TDPW
+		capW = 0
+	}
 	regions := make([]arcs.RegionModel, 0, len(app.Regions))
 	for _, spec := range app.Regions {
 		regions = append(regions, arcs.RegionModel{Name: spec.Name, Model: spec.Model})
@@ -87,7 +93,7 @@ func (s SimSearcher) Search(ctx context.Context, req SearchRequest) ([]SearchRes
 	if algo == arcs.AlgoSurrogate && s.Neighbors != nil {
 		// Neighbor keys carry the effective cap BatchSearch will run at:
 		// stored entries are keyed by effective cap, never the 0 sentinel.
-		effCap := req.CapW
+		effCap := capW
 		if effCap == 0 { //arcslint:ignore floatcmp 0 is the uncapped sentinel, compared verbatim
 			effCap = arch.TDPW
 		}
@@ -99,7 +105,7 @@ func (s SimSearcher) Search(ctx context.Context, req SearchRequest) ([]SearchRes
 	results, err := arcs.BatchSearch(ctx, arch, regions, arcs.BatchSearchOptions{
 		Algo:        algo,
 		MaxEvals:    req.MaxEvals,
-		CapW:        req.CapW,
+		CapW:        capW,
 		Parallelism: par,
 		Cache:       s.Cache,
 		App:         app.Name,

@@ -50,6 +50,7 @@ import (
 	"sync"
 	"time"
 
+	"arcs/internal/cli"
 	"arcs/internal/codec"
 	arcs "arcs/internal/core"
 	"arcs/internal/evalcache"
@@ -217,6 +218,14 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	}
 	allowFallback := q.Get("fallback") != "0"
 	allowSearch := q.Get("search") != "0"
+	arch := q.Get("arch")
+	// An omitted cap means the machine runs uncapped, and a search stores
+	// its results at the effective cap (TDP), so key the lookup there too.
+	if q.Get("cap") == "" {
+		if a, err := cli.BuildArch(arch); err == nil {
+			key.CapW = a.TDPW
+		}
+	}
 
 	// Fleet routing: a lookup for a key this node does not own proxies
 	// one hop to the owners, who hold the authoritative (replicated)
@@ -229,7 +238,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	if s.fleet != nil && r.Header.Get(codec.ForwardedHeader) == "" {
 		var stack [8]string
 		if owners := s.fleet.View().Owners(key.String(), stack[:0]); !slices.Contains(owners, s.fleet.Self()) {
-			arch := q.Get("arch")
 			for _, owner := range owners {
 				peer := s.peerClient(owner)
 				if peer == nil {
@@ -272,7 +280,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Total miss: optionally search server-side.
-	arch := q.Get("arch")
 	if allowSearch && s.budget > 0 && arch != "" {
 		if err := s.searchOnce(r.Context(), SearchRequest{
 			App: key.App, Workload: key.Workload, Arch: arch, CapW: key.CapW, MaxEvals: s.budget,
@@ -404,11 +411,16 @@ func (s *Server) searchOnce(ctx context.Context, req SearchRequest) error {
 	results, err := s.runSearch(ctx, req)
 	if err == nil {
 		s.met.Searches.Add(1)
-		for _, res := range results {
-			s.st.Save(arcs.HistoryKey{
+		reports := make([]codec.Report, len(results))
+		for i, res := range results {
+			reports[i] = codec.Report{Key: arcs.HistoryKey{
 				App: req.App, Workload: req.Workload, CapW: res.CapW, Region: res.Region,
-			}, res.Cfg, res.Perf)
+			}, Cfg: res.Cfg, Perf: res.Perf}
 		}
+		// Forwarded: the results are saved here whoever owns them, and
+		// replicated to the co-owners of the keys this node owns, under
+		// the search's detached context (every waiter shares the result).
+		s.applyReports(context.WithoutCancel(ctx), reports, true)
 	}
 	f.err = err
 	close(f.done)
@@ -539,7 +551,7 @@ func (s *Server) ingestReports(w http.ResponseWriter, r *http.Request) (saved in
 			}
 		}
 	}
-	saved = s.applyReports(r, valid)
+	saved = s.applyReports(r.Context(), valid, r.Header.Get(codec.ForwardedHeader) != "")
 	if badInput != nil {
 		errorJSON(w, http.StatusBadRequest, "%v", badInput)
 		return saved, false
@@ -547,15 +559,15 @@ func (s *Server) ingestReports(w http.ResponseWriter, r *http.Request) (saved in
 	return saved, true
 }
 
-// applyReports lands a validated batch: via the fleet when configured,
-// plain Saves otherwise.
-func (s *Server) applyReports(r *http.Request, reports []codec.Report) int {
+// applyReports lands a validated batch: via the fleet when configured
+// (forwarded batches are saved locally, never re-forwarded), plain Saves
+// otherwise.
+func (s *Server) applyReports(ctx context.Context, reports []codec.Report, forwarded bool) int {
 	if len(reports) == 0 {
 		return 0
 	}
 	if s.fleet != nil {
-		forwarded := r.Header.Get(codec.ForwardedHeader) != ""
-		return s.fleet.Ingest(r.Context(), reports, forwarded)
+		return s.fleet.Ingest(ctx, reports, forwarded)
 	}
 	for _, rep := range reports {
 		s.st.Save(rep.Key, rep.Cfg, rep.Perf)

@@ -301,6 +301,30 @@ func TestSearchDisabledAndFailed(t *testing.T) {
 	}
 }
 
+// TestConfigOmittedCapSearchesAtTDP: a lookup with no cap runs the
+// machine uncapped, so a search stores its results at the machine's
+// TDP; the lookup is keyed there too and answers the searched entry
+// instead of a 404 at cap 0. An unknown arch keeps the cap at 0 and
+// fails its search as before.
+func TestConfigOmittedCapSearchesAtTDP(t *testing.T) {
+	ts := newTestServer(t, Config{SearchBudget: 6})
+	q := "app=SP&workload=B&region=x_solve&arch=minotaur"
+	cr, code := getConfig(t, ts.URL, q)
+	if code != http.StatusOK || cr.Source != "searched" {
+		t.Fatalf("no-cap lookup = %d %+v, want 200 searched", code, cr)
+	}
+	want := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 380, Region: "x_solve"}
+	if cr.Key != want {
+		t.Fatalf("answered key %v, want Minotaur's TDP key %v", cr.Key, want)
+	}
+	if cr, code = getConfig(t, ts.URL, q); code != http.StatusOK || cr.Source != "exact" || cr.Key != want {
+		t.Fatalf("repeat no-cap lookup = %d %+v, want an exact hit on %v", code, cr, want)
+	}
+	if _, code := getConfig(t, ts.URL, "app=SP&workload=B&region=x_solve&arch=nope&fallback=0"); code != http.StatusBadGateway {
+		t.Fatalf("unknown arch = %d, want 502 from the search", code)
+	}
+}
+
 // TestSimSearcherEndToEnd: a real (tiny) simulator search populates the
 // store and answers the lookup.
 func TestSimSearcherEndToEnd(t *testing.T) {

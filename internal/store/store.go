@@ -102,9 +102,9 @@ type shard struct {
 	entries map[string]Entry // keyed by canonical key; guarded by mu
 }
 
-// Store is a concurrent, persistent History. It implements
-// arcs.FallbackHistory: exact-key misses can be answered with the entry
-// for the closest power cap in the same app/workload/region context.
+// Store is a concurrent, persistent arcs.History: exact-key misses can
+// be answered with the entry for the closest power cap in the same
+// app/workload/region context.
 type Store struct {
 	dir    string
 	fs     FS // immutable after Open
@@ -425,7 +425,7 @@ func (s *Store) Len() int {
 	return n
 }
 
-// LoadNearest implements arcs.FallbackHistory: an exact miss is answered
+// LoadNearest implements arcs.History: an exact miss is answered
 // with the entry for the closest power cap in the same context (distance
 // ties break toward the lower cap). The full entry is available through
 // GetNearest.
@@ -514,7 +514,7 @@ func (s *Store) Neighbors(k arcs.HistoryKey, max int) []Neighbor {
 	return out
 }
 
-// LoadNeighbors implements arcs.NeighborHistory over Neighbors.
+// LoadNeighbors implements arcs.History over Neighbors.
 func (s *Store) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 	sns := s.Neighbors(k, max)
 	out := make([]arcs.Neighbor, len(sns))
@@ -791,7 +791,4 @@ func (s *Store) Health() Health {
 	return h
 }
 
-var (
-	_ arcs.FallbackHistory = (*Store)(nil)
-	_ arcs.NeighborHistory = (*Store)(nil)
-)
+var _ arcs.History = (*Store)(nil)

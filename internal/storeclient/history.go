@@ -9,7 +9,7 @@ import (
 	arcs "arcs/internal/core"
 )
 
-// History adapts a Client to arcs.FallbackHistory, so the tuner can
+// History adapts a Client to arcs.History, so the tuner can
 // warm-start from (and report back to) a served knowledge store exactly
 // as it would a local one. Load answers with exact hits only — replay
 // semantics — while LoadNearest accepts nearest-cap and server-searched
@@ -127,7 +127,7 @@ func (h *History) Load(k arcs.HistoryKey) (arcs.ConfigValues, bool) {
 	return cfg, ok
 }
 
-// LoadNearest implements arcs.FallbackHistory: accepts nearest-cap
+// LoadNearest implements arcs.History: accepts nearest-cap
 // fallbacks and, when an arch was configured, server-searched answers;
 // falls back to the local copy on any remote failure or miss.
 func (h *History) LoadNearest(k arcs.HistoryKey) (arcs.ConfigValues, float64, bool) {
@@ -149,7 +149,7 @@ func (h *History) LoadNearest(k arcs.HistoryKey) (arcs.ConfigValues, float64, bo
 	return cfg, dist, ok
 }
 
-// LoadNeighbors implements arcs.NeighborHistory: the server's neighbour
+// LoadNeighbors implements arcs.History: the server's neighbour
 // scan merged with this process's local mirror (remote entries win on a
 // duplicated context), re-ranked under the shared distance order. A
 // pre-neighbors arcsd (endpoint 404s) or an unreachable daemon degrades
@@ -228,7 +228,4 @@ func (h *History) setErr(err error) {
 	}
 }
 
-var (
-	_ arcs.FallbackHistory = (*History)(nil)
-	_ arcs.NeighborHistory = (*History)(nil)
-)
+var _ arcs.History = (*History)(nil)
