@@ -436,6 +436,36 @@ func TestIngestForwardsUnowned(t *testing.T) {
 	}
 }
 
+// TestHandoffQueuesAndDrains: replication to a down co-owner fails
+// without blocking the ack; when the peer recovers, one Tick hands the
+// missed write off to it from the owner's store and the replicas
+// converge. Two updates to one key while the peer was away cost one
+// push: the sweep sends the key's current entry, not its history.
+func TestHandoffQueuesAndDrains(t *testing.T) {
+	c := newCluster(t, 3, 2)
+	ctx := context.Background()
+	k := testKey("handoff", 60)
+	owners := c.ownersOf(k)
+	c.down[owners[1]] = true
+	if got := c.fleets[owners[0]].Ingest(ctx, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 2}, Perf: 5.0}}, false); got != 1 {
+		t.Fatalf("Ingest accepted %d with a co-owner down, want 1", got)
+	}
+	c.fleets[owners[0]].Ingest(ctx, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 8}, Perf: 1.0}}, false)
+	if _, ok := c.stores[owners[1]].Get(k); ok {
+		t.Fatal("down peer somehow has the entry")
+	}
+	c.down[owners[1]] = false
+	c.fleets[owners[0]].Tick(ctx)
+	if got := c.fleets[owners[0]].Stats().Repairs; got != 1 {
+		t.Fatalf("Repairs = %d after the peer returned, want 1 (two updates to one key push once)", got)
+	}
+	prim, _ := c.stores[owners[0]].Get(k)
+	rep, ok := c.stores[owners[1]].Get(k)
+	if !ok || rep != prim {
+		t.Fatalf("after Tick replica holds %+v (ok=%v), want %+v", rep, ok, prim)
+	}
+}
+
 // TestSweepRepairsAcrossOwnerRestart: writes a co-owner missed while
 // it was down reach it through the anti-entropy sweep alone, even when
 // the owner restarted in between (nothing in memory survives; the WAL

@@ -235,6 +235,66 @@ func TestDrainPushesToNewOwners(t *testing.T) {
 	}
 }
 
+// TestHandoffDropRepairedByAntiEntropy: every co-owner push an owner
+// drops while its co-owners are down is repaired by the anti-entropy
+// sweep once they return — one Tick, one push per dropped (key,
+// co-owner) pair, every co-owner left holding the owner's entry.
+func TestHandoffDropRepairedByAntiEntropy(t *testing.T) {
+	c := newCluster(t, 3, 2)
+	ctx := context.Background()
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// A separate "node0" whose store the cluster's own node0 does not
+	// share, so only this fleet's sweep can deliver what it dropped.
+	fl, err := New(Config{
+		Self: "node0", Nodes: c.names, Replicas: 2, Store: st,
+		NewPeer: c.newPeer, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.down["node1"] = true
+	c.down["node2"] = true
+
+	var owned []arcs.HistoryKey
+	for i := 0; len(owned) < 6; i++ {
+		k := testKey(fmt.Sprintf("drop%d", i), 60)
+		if ownsKey(fl, k.String()) {
+			owned = append(owned, k)
+			if got := fl.Ingest(ctx, []codec.Report{{Key: k, Cfg: arcs.ConfigValues{Threads: 4}, Perf: 2}}, false); got != 1 {
+				t.Fatalf("Ingest of owned %v accepted %d with every co-owner down, want 1", k, got)
+			}
+		}
+	}
+	if s := fl.Stats(); s.Replicated != 0 {
+		t.Fatalf("Replicated = %d with every co-owner down, want 0", s.Replicated)
+	}
+
+	c.down["node1"] = false
+	c.down["node2"] = false
+	fl.Tick(ctx)
+	dropped := 0
+	for _, k := range owned {
+		want, _ := st.Get(k)
+		for _, o := range fl.View().Owners(k.String(), nil) {
+			if o == "node0" {
+				continue
+			}
+			dropped++
+			got, ok := c.stores[o].Get(k)
+			if !ok || got != want {
+				t.Fatalf("dropped entry %v not repaired on %s: %+v ok=%v", k, o, got, ok)
+			}
+		}
+	}
+	if got := fl.Stats().Repairs; got != uint64(dropped) {
+		t.Fatalf("Repairs = %d, want %d (one push per dropped key and co-owner)", got, dropped)
+	}
+}
+
 // BenchmarkRingRebuild measures the membership-change hot cost: building
 // a fresh placement ring for a fleet-sized member list. Gated by the CI
 // perf baseline so a join/leave never becomes accidentally quadratic.
