@@ -64,7 +64,7 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8090", "listen address")
 	flag.StringVar(&cfg.storeDir, "store", "arcsd-store", "knowledge store directory (created if missing)")
 	flag.IntVar(&cfg.snapshotEvery, "snapshot-every", store.DefaultSnapshotEvery,
-		"WAL records between compacted snapshots (negative disables)")
+		"minimum WAL records between compacted snapshots; a compaction runs once the WAL reaches max(this, stored entries) records (negative disables)")
 	flag.IntVar(&cfg.searchBudget, "search-budget", 40,
 		"max evaluations per region for server-side searches on total misses (0 disables)")
 	flag.IntVar(&cfg.searchParallelism, "search-parallelism", 0,

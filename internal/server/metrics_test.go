@@ -39,11 +39,13 @@ var standaloneFamilies = []string{
 	"arcsd_search_panics_total",
 	"arcsd_search_shed_total",
 	"arcsd_searches_total",
+	"arcsd_store_compactions_total",
 	"arcsd_store_degraded",
 	"arcsd_store_dropped_saves_total",
 	"arcsd_store_entries",
 	"arcsd_store_snapshot_bytes",
 	"arcsd_store_wal_bytes",
+	"arcsd_store_wal_records",
 }
 
 // fleetFamilies pins the families a fleet member serves on top of

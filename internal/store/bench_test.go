@@ -1,9 +1,10 @@
 // Benchmarks for the storage formats and the whole-table paths:
 // WALAppend measures binary record construction (the write syscall is
 // outside it); SnapshotReplay measures the full Open-and-replay path
-// against a columnar snapshot; StoreSnapshot measures one compaction and
-// GetNearest one nearest-cap miss in a table the size of a serving
-// node's. All back rows of bench_baseline.json.
+// against a columnar snapshot and WALReplay against a WAL of a full
+// table; StoreSnapshot measures one compaction and GetNearest one
+// nearest-cap miss in a table the size of a serving node's. All back
+// rows of bench_baseline.json.
 package store
 
 import (
@@ -87,18 +88,23 @@ func BenchmarkSnapshotReplay(b *testing.B) {
 // 2,048 contexts of 8 caps, as a node of arcsperf's preloaded fleet holds.
 const benchTableEntries = 16384
 
-// fillBenchStore merges n distinct entries into s: contexts of 8 caps
+// benchEntry is the i-th entry of a benchmark table: contexts of 8 caps
 // each (50–85 W), spread over 8 apps, 4 workloads and regions r0, r1, ….
+func benchEntry(i int) Entry {
+	e := benchWALEntry
+	ctx := i / 8
+	e.Key.App = [...]string{"SP", "BT", "LU", "MG", "CG", "FT", "EP", "LULESH"}[ctx%8]
+	e.Key.Workload = [...]string{"A", "B", "C", "D"}[(ctx/8)%4]
+	e.Key.Region = "r" + strconv.Itoa(ctx/32)
+	e.Key.CapW = float64(50 + 5*(i%8))
+	e.Version = uint64(i + 1)
+	return e
+}
+
+// fillBenchStore merges the first n benchmark entries into s.
 func fillBenchStore(s *Store, n int) {
 	for i := 0; i < n; i++ {
-		e := benchWALEntry
-		ctx := i / 8
-		e.Key.App = [...]string{"SP", "BT", "LU", "MG", "CG", "FT", "EP", "LULESH"}[ctx%8]
-		e.Key.Workload = [...]string{"A", "B", "C", "D"}[(ctx/8)%4]
-		e.Key.Region = "r" + strconv.Itoa(ctx/32)
-		e.Key.CapW = float64(50 + 5*(i%8))
-		e.Version = uint64(i + 1)
-		s.Merge(e)
+		s.Merge(benchEntry(i))
 	}
 }
 
@@ -125,6 +131,27 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWALReplay is Open over a WAL of a full table's records and no
+// snapshot: the worst restart the size-ratio compaction trigger allows,
+// since it compacts once the WAL reaches the table's size.
+func BenchmarkWALReplay(b *testing.B) {
+	dir := b.TempDir()
+	s, err := Open(dir, Options{SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fillBenchStore(s, benchTableEntries)
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, WALName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	benchReplay(b, dir)
 }
 
 // BenchmarkGetNearest is a nearest-cap miss 2.5 W off a stored cap: the

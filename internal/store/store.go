@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"arcs/internal/codec"
 	arcs "arcs/internal/core"
@@ -63,8 +64,9 @@ const (
 	// fleet protocol.
 	NumShards = 16
 
-	// DefaultSnapshotEvery is the number of WAL appends between automatic
-	// compactions when Options.SnapshotEvery is zero.
+	// DefaultSnapshotEvery is the floor of the automatic compaction
+	// trigger when Options.SnapshotEvery is zero: at least this many WAL
+	// appends separate two automatic compactions.
 	DefaultSnapshotEvery = 1024
 
 	// DefaultDegradeAfter is the number of consecutive WAL-append failures
@@ -81,9 +83,13 @@ type Entry = codec.Entry
 
 // Options tunes a Store.
 type Options struct {
-	// SnapshotEvery compacts the WAL into a snapshot after this many
-	// appended records. Zero selects DefaultSnapshotEvery; negative
-	// disables automatic snapshots (explicit Snapshot still works).
+	// SnapshotEvery is the floor of the size-ratio compaction trigger:
+	// the WAL is compacted into a snapshot once the records appended
+	// since the last snapshot reach max(SnapshotEvery, live entries), so
+	// the snapshot bytes written per append stay constant as the table
+	// grows and the WAL never holds more than about one table's worth of
+	// records. Zero selects DefaultSnapshotEvery; negative disables
+	// automatic snapshots (explicit Snapshot still works).
 	SnapshotEvery int
 
 	// DegradeAfter is the number of consecutive WAL-append failures that
@@ -110,9 +116,16 @@ type Store struct {
 	fs     FS // immutable after Open
 	shards [NumShards]shard
 
+	// live counts the distinct keys held across the shards, bumped under
+	// the shard lock where a key is first inserted. Len returns it, and
+	// the compaction trigger reads it without walking the shard locks.
+	live atomic.Int64
+
 	walMu         sync.Mutex
 	wal           File          // guarded by walMu
 	walRecords    int           // records appended since the last snapshot; guarded by walMu
+	failedAt      int           // walRecords at the last failed automatic compaction, 0 after a success; guarded by walMu
+	compactions   uint64        // successful compactions since Open; guarded by walMu
 	snapshotEvery int           // immutable after Open
 	degradeAfter  int           // immutable after Open
 	closed        bool          // guarded by walMu
@@ -222,7 +235,8 @@ func (s *Store) replaySnapshot() {
 }
 
 // replayWAL applies every verifiable WAL frame and returns the count, so
-// a store reopened with a fat WAL compacts on schedule. Any byte that
+// a store reopened with a fat WAL compacts on schedule: the trigger then
+// compares that count with the replayed table. Any byte that
 // does not start a verifiable frame is corruption: replay resyncs past
 // it byte by byte and reports how many bytes it skipped through Err. An
 // incomplete final frame is the crash-interrupted last append — a torn
@@ -345,6 +359,9 @@ func (s *Store) applyReplay(e Entry) {
 	if ok && !Supersedes(e, old) {
 		return
 	}
+	if !ok {
+		s.live.Add(1)
+	}
 	sh.entries[ck] = e
 }
 
@@ -367,6 +384,9 @@ func (s *Store) Merge(e Entry) bool {
 	if ok && !Supersedes(e, old) {
 		sh.mu.Unlock()
 		return false
+	}
+	if !ok {
+		s.live.Add(1)
 	}
 	sh.entries[ck] = e
 	sh.mu.Unlock()
@@ -391,6 +411,9 @@ func (s *Store) Save(k arcs.HistoryKey, cfg arcs.ConfigValues, perf float64) {
 		sh.mu.Unlock()
 		return
 	}
+	if !ok {
+		s.live.Add(1)
+	}
 	e := Entry{Key: k, Cfg: cfg, Perf: perf, Version: old.Version + 1}
 	sh.entries[ck] = e
 	sh.mu.Unlock()
@@ -413,17 +436,9 @@ func (s *Store) Get(k arcs.HistoryKey) (Entry, bool) {
 	return e, ok
 }
 
-// Len implements arcs.History.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+// Len implements arcs.History. The store never deletes a key, so the
+// insert counter is the table size.
+func (s *Store) Len() int { return int(s.live.Load()) }
 
 // LoadNearest implements arcs.History: an exact miss is answered
 // with the entry for the closest power cap in the same context (distance
@@ -589,9 +604,17 @@ func (t *keyed) Swap(i, j int) {
 // binary record. Whole-frame writes under walMu keep concurrent appends
 // from interleaving; replay handles a torn final frame after a crash. A
 // persistent run of append failures trips the store into degraded
-// memory-only mode instead of hammering a dead disk forever. The encode
-// buffer and encoder are reused under walMu, so the steady-state append
-// path allocates nothing.
+// memory-only mode instead of hammering a dead disk forever.
+//
+// Compaction uses the size-ratio trigger of log-structured stores: it
+// runs once the records since the last snapshot reach max(snapshotEvery,
+// live entries). Each compaction rewrites the whole table, so tying its
+// cadence to the table size keeps the snapshot bytes written per append
+// constant. A failed automatic compaction waits for another threshold's
+// worth of appends, counted from the failure, rather than re-encoding
+// the table on every append while the disk is sick. The encode buffer
+// and encoder are reused under walMu, so the steady-state append path
+// allocates nothing.
 //
 //arcslint:hotpath backs the 0-allocs/op BenchmarkWALAppend/binary baseline (failure branches are cold)
 func (s *Store) appendWAL(e Entry) {
@@ -624,17 +647,20 @@ func (s *Store) appendWAL(e Entry) {
 	}
 	s.appendFails = 0
 	s.walRecords++
-	if s.snapshotEvery > 0 && s.walRecords >= s.snapshotEvery {
+	if s.snapshotEvery > 0 && s.walRecords-s.failedAt >= max(s.snapshotEvery, s.Len()) {
 		if err := s.snapshotLocked(); err != nil {
+			s.failedAt = s.walRecords
 			s.setErr(err)
 		}
 	}
 }
 
 // Snapshot compacts the store: the full entry set is written atomically
-// to the snapshot file and the WAL is truncated. A successful Snapshot
-// also recovers a degraded store: the snapshot proved the filesystem
-// writable again and the fresh WAL it installs resumes persistence.
+// to the snapshot file and the WAL is truncated. It runs at once, even
+// while an automatic compaction is backing off after a failure. A
+// successful Snapshot also recovers a degraded store: the snapshot
+// proved the filesystem writable again and the fresh WAL it installs
+// resumes persistence.
 func (s *Store) Snapshot() error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
@@ -692,6 +718,8 @@ func (s *Store) snapshotLocked() error {
 	}
 	s.wal = wal
 	s.walRecords = 0
+	s.failedAt = 0
+	s.compactions++
 	// The snapshot and the fresh WAL both succeeded: the filesystem is
 	// healthy again, resume normal persistence.
 	s.degraded = false
@@ -756,7 +784,10 @@ type Health struct {
 	LastErr string `json:"last_err,omitempty"`
 	// WALRecords is the number of records appended since the last
 	// compaction.
-	WALRecords int `json:"wal_records"`
+	WALRecords int `json:"wal_records" metric:"arcsd_store_wal_records,gauge" help:"WAL records appended since the last compaction."`
+	// Compactions counts successful compactions (automatic or explicit)
+	// since the store was opened.
+	Compactions uint64 `json:"compactions" metric:"arcsd_store_compactions_total,counter" help:"Successful store compactions since start."`
 	// DroppedSaves counts Saves accepted in memory but not persisted
 	// while degraded.
 	DroppedSaves uint64 `json:"dropped_saves,omitempty" metric:"arcsd_store_dropped_saves_total,counter" help:"Saves accepted in memory but not persisted while degraded."`
@@ -775,6 +806,7 @@ func (s *Store) Health() Health {
 		h.DegradedCause = s.degradedCause.Error()
 	}
 	h.WALRecords = s.walRecords
+	h.Compactions = s.compactions
 	h.DroppedSaves = s.droppedSaves
 	s.walMu.Unlock()
 	s.errMu.Lock()

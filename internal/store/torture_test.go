@@ -301,3 +301,158 @@ func TestDegradedModeAndSnapshotRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedCompactionBacksOff: a failed automatic compaction waits for
+// another threshold's worth of appends, counted from the failure, before
+// it tries again, instead of re-encoding the whole table on every append
+// while the rename keeps failing. An explicit Snapshot still retries at
+// once.
+func TestFailedCompactionBacksOff(t *testing.T) {
+	const floor, saves = 4, 40
+	dir := t.TempDir()
+	inj := faults.New(1)
+	inj.Add(faults.Rule{Op: faults.OpRename, Kind: faults.Err, Match: store.SnapshotBinName})
+	st, err := store.Open(dir, store.Options{SnapshotEvery: floor, FS: faults.NewFS(inj, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// One key improved on every Save keeps the table below the floor, so
+	// the trigger is the floor itself.
+	k := tortureKeys(1)[0]
+	perf := 100.0
+	save := func(n int) {
+		for i := 0; i < n; i++ {
+			perf--
+			st.Save(k, arcs.ConfigValues{Threads: 8}, perf)
+		}
+	}
+	save(saves)
+	if got := inj.Injected(faults.OpRename); got != saves/floor {
+		t.Fatalf("%d Saves made %d snapshot attempts against a failing rename, want %d", saves, got, saves/floor)
+	}
+	if err := st.Err(); err == nil {
+		t.Fatal("failed compaction not surfaced through Err")
+	}
+	if err := st.Snapshot(); err == nil {
+		t.Fatal("explicit Snapshot succeeded despite the failing rename")
+	}
+	if got := inj.Injected(faults.OpRename); got != saves/floor+1 {
+		t.Fatalf("explicit Snapshot made %d attempts, want it to retry at once", got-saves/floor)
+	}
+
+	// The disk heals: the next automatic compaction comes one threshold
+	// after the last automatic failure, and it succeeds.
+	inj.Clear()
+	save(floor - 1)
+	if h := st.Health(); h.Compactions != 0 {
+		t.Fatalf("automatic compaction retried %d appends after a failure, want %d", floor-1, floor)
+	}
+	save(1)
+	if h := st.Health(); h.Compactions != 1 || h.WALRecords != 0 {
+		t.Fatalf("no compaction one threshold after the failure: %+v", h)
+	}
+	re, err := store.Open(dir, store.Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if e, ok := re.Get(k); !ok || e.Perf != perf {
+		t.Fatalf("reopen after back-off: %+v (found %v), want perf %v", e, ok, perf)
+	}
+}
+
+// TestCrashTortureAutoCompaction kills the filesystem at every byte
+// offset of the snapshot temp file while an automatic compaction runs
+// with the WAL past the floor (the size-ratio trigger fires at the table
+// size, not at SnapshotEvery). At each offset every Save whose WAL
+// append completed before the crash — including the one whose append
+// triggered the compaction — must survive the reopen.
+func TestCrashTortureAutoCompaction(t *testing.T) {
+	const floor = 4
+	keys := tortureKeys(12)
+	// seed writes the starting directory: one compaction at the floor,
+	// then eight more inserts, which stay in the WAL because they never
+	// reach the growing table's size.
+	seed := func(dir string) {
+		st, err := store.Open(dir, store.Options{SnapshotEvery: floor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			st.Save(k, arcs.ConfigValues{Threads: 2 + i}, 10)
+		}
+		if h := st.Health(); h.Compactions != 1 || h.WALRecords != len(keys)-floor {
+			t.Fatalf("seed store: %+v, want one compaction and %d WAL records", h, len(keys)-floor)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// improve makes the floor's worth of Saves that take the WAL to the
+	// table's size, so the last of them triggers the compaction.
+	const improved = floor
+	improve := func(st *store.Store) {
+		for i := 0; i < improved; i++ {
+			st.Save(keys[i], arcs.ConfigValues{Threads: 40 + i}, 5)
+		}
+	}
+
+	// Reference run with no faults: the size of the snapshot the
+	// compaction writes bounds the sweep.
+	refDir := t.TempDir()
+	seed(refDir)
+	ref, err := store.Open(refDir, store.Options{SnapshotEvery: floor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	improve(ref)
+	if h := ref.Health(); h.Compactions != 1 || h.WALRecords != 0 {
+		t.Fatalf("reference run: %+v, want one automatic compaction at %d WAL records", h, len(keys))
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(refDir, store.SnapshotBinName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := fi.Size()
+
+	for off := int64(0); off < total; off++ {
+		dir := t.TempDir()
+		seed(dir)
+		inj := faults.New(1)
+		inj.Add(faults.Rule{Op: faults.OpWrite, Kind: faults.Crash, Match: store.SnapshotBinName + ".tmp", Offset: off})
+		fs := faults.NewFS(inj, nil)
+		st, err := store.Open(dir, store.Options{SnapshotEvery: floor, FS: fs})
+		if err != nil {
+			t.Fatalf("offset %d: open: %v", off, err)
+		}
+		improve(st)
+		_ = st.Err()
+		_ = st.Close()
+		if !fs.Crashed() {
+			t.Fatalf("offset %d: crash never fired", off)
+		}
+
+		re, err := store.Open(dir, store.Options{SnapshotEvery: -1})
+		if err != nil {
+			t.Fatalf("offset %d: reopen after crash: %v", off, err)
+		}
+		for i, k := range keys {
+			e, ok := re.Get(k)
+			want := arcs.ConfigValues{Threads: 2 + i}
+			perf := 10.0
+			if i < improved {
+				want, perf = arcs.ConfigValues{Threads: 40 + i}, 5
+			}
+			if !ok || e.Cfg != want || e.Perf != perf {
+				t.Fatalf("offset %d: acknowledged Save %d lost: %+v (found %v)", off, i, e, ok)
+			}
+		}
+		if err := re.Close(); err != nil {
+			t.Fatalf("offset %d: close: %v", off, err)
+		}
+	}
+}
