@@ -23,7 +23,10 @@ import (
 
 // Arch describes a machine architecture: topology, clocks, cache geometry,
 // power constants and SMT behaviour. Arch values are immutable once built;
-// Machine holds the mutable state (cap, clock, energy).
+// Machine holds the mutable state (cap, clock, energy). Each Machine
+// remembers its last probe of every region and reuses it for an identical
+// probe, so an Arch must not be mutated after a machine built on it has
+// probed.
 type Arch struct {
 	Name string
 

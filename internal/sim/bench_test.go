@@ -8,7 +8,9 @@ import (
 // Micro-benchmarks for the simulator hot paths: one region execution under
 // each scheduling policy, at NPB-like and LULESH-like iteration counts.
 // These bound the cost of the experiment harness (an offline search is
-// ~250 of these per region).
+// ~250 of these per region). Each iteration simulates afresh through
+// probeFresh, so the dispatcher is timed rather than the machine's memo of
+// its last probe; BenchmarkProbeRepeat times the memo's hit path.
 
 func benchLoopKind(iters int, kind ImbalanceKind) *LoopModel {
 	im := Imbalance{Kind: kind}
@@ -35,6 +37,17 @@ func benchLoopKind(iters int, kind ImbalanceKind) *LoopModel {
 
 func benchLoop(iters int) *LoopModel { return benchLoopKind(iters, Ramp) }
 
+// probeFresh is ProbeLoop without the memo: it simulates lm under cfg into
+// e and returns the result as ProbeLoop would.
+func probeFresh(m *Machine, lm *LoopModel, cfg Config, e *probeMemo) (ExecResult, error) {
+	if err := m.simulate(lm, cfg, e); err != nil {
+		return ExecResult{}, err
+	}
+	return e.result(m.noiseFactor(), lm.Iters, m.arch), nil
+}
+
+var benchSink ExecResult
+
 func benchProbe(b *testing.B, iters int, cfg Config) {
 	b.Helper()
 	m, err := NewMachine(Crill())
@@ -42,13 +55,16 @@ func benchProbe(b *testing.B, iters int, cfg Config) {
 		b.Fatal(err)
 	}
 	lm := benchLoop(iters)
-	lm.Weights() // exclude one-time weight materialisation
+	lm.buildPrefix() // exclude the one-time prefix-sum build
+	var e probeMemo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.ProbeLoop(lm, cfg); err != nil {
+		r, err := probeFresh(m, lm, cfg, &e)
+		if err != nil {
 			b.Fatal(err)
 		}
+		benchSink = r
 	}
 }
 
@@ -68,9 +84,35 @@ func BenchmarkProbeDynamicLULESH(b *testing.B) {
 	benchProbe(b, 91125, Config{Threads: 32, Sched: SchedDynamic, Chunk: 1})
 }
 
+// BenchmarkProbeRepeat probes one region under one configuration again and
+// again, as the paper's three runs per arm and a converged region do: every
+// iteration after the first is a memo hit, paying only the noise draw and
+// the copy of the per-thread slices.
+func BenchmarkProbeRepeat(b *testing.B) {
+	m, err := NewMachine(Crill())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetNoise(0.02, 1)
+	lm := benchLoop(10404)
+	cfg := Config{Threads: 32, Sched: SchedDynamic, Chunk: 1}
+	if _, err := m.ProbeLoop(lm, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := m.ProbeLoop(lm, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = r
+	}
+}
+
 // BenchmarkProbeGrid covers the full {schedule} × {chunk} × {weight kind}
 // matrix at NPB scale. The Uniform rows hit the closed-form/batched fast
-// paths; the Ramp rows hit the reference heap simulator, so the grid shows
+// paths; the Ramp rows hit the reference dispatcher, so the grid shows
 // both the fast-path win and that the reference path did not regress.
 func BenchmarkProbeGrid(b *testing.B) {
 	scheds := []struct {
@@ -93,14 +135,17 @@ func BenchmarkProbeGrid(b *testing.B) {
 					lm := benchLoopKind(10404, kd.k)
 					cfg := Config{Threads: 32, Sched: sc.s, Chunk: chunk}
 					if kd.k != Uniform {
-						lm.Weights() // exclude one-time weight materialisation
+						lm.buildPrefix() // exclude the one-time prefix-sum build
 					}
+					var e probeMemo
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := m.ProbeLoop(lm, cfg); err != nil {
+						r, err := probeFresh(m, lm, cfg, &e)
+						if err != nil {
 							b.Fatal(err)
 						}
+						benchSink = r
 					}
 				})
 			}
@@ -110,7 +155,7 @@ func BenchmarkProbeGrid(b *testing.B) {
 
 func BenchmarkWeightSum(b *testing.B) {
 	lm := benchLoop(91125)
-	lm.Weights()
+	lm.buildPrefix()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = lm.WeightSum(i%1000, i%1000+4096)

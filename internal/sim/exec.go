@@ -92,60 +92,117 @@ func (r *ExecResult) BarrierFrac() float64 {
 	return r.BarrierS / total
 }
 
-// threadState is a heap entry for dynamic/guided dispatch.
+// threadState is one thread's entry in the dispatcher.
 type threadState struct {
 	avail float64 // time the thread becomes idle
 	id    int
 }
 
-// threadHeap is a hand-rolled min-heap (by avail, ties by id for
-// determinism). container/heap's interface{} boxing allocates on every
-// push/pop, which dominates chunk-per-iteration simulations; this version
-// is allocation free on the hot path.
-type threadHeap []threadState
-
-func (h threadHeap) less(i, j int) bool {
+// before is the dispatch order: earliest-idle first, ties to the lower id.
+func (a threadState) before(b threadState) bool {
 	//arcslint:ignore floatcmp exact equality defines the deterministic tie-break order
-	if h[i].avail != h[j].avail {
-		return h[i].avail < h[j].avail
+	if a.avail != b.avail {
+		return a.avail < b.avail
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
 
-func (h threadHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
+// loserTree is the dispatcher of the reference and guided-decay paths: a
+// tournament tree over the team's next-idle times, ordered by before. Each
+// internal node keeps the loser of the match played there and node[0] the
+// overall winner, so node[:p] holds every leaf once. After the winner's
+// time grows, replaying its leaf-to-root path costs ⌈log₂T⌉ comparisons.
+// The team is padded to a power of two with +Inf leaves whose ids exceed
+// every thread's, so they never win.
+type loserTree struct {
+	avail []float64     // the caller's per-thread next-idle times, advanced in place
+	node  []threadState // node[0] is the winner, node[1:p] the losers, node[p:] the leaves
+
+	// argmin, when set, replaces the tree's pick with an independent one:
+	// it returns the earliest-idle thread of avail (tests check the tree's
+	// dispatch against a linear scan through it).
+	argmin func(avail []float64) int
+}
+
+// init loads the team's next-idle times and plays every match. The tree
+// keeps avail and advances it in place.
+func (lt *loserTree) init(avail []float64) {
+	lt.avail = avail
+	p := 1
+	for p < len(avail) {
+		p <<= 1
+	}
+	if cap(lt.node) < 2*p {
+		lt.node = make([]threadState, 2*p)
+	}
+	nd := lt.node[:2*p]
+	lt.node = nd
+	for i := 0; i < p; i++ {
+		a := math.Inf(1)
+		if i < len(avail) {
+			a = avail[i]
+		}
+		nd[p+i] = threadState{avail: a, id: i}
+	}
+	// Winners bottom-up; then, top-down while the children still hold
+	// their winners, each internal node keeps the one that lost.
+	for n := p - 1; n >= 1; n-- {
+		a, b := nd[2*n], nd[2*n+1]
+		if b.before(a) {
+			a = b
+		}
+		nd[n] = a
+	}
+	nd[0] = nd[1]
+	for n := 1; n < p; n++ {
+		if nd[2*n].id == nd[n].id {
+			nd[n] = nd[2*n+1]
+		} else {
+			nd[n] = nd[2*n]
+		}
+	}
+	if lt.argmin != nil {
+		lt.pick()
 	}
 }
 
-// fixRoot restores the heap property after the root's avail increased
-// (pop-modify-push collapses into one sift).
-func (h threadHeap) fixRoot() { h.siftDown(0) }
+// winner returns the earliest-idle thread.
+func (lt *loserTree) winner() int { return lt.node[0].id }
 
-func (h threadHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+// advance adds c to the winner's next-idle time and replays its path.
+func (lt *loserTree) advance(c float64) {
+	w := lt.node[0]
+	w.avail += c
+	lt.avail[w.id] = w.avail
+	if lt.argmin != nil {
+		lt.node[0] = w
+		lt.pick()
+		return
+	}
+	for n := (len(lt.node)/2 + w.id) >> 1; n > 0; n >>= 1 {
+		if l := lt.node[n]; l.before(w) {
+			lt.node[n], w = w, l
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+	}
+	lt.node[0] = w
+}
+
+// pick swaps argmin's choice into node[0].
+func (lt *loserTree) pick() {
+	id := lt.argmin(lt.avail)
+	for j := range lt.node[:len(lt.node)/2] {
+		if lt.node[j].id == id {
+			lt.node[0], lt.node[j] = lt.node[j], lt.node[0]
 			return
 		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
 	}
 }
 
-// probeScratch holds the reusable per-Machine buffers behind ProbeLoop, so
-// the hot probe path allocates nothing beyond the two exported per-thread
-// slices copied into each ExecResult. A Machine (and therefore ProbeLoop)
-// is not safe for concurrent use; the experiment harness gives every
-// worker goroutine its own Machine.
+// probeScratch holds the reusable per-Machine buffers behind a simulation,
+// so the probe path allocates nothing beyond the buffer behind the two
+// per-thread slices copied into each ExecResult. A Machine (and therefore
+// ProbeLoop) is not safe for concurrent use; the experiment harness gives
+// every worker goroutine its own Machine.
 type probeScratch struct {
 	missByOcc   []MissRates
 	compByOcc   []float64
@@ -153,9 +210,7 @@ type probeScratch struct {
 	iterNSByOcc []float64
 	start       []float64
 	finish      []float64
-	busy        []float64
-	waits       []float64
-	heap        threadHeap
+	tree        loserTree
 	counts      []int
 }
 
@@ -168,32 +223,17 @@ func growF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// scratchHeap initialises the machine's reusable dispatch heap with the
-// given per-thread next-idle times.
-func (m *Machine) scratchHeap(avail []float64) threadHeap {
-	t := len(avail)
-	if cap(m.scratch.heap) < t {
-		m.scratch.heap = make(threadHeap, t)
-	}
-	h := m.scratch.heap[:t]
-	for i := 0; i < t; i++ {
-		h[i] = threadState{avail: avail[i], id: i}
-	}
-	h.init()
-	return h
-}
-
 // dispatchEqualChunks assigns n chunks of identical cost cS (the final,
 // possibly partial, chunk costing cLastS) to the threads whose next-idle
-// times are finish[i], exactly as the reference heap dispatcher would:
+// times are finish[i], exactly as the reference dispatcher would:
 // the earliest-idle thread (ties by lower id) grabs each chunk in turn.
 // Because every chunk costs the same, thread i's dispatch instants form the
 // arithmetic progression finish[i] + k*cS, and the greedy assignment is the
 // n smallest elements of the union of those t progressions. The split is
 // found by bisecting the instant threshold — O(t log n) instead of
-// O(n log t) heap operations. busy and finish are updated in place; it
+// O(n log t) tree replays. busy and finish are updated in place; it
 // reports false (leaving them untouched) in degenerate cases the bisection
-// cannot resolve, and the caller falls back to the reference heap.
+// cannot resolve, and the caller falls back to the reference dispatcher.
 func (m *Machine) dispatchEqualChunks(busy, finish []float64, n int, cS, cLastS float64) bool {
 	t := len(finish)
 	if n <= 0 || cS <= 0 {
@@ -246,7 +286,7 @@ func (m *Machine) dispatchEqualChunks(busy, finish []float64, n int, cS, cLastS 
 	}
 	// Per-thread counts at the threshold, then trim the overshoot by
 	// removing the latest-dispatched chunks (largest instant; ties resolved
-	// against the higher id, the reverse of the heap's dispatch order).
+	// against the higher id, the reverse of the dispatch order).
 	if cap(m.scratch.counts) < t {
 		m.scratch.counts = make([]int, t)
 	}
@@ -267,7 +307,7 @@ func (m *Machine) dispatchEqualChunks(busy, finish []float64, n int, cS, cLastS 
 		}
 	}
 	if total < n {
-		return false // numerical corner; let the heap handle it
+		return false // numerical corner; let the reference dispatcher handle it
 	}
 	for guard := 0; total > n; guard++ {
 		if guard > 4*t+64 {
@@ -337,18 +377,97 @@ func ResolveChunk(sched Schedule, chunk, iters, threads int) int {
 	return 1
 }
 
+// probeMemo is a Machine's record of its last probe of one LoopModel: the
+// inputs that decide the noise-free result, and that result. The floats
+// are compared bit for bit.
+type probeMemo struct {
+	ok      bool // res holds the result of (cfg, capBits, ghzBits)
+	cfg     Config
+	capBits uint64 // math.Float64bits of the machine's capW
+	ghzBits uint64 // math.Float64bits of the machine's userGHz
+
+	// res is the noise-free result. AvgPowerW, DRAMBytes and DRAMEnergyJ
+	// depend on the noise factor and are left unset. Its per-thread slices
+	// are the two halves of perThread, the simulation's busy and wait
+	// buffers, which the next miss reuses.
+	res       ExecResult
+	perThread []float64
+}
+
+// holds reports whether e is the result of probing under cfg on m now.
+func (e *probeMemo) holds(m *Machine, cfg Config) bool {
+	return e.ok && e.cfg == cfg &&
+		e.capBits == math.Float64bits(m.capW) && e.ghzBits == math.Float64bits(m.userGHz)
+}
+
+// result applies the noise factor nf to the memoised result and returns it
+// with a fresh copy of the per-thread slices, both in one allocation.
+func (e *probeMemo) result(nf float64, iters int, a *Arch) ExecResult {
+	r := e.res
+	t := len(r.PerThreadBusyS)
+	pt := make([]float64, 2*t)
+	copy(pt, e.perThread)
+	r.PerThreadBusyS, r.PerThreadWaitS = pt[:t:t], pt[t:]
+	// Run-to-run measurement noise (1 unless enabled): scales the whole
+	// execution uniformly, leaving power and miss rates unchanged.
+	if nf != 1 { //arcslint:ignore floatcmp 1 is the noise-disabled sentinel, returned verbatim
+		r.TimeS *= nf
+		r.EnergyJ *= nf
+		r.SerialS *= nf
+		r.BarrierS *= nf
+		r.DispatchS *= nf
+		r.LoopS *= nf
+		for i := range pt {
+			pt[i] *= nf
+		}
+	}
+	r.DRAMBytes = r.Miss.BytesPerIter * float64(iters) * nf
+	r.AvgPowerW = r.EnergyJ / math.Max(r.TimeS, 1e-12)
+	r.DRAMEnergyJ = a.DRAMStaticW*r.TimeS + a.DRAMEnergyPerByte*r.DRAMBytes
+	return r
+}
+
 // ProbeLoop simulates one execution of lm under cfg without advancing the
 // machine clock or energy counter. ExecuteLoop is Probe + Account; tests
 // and calibration tools use Probe directly.
 //
+// The machine remembers its last probe of each LoopModel. A probe whose
+// cfg, power cap and user frequency request equal that probe's reuses its
+// noise-free result instead of simulating again; the noise factor is drawn
+// and applied on every call, so the result and the noise stream are the
+// same as without the memo. This is why neither lm nor the machine's Arch
+// may be mutated once the machine has probed it.
+//
 //arcslint:hotpath every search probe runs through here; scratch buffers make it allocation-free
 func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
+	e := m.memo[lm]
+	if e == nil {
+		if m.memo == nil {
+			m.memo = make(map[*LoopModel]*probeMemo)
+		}
+		e = &probeMemo{}
+		m.memo[lm] = e
+	}
+	if !e.holds(m, cfg) {
+		if err := m.simulate(lm, cfg, e); err != nil {
+			return ExecResult{}, err
+		}
+	}
+	return e.result(m.noiseFactor(), lm.Iters, m.arch), nil
+}
+
+// simulate runs the region model: it dispatches every chunk of lm under
+// cfg on the machine as it is now and stores the noise-free result in e.
+//
+//arcslint:hotpath the memo's miss path; scratch buffers make it allocation-free
+func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
+	e.ok = false
 	if err := lm.Validate(); err != nil {
-		return ExecResult{}, err
+		return err
 	}
 	place, err := m.placement(cfg.Threads, cfg.Bind)
 	if err != nil {
-		return ExecResult{}, err
+		return err
 	}
 	a := m.arch
 	t := cfg.Threads
@@ -410,8 +529,9 @@ func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
 
 	dispatchNS := a.DispatchUS * 1000 * (1 + a.DispatchScale*float64(t-1))
 	sc.finish = growF(sc.finish, t)
-	sc.busy = growF(sc.busy, t)
-	finish, busy := sc.finish, sc.busy
+	finish := sc.finish
+	e.perThread = growF(e.perThread, 2*t)
+	busy, waits := e.perThread[:t], e.perThread[t:]
 	copy(finish, start)
 	for i := range busy {
 		busy[i] = 0
@@ -425,7 +545,7 @@ func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
 	uniform := lm.uniform()
 	var prefix []float64
 	if !uniform {
-		lm.buildWeights()
+		lm.buildPrefix()
 		prefix = lm.prefix
 	}
 	// occUniform: every thread runs at the same occupancy, so every equal
@@ -489,20 +609,18 @@ func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
 				// Guided decay phase: exponentially shrinking chunks until
 				// the floor is reached. O(t log(iters/chunk)) chunks; the
 				// constant-size tail below is batched.
-				h := m.scratchHeap(start)
+				tr := &sc.tree
+				tr.init(finish)
 				for remaining > 0 {
 					g := (remaining + t - 1) / t
 					if g <= chunk {
 						break
 					}
 					sz := g
-					id := h[0].id
 					c := dS + float64(sz)*iterS
-					busy[id] += c
+					busy[tr.winner()] += c
 					totalDispatchS += dS
-					h[0].avail += c
-					finish[id] = h[0].avail
-					h.fixRoot()
+					tr.advance(c)
 					remaining -= sz
 					chunksDispatched++
 				}
@@ -525,11 +643,12 @@ func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
 			}
 		}
 		if remaining > 0 {
-			// Reference path: one heap operation per dispatched chunk.
-			h := m.scratchHeap(finish)
+			// Reference path: one tree replay per dispatched chunk.
+			tr := &sc.tree
+			tr.init(finish)
 			pos := lm.Iters - remaining
 			for remaining > 0 {
-				id := h[0].id // earliest-idle thread grabs the next chunk
+				id := tr.winner() // earliest-idle thread grabs the next chunk
 				sz := chunk
 				if cfg.Sched == SchedGuided {
 					g := (remaining + t - 1) / t
@@ -549,16 +668,14 @@ func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
 				c := dS + w*iterNSByOcc[place.Occupancy[id]]*1e-9
 				busy[id] += c
 				totalDispatchS += dS
-				h[0].avail += c
-				finish[id] = h[0].avail
-				h.fixRoot()
+				tr.advance(c)
 				pos += sz
 				remaining -= sz
 				chunksDispatched++
 			}
 		}
 	default:
-		return ExecResult{}, fmt.Errorf("sim: unknown schedule %v", cfg.Sched)
+		return fmt.Errorf("sim: unknown schedule %v", cfg.Sched)
 	}
 
 	loopEnd := 0.0
@@ -577,8 +694,6 @@ func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
 		regionEnd = masterDone
 	}
 
-	sc.waits = growF(sc.waits, t)
-	waits := sc.waits
 	var barrierS float64
 	for i := 0; i < t; i++ {
 		end := finish[i]
@@ -635,38 +750,9 @@ func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
 		}
 	}
 
-	// Run-to-run measurement noise (1 unless enabled): scales the whole
-	// execution uniformly, leaving power and miss rates unchanged.
-	nf := m.noiseFactor()
-	if nf != 1 { //arcslint:ignore floatcmp 1 is the noise-disabled sentinel, returned verbatim
-		regionEnd *= nf
-		energy *= nf
-		loopEnd *= nf
-		serialS *= nf
-		barrierS *= nf
-		totalDispatchS *= nf
-		maxBusy *= nf
-		for i := range busy {
-			busy[i] *= nf
-			waits[i] *= nf
-		}
-	}
-
-	dramBytes := rep.BytesPerIter * float64(lm.Iters) * nf
-
-	// Copy-on-return: busy and waits live in the machine's scratch and are
-	// reused by the next probe; only the exported slices are allocated.
-	outBusy := make([]float64, t)
-	outWaits := make([]float64, t)
-	copy(outBusy, busy)
-	copy(outWaits, waits)
-
-	res := ExecResult{
+	e.res = ExecResult{
 		TimeS:          regionEnd,
 		EnergyJ:        energy,
-		AvgPowerW:      energy / math.Max(regionEnd, 1e-12),
-		DRAMBytes:      dramBytes,
-		DRAMEnergyJ:    a.DRAMStaticW*regionEnd + a.DRAMEnergyPerByte*dramBytes,
 		FreqGHz:        f,
 		Duty:           duty,
 		Miss:           rep,
@@ -675,10 +761,14 @@ func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
 		BarrierS:       barrierS,
 		DispatchS:      totalDispatchS,
 		Chunks:         chunksDispatched,
-		PerThreadBusyS: outBusy,
-		PerThreadWaitS: outWaits,
+		PerThreadBusyS: busy,
+		PerThreadWaitS: waits,
 	}
-	return res, nil
+	e.cfg = cfg
+	e.capBits = math.Float64bits(m.capW)
+	e.ghzBits = math.Float64bits(m.userGHz)
+	e.ok = true
+	return nil
 }
 
 // ExecuteLoop simulates one execution of lm under cfg and advances the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -109,10 +110,17 @@ func relClose(a, b, tol float64) bool {
 }
 
 // Differential property: for uniform-weight loops the closed-form/batched
-// dispatch fast paths must agree with the reference heap simulator. A Ramp
+// dispatch fast paths must agree with the reference dispatcher. A Ramp
 // imbalance with Param 0 produces the exact same constant-1 weight vector
 // but is classified as weighted, so it runs the reference path — probing
 // the same loop both ways compares fast path against reference directly.
+//
+// Busy times and scalars are compared relative to their own size. A wait
+// is regionEnd − end, the difference of two times as large as the region,
+// so its rounding error scales with the region's TimeS, not with the wait:
+// each wait is bounded by tol × TimeS, and BarrierS, the team's sum of
+// waits, by tol × TimeS per thread. The samples come from a fixed seed, so
+// a failure reproduces.
 func TestFastPathMatchesReference(t *testing.T) {
 	const tol = 1e-9
 	for _, arch := range []*Arch{Crill(), Minotaur()} {
@@ -184,7 +192,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 			scalars := [][2]float64{
 				{fr.TimeS, rr.TimeS}, {fr.EnergyJ, rr.EnergyJ},
 				{fr.LoopS, rr.LoopS}, {fr.SerialS, rr.SerialS},
-				{fr.BarrierS, rr.BarrierS}, {fr.DispatchS, rr.DispatchS},
+				{fr.DispatchS, rr.DispatchS},
 				{fr.DRAMBytes, rr.DRAMBytes}, {fr.DRAMEnergyJ, rr.DRAMEnergyJ},
 			}
 			for i, s := range scalars {
@@ -193,9 +201,13 @@ func TestFastPathMatchesReference(t *testing.T) {
 					return false
 				}
 			}
+			if math.Abs(fr.BarrierS-rr.BarrierS) > tol*rr.TimeS*float64(cfg.Threads) {
+				t.Errorf("%s %v: barrier fast %v != ref %v", arch.Name, cfg, fr.BarrierS, rr.BarrierS)
+				return false
+			}
 			for i := range fr.PerThreadBusyS {
 				if !relClose(fr.PerThreadBusyS[i], rr.PerThreadBusyS[i], tol) ||
-					!relClose(fr.PerThreadWaitS[i], rr.PerThreadWaitS[i], tol) {
+					math.Abs(fr.PerThreadWaitS[i]-rr.PerThreadWaitS[i]) > tol*rr.TimeS {
 					t.Errorf("%s %v: thread %d: busy/wait fast (%v, %v) != ref (%v, %v)",
 						arch.Name, cfg, i, fr.PerThreadBusyS[i], fr.PerThreadWaitS[i],
 						rr.PerThreadBusyS[i], rr.PerThreadWaitS[i])
@@ -204,7 +216,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 			}
 			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(1))}); err != nil {
 			t.Errorf("%s: %v", arch.Name, err)
 		}
 	}

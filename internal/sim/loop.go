@@ -93,6 +93,10 @@ func (c CacheSpec) normalized() CacheSpec {
 // profile, and an optional master-only serial section (which shows up as
 // OMP_BARRIER time for the other team members, as in the paper's LULESH
 // EvalEOSForElems analysis, Fig. 9).
+//
+// A LoopModel must not be mutated once a Machine has probed it: the
+// prefix sums of its weights are built once, and each Machine keeps the
+// result of its last probe of the model to reuse for an identical probe.
 type LoopModel struct {
 	Name          string
 	Iters         int
@@ -101,9 +105,8 @@ type LoopModel struct {
 	Imbalance     Imbalance
 	Mem           CacheSpec
 
-	weightsOnce sync.Once // guards the lazy build (models are shared across harness goroutines)
-	weights     []float64 // lazily built, mean 1
-	prefix      []float64 // prefix[i] = sum(weights[:i]); len Iters+1
+	prefixOnce sync.Once // guards the lazy build (models are shared across harness goroutines)
+	prefix     []float64 // prefix[i] = sum of the first i normalised weights; len Iters+1
 }
 
 // uniform reports whether every iteration carries weight exactly 1, i.e.
@@ -117,7 +120,7 @@ func (lm *LoopModel) uniform() bool {
 		return false
 	}
 	// Uniform and unknown kinds both produce the constant-1 vector (see
-	// buildWeights' default branch).
+	// rawWeights' default branch).
 	return true
 }
 
@@ -140,17 +143,32 @@ func (lm *LoopModel) Validate() error {
 	return nil
 }
 
-// buildWeights materialises the per-iteration weight vector and its prefix
-// sums. Weights are normalised to mean exactly 1 so that total work is
+// buildPrefix materialises the prefix sums of the per-iteration weights.
+// Weights are normalised to mean exactly 1 so that total work is
 // independent of the imbalance pattern. The build is guarded by a sync.Once
-// because LoopModels are shared read-mostly across harness goroutines.
-func (lm *LoopModel) buildWeights() {
-	lm.weightsOnce.Do(lm.materializeWeights)
+// because LoopModels are shared read-mostly across harness goroutines; the
+// weights themselves are not kept, since the executor reads only the sums.
+func (lm *LoopModel) buildPrefix() {
+	lm.prefixOnce.Do(lm.materializePrefix)
 }
 
-func (lm *LoopModel) materializeWeights() {
-	n := lm.Iters
-	w := make([]float64, n)
+// materializePrefix writes the raw weights into prefix[1:], then turns them
+// in place into sums of the normalised weights. The conversion rounds each
+// normalised weight before the add, as Weights does, so no platform fuses
+// the two into one multiply-add.
+func (lm *LoopModel) materializePrefix() {
+	pre := make([]float64, lm.Iters+1)
+	inv := lm.rawWeights(pre[1:])
+	for i := 1; i < len(pre); i++ {
+		pre[i] = pre[i-1] + float64(pre[i]*inv)
+	}
+	lm.prefix = pre
+}
+
+// rawWeights fills w (len Iters) with the unnormalised weight pattern and
+// returns the factor that normalises it to mean 1.
+func (lm *LoopModel) rawWeights(w []float64) (inv float64) {
+	n := len(w)
 	im := lm.Imbalance
 	switch im.Kind {
 	case Uniform:
@@ -219,20 +237,12 @@ func (lm *LoopModel) materializeWeights() {
 			w[i] = 1
 		}
 	}
-	// Normalise to mean 1.
 	var sum float64
 	for _, x := range w {
 		sum += x
 	}
 	mean := sum / float64(n)
-	inv := 1 / mean
-	pre := make([]float64, n+1)
-	for i := range w {
-		w[i] *= inv
-		pre[i+1] = pre[i] + w[i]
-	}
-	lm.weights = w
-	lm.prefix = pre
+	return 1 / mean
 }
 
 // WeightSum returns the sum of iteration weights in [lo, hi) in O(1) after
@@ -253,15 +263,19 @@ func (lm *LoopModel) WeightSum(lo, hi int) float64 {
 	if lm.uniform() {
 		return float64(hi - lo)
 	}
-	lm.buildWeights()
+	lm.buildPrefix()
 	return lm.prefix[hi] - lm.prefix[lo]
 }
 
-// Weights returns the (normalised) weight vector, building it if needed.
-// The returned slice must not be modified.
+// Weights returns a fresh copy of the normalised weight vector, computed
+// on each call.
 func (lm *LoopModel) Weights() []float64 {
-	lm.buildWeights()
-	return lm.weights
+	w := make([]float64, lm.Iters)
+	inv := lm.rawWeights(w)
+	for i := range w {
+		w[i] *= inv
+	}
+	return w
 }
 
 // TotalWork returns the total compute nanoseconds of one invocation at base
@@ -276,9 +290,8 @@ func (lm *LoopModel) ImbalanceRatio() float64 {
 	if lm.uniform() {
 		return 1
 	}
-	lm.buildWeights()
 	m := 0.0
-	for _, w := range lm.weights {
+	for _, w := range lm.Weights() {
 		if w > m {
 			m = w
 		}

@@ -11,17 +11,27 @@ import (
 // internal/rapl package exposes this state through a libmsr-style
 // interface; the internal/omp runtime advances it as regions execute.
 //
+// A Machine remembers, per LoopModel, the noise-free result of its last
+// probe and the inputs that decided it (config, power cap, user frequency
+// request). An identical repeat, such as the paper's three runs of one arm
+// or a converged region re-run every time step, reuses that result and
+// only draws fresh noise. The LoopModels it probes and its Arch must
+// therefore not be mutated afterwards.
+//
 // A Machine is NOT safe for concurrent use: probes reuse per-machine
-// scratch buffers and the noise RNG is stateful. Concurrent harness code
-// must give each goroutine its own Machine (they are cheap to build).
+// scratch buffers and the memo, and the noise RNG is stateful. Concurrent
+// harness code must give each goroutine its own Machine (they are cheap to
+// build).
 type Machine struct {
 	arch *Arch
 
-	// scratch holds the reusable ProbeLoop buffers; placeCache memoises
+	// scratch holds the reusable simulation buffers; placeCache memoises
 	// Placement by (threads, bind), both keeping the probe hot path
-	// allocation free.
+	// allocation free. memo holds the last probe of each LoopModel, so a
+	// repeated probe skips the simulation (see ProbeLoop).
 	scratch    probeScratch
 	placeCache map[int]Placement
+	memo       map[*LoopModel]*probeMemo
 
 	capW    float64 // 0 = uncapped (TDP)
 	userGHz float64 // user-requested frequency ceiling (0 = none)
@@ -52,12 +62,13 @@ func (m *Machine) SetNoise(sigma float64, seed int64) {
 
 // Clone returns an independent machine for concurrent probing. The clone
 // shares only the immutable *Arch; the probe scratch buffers, the placement
-// cache (rebuilt lazily), and the noise RNG are private, so probing a clone
-// from one goroutine never races with probes on the original or on sibling
-// clones. Power cap, user frequency request, clock, and energy accumulators
-// are copied. If noise is enabled the clone's RNG restarts from the recorded
-// seed — the clone behaves like a fresh machine configured with the same
-// SetNoise call, not like a fork of the parent mid-stream.
+// cache (rebuilt lazily), the probe memo (starting empty), and the noise
+// RNG are private, so probing a clone from one goroutine never races with
+// probes on the original or on sibling clones. Power cap, user frequency
+// request, clock, and energy accumulators are copied. If noise is enabled
+// the clone's RNG restarts from the recorded seed — the clone behaves like
+// a fresh machine configured with the same SetNoise call, not like a fork
+// of the parent mid-stream.
 func (m *Machine) Clone() *Machine {
 	c := &Machine{
 		arch:       m.arch,
