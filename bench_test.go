@@ -120,7 +120,7 @@ func BenchmarkFutureBind(b *testing.B) { runExperiment(b, "future-bind") }
 func BenchmarkOverProvision(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bench.OverProvision()
+		res, err := bench.OverProvision(1120)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,47 +9,19 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
+	"os"
 
-	"arcs/internal/cluster"
-	"arcs/internal/kernels"
-	"arcs/internal/sim"
+	"arcs/internal/bench"
 )
 
 func main() {
 	budget := flag.Float64("budget", 1120, "global job power budget in watts")
 	flag.Parse()
 
-	arch := sim.Crill()
-	app, err := kernels.SP(kernels.ClassB)
+	res, err := bench.OverProvision(*budget)
 	if err != nil {
 		log.Fatal(err)
 	}
-	app = app.WithSteps(240)
-
-	fmt.Printf("SP class B, 240 total steps, %.0f W global budget, Crill nodes (TDP %.0f W)\n\n",
-		*budget, arch.TDPW)
-	fmt.Printf("%6s %12s %16s %16s\n", "nodes", "cap/node(W)", "Default makespan", "ARCS makespan")
-
-	for _, n := range []int{10, 12, 15, 16, 20, 24, 28} {
-		var times [2]float64
-		for i, strat := range []cluster.Strategy{cluster.StrategyDefault, cluster.StrategyARCS} {
-			out, err := cluster.Run(cluster.Job{
-				Arch: arch, App: app,
-				GlobalBudgetW: *budget, Nodes: n,
-				Strategy: strat, Comm: cluster.DefaultComm(), Seed: 50,
-			})
-			if err != nil {
-				fmt.Printf("%6d %12s %16s\n", n, "-", err)
-				continue
-			}
-			times[i] = out.MakespanS
-			if i == 1 {
-				fmt.Printf("%6d %12.1f %15.3fs %15.3fs\n", n, out.PerNodeCapW, times[0], times[1])
-			}
-		}
-	}
-	fmt.Println("\n(the optimum sits where lower per-node caps stop paying for parallelism;")
-	fmt.Println(" ARCS shifts the whole curve down by tuning each power-capped node)")
+	res.Print(os.Stdout)
 }

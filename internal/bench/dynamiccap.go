@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"arcs/internal/apex"
 	arcs "arcs/internal/core"
 	"arcs/internal/kernels"
 	"arcs/internal/omp"
@@ -57,38 +56,26 @@ func DynamicCap() (*DynamicCapResult, error) {
 		}
 	}
 
-	type arm struct {
-		label  string
-		attach func(mach *sim.Machine, rt *omp.Runtime) (*arcs.Tuner, error)
-	}
-	arms := []arm{
+	arms := []struct {
+		label string
+		opts  func(mach *sim.Machine) arcs.Options // nil: no tuner attached
+	}{
 		{"Default", nil},
-		{"ARCS-Online (stale)", func(mach *sim.Machine, rt *omp.Runtime) (*arcs.Tuner, error) {
-			apx := apex.New()
-			apx.SetPowerSource(mach)
-			rt.RegisterTool(apex.NewTool(apx))
-			return arcs.New(apx, arch, arcs.Options{Strategy: arcs.StrategyOnline, Seed: 40})
+		{"ARCS-Online (stale)", func(*sim.Machine) arcs.Options {
+			return arcs.Options{Strategy: arcs.StrategyOnline, Seed: 40}
 		}},
-		{"ARCS-Online (re-tune)", func(mach *sim.Machine, rt *omp.Runtime) (*arcs.Tuner, error) {
-			apx := apex.New()
-			apx.SetPowerSource(mach)
-			rt.RegisterTool(apex.NewTool(apx))
-			return arcs.New(apx, arch, arcs.Options{
-				Strategy: arcs.StrategyOnline, Seed: 40, ReTuneOnCapChange: true,
-			})
+		{"ARCS-Online (re-tune)", func(*sim.Machine) arcs.Options {
+			return arcs.Options{Strategy: arcs.StrategyOnline, Seed: 40, ReTuneOnCapChange: true}
 		}},
-		{"ARCS-Offline (per-cap history)", func(mach *sim.Machine, rt *omp.Runtime) (*arcs.Tuner, error) {
-			apx := apex.New()
-			apx.SetPowerSource(mach)
-			rt.RegisterTool(apex.NewTool(apx))
+		{"ARCS-Offline (per-cap history)", func(mach *sim.Machine) arcs.Options {
 			key := func(region string) arcs.HistoryKey {
 				// Dynamic key: reads the machine's *current* cap.
 				return arcs.HistoryKey{App: app.Name, Workload: app.Workload, CapW: mach.PowerCap(), Region: region}
 			}
-			return arcs.New(apx, arch, arcs.Options{
+			return arcs.Options{
 				Strategy: arcs.StrategyOfflineReplay, Seed: 40,
 				History: hist, Key: key, ReTuneOnCapChange: true,
-			})
+			}
 		}},
 	}
 
@@ -102,8 +89,8 @@ func DynamicCap() (*DynamicCapResult, error) {
 		mach.SetNoise(DefaultNoise, 40)
 		rt := omp.NewRuntime(mach)
 		var tuner *arcs.Tuner
-		if a.attach != nil {
-			tuner, err = a.attach(mach, rt)
+		if a.opts != nil {
+			tuner, err = attachTuner(mach, rt, a.opts(mach))
 			if err != nil {
 				return nil, err
 			}

@@ -61,19 +61,14 @@ type RunSpec struct {
 
 	Objective  arcs.Objective
 	Algo       arcs.SearchAlgo // online search override (ablation)
-	MaxEvals   int
-	MinRegionS float64 // selective-tuning ablation
-	TuneDVFS   bool    // §VII future-work DVFS dimension
-	TuneBind   bool    // OMP_PROC_BIND placement dimension
+	MinRegionS float64         // selective-tuning ablation
+	TuneDVFS   bool            // §VII future-work DVFS dimension
+	TuneBind   bool            // OMP_PROC_BIND placement dimension
 
 	// ConfigChangeS overrides the architecture's configuration-change
 	// overhead (ablation). Zero keeps the architecture value; a negative
 	// value selects an explicit zero overhead.
 	ConfigChangeS float64
-
-	// SearchSteps overrides the offline search run length (0 = enough
-	// steps to exhaust the Table I space).
-	SearchSteps int
 }
 
 func (s *RunSpec) normalize() RunSpec {
@@ -152,12 +147,8 @@ func Measure(spec RunSpec) (Outcome, error) {
 
 		var tuner *arcs.Tuner
 		if sp.Arm != ArmDefault {
-			apx := apex.New()
-			apx.SetPowerSource(mach)
-			rt.RegisterTool(apex.NewTool(apx))
 			opts := arcs.Options{
 				Objective:  sp.Objective,
-				MaxEvals:   sp.MaxEvals,
 				Seed:       sp.Seed + int64(run),
 				MinRegionS: sp.MinRegionS,
 				TuneDVFS:   sp.TuneDVFS,
@@ -172,7 +163,7 @@ func Measure(spec RunSpec) (Outcome, error) {
 				opts.History = hist
 				opts.Key = historyKey(sp.App, mach)
 			}
-			tuner, err = arcs.New(apx, arch, opts)
+			tuner, err = attachTuner(mach, rt, opts)
 			if err != nil {
 				return err
 			}
@@ -230,12 +221,9 @@ func offlineSearch(sp RunSpec, arch *sim.Arch) (*arcs.MemHistory, error) {
 	// The search run observes the same noisy environment.
 	mach.SetNoise(sp.Noise, sp.Seed*31+17)
 	rt := omp.NewRuntime(mach)
-	apx := apex.New()
-	apx.SetPowerSource(mach)
-	rt.RegisterTool(apex.NewTool(apx))
 
 	hist := arcs.NewMemHistory()
-	tuner, err := arcs.New(apx, arch, arcs.Options{
+	tuner, err := attachTuner(mach, rt, arcs.Options{
 		Strategy:  arcs.StrategyOfflineSearch,
 		Objective: sp.Objective,
 		History:   hist,
@@ -248,26 +236,32 @@ func offlineSearch(sp RunSpec, arch *sim.Arch) (*arcs.MemHistory, error) {
 		return nil, err
 	}
 
-	steps := sp.SearchSteps
-	if steps == 0 {
-		space := arcs.TableISpace(arch)
-		if sp.TuneDVFS {
-			space = space.WithDVFS(arch)
-		}
-		if sp.TuneBind {
-			space = space.WithBind()
-		}
-		// Every region needs space.Size() invocations; regions called once
-		// per step dominate, so size the run by them (plus slack).
-		steps = space.Size() + 8
+	space := arcs.TableISpace(arch)
+	if sp.TuneDVFS {
+		space = space.WithDVFS(arch)
 	}
-	if _, err := sp.App.WithSteps(steps).Run(rt); err != nil {
+	if sp.TuneBind {
+		space = space.WithBind()
+	}
+	// Every region needs space.Size() invocations; regions called once per
+	// step dominate, so size the run by them (plus slack).
+	if _, err := sp.App.WithSteps(space.Size() + 8).Run(rt); err != nil {
 		return nil, err
 	}
 	if err := tuner.Finish(); err != nil {
 		return nil, err
 	}
 	return hist, nil
+}
+
+// attachTuner wires an ARCS tuner into a runtime the way an application
+// run does: an APEX instance reading the machine's power, registered as
+// the runtime's OMPT tool, with the tuner's policies on top.
+func attachTuner(mach *sim.Machine, rt *omp.Runtime, opts arcs.Options) (*arcs.Tuner, error) {
+	apx := apex.New()
+	apx.SetPowerSource(mach)
+	rt.RegisterTool(apex.NewTool(apx))
+	return arcs.New(apx, mach.Arch(), opts)
 }
 
 // historyKey builds the context key: app, workload and effective cap.

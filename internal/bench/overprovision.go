@@ -3,11 +3,92 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 
-	"arcs/internal/cluster"
 	"arcs/internal/kernels"
 	"arcs/internal/sim"
 )
+
+// CommModel parameterises the per-step communication cost of a job
+// strong-scaled across n nodes: latency grows logarithmically with the
+// node count (reductions), volume shrinks with the surface-to-volume ratio.
+type CommModel struct {
+	LatencyS   float64 // per-step alpha * log2(n)
+	VolumeS    float64 // per-step beta * n^(-2/3) (halo surface at n=1)
+	NoiseSigma float64 // per-node run-to-run sigma for the straggler margin
+}
+
+// PerStepS returns the communication seconds per time step on n nodes.
+func (c CommModel) PerStepS(n int) float64 {
+	if n <= 1 {
+		return 0
+	}
+	return c.LatencyS*math.Log2(float64(n)) + c.VolumeS*math.Pow(float64(n), -2.0/3.0)
+}
+
+// StragglerFactor approximates E[max of n log-normal node times] /
+// E[node time]: the makespan penalty from node-level noise.
+func (c CommModel) StragglerFactor(n int) float64 {
+	if n <= 1 || c.NoiseSigma <= 0 {
+		return 1
+	}
+	return 1 + c.NoiseSigma*math.Sqrt(2*math.Log(float64(n)))
+}
+
+// DefaultComm returns communication constants sized for the NPB-style jobs
+// in this repository (per-step latency term ~1 ms * log2 n, halo volume
+// ~20 ms at one node shrinking with surface/volume).
+func DefaultComm() CommModel {
+	return CommModel{LatencyS: 0.001, VolumeS: 0.020, NoiseSigma: 0.01}
+}
+
+// placement is the cluster-level outcome of one node count.
+type placement struct {
+	capW      float64 // per-node cap after the TDP clamp
+	makespanS float64
+	energyJ   float64 // all nodes, package energy until the join
+	commS     float64 // communication time of one node
+}
+
+// place strong-scales app (whose Steps is the job's TOTAL work) across n
+// identical nodes sharing a global budget. Each node runs ⌈steps/n⌉ time
+// steps under arm at the per-node cap; one representative node is
+// measured noise-free, and the straggler margin stands in for the
+// run-to-run spread across nodes; communication follows DefaultComm.
+func place(arch *sim.Arch, app *kernels.App, budgetW float64, n int, arm Arm) (placement, error) {
+	if n <= 0 {
+		return placement{}, fmt.Errorf("bench: non-positive node count %d", n)
+	}
+	if budgetW <= 0 {
+		return placement{}, fmt.Errorf("bench: non-positive power budget")
+	}
+	capW := math.Min(budgetW/float64(n), arch.TDPW) // nodes cannot draw beyond TDP
+	if capW <= arch.StaticW {
+		return placement{}, fmt.Errorf("bench: per-node cap %.1fW below static power %.1fW", capW, arch.StaticW)
+	}
+	steps := (app.Steps + n - 1) / n
+	out, err := Measure(RunSpec{
+		Arch: arch, App: app.WithSteps(steps), CapW: capW, Arm: arm,
+		Seed: 50, Noise: -1, Runs: 1,
+	})
+	if err != nil {
+		return placement{}, err
+	}
+
+	comm := DefaultComm()
+	commS := comm.PerStepS(n) * float64(steps)
+	nodeS := out.TimeS + commS
+	// Communication burns roughly static power (cores idle in MPI waits).
+	nodeJ := out.EnergyJ + commS*arch.StaticW
+	makespan := nodeS * comm.StragglerFactor(n)
+	return placement{
+		capW:      capW,
+		makespanS: makespan,
+		// Non-straggler nodes idle at static power until the join.
+		energyJ: float64(n) * (nodeJ + (makespan-nodeS)*arch.StaticW),
+		commS:   commS,
+	}, nil
+}
 
 // OverProvisionResult is the cluster-level experiment behind the paper's
 // motivation (§I/§II, Patki et al. in §VI): a job with a FIXED global
@@ -34,48 +115,43 @@ type OverProvisionRow struct {
 }
 
 // OverProvision sweeps SP class B (240 total time steps) across node
-// counts under a 1120 W global budget on Crill-class nodes.
-func OverProvision() (*OverProvisionResult, error) {
+// counts under the given global budget on Crill-class nodes, running every
+// node with the default configuration and under ARCS-Offline.
+func OverProvision(budgetW float64) (*OverProvisionResult, error) {
 	arch := sim.Crill()
 	app, err := kernels.SP(kernels.ClassB)
 	if err != nil {
 		return nil, err
 	}
 	app = app.WithSteps(240)
-	const budget = 1120.0
 
-	res := &OverProvisionResult{BudgetW: budget}
-	bestDef, bestARCS := -1.0, -1.0
+	res := &OverProvisionResult{BudgetW: budgetW}
 	for _, n := range []int{10, 12, 15, 16, 20, 24, 28} {
-		row := OverProvisionRow{Nodes: n}
-		for _, strat := range []cluster.Strategy{cluster.StrategyDefault, cluster.StrategyARCS} {
-			out, err := cluster.Run(cluster.Job{
-				Arch: arch, App: app,
-				GlobalBudgetW: budget, Nodes: n,
-				Strategy: strat, Comm: cluster.DefaultComm(), Seed: 50,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: overprovision n=%d %v: %w", n, strat, err)
-			}
-			row.PerNodeCapW = out.PerNodeCapW
-			if strat == cluster.StrategyDefault {
-				row.DefaultS = out.MakespanS
-				row.DefaultKJ = out.EnergyJ / 1e3
-			} else {
-				row.ARCSS = out.MakespanS
-				row.ARCSKJ = out.EnergyJ / 1e3
+		var out [2]placement
+		for i, arm := range []Arm{ArmDefault, ArmOffline} {
+			if out[i], err = place(arch, app, budgetW, n, arm); err != nil {
+				return nil, fmt.Errorf("bench: overprovision n=%d %v: %w", n, arm, err)
 			}
 		}
-		res.Rows = append(res.Rows, row)
-		if bestDef < 0 || row.DefaultS < bestDef {
-			bestDef = row.DefaultS
-			res.BestDefault = n
+		res.Rows = append(res.Rows, OverProvisionRow{
+			Nodes:       n,
+			PerNodeCapW: out[0].capW,
+			DefaultS:    out[0].makespanS,
+			ARCSS:       out[1].makespanS,
+			DefaultKJ:   out[0].energyJ / 1e3,
+			ARCSKJ:      out[1].energyJ / 1e3,
+		})
+	}
+	bestDef, bestARCS := res.Rows[0], res.Rows[0]
+	for _, row := range res.Rows[1:] {
+		if row.DefaultS < bestDef.DefaultS {
+			bestDef = row
 		}
-		if bestARCS < 0 || row.ARCSS < bestARCS {
-			bestARCS = row.ARCSS
-			res.BestARCS = n
+		if row.ARCSS < bestARCS.ARCSS {
+			bestARCS = row
 		}
 	}
+	res.BestDefault, res.BestARCS = bestDef.Nodes, bestARCS.Nodes
 	return res, nil
 }
 

@@ -56,7 +56,7 @@ func (k Key) String() string {
 // Stats is a snapshot of the cache counters, exported on /metrics
 // through the metric and help tags.
 type Stats struct {
-	Hits     uint64 `metric:"arcsd_evalcache_hits_total,counter" help:"Probe evaluations served from the eval cache."`                  // Get/Do served from the cache
+	Hits     uint64 `metric:"arcsd_evalcache_hits_total,counter" help:"Probe evaluations served from the eval cache."`                  // Do served from the cache
 	Misses   uint64 `metric:"arcsd_evalcache_misses_total,counter" help:"Probe evaluations computed fresh (cache misses)."`             // Do invocations that ran the compute function
 	Dedups   uint64 `metric:"arcsd_evalcache_dedup_total,counter" help:"Probe evaluations shared with a concurrent in-flight compute."` // Do invocations that waited on another worker's compute
 	Errors   uint64 // compute failures (never cached)
@@ -90,35 +90,6 @@ func New() *Cache {
 		vals:    make(map[string]float64),
 		flights: make(map[string]*call),
 	}
-}
-
-// Get returns the cached value for k, if present.
-//
-//arcslint:hotpath probe memoisation lookup on the search hot path
-func (c *Cache) Get(k Key) (float64, bool) {
-	if c == nil {
-		return 0, false
-	}
-	s := k.String()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.vals[s]
-	if ok {
-		c.hits++
-	}
-	return v, ok
-}
-
-// Put stores a value for k unconditionally (probes are deterministic, so
-// later values equal earlier ones; last write wins).
-func (c *Cache) Put(k Key, v float64) {
-	if c == nil {
-		return
-	}
-	s := k.String()
-	c.mu.Lock()
-	c.vals[s] = v
-	c.mu.Unlock()
 }
 
 // Do returns the value for k, computing it with f on a miss. Concurrent

@@ -114,7 +114,7 @@ func (nm *NelderMead) Next() (Point, bool) {
 	if nm.done {
 		return nil, false
 	}
-	return nm.round(nm.want), true
+	return nm.space.round(nm.want), true
 }
 
 // NextBatch implements BatchStrategy. During simplex seeding and shrink
@@ -154,7 +154,7 @@ func (nm *NelderMead) NextBatch(max int) []Point {
 	}
 	out := make([]Point, 0, len(xs))
 	for _, x := range xs {
-		out = append(out, nm.round(x))
+		out = append(out, nm.space.round(x))
 	}
 	return out
 }
@@ -240,7 +240,7 @@ func (nm *NelderMead) beginIteration() {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-	if nm.collapsed() {
+	if nm.space.collapsed(nm.simplex) {
 		nm.done = true
 		return
 	}
@@ -277,10 +277,10 @@ func (nm *NelderMead) replaceWorst(x []float64, f float64) {
 }
 
 // collapsed reports whether every vertex rounds to the same lattice point.
-func (nm *NelderMead) collapsed() bool {
-	first := nm.round(nm.simplex[0].x).Key()
-	for _, v := range nm.simplex[1:] {
-		if nm.round(v.x).Key() != first {
+func (s Space) collapsed(verts []nmVertex) bool {
+	first := s.round(verts[0].x).Key()
+	for _, v := range verts[1:] {
+		if s.round(v.x).Key() != first {
 			return false
 		}
 	}
@@ -288,12 +288,12 @@ func (nm *NelderMead) collapsed() bool {
 }
 
 // round maps a continuous coordinate vector to the nearest lattice point.
-func (nm *NelderMead) round(x []float64) Point {
+func (s Space) round(x []float64) Point {
 	p := make(Point, len(x))
 	for i, v := range x {
 		p[i] = int(math.Round(v))
 	}
-	return nm.space.Clamp(p)
+	return s.Clamp(p)
 }
 
 // combine returns c + coef*(x - c): coef -1 reflects x through c, +2

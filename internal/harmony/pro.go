@@ -85,7 +85,7 @@ func (p *PRO) Next() (Point, bool) {
 	if p.done {
 		return nil, false
 	}
-	return p.round(p.want), true
+	return p.space.round(p.want), true
 }
 
 // NextBatch implements BatchStrategy: the not-yet-reported remainder of
@@ -108,7 +108,7 @@ func (p *PRO) NextBatch(max int) []Point {
 	}
 	out := make([]Point, 0, len(rest))
 	for _, v := range rest {
-		out = append(out, p.round(v.x))
+		out = append(out, p.space.round(v.x))
 	}
 	return out
 }
@@ -150,7 +150,7 @@ func (p *PRO) startRound() {
 			v[j], v[j-1] = v[j-1], v[j]
 		}
 	}
-	if p.collapsed() {
+	if p.space.collapsed(p.verts) {
 		p.done = true
 		return
 	}
@@ -204,25 +204,6 @@ func (p *PRO) finishRound() {
 		return
 	}
 	p.startRound()
-}
-
-// collapsed reports whether all vertices round to the same lattice point.
-func (p *PRO) collapsed() bool {
-	first := p.round(p.verts[0].x).Key()
-	for _, v := range p.verts[1:] {
-		if p.round(v.x).Key() != first {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *PRO) round(x []float64) Point {
-	pt := make(Point, len(x))
-	for i, v := range x {
-		pt[i] = int(math.Round(v))
-	}
-	return p.space.Clamp(pt)
 }
 
 var (

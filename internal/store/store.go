@@ -70,8 +70,7 @@ const (
 	DefaultSnapshotEvery = 1024
 
 	// DefaultDegradeAfter is the number of consecutive WAL-append failures
-	// after which the store degrades to memory-only serving when
-	// Options.DegradeAfter is zero.
+	// after which the store degrades to memory-only serving.
 	DefaultDegradeAfter = 3
 )
 
@@ -91,12 +90,6 @@ type Options struct {
 	// records. Zero selects DefaultSnapshotEvery; negative disables
 	// automatic snapshots (explicit Snapshot still works).
 	SnapshotEvery int
-
-	// DegradeAfter is the number of consecutive WAL-append failures that
-	// switch the store into degraded memory-only mode. Zero selects
-	// DefaultDegradeAfter; negative disables degradation (every append
-	// keeps retrying the WAL).
-	DegradeAfter int
 
 	// FS substitutes the filesystem (fault injection, tests); nil selects
 	// the real one (OSFS).
@@ -127,7 +120,6 @@ type Store struct {
 	failedAt      int           // walRecords at the last failed automatic compaction, 0 after a success; guarded by walMu
 	compactions   uint64        // successful compactions since Open; guarded by walMu
 	snapshotEvery int           // immutable after Open
-	degradeAfter  int           // immutable after Open
 	closed        bool          // guarded by walMu
 	appendFails   int           // consecutive WAL-append failures; guarded by walMu
 	degraded      bool          // memory-only mode; guarded by walMu
@@ -151,16 +143,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:           dir,
 		fs:            opts.FS,
 		snapshotEvery: opts.SnapshotEvery,
-		degradeAfter:  opts.DegradeAfter,
 	}
 	if s.fs == nil {
 		s.fs = OSFS
 	}
 	if s.snapshotEvery == 0 {
 		s.snapshotEvery = DefaultSnapshotEvery
-	}
-	if s.degradeAfter == 0 {
-		s.degradeAfter = DefaultDegradeAfter
 	}
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
@@ -634,7 +622,7 @@ func (s *Store) appendWAL(e Entry) {
 		s.appendFails++
 		//arcslint:ignore hotpathalloc WAL write failure is the cold degraded branch
 		s.setErr(fmt.Errorf("store: append wal: %w", err))
-		if s.degradeAfter > 0 && s.appendFails >= s.degradeAfter {
+		if s.appendFails >= DefaultDegradeAfter {
 			s.degraded = true
 			s.droppedSaves++
 			//arcslint:ignore hotpathalloc tripping degraded mode happens at most once per outage
