@@ -267,8 +267,12 @@ func searchRegion(ctx context.Context, rm RegionModel, env searchEnv) (BatchSear
 }
 
 // probeConfig borrows a machine from the free list, measures cfg, and
-// evaluates the objective on the observed metrics.
+// evaluates the objective on the observed metrics. The region's prefix
+// sums are built before the machine is taken: the first probe of a region
+// builds them, and a concurrent probe of the same region waits for that
+// build, without either holding a token other regions' probes could use.
 func probeConfig(machines chan *sim.Machine, lm *sim.LoopModel, cfg ConfigValues, obj Objective) (float64, error) {
+	lm.BuildPrefix()
 	m := <-machines
 	defer func() { machines <- m }()
 	if err := m.SetUserFreqGHz(cfg.FreqGHz); err != nil {

@@ -88,7 +88,22 @@ func BenchmarkSurrogateCold(b *testing.B) {
 // transfer-seed from the two adjacent caps' tuned winners, the
 // steady-state of a fleet that has been serving a while.
 func BenchmarkSurrogateTransfer(b *testing.B) {
-	req := SearchRequest{App: "SP", Workload: "B", Arch: "crill", CapW: 70, MaxEvals: 90}
+	benchmarkSurrogateTransfer(b, "SP", "B")
+}
+
+// BenchmarkSurrogateTransferLULESH is the same search on LULESH 60, whose
+// two 216,000-element Sawtooth regions make the per-search build of the
+// weight prefix sums the largest cost after the probes.
+func BenchmarkSurrogateTransferLULESH(b *testing.B) {
+	benchmarkSurrogateTransfer(b, "LULESH", "60")
+}
+
+// benchmarkSurrogateTransfer times a surrogate search of app at 70 W,
+// seeded from Nelder-Mead winners at 65 and 75 W. Each iteration builds
+// the app afresh, as a server-side search does.
+func benchmarkSurrogateTransfer(b *testing.B, app, workload string) {
+	b.Helper()
+	req := SearchRequest{App: app, Workload: workload, Arch: "crill", CapW: 70, MaxEvals: 90}
 	ctx := context.Background()
 	st, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {

@@ -55,7 +55,7 @@ func benchProbe(b *testing.B, iters int, cfg Config) {
 		b.Fatal(err)
 	}
 	lm := benchLoop(iters)
-	lm.buildPrefix() // exclude the one-time prefix-sum build
+	lm.BuildPrefix() // exclude the one-time prefix-sum build
 	var e probeMemo
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -135,7 +135,7 @@ func BenchmarkProbeGrid(b *testing.B) {
 					lm := benchLoopKind(10404, kd.k)
 					cfg := Config{Threads: 32, Sched: sc.s, Chunk: chunk}
 					if kd.k != Uniform {
-						lm.buildPrefix() // exclude the one-time prefix-sum build
+						lm.BuildPrefix() // exclude the one-time prefix-sum build
 					}
 					var e probeMemo
 					b.ReportAllocs()
@@ -155,7 +155,7 @@ func BenchmarkProbeGrid(b *testing.B) {
 
 func BenchmarkWeightSum(b *testing.B) {
 	lm := benchLoop(91125)
-	lm.buildPrefix()
+	lm.BuildPrefix()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = lm.WeightSum(i%1000, i%1000+4096)
@@ -168,5 +168,27 @@ func BenchmarkMissRates(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = a.missRates(spec, 32, 8, 2)
+	}
+}
+
+// BenchmarkBuildPrefix times one build of a region's weight prefix sums
+// at LULESH-60's size (216,000 elements), per imbalance kind. A server-side
+// search builds its app afresh, so it pays this once per non-uniform
+// region (a uniform one has no prefix); the Sawtooth row is LULESH's
+// CalcFBHourglassForceForElems.
+func BenchmarkBuildPrefix(b *testing.B) {
+	for _, im := range []Imbalance{
+		{Kind: Ramp, Param: 1.0},
+		{Kind: Blocks, Param: 1.45, Blocks: 4},
+		{Kind: Random, Param: 0.5, Seed: 1},
+		{Kind: Sawtooth, Param: 0.55, Blocks: 16},
+	} {
+		b.Run(im.Kind.String(), func(b *testing.B) {
+			lm := &LoopModel{Name: "bench", Iters: 216000, CompNSPerIter: 1, Imbalance: im}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lm.materializePrefix()
+			}
+		})
 	}
 }

@@ -545,7 +545,7 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 	uniform := lm.uniform()
 	var prefix []float64
 	if !uniform {
-		lm.buildPrefix()
+		lm.BuildPrefix()
 		prefix = lm.prefix
 	}
 	// occUniform: every thread runs at the same occupancy, so every equal

@@ -95,8 +95,10 @@ func (c CacheSpec) normalized() CacheSpec {
 // EvalEOSForElems analysis, Fig. 9).
 //
 // A LoopModel must not be mutated once a Machine has probed it: the
-// prefix sums of its weights are built once, and each Machine keeps the
-// result of its last probe of the model to reuse for an identical probe.
+// prefix sums of its weights are built once, in one write pass over a
+// period table or the weights themselves (BuildPrefix builds them ahead
+// of the first probe), and each Machine keeps the result of its last
+// probe of the model to reuse for an identical probe.
 type LoopModel struct {
 	Name          string
 	Iters         int
@@ -143,38 +145,60 @@ func (lm *LoopModel) Validate() error {
 	return nil
 }
 
-// buildPrefix materialises the prefix sums of the per-iteration weights.
-// Weights are normalised to mean exactly 1 so that total work is
-// independent of the imbalance pattern. The build is guarded by a sync.Once
-// because LoopModels are shared read-mostly across harness goroutines; the
-// weights themselves are not kept, since the executor reads only the sums.
-func (lm *LoopModel) buildPrefix() {
+// BuildPrefix builds the prefix sums of the per-iteration weights, once:
+// the first probe of a non-uniform model builds them otherwise. Weights
+// are normalised to mean exactly 1 so that total work is independent of
+// the imbalance pattern. The build is guarded by a sync.Once because
+// LoopModels are shared read-mostly across harness goroutines; the
+// weights themselves are not kept, since the executor reads only the
+// sums. A uniform model has no prefix to build.
+func (lm *LoopModel) BuildPrefix() {
+	if lm.uniform() {
+		return
+	}
 	lm.prefixOnce.Do(lm.materializePrefix)
 }
 
-// materializePrefix writes the raw weights into prefix[1:], then turns them
-// in place into sums of the normalised weights. The conversion rounds each
-// normalised weight before the add, as Weights does, so no platform fuses
-// the two into one multiply-add.
+// materializePrefix builds the prefix sums in one write pass. The raw
+// weights come as a pattern that tiles the iteration space (see
+// rawWeights): a first pass sums it in iteration order, so the normaliser
+// has the bits a sum over the filled vector has, and the second writes
+// each prefix[i] once. A pattern that is the whole vector lives in
+// prefix[1:] itself, and the second pass reads each weight just before it
+// overwrites it with its sum. The conversion rounds each normalised weight
+// before the add, as Weights does, so no platform fuses the two into one
+// multiply-add.
 func (lm *LoopModel) materializePrefix() {
-	pre := make([]float64, lm.Iters+1)
-	inv := lm.rawWeights(pre[1:])
-	for i := 1; i < len(pre); i++ {
-		pre[i] = pre[i-1] + float64(pre[i]*inv)
+	n := lm.Iters
+	pre := make([]float64, n+1)
+	pat := lm.rawWeights(pre[1:])
+	sum := 0.0
+	for lo := 0; lo < n; lo += len(pat) {
+		for _, w := range pat[:min(len(pat), n-lo)] {
+			sum += w
+		}
+	}
+	inv := 1 / (sum / float64(n))
+	acc := 0.0
+	for lo := 0; lo < n; lo += len(pat) {
+		out := pre[lo+1 : lo+1+min(len(pat), n-lo)]
+		for i, w := range pat[:len(out)] {
+			acc += float64(w * inv)
+			out[i] = acc
+		}
 	}
 	lm.prefix = pre
 }
 
-// rawWeights fills w (len Iters) with the unnormalised weight pattern and
-// returns the factor that normalises it to mean 1.
-func (lm *LoopModel) rawWeights(w []float64) (inv float64) {
+// rawWeights returns the unnormalised weight pattern of the loop's Iters
+// iterations: weight i is pat[i%len(pat)]. Sawtooth comes back as one
+// period table, and w is untouched. The others are filled into w (len
+// Iters), which comes back as the pattern: recomputing a Ramp weight
+// costs a division, and a Random one a draw from a seeded stream.
+func (lm *LoopModel) rawWeights(w []float64) (pat []float64) {
 	n := len(w)
 	im := lm.Imbalance
 	switch im.Kind {
-	case Uniform:
-		for i := range w {
-			w[i] = 1
-		}
 	case Ramp:
 		spread := im.Param
 		for i := range w {
@@ -182,11 +206,9 @@ func (lm *LoopModel) rawWeights(w []float64) (inv float64) {
 			if n > 1 {
 				x = float64(i)/float64(n-1) - 0.5
 			}
-			w[i] = 1 + spread*x
-			if w[i] < 0.05 {
-				w[i] = 0.05
-			}
+			w[i] = clampWeight(1 + spread*x)
 		}
+		return w
 	case Blocks:
 		nb := im.Blocks
 		if nb <= 0 {
@@ -209,12 +231,14 @@ func (lm *LoopModel) rawWeights(w []float64) (inv float64) {
 				w[start+j] = factor
 			}
 		}
+		return w
 	case Random:
 		rng := rand.New(rand.NewSource(im.Seed))
 		sigma := im.Param
 		for i := range w {
 			w[i] = math.Exp(rng.NormFloat64()*sigma - sigma*sigma/2)
 		}
+		return w
 	case Sawtooth:
 		periods := im.Blocks
 		if periods <= 0 {
@@ -225,24 +249,27 @@ func (lm *LoopModel) rawWeights(w []float64) (inv float64) {
 		if per < 1 {
 			per = 1
 		}
-		for i := range w {
-			phase := float64(i%per) / float64(per)
-			w[i] = 1 + spread*(phase-0.5)
-			if w[i] < 0.05 {
-				w[i] = 0.05
-			}
+		pat = make([]float64, per)
+		for i := range pat {
+			phase := float64(i) / float64(per)
+			pat[i] = clampWeight(1 + spread*(phase-0.5))
 		}
-	default:
+		return pat
+	default: // Uniform and unknown kinds: the constant 1
 		for i := range w {
 			w[i] = 1
 		}
+		return w
 	}
-	var sum float64
-	for _, x := range w {
-		sum += x
+}
+
+// clampWeight keeps a weight at or above the 0.05 floor of the
+// spread-based patterns.
+func clampWeight(w float64) float64 {
+	if w < 0.05 {
+		return 0.05
 	}
-	mean := sum / float64(n)
-	return 1 / mean
+	return w
 }
 
 // WeightSum returns the sum of iteration weights in [lo, hi) in O(1) after
@@ -263,15 +290,24 @@ func (lm *LoopModel) WeightSum(lo, hi int) float64 {
 	if lm.uniform() {
 		return float64(hi - lo)
 	}
-	lm.buildPrefix()
+	lm.BuildPrefix()
 	return lm.prefix[hi] - lm.prefix[lo]
 }
 
 // Weights returns a fresh copy of the normalised weight vector, computed
 // on each call.
 func (lm *LoopModel) Weights() []float64 {
-	w := make([]float64, lm.Iters)
-	inv := lm.rawWeights(w)
+	n := lm.Iters
+	w := make([]float64, n)
+	pat := lm.rawWeights(w)
+	for lo := 0; lo < n; lo += len(pat) {
+		copy(w[lo:], pat) // a self-copy when the pattern is w
+	}
+	var sum float64
+	for _, x := range w {
+		sum += x
+	}
+	inv := 1 / (sum / float64(n))
 	for i := range w {
 		w[i] *= inv
 	}

@@ -486,45 +486,56 @@ type Neighbor struct {
 // transfer). This is the neighbour-scan behind /v1/neighbors: surrogate
 // searches seed their model from the result.
 func (s *Store) Neighbors(k arcs.HistoryKey, max int) []Neighbor {
+	ns, vers := s.neighbors(k, max)
+	out := make([]Neighbor, len(ns))
+	for i, n := range ns {
+		out[i] = Neighbor{Entry: Entry{Key: n.Key, Cfg: n.Cfg, Perf: n.Perf, Version: vers[i]}, Dist: n.Dist}
+	}
+	return out
+}
+
+// LoadNeighbors implements arcs.History: the Neighbors scan, without the
+// stored versions.
+func (s *Store) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
+	ns, _ := s.neighbors(k, max)
+	return ns
+}
+
+// neighbors is the scan behind Neighbors and LoadNeighbors: the up to max
+// ranked neighbours of k and each one's stored version at the same index.
+func (s *Store) neighbors(k arcs.HistoryKey, max int) ([]arcs.Neighbor, []uint64) {
 	if max <= 0 {
-		return nil
+		return nil, nil
 	}
-	// Each candidate carries its stored entry beside the ranked view, so
-	// the survivors need no lookup after the sort.
-	type candidate struct {
-		n arcs.Neighbor
-		e Entry
-	}
-	var cs []candidate
+	var r neighborRank
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for _, e := range sh.entries {
 			if d, ok := arcs.NeighborDistance(k, e.Key); ok {
-				cs = append(cs, candidate{arcs.Neighbor{Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Dist: d}, e})
+				r.ns = append(r.ns, arcs.Neighbor{Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Dist: d})
+				r.vers = append(r.vers, e.Version)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(cs, func(i, j int) bool { return arcs.NeighborLess(&cs[i].n, &cs[j].n) })
-	if len(cs) > max {
-		cs = cs[:max]
-	}
-	out := make([]Neighbor, len(cs))
-	for i, c := range cs {
-		out[i] = Neighbor{Entry: c.e, Dist: c.n.Dist}
-	}
-	return out
+	sort.Sort(r)
+	n := min(len(r.ns), max)
+	return r.ns[:n], r.vers[:n]
 }
 
-// LoadNeighbors implements arcs.History over Neighbors.
-func (s *Store) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
-	sns := s.Neighbors(k, max)
-	out := make([]arcs.Neighbor, len(sns))
-	for i, n := range sns {
-		out[i] = arcs.Neighbor{Key: n.Entry.Key, Cfg: n.Entry.Cfg, Perf: n.Entry.Perf, Dist: n.Dist}
-	}
-	return out
+// neighborRank sorts neighbours by arcs.NeighborLess, carrying their
+// versions along with them.
+type neighborRank struct {
+	ns   []arcs.Neighbor
+	vers []uint64
+}
+
+func (r neighborRank) Len() int           { return len(r.ns) }
+func (r neighborRank) Less(i, j int) bool { return arcs.NeighborLess(&r.ns[i], &r.ns[j]) }
+func (r neighborRank) Swap(i, j int) {
+	r.ns[i], r.ns[j] = r.ns[j], r.ns[i]
+	r.vers[i], r.vers[j] = r.vers[j], r.vers[i]
 }
 
 // Entries returns every stored record sorted by canonical key

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -309,5 +310,59 @@ func TestConcurrentSaves(t *testing.T) {
 		if before[i] != after[i] {
 			t.Errorf("entry %d differs after replay: %+v vs %+v", i, before[i], after[i])
 		}
+	}
+}
+
+// TestNeighborsMatchLoadNeighbors: the /v1/neighbors records and the
+// History view come from one scan, so they must list the same contexts
+// in the same order — distance, then the lower cap, then the key — and
+// each record must be its stored entry, version included. The caps
+// put two donors at every distance and cross-workload donors after all
+// same-workload ones.
+func TestNeighborsMatchLoadNeighbors(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{})
+	cfg := arcs.ConfigValues{Threads: 8, Schedule: ompt.ScheduleDynamic, Chunk: 4}
+	for i, capW := range []float64{50, 60, 65, 70, 75, 80, 90} {
+		for _, wl := range []string{"B", "C"} {
+			for _, region := range []string{"x_solve", "y_solve"} {
+				k := arcs.HistoryKey{App: "BT", Workload: wl, CapW: capW, Region: region}
+				s.Save(k, cfg, float64(i+1))
+				if capW == 60 {
+					s.Save(k, cfg, 0.5) // a second version
+				}
+			}
+		}
+	}
+	k := arcs.HistoryKey{App: "BT", Workload: "B", CapW: 70, Region: "x_solve"}
+	for _, max := range []int{0, 1, 3, 8, 100} {
+		recs, ns := s.Neighbors(k, max), s.LoadNeighbors(k, max)
+		if len(recs) != len(ns) {
+			t.Fatalf("max %d: %d records, %d neighbours", max, len(recs), len(ns))
+		}
+		for i, r := range recs {
+			n := ns[i]
+			if r.Key != n.Key || r.Cfg != n.Cfg || r.Perf != n.Perf || r.Dist != n.Dist { //arcslint:ignore floatcmp both views copy the same stored floats
+				t.Errorf("max %d #%d: record %+v, neighbour %+v", max, i, r, n)
+			}
+			if e, ok := s.Get(r.Key); !ok || !reflect.DeepEqual(e, r.Entry) {
+				t.Errorf("max %d #%d: record %+v, stored %+v", max, i, r.Entry, e)
+			}
+			if i > 0 && !arcs.NeighborLess(&ns[i-1], &ns[i]) {
+				t.Errorf("max %d: #%d %v ranks after #%d %v", max, i-1, ns[i-1].Key, i, ns[i].Key)
+			}
+		}
+	}
+	want := []float64{65, 75, 60, 80, 50, 90}
+	ns := s.LoadNeighbors(k, 100)
+	if len(ns) != 13 {
+		t.Fatalf("%d neighbours, want 6 same-workload and 7 cross-workload", len(ns))
+	}
+	for i, capW := range want {
+		if ns[i].Key.Workload != "B" || ns[i].Key.CapW != capW { //arcslint:ignore floatcmp caps are stored verbatim
+			t.Errorf("#%d is %v, want workload B at %g W", i, ns[i].Key, capW)
+		}
+	}
+	if ns[6].Key.Workload != "C" || ns[6].Key.CapW != 70 { //arcslint:ignore floatcmp caps are stored verbatim
+		t.Errorf("first cross-workload donor is %v, want workload C at 70 W", ns[6].Key)
 	}
 }

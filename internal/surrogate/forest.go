@@ -5,12 +5,13 @@
 // ARCS lattice): instead of blind simplex moves, candidates are scored by
 // how much the model expects them to improve on the incumbent best.
 //
-// Everything is stdlib-only and deterministic: tree construction seeds a
-// private PRNG per tree, split selection breaks ties by (dimension, cut)
-// order, and prediction is a pure function of the fitted trees. The same
-// observation sequence always yields the same model — the package is under
-// the arcslint determinism contract, and batched search sessions replaying
-// it must stay byte-identical to serial ones.
+// Everything is stdlib-only and deterministic: tree construction draws
+// from a private PRNG per tree, seeded once per forest, split selection
+// breaks ties by (dimension, cut) order, and prediction is a pure
+// function of the fitted trees. The same observation sequence always
+// yields the same model — the package is under the arcslint determinism
+// contract, and batched search sessions replaying it must stay
+// byte-identical to serial ones.
 package surrogate
 
 import (
@@ -51,11 +52,53 @@ func (o Options) withDefaults() Options {
 // sample, Fit (re)builds the ensemble, Predict returns the ensemble mean
 // and the cross-tree standard deviation as an uncertainty proxy.
 type Forest struct {
-	opts  Options
-	dims  int
-	xs    [][]int
-	ys    []float64
-	trees []*node
+	opts    Options
+	dims    int
+	xs      [][]int
+	ys      []float64
+	trees   []*node
+	streams []treeStream // one per tree, seeded by the first Fit
+}
+
+// treeStream is one tree's private PRNG, seeded once per Forest, with
+// every raw Int31 it has produced. Each Fit draws its bootstrap sample
+// from the start of the stream, as a freshly seeded PRNG would: it
+// replays the recorded values and extends them only when the sample has
+// grown past them, so a refit costs no re-seeding.
+type treeStream struct {
+	src rand.Source
+	raw []int32
+}
+
+// treeStreamRoom is how many draws each tree's stream has room for before
+// its first reallocation: the sample sizes of a bounded search.
+const treeStreamRoom = 64
+
+// int31 returns the stream's p-th Int31, drawing it if it is new.
+func (s *treeStream) int31(p int) int32 {
+	for p >= len(s.raw) {
+		s.raw = append(s.raw, int32(s.src.Int63()>>32)) // rand.(*Rand).Int31
+	}
+	return s.raw[p]
+}
+
+// intn replays rand.(*Rand).Intn(n) for 0 < n < 2^31 from the p-th Int31
+// on: a power of two masks one value; any other n skips the values past
+// the last whole multiple of n below 2^31 and reduces the first one kept
+// mod n. It returns the result and the position of the next unread value.
+func (s *treeStream) intn(n, p int) (int, int) {
+	n32 := int32(n)
+	if n32&(n32-1) == 0 {
+		return int(s.int31(p) & (n32 - 1)), p + 1
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n32))
+	v := s.int31(p)
+	p++
+	for v > max {
+		v = s.int31(p)
+		p++
+	}
+	return int(v % n32), p
 }
 
 // node is one regression-tree node: either a leaf carrying the mean of
@@ -93,13 +136,20 @@ func (f *Forest) Fit() {
 	if n == 0 {
 		return
 	}
+	if f.streams == nil {
+		f.streams = make([]treeStream, f.opts.Trees)
+		room := make([]int32, treeStreamRoom*len(f.streams))
+		for t := range f.streams {
+			// Private deterministic stream per tree; the odd multiplier
+			// keeps neighbouring tree seeds decorrelated.
+			f.streams[t].src = rand.NewSource(f.opts.Seed + int64(t)*0x9E3779B1 + 1)
+			f.streams[t].raw = room[t*treeStreamRoom : t*treeStreamRoom : (t+1)*treeStreamRoom]
+		}
+	}
 	idx := make([]int, n)
-	for t := 0; t < f.opts.Trees; t++ {
-		// Private deterministic stream per tree; the odd multiplier keeps
-		// neighbouring tree seeds decorrelated.
-		rng := rand.New(rand.NewSource(f.opts.Seed + int64(t)*0x9E3779B1 + 1))
-		for i := range idx {
-			idx[i] = rng.Intn(n)
+	for t := range f.streams {
+		for i, p := 0, 0; i < n; i++ {
+			idx[i], p = f.streams[t].intn(n, p)
 		}
 		f.trees = append(f.trees, f.build(idx, 0))
 	}

@@ -2,6 +2,7 @@ package surrogate
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -145,6 +146,81 @@ func TestExpectedImprovement(t *testing.T) {
 	for mean := -3.0; mean < 10; mean += 0.7 {
 		if ei := ExpectedImprovement(mean, 2, 4); ei < 0 {
 			t.Fatalf("negative EI %g at mean %g", ei, mean)
+		}
+	}
+}
+
+// TestTreeStreamReplaysIntn: the cached-draw replay must give exactly the
+// values rand.(*Rand).Intn gives a freshly seeded stream, for every sample
+// size a refit meets — powers of two (the masked path) and the others
+// (the rejection path) alike — with one stream serving every n in turn,
+// as one forest's refits do.
+func TestTreeStreamReplaysIntn(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		s := treeStream{src: rand.NewSource(seed)}
+		for n := 1; n <= 300; n++ {
+			ref := rand.New(rand.NewSource(seed))
+			for i, p := 0, 0; i < n; i++ {
+				var got int
+				got, p = s.intn(n, p)
+				if want := ref.Intn(n); got != want {
+					t.Fatalf("seed %d n %d draw %d: replay %d, Intn %d", seed, n, i, got, want)
+				}
+			}
+		}
+		// Sizes near 2^31 reject about half the raw values, so the
+		// rejection loop runs, which it almost never does below 300.
+		for _, n := range []int{1<<30 + 1, 3 << 29, 1<<31 - 1} {
+			ref := rand.New(rand.NewSource(seed))
+			for i, p := 0, 0; i < 64; i++ {
+				var got int
+				got, p = s.intn(n, p)
+				if want := ref.Intn(n); got != want {
+					t.Fatalf("seed %d n %d draw %d: replay %d, Intn %d", seed, n, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRefitMatchesFreshFit: a forest refit after each further Observe —
+// replaying its cached draws — must predict bit for bit what a fresh
+// forest fitted once on the same observations predicts, mean and std, at
+// every lattice point.
+func TestRefitMatchesFreshFit(t *testing.T) {
+	refit := NewForest(3, Options{Seed: 11})
+	var xs [][]int
+	for a := 0; a < 7; a++ {
+		for b := 0; b < 4; b++ {
+			for c := 0; c < 9; c++ {
+				if (a*36+b*9+c)%5 == 0 {
+					xs = append(xs, []int{a, b, c})
+				}
+			}
+		}
+	}
+	for k, x := range xs {
+		refit.Observe(x, synth(x))
+		refit.Fit()
+		if k%4 != 3 && k != len(xs)-1 {
+			continue
+		}
+		fresh := NewForest(3, Options{Seed: 11})
+		for _, x := range xs[:k+1] {
+			fresh.Observe(x, synth(x))
+		}
+		fresh.Fit()
+		for a := 0; a < 7; a++ {
+			for b := 0; b < 4; b++ {
+				for c := 0; c < 9; c++ {
+					p := []int{a, b, c}
+					m1, s1, _ := refit.Predict(p)
+					m2, s2, _ := fresh.Predict(p)
+					if math.Float64bits(m1) != math.Float64bits(m2) || math.Float64bits(s1) != math.Float64bits(s2) {
+						t.Fatalf("after %d observations at %v: refit (%v, %v), fresh fit (%v, %v)", k+1, p, m1, s1, m2, s2)
+					}
+				}
+			}
 		}
 	}
 }
