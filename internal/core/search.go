@@ -3,6 +3,7 @@ package arcs
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -294,9 +295,20 @@ func probeConfig(machines chan *sim.Machine, lm *sim.LoopModel, cfg ConfigValues
 
 // cacheConfigKey renders a configuration's canonical cache-key form. It is
 // injective over decoded ConfigValues (plain numeric fields, '/'-joined)
-// unlike the human-oriented String form.
+// unlike the human-oriented String form. Its bytes are those of
+// fmt's "%d/%d/%d/%g/%d" over the five fields.
 func cacheConfigKey(c ConfigValues) string {
-	return fmt.Sprintf("%d/%d/%d/%g/%d", c.Threads, int(c.Schedule), c.Chunk, c.FreqGHz, int(c.Bind))
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], int64(c.Threads), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(c.Schedule), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(c.Chunk), 10)
+	b = append(b, '/')
+	b = strconv.AppendFloat(b, c.FreqGHz, 'g', -1, 64)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(c.Bind), 10)
+	return string(b)
 }
 
 // newStrategy builds the Harmony strategy for one search. Shared by the

@@ -2,6 +2,9 @@ package arcs
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -147,5 +150,29 @@ func TestBatchSearchDefaultSpace(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Evals == 0 || got[0].Perf <= 0 {
 		t.Fatalf("unexpected result %+v", got)
+	}
+}
+
+// TestCacheConfigKeyMatchesSprintf holds the append-built cache key to
+// the Sprintf form it replaced, byte for byte, on seeded random
+// configurations: negative and large integers, and frequencies that are
+// integers, fractions, -0, infinities or NaN.
+func TestCacheConfigKeyMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	specials := []float64{0, math.Copysign(0, -1), 2.4, 1.2, 1e21, math.Inf(1), math.Inf(-1), math.NaN()}
+	integer := func() int { return int(rng.Uint64()) >> uint(rng.Intn(64)) }
+	for i := 0; i < 20000; i++ {
+		freq := specials[rng.Intn(len(specials))]
+		switch rng.Intn(3) {
+		case 0:
+			freq = rng.Float64() * 4
+		case 1:
+			freq = math.Float64frombits(rng.Uint64())
+		}
+		c := ConfigValues{Threads: integer(), Schedule: ompt.ScheduleKind(integer()), Chunk: integer(), FreqGHz: freq, Bind: ompt.BindKind(integer())}
+		want := fmt.Sprintf("%d/%d/%d/%g/%d", c.Threads, int(c.Schedule), c.Chunk, c.FreqGHz, int(c.Bind))
+		if got := cacheConfigKey(c); got != want {
+			t.Fatalf("cacheConfigKey(%+v) = %q, want %q", c, got, want)
+		}
 	}
 }

@@ -16,8 +16,7 @@
 package evalcache
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -34,23 +33,38 @@ type Key struct {
 	Config   string // canonical configuration form, e.g. Config.String()
 }
 
-// keyEscaper makes String injective: `|` separates fields, so literal `|`
-// and the escape character are escaped — the same scheme HistoryKey uses.
-var keyEscaper = strings.NewReplacer(`\`, `\\`, `|`, `\|`)
-
-func escape(s string) string {
-	if !strings.ContainsAny(s, `|\`) {
-		return s
-	}
-	return keyEscaper.Replace(s)
+// String renders the canonical, injective form used as the map key:
+// distinct Keys always produce distinct strings (FuzzEvalCacheKey checks).
+// `|` separates fields, so a literal `|` or `\` in a field is preceded by
+// a `\` — the same scheme HistoryKey uses. The cap is the shortest 'g'
+// form, the bytes %g prints.
+func (k Key) String() string {
+	var buf [128]byte
+	b := appendField(buf[:0], k.Arch)
+	b = append(b, '|')
+	b = appendField(b, k.App)
+	b = append(b, '|')
+	b = appendField(b, k.Workload)
+	b = append(b, '|')
+	b = appendField(b, k.Region)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, k.CapW, 'g', -1, 64)
+	b = append(b, '|')
+	b = appendField(b, k.Config)
+	return string(b)
 }
 
-// String renders the canonical, injective form used as the map key:
-// distinct Keys always produce distinct strings (FuzzKeyString checks).
-func (k Key) String() string {
-	return fmt.Sprintf("%s|%s|%s|%s|%g|%s",
-		escape(k.Arch), escape(k.App), escape(k.Workload),
-		escape(k.Region), k.CapW, escape(k.Config))
+// appendField appends s with a `\` before every `|` and `\`.
+func appendField(b []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] == '|' || s[i] == '\\' {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\')
+			start = i // the escaped byte leads the next run
+		}
+	}
+	return append(b, s[start:]...)
 }
 
 // Stats is a snapshot of the cache counters, exported on /metrics

@@ -3,6 +3,9 @@ package evalcache
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -162,6 +165,44 @@ func TestKeyStringInjectiveSeparators(t *testing.T) {
 		}
 		if p[0].String() == p[1].String() {
 			t.Errorf("distinct keys collide: %+v vs %+v -> %q", p[0], p[1], p[0].String())
+		}
+	}
+}
+
+// TestKeyStringMatchesSprintf holds the append-built String to the
+// Sprintf form it replaced, byte for byte, on seeded random keys: fields
+// with `|` and `\`, fields long enough to outgrow the stack buffer, and
+// caps that are integers, fractions, -0, infinities or NaN.
+func TestKeyStringMatchesSprintf(t *testing.T) {
+	esc := strings.NewReplacer(`\`, `\\`, `|`, `\|`)
+	rng := rand.New(rand.NewSource(1))
+	field := func() string {
+		const alphabet = `ab_|\9é `
+		n := rng.Intn(12)
+		if rng.Intn(20) == 0 {
+			n = 150
+		}
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			b.WriteByte(alphabet[rng.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	specials := []float64{0, math.Copysign(0, -1), 70, 72.5, 1e21, 1e-7, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := 0; i < 20000; i++ {
+		capW := specials[rng.Intn(len(specials))]
+		switch rng.Intn(3) {
+		case 0:
+			capW = rng.Float64() * 200
+		case 1:
+			capW = math.Float64frombits(rng.Uint64())
+		}
+		k := Key{Arch: field(), App: field(), Workload: field(), Region: field(), CapW: capW, Config: field()}
+		want := fmt.Sprintf("%s|%s|%s|%s|%g|%s",
+			esc.Replace(k.Arch), esc.Replace(k.App), esc.Replace(k.Workload),
+			esc.Replace(k.Region), k.CapW, esc.Replace(k.Config))
+		if got := k.String(); got != want {
+			t.Fatalf("String() = %q, want %q (cap bits %#x)", got, want, math.Float64bits(capW))
 		}
 	}
 }

@@ -92,15 +92,17 @@ func BenchmarkSurrogateTransfer(b *testing.B) {
 }
 
 // BenchmarkSurrogateTransferLULESH is the same search on LULESH 60, whose
-// two 216,000-element Sawtooth regions make the per-search build of the
-// weight prefix sums the largest cost after the probes.
+// two 216,000-element Sawtooth regions have the largest weight prefix
+// sums of any searched app: a search that reuses the pooled app skips
+// rebuilding them.
 func BenchmarkSurrogateTransferLULESH(b *testing.B) {
 	benchmarkSurrogateTransfer(b, "LULESH", "60")
 }
 
 // benchmarkSurrogateTransfer times a surrogate search of app at 70 W,
-// seeded from Nelder-Mead winners at 65 and 75 W. Each iteration builds
-// the app afresh, as a server-side search does.
+// seeded from Nelder-Mead winners at 65 and 75 W. Each iteration takes
+// the app the seeding searches left in its pool, prefix sums built, as
+// a server-side search at a new cap of an already-searched app does.
 func benchmarkSurrogateTransfer(b *testing.B, app, workload string) {
 	b.Helper()
 	req := SearchRequest{App: app, Workload: workload, Arch: "crill", CapW: 70, MaxEvals: 90}

@@ -46,11 +46,18 @@ func searchGoldenLines(t testing.TB) []byte {
 			}
 			for _, r := range res {
 				st.Save(arcs.HistoryKey{App: a.app, Workload: a.workload, CapW: r.CapW, Region: r.Region}, r.Cfg, r.Perf)
-				fmt.Fprintf(&buf, "%s %s %g %s %s %.17g\n", a.app, a.workload, capW, r.Region, goldenCfg(r.Cfg), r.Perf)
 			}
+			writeGoldenLines(&buf, req, res)
 		}
 	}
 	return buf.Bytes()
+}
+
+// writeGoldenLines writes one golden line per region of req's results.
+func writeGoldenLines(buf *bytes.Buffer, req SearchRequest, res []SearchResult) {
+	for _, r := range res {
+		fmt.Fprintf(buf, "%s %s %g %s %s %.17g\n", req.App, req.Workload, req.CapW, r.Region, goldenCfg(r.Cfg), r.Perf)
+	}
 }
 
 // goldenCfg renders every field of a configuration, so two winners

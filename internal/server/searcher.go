@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"arcs/internal/cli"
 	arcs "arcs/internal/core"
 	"arcs/internal/evalcache"
+	"arcs/internal/kernels"
 )
 
 // SearchRequest describes one server-side search: an app-level context
@@ -42,6 +44,19 @@ type Searcher interface {
 // arcs.BatchSearch: candidate batches evaluate concurrently on Machine
 // clones, and results are memoised in the eval cache so a repeated search
 // (same app, workload, arch, cap) does no probe work at all.
+//
+// A search takes its app from a pool per (app, workload) and builds it
+// only on a miss, so a new-cap search reuses the region models, and the
+// weight prefix sums they built, of an earlier search of the same app.
+// The reuse relies on the LoopModel contract that a model is never
+// mutated once probed; each search probes fresh Machine clones with
+// empty memos, so results are bit-identical to a search on a freshly
+// built app. An app goes back to its pool only after a search that
+// returned without error, and an idle app is dropped after two GC
+// cycles, as sync.Pool drops any item. The pool map itself keeps one
+// small entry per distinct (app, workload) ever searched, which is
+// unbounded across SYNTH seeds, as the store's per-region entries for
+// the same contexts are.
 type SimSearcher struct {
 	// Parallelism bounds concurrent probes per search; 0 selects
 	// GOMAXPROCS, 1 evaluates serially.
@@ -63,10 +78,44 @@ func (s SimSearcher) Search(ctx context.Context, req SearchRequest) ([]SearchRes
 	if req.MaxEvals <= 0 {
 		return nil, fmt.Errorf("server: search budget must be positive, got %d", req.MaxEvals)
 	}
-	app, err := cli.BuildApp(req.App, req.Workload)
+	key := appKey{app: req.App, workload: req.Workload}
+	var app *kernels.App
+	pool, _ := appPools.Load(key)
+	if pool != nil {
+		app, _ = pool.(*sync.Pool).Get().(*kernels.App)
+	}
+	if app == nil {
+		var err error
+		if app, err = buildApp(req.App, req.Workload); err != nil {
+			return nil, err
+		}
+	}
+	out, err := s.search(ctx, app, req)
 	if err != nil {
 		return nil, err
 	}
+	// Not deferred: a panic inside a prefix build leaves the model's
+	// sync.Once done with no prefix, so only a search that returned puts
+	// its app back.
+	if pool == nil {
+		pool, _ = appPools.LoadOrStore(key, new(sync.Pool))
+	}
+	pool.(*sync.Pool).Put(app)
+	return out, nil
+}
+
+// appKey names one pool of built apps.
+type appKey struct{ app, workload string }
+
+// appPools maps an appKey to the *sync.Pool of its idle apps. An entry
+// is made only after a search of a valid app succeeded.
+var appPools sync.Map
+
+// buildApp builds an app on a pool miss; tests count builds through it.
+var buildApp = cli.BuildApp
+
+// search runs req's search over app's regions.
+func (s SimSearcher) search(ctx context.Context, app *kernels.App, req SearchRequest) ([]SearchResult, error) {
 	arch, err := cli.BuildArch(req.Arch)
 	if err != nil {
 		return nil, err

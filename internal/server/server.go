@@ -375,6 +375,20 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ns)
 }
 
+// searchKey is the single-flight key of a search: the bytes of fmt's
+// "%s|%s|%s|%g" over app, workload, arch and cap.
+func searchKey(req SearchRequest) string {
+	var buf [64]byte
+	b := append(buf[:0], req.App...)
+	b = append(b, '|')
+	b = append(b, req.Workload...)
+	b = append(b, '|')
+	b = append(b, req.Arch...)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, req.CapW, 'g', -1, 64)
+	return string(b)
+}
+
 // searchOnce runs the bounded server-side search for an app-level context
 // with single-flight deduplication: concurrent misses on the same
 // app/workload/arch/cap share one search (which covers every region of
@@ -383,7 +397,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 // is shed with errSearchShed (429 upstream) instead of queueing; joining
 // an existing flight is always free.
 func (s *Server) searchOnce(ctx context.Context, req SearchRequest) error {
-	key := fmt.Sprintf("%s|%s|%s|%g", req.App, req.Workload, req.Arch, req.CapW)
+	key := searchKey(req)
 	s.sfMu.Lock()
 	if f, ok := s.inflight[key]; ok {
 		s.sfMu.Unlock()

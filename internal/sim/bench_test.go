@@ -173,9 +173,9 @@ func BenchmarkMissRates(b *testing.B) {
 
 // BenchmarkBuildPrefix times one build of a region's weight prefix sums
 // at LULESH-60's size (216,000 elements), per imbalance kind. A server-side
-// search builds its app afresh, so it pays this once per non-uniform
-// region (a uniform one has no prefix); the Sawtooth row is LULESH's
-// CalcFBHourglassForceForElems.
+// search whose app pool is empty builds its app, so it pays this once per
+// non-uniform region (a uniform one has no prefix); the Sawtooth row is
+// LULESH's CalcFBHourglassForceForElems.
 func BenchmarkBuildPrefix(b *testing.B) {
 	for _, im := range []Imbalance{
 		{Kind: Ramp, Param: 1.0},
