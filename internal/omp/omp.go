@@ -267,11 +267,13 @@ func (rt *Runtime) Run(r *Region) (ompt.Metrics, error) {
 		OverheadS:   overhead,
 	}
 
-	// Synthetic per-thread event stream for tracing tools.
-	for i := 0; i < cfg.Threads; i++ {
-		rt.tools.Event(r.info, ompt.EventImplicitTask, i, res.TimeS)
-		rt.tools.Event(r.info, ompt.EventLoop, i, res.PerThreadBusyS[i])
-		rt.tools.Event(r.info, ompt.EventBarrier, i, res.PerThreadWaitS[i])
+	// Synthetic per-thread event stream for tracing tools, if any listens.
+	if rt.tools.Listening() {
+		for i := 0; i < cfg.Threads; i++ {
+			rt.tools.Event(r.info, ompt.EventImplicitTask, i, res.TimeS)
+			rt.tools.Event(r.info, ompt.EventLoop, i, res.PerThreadBusyS[i])
+			rt.tools.Event(r.info, ompt.EventBarrier, i, res.PerThreadWaitS[i])
+		}
 	}
 
 	rt.tools.ParallelEnd(r.info, m)

@@ -180,31 +180,58 @@ func TestToolReconfiguresCurrentInvocation(t *testing.T) {
 	}
 }
 
-type eventCounter struct {
+type eventRecord struct {
+	ev     ompt.Event
+	thread int
+	durS   float64
+}
+
+// eventRecorder keeps every per-thread event in arrival order.
+type eventRecorder struct {
 	countingTool
-	events map[ompt.Event]int
+	got []eventRecord
 }
 
-func (e *eventCounter) Event(r ompt.RegionInfo, ev ompt.Event, thread int, durS float64) {
-	if e.events == nil {
-		e.events = make(map[ompt.Event]int)
-	}
-	e.events[ev]++
+func (e *eventRecorder) Event(r ompt.RegionInfo, ev ompt.Event, thread int, durS float64) {
+	e.got = append(e.got, eventRecord{ev, thread, durS})
 }
 
+// TestEventStream: beside a tool that does not listen, a listener gets
+// exactly 3×T events per invocation, thread by thread, each thread's
+// implicit task, loop and barrier in that order, carrying the same
+// per-thread times the metrics average.
 func TestEventStream(t *testing.T) {
 	rt := newRT(t)
-	ec := &eventCounter{}
-	rt.RegisterTool(ec)
-	if err := rt.SetNumThreads(4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Run(rt.Region("r", testLoop())); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range []ompt.Event{ompt.EventImplicitTask, ompt.EventLoop, ompt.EventBarrier} {
-		if ec.events[ev] != 4 {
-			t.Errorf("%v fired %d times, want 4 (one per thread)", ev, ec.events[ev])
+	rt.RegisterTool(&countingTool{})
+	rec := &eventRecorder{}
+	rt.RegisterTool(rec)
+	r := rt.Region("r", testLoop())
+	for _, threads := range []int{4, 16} {
+		if err := rt.SetNumThreads(threads); err != nil {
+			t.Fatal(err)
+		}
+		rec.got = nil
+		m, err := rt.Run(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.got) != 3*threads {
+			t.Fatalf("%d threads: %d events, want %d", threads, len(rec.got), 3*threads)
+		}
+		busy, wait := 0.0, 0.0
+		for i := 0; i < threads; i++ {
+			for j, ev := range []ompt.Event{ompt.EventImplicitTask, ompt.EventLoop, ompt.EventBarrier} {
+				if got := rec.got[3*i+j]; got.ev != ev || got.thread != i {
+					t.Fatalf("%d threads: event %d is %v on thread %d, want %v on thread %d",
+						threads, 3*i+j, got.ev, got.thread, ev, i)
+				}
+			}
+			busy += rec.got[3*i+1].durS
+			wait += rec.got[3*i+2].durS
+		}
+		if busy/float64(threads) != m.MeanBusyS || wait/float64(threads) != m.MeanWaitS {
+			t.Fatalf("%d threads: event means %v/%v, metrics %v/%v",
+				threads, busy/float64(threads), wait/float64(threads), m.MeanBusyS, m.MeanWaitS)
 		}
 	}
 }

@@ -204,18 +204,27 @@ type ControlPlane interface {
 // Mux fans events out to multiple registered tools in registration order.
 // The zero value is ready to use.
 type Mux struct {
-	tools []Tool
+	tools     []Tool
+	listeners []EventListener // the tools that opt in to per-thread events
 }
 
 // Register appends a tool. Nil tools are ignored.
 func (m *Mux) Register(t Tool) {
-	if t != nil {
-		m.tools = append(m.tools, t)
+	if t == nil {
+		return
+	}
+	m.tools = append(m.tools, t)
+	if l, ok := t.(EventListener); ok {
+		m.listeners = append(m.listeners, l)
 	}
 }
 
 // Len returns the number of registered tools.
 func (m *Mux) Len() int { return len(m.tools) }
+
+// Listening reports whether a registered tool is an EventListener, so a
+// runtime can skip building the per-thread event stream when none is.
+func (m *Mux) Listening() bool { return len(m.listeners) > 0 }
 
 // ParallelBegin implements Tool.
 func (m *Mux) ParallelBegin(r RegionInfo, cp ControlPlane) {
@@ -233,10 +242,8 @@ func (m *Mux) ParallelEnd(r RegionInfo, mt Metrics) {
 
 // Event implements EventListener, forwarding to tools that opt in.
 func (m *Mux) Event(r RegionInfo, e Event, thread int, durS float64) {
-	for _, t := range m.tools {
-		if l, ok := t.(EventListener); ok {
-			l.Event(r, e, thread, durS)
-		}
+	for _, l := range m.listeners {
+		l.Event(r, e, thread, durS)
 	}
 }
 

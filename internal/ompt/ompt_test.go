@@ -94,12 +94,23 @@ func TestMuxFanOut(t *testing.T) {
 func TestMuxEventOnlyToListeners(t *testing.T) {
 	var m Mux
 	plain := &recordingTool{}
-	listener := &recordingListener{}
 	m.Register(plain)
-	m.Register(listener)
+	if m.Listening() {
+		t.Fatal("a mux of plain tools reports a listener")
+	}
+	a, b := &recordingListener{}, &recordingListener{}
+	m.Register(a)
+	m.Register(&recordingTool{})
+	m.Register(b)
+	if !m.Listening() {
+		t.Fatal("a mux with listeners reports none")
+	}
+	m.Event(RegionInfo{ID: 1}, EventLoop, 3, 0.5)
 	m.Event(RegionInfo{ID: 1}, EventBarrier, 3, 0.5)
-	if len(listener.events) != 1 || listener.events[0] != EventBarrier {
-		t.Errorf("listener should receive events, got %v", listener.events)
+	for _, l := range []*recordingListener{a, b} {
+		if len(l.events) != 2 || l.events[0] != EventLoop || l.events[1] != EventBarrier {
+			t.Errorf("listener got %v, want [loop barrier]", l.events)
+		}
 	}
 	if len(plain.events) != 0 {
 		t.Errorf("plain tool must not receive events")

@@ -9,8 +9,9 @@ import (
 // each scheduling policy, at NPB-like and LULESH-like iteration counts.
 // These bound the cost of the experiment harness (an offline search is
 // ~250 of these per region). Each iteration simulates afresh through
-// probeFresh, so the dispatcher is timed rather than the machine's memo of
-// its last probe; BenchmarkProbeRepeat times the memo's hit path.
+// probeFresh, so the dispatcher is timed rather than the machine's probe
+// table; BenchmarkProbeRepeat times the table's hit path and
+// BenchmarkProbeTableISweep counts the simulations a sweep pays.
 
 func benchLoopKind(iters int, kind ImbalanceKind) *LoopModel {
 	im := Imbalance{Kind: kind}
@@ -37,8 +38,8 @@ func benchLoopKind(iters int, kind ImbalanceKind) *LoopModel {
 
 func benchLoop(iters int) *LoopModel { return benchLoopKind(iters, Ramp) }
 
-// probeFresh is ProbeLoop without the memo: it simulates lm under cfg into
-// e and returns the result as ProbeLoop would.
+// probeFresh is ProbeLoop without the probe table: it simulates lm under
+// cfg, as given, into e and returns the result as ProbeLoop would.
 func probeFresh(m *Machine, lm *LoopModel, cfg Config, e *probeMemo) (ExecResult, error) {
 	if err := m.simulate(lm, cfg, e); err != nil {
 		return ExecResult{}, err
@@ -86,8 +87,8 @@ func BenchmarkProbeDynamicLULESH(b *testing.B) {
 
 // BenchmarkProbeRepeat probes one region under one configuration again and
 // again, as the paper's three runs per arm and a converged region do: every
-// iteration after the first is a memo hit, paying only the noise draw and
-// the copy of the per-thread slices.
+// iteration after the first is a probe-table hit, paying only the noise
+// draw and the copy of the per-thread slices.
 func BenchmarkProbeRepeat(b *testing.B) {
 	m, err := NewMachine(Crill())
 	if err != nil {
@@ -108,6 +109,35 @@ func BenchmarkProbeRepeat(b *testing.B) {
 		}
 		benchSink = r
 	}
+}
+
+// BenchmarkProbeTableISweep sweeps one Ramp region at NPB scale over
+// Crill's 252 Table I points, resolved as omp.Resolve does, in the offline
+// search's odometer order on one Machine, and reports the simulations the
+// sweep paid (sims/op): 238, since each dynamic and guided chunk-0 point
+// finds its chunk-1 twin 8 probes back in the region's probe table.
+func BenchmarkProbeTableISweep(b *testing.B) {
+	points := tableI(Crill())
+	lm := benchLoop(10404)
+	lm.BuildPrefix() // exclude the one-time prefix-sum build
+	sims := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := NewMachine(Crill())
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.SetNoise(0.02, 1)
+		for _, cfg := range points {
+			r, sim := probeCounted(b, m, lm, cfg)
+			if sim {
+				sims++
+			}
+			benchSink = r
+		}
+	}
+	b.ReportMetric(float64(sims)/float64(b.N), "sims/op")
 }
 
 // BenchmarkProbeGrid covers the full {schedule} × {chunk} × {weight kind}

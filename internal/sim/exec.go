@@ -377,19 +377,30 @@ func ResolveChunk(sched Schedule, chunk, iters, threads int) int {
 	return 1
 }
 
-// probeMemo is a Machine's record of its last probe of one LoopModel: the
-// inputs that decide the noise-free result, and that result. The floats
-// are compared bit for bit.
+// probeTableCap is how many distinct probes of one LoopModel a Machine
+// remembers. The offline sweep walks Table I's chunk list
+// {1, 8, 16, 32, 64, 128, 256, 512, 0} innermost, so a dynamic or guided
+// chunk-0 probe, which resolves to chunk 1, comes 8 probes after its
+// chunk-1 twin: 8 entries catch it. That twin dispatches one chunk per
+// iteration, the costliest simulation of a region. The default-schedule
+// and 0-thread aliases come 18 and 36 probes after their twins; 24 entries
+// would catch the first and 40 both, but either grows paper-repro's live
+// heap past its 10% bound (DESIGN.md §6).
+const probeTableCap = 8
+
+// probeMemo is one entry of a probeTable: the inputs that decide a
+// noise-free probe result, and that result. The floats are compared bit
+// for bit.
 type probeMemo struct {
-	ok      bool // res holds the result of (cfg, capBits, ghzBits)
-	cfg     Config
+	ok      bool   // res holds the result of (cfg, capBits, ghzBits)
+	cfg     Config // chunk resolved by ResolveChunk
 	capBits uint64 // math.Float64bits of the machine's capW
 	ghzBits uint64 // math.Float64bits of the machine's userGHz
 
 	// res is the noise-free result. AvgPowerW, DRAMBytes and DRAMEnergyJ
 	// depend on the noise factor and are left unset. Its per-thread slices
 	// are the two halves of perThread, the simulation's busy and wait
-	// buffers, which the next miss reuses.
+	// buffers, which the miss that evicts this entry reuses.
 	res       ExecResult
 	perThread []float64
 }
@@ -427,41 +438,78 @@ func (e *probeMemo) result(nf float64, iters int, a *Arch) ExecResult {
 	return r
 }
 
+// probeTable is a Machine's record of its last probeTableCap distinct
+// probes of one LoopModel, oldest out first. A miss overwrites the oldest
+// entry and reuses its per-thread buffer.
+type probeTable struct {
+	e    []probeMemo // grown on demand up to probeTableCap entries
+	next int         // the slot the next miss fills: the oldest entry once e is full
+}
+
+// lookup returns the entry holding the result of probing under cfg on m
+// now, or nil. It scans newest first: a repeat of the last probe is the
+// commonest hit.
+func (t *probeTable) lookup(m *Machine, cfg Config) *probeMemo {
+	n := len(t.e)
+	for i := 1; i <= n; i++ {
+		j := t.next - i
+		if j < 0 {
+			j += n
+		}
+		if t.e[j].holds(m, cfg) {
+			return &t.e[j]
+		}
+	}
+	return nil
+}
+
 // ProbeLoop simulates one execution of lm under cfg without advancing the
 // machine clock or energy counter. ExecuteLoop is Probe + Account; tests
 // and calibration tools use Probe directly.
 //
-// The machine remembers its last probe of each LoopModel. A probe whose
-// cfg, power cap and user frequency request equal that probe's reuses its
-// noise-free result instead of simulating again; the noise factor is drawn
-// and applied on every call, so the result and the noise stream are the
-// same as without the memo. This is why neither lm nor the machine's Arch
-// may be mutated once the machine has probed it.
+// The machine remembers its last probeTableCap distinct probes of each
+// LoopModel, keyed by cfg with its chunk resolved (so chunk 0 and chunk 1
+// under dynamic or guided share an entry), the power cap and the user
+// frequency request. A probe that matches an entry reuses its noise-free
+// result instead of simulating again; the noise factor is drawn and
+// applied on every call, so the result and the noise stream are the same
+// as without the table. This is why neither lm nor the machine's Arch may
+// be mutated once the machine has probed it. A probe that fails caches
+// nothing and evicts nothing.
 //
 //arcslint:hotpath every search probe runs through here; scratch buffers make it allocation-free
 func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
-	e := m.memo[lm]
-	if e == nil {
-		if m.memo == nil {
-			m.memo = make(map[*LoopModel]*probeMemo)
-		}
-		e = &probeMemo{}
-		m.memo[lm] = e
+	if cfg.Threads > 0 { // a smaller team fails in simulate; never divide by it
+		cfg.Chunk = ResolveChunk(cfg.Sched, cfg.Chunk, lm.Iters, cfg.Threads)
 	}
-	if !e.holds(m, cfg) {
+	t := m.probes[lm]
+	e := t.lookup(m, cfg)
+	if e == nil {
+		// Simulate into the oldest entry. simulate fails before it writes
+		// the entry, and the table is stored back only after a success, so
+		// a failed probe leaves the table as it was.
+		if t.next == len(t.e) {
+			t.e = append(t.e, probeMemo{})
+		}
+		e = &t.e[t.next]
 		if err := m.simulate(lm, cfg, e); err != nil {
 			return ExecResult{}, err
 		}
+		t.next = (t.next + 1) % probeTableCap
+		if m.probes == nil {
+			m.probes = make(map[*LoopModel]probeTable)
+		}
+		m.probes[lm] = t
 	}
 	return e.result(m.noiseFactor(), lm.Iters, m.arch), nil
 }
 
 // simulate runs the region model: it dispatches every chunk of lm under
 // cfg on the machine as it is now and stores the noise-free result in e.
+// Every error is returned before e is touched.
 //
-//arcslint:hotpath the memo's miss path; scratch buffers make it allocation-free
+//arcslint:hotpath the probe table's miss path; scratch buffers make it allocation-free
 func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
-	e.ok = false
 	if err := lm.Validate(); err != nil {
 		return err
 	}
@@ -469,6 +517,10 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 	if err != nil {
 		return err
 	}
+	if cfg.Sched != SchedStatic && cfg.Sched != SchedDynamic && cfg.Sched != SchedGuided {
+		return fmt.Errorf("sim: unknown schedule %v", cfg.Sched)
+	}
+	e.ok = false
 	a := m.arch
 	t := cfg.Threads
 	f, duty := m.FreqAt(place.ActiveCores)
@@ -674,8 +726,6 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 				chunksDispatched++
 			}
 		}
-	default:
-		return fmt.Errorf("sim: unknown schedule %v", cfg.Sched)
 	}
 
 	loopEnd := 0.0

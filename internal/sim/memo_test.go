@@ -1,19 +1,214 @@
 package sim
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// memo_test.go: a Machine's memo of its last probe per LoopModel must be
-// invisible. Every result, and the noise stream, equals what a machine
-// that always simulates returns.
+// memo_test.go: a Machine's probe table per LoopModel must be invisible.
+// Every result, and the noise stream, equals what a machine that always
+// simulates returns.
 
 // freshCopy returns an identical LoopModel at a new address, which the
-// memo has never seen: probing it always simulates.
+// probe tables have never seen: probing it always simulates.
 func freshCopy(lm *LoopModel) *LoopModel {
 	return &LoopModel{Name: lm.Name, Iters: lm.Iters, CompNSPerIter: lm.CompNSPerIter,
 		SerialNS: lm.SerialNS, Imbalance: lm.Imbalance, Mem: lm.Mem}
+}
+
+// tableI returns Crill's 252 Table I points in the offline sweep's
+// odometer order (threads, then schedule, then chunk innermost), resolved
+// as omp.Resolve does: 0 threads is every hardware thread and the default
+// schedule (the fourth) is static. Chunks stay as Table I lists them,
+// 0 included; ProbeLoop resolves them.
+func tableI(a *Arch) []Config {
+	var out []Config
+	for _, t := range []int{2, 4, 8, 16, 24, 32, 0} {
+		if t == 0 {
+			t = a.HWThreads()
+		}
+		for _, s := range []Schedule{SchedDynamic, SchedStatic, SchedGuided, SchedStatic} {
+			for _, c := range []int{1, 8, 16, 32, 64, 128, 256, 512, 0} {
+				out = append(out, Config{Threads: t, Sched: s, Chunk: c})
+			}
+		}
+	}
+	return out
+}
+
+// probeCounted probes lm under cfg on m and reports whether the probe
+// simulated: a miss, and only a miss, commits a table slot.
+func probeCounted(tb testing.TB, m *Machine, lm *LoopModel, cfg Config) (ExecResult, bool) {
+	tb.Helper()
+	next := m.probes[lm].next
+	res, err := m.ProbeLoop(lm, cfg)
+	if err != nil {
+		tb.Fatalf("ProbeLoop(%v): %v", cfg, err)
+	}
+	return res, m.probes[lm].next != next
+}
+
+// twin pairs a machine under test with a reference that simulates every
+// probe, on the configuration as given, through probeFresh.
+type twin struct {
+	got, ref *Machine
+	e        probeMemo
+}
+
+func newTwin(t *testing.T, seed int64) *twin {
+	w := &twin{got: newCrill(t), ref: newCrill(t)}
+	w.got.SetNoise(0.05, seed)
+	w.ref.SetNoise(0.05, seed)
+	return w
+}
+
+// probe checks one probe against the reference and reports whether the
+// machine under test simulated.
+func (w *twin) probe(t *testing.T, lm *LoopModel, cfg Config) bool {
+	t.Helper()
+	got, sim := probeCounted(t, w.got, lm, cfg)
+	want, err := probeFresh(w.ref, lm, cfg, &w.e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %v: table %+v\nalways simulating %+v", lm.Name, cfg, got, want)
+	}
+	return sim
+}
+
+func (w *twin) clone() *twin { return &twin{got: w.got.Clone(), ref: w.ref.Clone()} }
+
+// alias returns the configuration cfg's chunk aliases on lm: a default
+// chunk becomes the one it resolves to and back; other chunks stay.
+func alias(lm *LoopModel, cfg Config) Config {
+	def := ResolveChunk(cfg.Sched, 0, lm.Iters, cfg.Threads)
+	switch cfg.Chunk {
+	case 0:
+		cfg.Chunk = def
+	case def:
+		cfg.Chunk = 0
+	}
+	return cfg
+}
+
+// TestProbeTableMatchesAlwaysSimulating drives seeded random probe
+// sequences over Table I, with noise, through two interleaved regions,
+// cap and frequency changes, and clones probed beside their parents. It
+// mixes fresh points (forcing evictions), repeats of recent ones and their
+// chunk aliases (hits).
+func TestProbeTableMatchesAlwaysSimulating(t *testing.T) {
+	lms := []*LoopModel{rampLoop(), memLoop()}
+	points := tableI(Crill())
+	caps := []float64{0, 55, 70, 115}
+	a := Crill()
+	ghzs := []float64{0, a.MinGHz, (a.MinGHz + a.BaseGHz) / 2, a.BaseGHz}
+	type probeAt struct {
+		lm  *LoopModel
+		cfg Config
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		twins := []*twin{newTwin(t, seed)}
+		var recent []probeAt
+		probes, sims, evicts := 0, 0, 0
+		for i := 0; i < 1200; i++ {
+			w := twins[rng.Intn(len(twins))]
+			switch r := rng.Intn(100); {
+			case r < 2:
+				c := caps[rng.Intn(len(caps))]
+				if err := w.got.SetPowerCap(c); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.ref.SetPowerCap(c); err != nil {
+					t.Fatal(err)
+				}
+			case r < 4:
+				f := ghzs[rng.Intn(len(ghzs))]
+				if err := w.got.SetUserFreqGHz(f); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.ref.SetUserFreqGHz(f); err != nil {
+					t.Fatal(err)
+				}
+			case r < 5:
+				c := w.clone()
+				if len(twins) < 3 {
+					twins = append(twins, c)
+				} else {
+					twins[rng.Intn(len(twins))] = c
+				}
+				w = c
+			}
+			var p probeAt
+			switch r := rng.Intn(10); {
+			case r < 4 || len(recent) == 0:
+				p = probeAt{lms[rng.Intn(len(lms))], points[rng.Intn(len(points))]}
+			case r < 7:
+				p = recent[rng.Intn(len(recent))]
+			default:
+				p = recent[rng.Intn(len(recent))]
+				p.cfg = alias(p.lm, p.cfg)
+			}
+			if len(recent) == 2*probeTableCap {
+				recent = recent[1:]
+			}
+			recent = append(recent, p)
+			full := len(w.got.probes[p.lm].e) == probeTableCap
+			probes++
+			if w.probe(t, p.lm, p.cfg) {
+				sims++
+				if full {
+					evicts++
+				}
+			}
+		}
+		for _, w := range twins {
+			if g, r := w.got.noiseFactor(), w.ref.noiseFactor(); g != r {
+				t.Fatalf("seed %d: noise streams diverged: %v vs %v", seed, g, r)
+			}
+		}
+		if sims == probes || evicts == 0 {
+			t.Fatalf("seed %d: %d probes, %d simulated, %d evicted: the sequence checks no hit or no eviction",
+				seed, probes, sims, evicts)
+		}
+	}
+}
+
+// TestProbeTableSweep sweeps Table I in odometer order over two
+// interleaved regions, as an offline search runs an app's steps. Each
+// region simulates every point except the chunk-0 points whose resolved
+// chunk was probed within the last probeTableCap probes of that region:
+// dynamic and guided chunk 0 (chunk 1, 8 probes back), and static chunk 0
+// where iters/threads rounds up to a Table I chunk.
+func TestProbeTableSweep(t *testing.T) {
+	w := newTwin(t, 7)
+	lms := []*LoopModel{rampLoop(), memLoop()}
+	points := tableI(w.got.Arch())
+	sims := make([]int, len(lms))
+	for _, cfg := range points {
+		for i, lm := range lms {
+			if w.probe(t, lm, cfg) {
+				sims[i]++
+			}
+		}
+	}
+	inTable := map[int]bool{1: true, 8: true, 16: true, 32: true, 64: true, 128: true, 256: true, 512: true}
+	for i, lm := range lms {
+		want := len(points)
+		for _, cfg := range points {
+			if cfg.Chunk != 0 {
+				continue
+			}
+			if cfg.Sched != SchedStatic || inTable[ResolveChunk(cfg.Sched, 0, lm.Iters, cfg.Threads)] {
+				want--
+			}
+		}
+		if sims[i] != want {
+			t.Errorf("%s: %d of %d probes simulated, want %d", lm.Name, sims[i], len(points), want)
+		}
+	}
 }
 
 func TestMemoRepeatsMatchAlwaysMissing(t *testing.T) {
@@ -32,8 +227,9 @@ func TestMemoRepeatsMatchAlwaysMissing(t *testing.T) {
 			t.Fatalf("probe %d %v: memo %+v\nalways missing %+v", i, cfg, got, want)
 		}
 	}
-	if e := memo.memo[lm]; e == nil || !e.holds(memo, b) {
-		t.Fatal("the memo does not hold the last probe")
+	tab := memo.probes[lm]
+	if len(tab.e) != 2 || tab.lookup(memo, a) == nil || tab.lookup(memo, b) == nil {
+		t.Fatal("the probe table does not hold exactly the two probed configurations")
 	}
 }
 
@@ -81,18 +277,69 @@ func TestCloneStartsWithEmptyMemo(t *testing.T) {
 	cfg := Config{Threads: 8, Sched: SchedGuided, Chunk: 2}
 	want := probe(t, m, lm, cfg)
 	c := m.Clone()
-	if len(c.memo) != 0 {
-		t.Fatalf("clone starts with %d memo entries", len(c.memo))
+	if len(c.probes) != 0 {
+		t.Fatalf("clone starts with %d probe tables", len(c.probes))
 	}
 	if err := c.SetPowerCap(55); err != nil {
 		t.Fatal(err)
 	}
 	probe(t, c, lm, cfg)
-	if c.memo[lm] == m.memo[lm] {
-		t.Fatal("clone shares the parent's memo entry")
+	if &c.probes[lm].e[0] == &m.probes[lm].e[0] {
+		t.Fatal("clone shares the parent's probe table")
 	}
 	if got := probe(t, m, lm, cfg); !reflect.DeepEqual(got, want) {
 		t.Fatalf("parent after the clone probed: %+v, want %+v", got, want)
+	}
+}
+
+// TestProbeErrorCachesNothing: a probe that fails returns the error the
+// simulation gives for the configuration as passed (no chunk resolution
+// runs on a team of 0), and leaves the table as it was: no entry for the
+// failed probe, and no entry evicted.
+func TestProbeErrorCachesNothing(t *testing.T) {
+	lm := rampLoop()
+	bad := []Config{
+		{Threads: 0, Sched: SchedStatic},
+		{Threads: 0, Sched: SchedDynamic},
+		{Threads: -3, Sched: SchedStatic},
+		{Threads: 64, Sched: SchedStatic},
+		{Threads: 4, Sched: Schedule(99)},
+	}
+	m := newCrill(t)
+	for _, cfg := range bad { // on an empty table
+		if _, err := m.ProbeLoop(lm, cfg); err == nil {
+			t.Fatalf("%v: no error", cfg)
+		}
+	}
+	if n := len(m.probes[lm].e); n != 0 {
+		t.Fatalf("failed probes left %d table entries", n)
+	}
+	if _, err := m.ProbeLoop(lm, bad[0]); err == nil || err.Error() != "sim: non-positive thread count 0" {
+		t.Fatalf("Threads 0: %v", err)
+	}
+
+	var cfgs []Config // a full table
+	for c := 1; c <= probeTableCap; c++ {
+		cfg := Config{Threads: 16, Sched: SchedGuided, Chunk: c}
+		cfgs = append(cfgs, cfg)
+		probe(t, m, lm, cfg)
+	}
+	next := m.probes[lm].next
+	for _, cfg := range bad {
+		var e probeMemo
+		want := m.simulate(lm, cfg, &e)
+		_, err := m.ProbeLoop(lm, cfg)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("%v: error %v, want %v", cfg, err, want)
+		}
+	}
+	if m.probes[lm].next != next {
+		t.Fatal("a failed probe moved the table")
+	}
+	for _, cfg := range cfgs {
+		if _, sim := probeCounted(t, m, lm, cfg); sim {
+			t.Fatalf("%v was evicted by a failed probe", cfg)
+		}
 	}
 }
 
@@ -117,18 +364,28 @@ func TestProbeAllocs(t *testing.T) {
 	m := newCrill(t)
 	m.SetNoise(0.02, 3)
 	lm := rampLoop()
-	cfgs := []Config{
-		{Threads: 32, Sched: SchedDynamic, Chunk: 1},
-		{Threads: 32, Sched: SchedGuided, Chunk: 1},
+	// One configuration more than the table holds, cycled: every probe
+	// evicts the one the next probe needs, so every probe misses.
+	var cfgs []Config
+	for c := 1; c <= probeTableCap+1; c++ {
+		cfgs = append(cfgs, Config{Threads: 32, Sched: SchedDynamic, Chunk: c})
 	}
-	probe(t, m, lm, cfgs[0])
-	probe(t, m, lm, cfgs[1])
-	hit := testing.AllocsPerRun(50, func() { _, _ = m.ProbeLoop(lm, cfgs[1]) })
+	for _, cfg := range cfgs {
+		probe(t, m, lm, cfg)
+	}
+	hit := testing.AllocsPerRun(50, func() { _, _ = m.ProbeLoop(lm, cfgs[len(cfgs)-1]) })
 	i := 0
-	miss := testing.AllocsPerRun(50, func() { // alternating configurations: every probe misses
+	misses := 0
+	miss := testing.AllocsPerRun(50, func() {
+		_, sim := probeCounted(t, m, lm, cfgs[i%len(cfgs)])
+		if sim {
+			misses++
+		}
 		i++
-		_, _ = m.ProbeLoop(lm, cfgs[i%2])
 	})
+	if misses != i {
+		t.Fatalf("%d of %d cycled probes missed; want all", misses, i)
+	}
 	if hit > 1 || miss > 1 {
 		t.Fatalf("allocs per probe: hit %v, miss %v; want at most 1", hit, miss)
 	}
