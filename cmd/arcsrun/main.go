@@ -25,16 +25,21 @@
 // the compact binary wire format, and -report-batch N coalesces every N
 // reports into one /v1/reports round trip, flushed at the end of the
 // run.
+//
+// Every run goes through the experiment harness's run helpers, so an
+// arcsrun search is the harness's search, and history keys carry the cap
+// the machine runs at (a -cap above TDP is clamped to TDP).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"arcs/internal/apex"
+	"arcs/internal/bench"
 	"arcs/internal/cli"
 	arcs "arcs/internal/core"
 	"arcs/internal/kernels"
@@ -97,11 +102,7 @@ func run(cfg runCfg) error {
 		return err
 	}
 	arch := res.arch
-	capLabel := fmt.Sprintf("%.0fW", cfg.capW)
-	if cfg.capW == 0 {
-		capLabel = fmt.Sprintf("TDP(%.0fW)", arch.TDPW)
-	}
-	fmt.Printf("%s.%s on %s at %s, strategy %s\n", cfg.app, cfg.workload, arch.Name, capLabel, cfg.strategy)
+	fmt.Printf("%s.%s on %s at %s, strategy %s\n", cfg.app, cfg.workload, arch.Name, bench.CapLabel(cfg.capW, arch), cfg.strategy)
 	fmt.Printf("default : %8.3f s", res.baseT)
 	if arch.HasEnergyCtr {
 		fmt.Printf("  %10.1f J", res.baseE)
@@ -131,8 +132,7 @@ func run(cfg runCfg) error {
 // doRun executes the baseline and tuned runs for cfg and returns the
 // measurements; run() does the printing.
 func doRun(cfg runCfg) (runResult, error) {
-	appName, workload, archName := cfg.app, cfg.workload, cfg.arch
-	capW, strategy, steps, seed, histPath := cfg.capW, cfg.strategy, cfg.steps, cfg.seed, cfg.histPath
+	strategy := cfg.strategy
 	var res runResult
 	algo := arcs.AlgoAuto
 	if cfg.algo != "" {
@@ -147,98 +147,61 @@ func doRun(cfg runCfg) (runResult, error) {
 		strategy = "online"
 		algo = arcs.AlgoSurrogate
 	}
-	app, err := cli.BuildApp(appName, workload)
+	app, err := cli.BuildApp(cfg.app, cfg.workload)
 	if err != nil {
 		return res, err
 	}
-	if steps > 0 {
-		app = app.WithSteps(steps)
+	if cfg.steps > 0 {
+		app = app.WithSteps(cfg.steps)
 	}
-	arch, err := cli.BuildArch(archName)
+	arch, err := cli.BuildArch(cfg.arch)
 	if err != nil {
 		return res, err
 	}
 	res.arch = arch
-
-	// A served knowledge store replaces the local history file.
-	var srvHist *storeclient.History
-	if cfg.server != "" {
-		if histPath != "" {
-			return res, fmt.Errorf("-history and -server are mutually exclusive")
-		}
-		client := storeclient.New(cfg.server)
-		hctx, hcancel := context.WithTimeout(context.Background(), 10*time.Second)
-		herr := client.Health(hctx)
-		hcancel()
-		if herr != nil {
-			return res, fmt.Errorf("server %s unreachable: %w", cfg.server, herr)
-		}
-		var hopts []storeclient.HistoryOption
-		if cfg.batchN > 0 {
-			hopts = append(hopts, storeclient.WithReportBatching(cfg.batchN))
-		}
-		srvHist = storeclient.NewHistory(client, hopts...)
+	hist, srvHist, err := openHistory(cfg, strategy)
+	if err != nil {
+		return res, err
 	}
 
 	// Baseline run for comparison.
-	res.baseT, res.baseE, err = execute(arch, app, capW, nil)
+	res.baseT, res.baseE, _, err = runApp(arch, app, cfg.capW, nil, runOutputs{})
 	if err != nil {
 		return res, err
 	}
 
 	outputs := runOutputs{profCSV: cfg.profCSV, traceOut: cfg.traceOut}
+	replay := &arcs.Options{Strategy: arcs.StrategyOfflineReplay, Seed: cfg.seed, History: hist}
 	switch strategy {
 	case "default":
 		res.tunedT, res.tunedE = res.baseT, res.baseE
 	case "online":
-		opts := arcs.Options{Strategy: arcs.StrategyOnline, Algo: algo, Seed: seed}
+		opts := &arcs.Options{Strategy: arcs.StrategyOnline, Algo: algo, Seed: cfg.seed}
 		if srvHist != nil {
 			// Warm-start from the service: exact hits skip the search,
 			// nearest-cap hits seed it, and Finish reports bests back.
-			opts.History, opts.Key, opts.WarmStart = srvHist, keyFn(app, arch, capW), true
+			opts.History, opts.WarmStart = hist, true
 		}
-		res.tunedT, res.tunedE, res.reports, err = tunedRun(arch, app, capW, opts, outputs)
+		res.tunedT, res.tunedE, res.reports, err = runApp(arch, app, cfg.capW, opts, outputs)
 	case "offline":
-		var hist arcs.History = arcs.NewMemHistory()
-		if srvHist != nil {
-			hist = srvHist
-		}
 		// Unmeasured search execution.
-		_, _, _, err = tunedRun(arch, app.WithSteps(searchSteps(arch, app)), capW, arcs.Options{
-			Strategy: arcs.StrategyOfflineSearch, Algo: algo, Seed: seed,
-			History: hist, Key: keyFn(app, arch, capW),
-		}, runOutputs{})
-		if err != nil {
+		var mach *sim.Machine
+		if mach, err = bench.NewMachine(arch, cfg.capW); err != nil {
 			return res, err
 		}
-		if histPath != "" {
+		if err = bench.OfflineSearch(mach, app, hist, arcs.Options{Algo: algo, Seed: cfg.seed}); err != nil {
+			return res, err
+		}
+		if cfg.histPath != "" {
 			mem := hist.(*arcs.MemHistory)
-			if err := mem.SaveFile(histPath); err != nil {
+			if err := mem.SaveFile(cfg.histPath); err != nil {
 				return res, err
 			}
-			fmt.Printf("history: saved %d entries to %s\n", mem.Len(), histPath)
+			fmt.Printf("history: saved %d entries to %s\n", mem.Len(), cfg.histPath)
 		}
-		res.tunedT, res.tunedE, res.reports, err = tunedRun(arch, app, capW, arcs.Options{
-			Strategy: arcs.StrategyOfflineReplay, Seed: seed,
-			History: hist, Key: keyFn(app, arch, capW),
-		}, outputs)
+		res.tunedT, res.tunedE, res.reports, err = runApp(arch, app, cfg.capW, replay, outputs)
 	case "replay":
-		var hist arcs.History
-		if srvHist != nil {
-			hist = srvHist
-		} else {
-			if histPath == "" {
-				return res, fmt.Errorf("-strategy replay requires -history FILE or -server URL")
-			}
-			hist, err = arcs.LoadHistoryFile(histPath)
-			if err != nil {
-				return res, err
-			}
-		}
-		res.tunedT, res.tunedE, res.reports, err = tunedRun(arch, app, capW, arcs.Options{
-			Strategy: arcs.StrategyOfflineReplay, Seed: seed,
-			History: hist, Key: keyFn(app, arch, capW),
-		}, outputs)
+		res.tunedT, res.tunedE, res.reports, err = runApp(arch, app, cfg.capW, replay, outputs)
 	default:
 		return res, fmt.Errorf("unknown strategy %q", strategy)
 	}
@@ -258,31 +221,36 @@ func doRun(cfg runCfg) (runResult, error) {
 	return res, nil
 }
 
-// execute runs the app once on a fresh machine, optionally wiring ARCS.
-func execute(arch *sim.Arch, app *kernels.App, capW float64, setup func(*omp.Runtime, *apex.Instance) error) (float64, float64, error) {
-	mach, err := sim.NewMachine(arch)
-	if err != nil {
-		return 0, 0, err
-	}
-	if capW > 0 {
-		if err := mach.SetPowerCap(capW); err != nil {
-			return 0, 0, err
+// openHistory picks the run's history once: the served store with
+// -server (also returned as the adapter, to flush), the -history file
+// for a replay, and otherwise a fresh in-memory history.
+func openHistory(cfg runCfg, strategy string) (arcs.History, *storeclient.History, error) {
+	if cfg.server != "" {
+		if cfg.histPath != "" {
+			return nil, nil, fmt.Errorf("-history and -server are mutually exclusive")
 		}
-	}
-	rt := omp.NewRuntime(mach)
-	if setup != nil {
-		apx := apex.New()
-		apx.SetPowerSource(mach)
-		rt.RegisterTool(apex.NewTool(apx))
-		if err := setup(rt, apx); err != nil {
-			return 0, 0, err
+		client := storeclient.New(cfg.server)
+		hctx, hcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		herr := client.Health(hctx)
+		hcancel()
+		if herr != nil {
+			return nil, nil, fmt.Errorf("server %s unreachable: %w", cfg.server, herr)
 		}
+		var hopts []storeclient.HistoryOption
+		if cfg.batchN > 0 {
+			hopts = append(hopts, storeclient.WithReportBatching(cfg.batchN))
+		}
+		srvHist := storeclient.NewHistory(client, hopts...)
+		return srvHist, srvHist, nil
 	}
-	res, err := app.Run(rt)
-	if err != nil {
-		return 0, 0, err
+	if strategy != "replay" {
+		return arcs.NewMemHistory(), nil, nil
 	}
-	return res.TimeS, res.EnergyJ, nil
+	if cfg.histPath == "" {
+		return nil, nil, fmt.Errorf("-strategy replay requires -history FILE or -server URL")
+	}
+	hist, err := arcs.LoadHistoryFile(cfg.histPath)
+	return hist, nil, err
 }
 
 // runOutputs selects optional artifacts of a tuned run.
@@ -291,20 +259,31 @@ type runOutputs struct {
 	traceOut string
 }
 
-func tunedRun(arch *sim.Arch, app *kernels.App, capW float64, opts arcs.Options, outs runOutputs) (float64, float64, []arcs.RegionReport, error) {
-	var tuner *arcs.Tuner
-	var apxRef *apex.Instance
+// runApp runs the app once on a fresh machine capped at capW. A nil opts
+// runs the default configuration with no tool attached; otherwise the
+// tuner is attached with opts, keyed by the cap the machine runs at, and
+// the run's reports and requested artifacts are produced.
+func runApp(arch *sim.Arch, app *kernels.App, capW float64, opts *arcs.Options, outs runOutputs) (float64, float64, []arcs.RegionReport, error) {
+	mach, err := bench.NewMachine(arch, capW)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	rt := omp.NewRuntime(mach)
+	if opts == nil {
+		res, err := app.Run(rt)
+		return res.TimeS, res.EnergyJ, nil, err
+	}
+	opts.Key = bench.HistoryKey(app, mach)
+	tuner, apx, err := bench.AttachTuner(mach, rt, *opts)
+	if err != nil {
+		return 0, 0, nil, err
+	}
 	var timeline *trace.Timeline
-	t, e, err := execute(arch, app, capW, func(rt *omp.Runtime, apx *apex.Instance) error {
-		apxRef = apx
-		if outs.traceOut != "" {
-			timeline = trace.NewTimeline()
-			rt.RegisterTool(timeline)
-		}
-		var err error
-		tuner, err = arcs.New(apx, arch, opts)
-		return err
-	})
+	if outs.traceOut != "" {
+		timeline = trace.NewTimeline()
+		rt.RegisterTool(timeline)
+	}
+	res, err := app.Run(rt)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -312,45 +291,29 @@ func tunedRun(arch *sim.Arch, app *kernels.App, capW float64, opts arcs.Options,
 		return 0, 0, nil, err
 	}
 	if outs.profCSV != "" {
-		f, err := os.Create(outs.profCSV)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		if err := apxRef.WriteCSV(f); err != nil {
-			f.Close()
-			return 0, 0, nil, err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(outs.profCSV, apx.WriteCSV); err != nil {
 			return 0, 0, nil, err
 		}
 		fmt.Printf("profile: wrote %s\n", outs.profCSV)
 	}
 	if outs.traceOut != "" {
-		f, err := os.Create(outs.traceOut)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		if err := timeline.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return 0, 0, nil, err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(outs.traceOut, timeline.WriteChromeTrace); err != nil {
 			return 0, 0, nil, err
 		}
 		fmt.Printf("trace: wrote %s (open in chrome://tracing)\n", outs.traceOut)
 	}
-	return t, e, tuner.Report(), nil
+	return res.TimeS, res.EnergyJ, tuner.Report(), nil
 }
 
-func keyFn(app *kernels.App, arch *sim.Arch, capW float64) func(string) arcs.HistoryKey {
-	if capW == 0 {
-		capW = arch.TDPW
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return func(region string) arcs.HistoryKey {
-		return arcs.HistoryKey{App: app.Name, Workload: app.Workload, CapW: capW, Region: region}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
-}
-
-func searchSteps(arch *sim.Arch, app *kernels.App) int {
-	return arcs.TableISpace(arch).Size() + 8
+	return f.Close()
 }

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	arcs "arcs/internal/core"
 	"arcs/internal/server"
+	"arcs/internal/sim"
 	"arcs/internal/store"
 )
 
@@ -35,6 +37,48 @@ func TestRunOfflineThenReplay(t *testing.T) {
 	cfg.strategy = "replay"
 	if err := run(cfg); err != nil {
 		t.Fatalf("replay: %v", err)
+	}
+}
+
+// TestRunKeysHistoryAtEffectiveCap: a cap above TDP runs at TDP, so the
+// offline search saves its bests under the TDP cap and a later replay at
+// TDP finds a tuned configuration for every region.
+func TestRunKeysHistoryAtEffectiveCap(t *testing.T) {
+	hist := filepath.Join(t.TempDir(), "history.json")
+	cfg := runCfg{
+		app: "SP", workload: "B", arch: "crill", capW: 200,
+		strategy: "offline", steps: 3, seed: 1, histPath: hist,
+	}
+	if _, err := doRun(cfg); err != nil {
+		t.Fatalf("offline: %v", err)
+	}
+	saved, err := arcs.LoadHistoryFile(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tdp := sim.Crill().TDPW
+	entries := saved.Entries()
+	if len(entries) == 0 {
+		t.Fatal("offline run saved no entries")
+	}
+	for _, e := range entries {
+		if e.Key.CapW != tdp {
+			t.Errorf("entry %s saved at cap %g W, want the %g W the machine ran at", e.Key.Region, e.Key.CapW, tdp)
+		}
+	}
+
+	cfg.capW, cfg.strategy = 0, "replay"
+	res, err := doRun(cfg)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if len(res.reports) != len(entries) {
+		t.Errorf("replay reported %d regions, history holds %d", len(res.reports), len(entries))
+	}
+	for _, r := range res.reports {
+		if !r.Converged || r.Skipped {
+			t.Errorf("region %s replayed no tuned configuration (%s)", r.Region, r.Config)
+		}
 	}
 }
 

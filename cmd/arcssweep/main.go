@@ -17,6 +17,7 @@ import (
 	"os"
 	"sort"
 
+	"arcs/internal/bench"
 	"arcs/internal/cli"
 	arcs "arcs/internal/core"
 	"arcs/internal/omp"
@@ -53,14 +54,9 @@ func run(w io.Writer, appName, workload, archName string, capW float64, top int,
 	if err != nil {
 		return err
 	}
-	mach, err := sim.NewMachine(arch)
+	mach, err := bench.NewMachine(arch, capW)
 	if err != nil {
 		return err
-	}
-	if capW > 0 {
-		if err := mach.SetPowerCap(capW); err != nil {
-			return err
-		}
 	}
 	space := arcs.TableISpace(arch)
 

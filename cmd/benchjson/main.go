@@ -18,8 +18,10 @@
 // Gated metrics are chosen with -metrics (comma-separated): "ns" gates
 // ns/op, "allocs" gates allocs/op, "extra" gates custom b.ReportMetric
 // units ending in "/s" (throughput: higher is better), "counts" gates
-// custom units ending in "/op" (probes/op, retries/op, ...: lower is
-// better); custom units matching neither suffix are informational only.
+// custom units ending in "/op" (probes/op, sims/op, ...: lower is better,
+// and exact: -tolerance does not apply, so any rise fails and a fall is
+// relocked in the baseline); custom units matching neither suffix are
+// informational only.
 // A benchmark named in the baseline but missing from the current run is
 // itself a failure — a silently deleted benchmark must not pass the
 // gate — and so is a benchmark present in the run but absent from the
@@ -146,11 +148,12 @@ func load(r *bufio.Reader) (map[string]Entry, error) {
 // returns one message per violation, sorted by benchmark name (current-
 // run benchmarks absent from the baseline are reported last).
 //
-// Lower-is-better metrics (ns/op, allocs/op, and with the counts gate
-// custom "/op" extras like probes/op) fail when cur > base*(1+tol/100);
+// Lower-is-better ns/op and allocs/op fail when cur > base*(1+tol/100);
 // a zero-alloc baseline therefore tolerates no allocations at all —
 // that is the point, so produce baselines with -benchmem when gating
-// allocs. Higher-is-better "/s" extras fail when cur < base*(1-tol/100).
+// allocs. With the counts gate, custom "/op" extras like probes/op are
+// deterministic counts and fail on any rise: cur > base, whatever tol.
+// Higher-is-better "/s" extras fail when cur < base*(1-tol/100).
 // A zero ns/op baseline and extras absent from the baseline are not
 // gated. Coverage must match in both directions: a benchmark in the
 // baseline but not the run, or in the run but not the baseline, is a
@@ -194,8 +197,9 @@ func compare(baseline, cur map[string]Entry, tol float64, g gateSet) []string {
 							name, unit, gv, bv, pct(gv, bv)))
 					}
 				case g.counts && strings.HasSuffix(unit, "/op"):
-					// Per-op counts (probes/op, retries/op): lower is better.
-					if bv > 0 && gv > bv*(1+tol/100) {
+					// Per-op counts (probes/op, sims/op) are exact: any rise
+					// is a regression.
+					if gv > bv {
 						failures = append(failures, fmt.Sprintf("%s: %s %.4g vs baseline %.4g (+%.1f%%)",
 							name, unit, gv, bv, pct(gv, bv)))
 					}

@@ -115,19 +115,36 @@ func TestCompareGate(t *testing.T) {
 	})
 }
 
-// TestCompareCountsGate: "/op" extras (probes/op) are lower-is-better
-// and gated only when the counts metric class is selected.
+// TestCompareCountsGate: "/op" extras (probes/op) are lower-is-better,
+// exact whatever the tolerance, and gated only when the counts metric
+// class is selected.
 func TestCompareCountsGate(t *testing.T) {
 	baseline := map[string]Entry{
 		"BenchmarkSurrogateTransfer": {NsPerOp: 1000, Extra: map[string]float64{"probes/op": 13, "evals/s": 5000}},
 	}
-
-	t.Run("within tolerance passes", func(t *testing.T) {
-		cur := map[string]Entry{
-			"BenchmarkSurrogateTransfer": {NsPerOp: 1000, Extra: map[string]float64{"probes/op": 14, "evals/s": 5000}},
+	probes := func(n float64) map[string]Entry {
+		return map[string]Entry{
+			"BenchmarkSurrogateTransfer": {NsPerOp: 1000, Extra: map[string]float64{"probes/op": n, "evals/s": 5000}},
 		}
-		if f := compare(baseline, cur, 10, gateSet{counts: true}); len(f) != 0 {
+	}
+
+	t.Run("count at baseline passes", func(t *testing.T) {
+		if f := compare(baseline, probes(13), 10, gateSet{counts: true}); len(f) != 0 {
 			t.Fatalf("unexpected failures: %v", f)
+		}
+	})
+
+	t.Run("count below baseline passes", func(t *testing.T) {
+		if f := compare(baseline, probes(12), 10, gateSet{counts: true}); len(f) != 0 {
+			t.Fatalf("unexpected failures: %v", f)
+		}
+	})
+
+	t.Run("count one above baseline fails inside tolerance", func(t *testing.T) {
+		// 14 is +7.7% on 13, inside -tolerance 10: counts ignore it.
+		f := compare(baseline, probes(14), 10, gateSet{counts: true})
+		if len(f) != 1 || !strings.Contains(f[0], "probes/op 14") {
+			t.Fatalf("failures = %v", f)
 		}
 	})
 

@@ -11,12 +11,9 @@ import (
 	"log"
 	"os"
 
-	"arcs/internal/apex"
 	"arcs/internal/bench"
 	"arcs/internal/kernels"
-	"arcs/internal/omp"
 	"arcs/internal/sim"
-	"arcs/internal/trace"
 )
 
 func main() {
@@ -27,16 +24,8 @@ func main() {
 
 	// Part 1 — TAU-style diagnosis on Crill: where does the time go?
 	fmt.Println("=== OMPT event profile, default configuration (Crill, TDP) ===")
-	mach, err := sim.NewMachine(sim.Crill())
+	prof, err := bench.Fig9()
 	if err != nil {
-		log.Fatal(err)
-	}
-	rt := omp.NewRuntime(mach)
-	apx := apex.New()
-	rt.RegisterTool(apex.NewTool(apx))
-	prof := trace.New()
-	rt.RegisterTool(prof)
-	if _, err := app.Run(rt); err != nil {
 		log.Fatal(err)
 	}
 	prof.Write(os.Stdout, 8)

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"log"
 
-	"arcs/internal/apex"
+	"arcs/internal/bench"
 	arcs "arcs/internal/core"
 	"arcs/internal/kernels"
 	"arcs/internal/omp"
@@ -19,12 +19,11 @@ import (
 func main() {
 	// 1. A machine: the simulated Sandy Bridge node ("Crill"), capped to
 	//    70 W through the RAPL interface, exactly as the paper does.
-	mach, err := sim.NewMachine(sim.Crill())
+	mach, err := bench.NewMachine(sim.Crill(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	msr := rapl.Open(mach)
-	if err := msr.SetPowerLimit(rapl.Package, 70); err != nil {
+	if err := rapl.Open(mach).SetPowerLimit(rapl.Package, 70); err != nil {
 		log.Fatal(err)
 	}
 
@@ -44,7 +43,7 @@ func main() {
 	// 4. ARCS: OpenMP runtime -> OMPT -> APEX -> policy engine -> Active
 	//    Harmony. The tuner selects threads, schedule and chunk size per
 	//    region, converging online with Nelder-Mead.
-	mach2, err := sim.NewMachine(sim.Crill())
+	mach2, err := bench.NewMachine(sim.Crill(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,10 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	rt := omp.NewRuntime(mach2)
-	apx := apex.New()
-	apx.SetPowerSource(mach2)
-	rt.RegisterTool(apex.NewTool(apx))
-	tuner, err := arcs.New(apx, mach2.Arch(), arcs.Options{Strategy: arcs.StrategyOnline, Seed: 42})
+	tuner, _, err := bench.AttachTuner(mach2, rt, arcs.Options{Strategy: arcs.StrategyOnline, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

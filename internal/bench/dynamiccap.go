@@ -82,7 +82,7 @@ func DynamicCap() (*DynamicCapResult, error) {
 	res := &DynamicCapResult{Phases: dynamicCapSchedule}
 	var baseT, baseE float64
 	for _, a := range arms {
-		mach, err := sim.NewMachine(arch)
+		mach, err := NewMachine(arch, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +90,7 @@ func DynamicCap() (*DynamicCapResult, error) {
 		rt := omp.NewRuntime(mach)
 		var tuner *arcs.Tuner
 		if a.opts != nil {
-			tuner, err = attachTuner(mach, rt, a.opts(mach))
+			tuner, _, err = AttachTuner(mach, rt, a.opts(mach))
 			if err != nil {
 				return nil, err
 			}

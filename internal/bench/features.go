@@ -37,11 +37,11 @@ func FeatureComparison(arch *sim.Arch, app *kernels.App, capW float64, regions [
 	if err != nil {
 		return nil, err
 	}
-	mach, err := newMachine(arch, capW)
+	mach, err := NewMachine(arch, capW)
 	if err != nil {
 		return nil, err
 	}
-	key := historyKey(app, mach)
+	key := HistoryKey(app, mach)
 
 	var rows []FeatureRow
 	for _, name := range regions {
@@ -117,11 +117,11 @@ func Table2() (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mach, err := newMachine(arch, 0)
+	mach, err := NewMachine(arch, 0)
 	if err != nil {
 		return nil, err
 	}
-	key := historyKey(app, mach)
+	key := HistoryKey(app, mach)
 	res := &Table2Result{}
 	for _, name := range []string{"compute_rhs", "x_solve", "y_solve", "z_solve"} {
 		cfg, ok := hist.Load(key(name))

@@ -59,7 +59,7 @@ func Fig1() (*Fig1Result, error) {
 	res.TimesMS = make([][]float64, len(res.Caps))
 	res.BestConfig = make([]string, len(res.Caps))
 	err = forEach(len(res.Caps), func(ci int) error {
-		mach, err := newMachine(arch, res.Caps[ci])
+		mach, err := NewMachine(arch, res.Caps[ci])
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"arcs/internal/apex"
 	"arcs/internal/kernels"
 	"arcs/internal/omp"
 	"arcs/internal/sim"
@@ -114,14 +113,12 @@ func Fig9() (*trace.Profiler, error) {
 	if err != nil {
 		return nil, err
 	}
-	mach, err := newMachine(arch, 0)
+	mach, err := NewMachine(arch, 0)
 	if err != nil {
 		return nil, err
 	}
 	rt := omp.NewRuntime(mach)
-	apx := apex.New()
-	apx.SetPowerSource(mach)
-	rt.RegisterTool(apex.NewTool(apx))
+	attachAPEX(mach, rt)
 	prof := trace.New()
 	rt.RegisterTool(prof)
 	if _, err := app.Run(rt); err != nil {

@@ -138,7 +138,7 @@ func Measure(spec RunSpec) (Outcome, error) {
 	}
 	results := make([]runResult, sp.Runs)
 	runErr := forEach(sp.Runs, func(run int) error {
-		mach, err := newMachine(arch, capW)
+		mach, err := NewMachine(arch, capW)
 		if err != nil {
 			return err
 		}
@@ -161,9 +161,9 @@ func Measure(spec RunSpec) (Outcome, error) {
 			case ArmOffline:
 				opts.Strategy = arcs.StrategyOfflineReplay
 				opts.History = hist
-				opts.Key = historyKey(sp.App, mach)
+				opts.Key = HistoryKey(sp.App, mach)
 			}
-			tuner, err = attachTuner(mach, rt, opts)
+			tuner, _, err = AttachTuner(mach, rt, opts)
 			if err != nil {
 				return err
 			}
@@ -214,65 +214,77 @@ func Measure(spec RunSpec) (Outcome, error) {
 // offlineSearch performs the unmeasured exhaustive search execution and
 // returns the resulting history.
 func offlineSearch(sp RunSpec, arch *sim.Arch) (*arcs.MemHistory, error) {
-	mach, err := newMachine(arch, sp.CapW)
+	mach, err := NewMachine(arch, sp.CapW)
 	if err != nil {
 		return nil, err
 	}
 	// The search run observes the same noisy environment.
 	mach.SetNoise(sp.Noise, sp.Seed*31+17)
-	rt := omp.NewRuntime(mach)
-
 	hist := arcs.NewMemHistory()
-	tuner, err := attachTuner(mach, rt, arcs.Options{
-		Strategy:  arcs.StrategyOfflineSearch,
-		Objective: sp.Objective,
-		History:   hist,
-		Key:       historyKey(sp.App, mach),
-		Seed:      sp.Seed,
-		TuneDVFS:  sp.TuneDVFS,
-		TuneBind:  sp.TuneBind,
+	return hist, OfflineSearch(mach, sp.App, hist, arcs.Options{
+		Objective: sp.Objective, Seed: sp.Seed, TuneDVFS: sp.TuneDVFS, TuneBind: sp.TuneBind,
 	})
+}
+
+// OfflineSearch is ARCS-Offline's unmeasured search execution (§III-B):
+// it runs app on mach long enough for every region to visit the search
+// space and saves each region's best to hist under HistoryKey(app, mach).
+// It sets opts' strategy, history and key; the caller sets the rest.
+func OfflineSearch(mach *sim.Machine, app *kernels.App, hist arcs.History, opts arcs.Options) error {
+	opts.Strategy = arcs.StrategyOfflineSearch
+	opts.History = hist
+	opts.Key = HistoryKey(app, mach)
+	rt := omp.NewRuntime(mach)
+	tuner, _, err := AttachTuner(mach, rt, opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
+	arch := mach.Arch()
 	space := arcs.TableISpace(arch)
-	if sp.TuneDVFS {
+	if opts.TuneDVFS {
 		space = space.WithDVFS(arch)
 	}
-	if sp.TuneBind {
+	if opts.TuneBind {
 		space = space.WithBind()
 	}
 	// Every region needs space.Size() invocations; regions called once per
 	// step dominate, so size the run by them (plus slack).
-	if _, err := sp.App.WithSteps(space.Size() + 8).Run(rt); err != nil {
-		return nil, err
+	if _, err := app.WithSteps(space.Size() + 8).Run(rt); err != nil {
+		return err
 	}
-	if err := tuner.Finish(); err != nil {
-		return nil, err
-	}
-	return hist, nil
+	return tuner.Finish()
 }
 
-// attachTuner wires an ARCS tuner into a runtime the way an application
+// AttachTuner wires an ARCS tuner into a runtime the way an application
 // run does: an APEX instance reading the machine's power, registered as
-// the runtime's OMPT tool, with the tuner's policies on top.
-func attachTuner(mach *sim.Machine, rt *omp.Runtime, opts arcs.Options) (*arcs.Tuner, error) {
+// the runtime's OMPT tool, with the tuner's policies on top. It returns
+// the APEX instance too, for callers that report its profile.
+func AttachTuner(mach *sim.Machine, rt *omp.Runtime, opts arcs.Options) (*arcs.Tuner, *apex.Instance, error) {
+	apx := attachAPEX(mach, rt)
+	tuner, err := arcs.New(apx, mach.Arch(), opts)
+	return tuner, apx, err
+}
+
+// attachAPEX registers APEX, reading mach's power, as rt's OMPT tool.
+func attachAPEX(mach *sim.Machine, rt *omp.Runtime) *apex.Instance {
 	apx := apex.New()
 	apx.SetPowerSource(mach)
 	rt.RegisterTool(apex.NewTool(apx))
-	return arcs.New(apx, mach.Arch(), opts)
+	return apx
 }
 
-// historyKey builds the context key: app, workload and effective cap.
-func historyKey(app *kernels.App, mach *sim.Machine) func(string) arcs.HistoryKey {
+// HistoryKey builds the context key: app, workload and the cap the
+// machine runs at (a requested cap above TDP is clamped to TDP).
+func HistoryKey(app *kernels.App, mach *sim.Machine) func(string) arcs.HistoryKey {
 	capW := mach.PowerCap()
 	return func(region string) arcs.HistoryKey {
 		return arcs.HistoryKey{App: app.Name, Workload: app.Workload, CapW: capW, Region: region}
 	}
 }
 
-func newMachine(arch *sim.Arch, capW float64) (*sim.Machine, error) {
+// NewMachine builds a machine for arch capped at capW watts (0 = TDP).
+func NewMachine(arch *sim.Arch, capW float64) (*sim.Machine, error) {
 	mach, err := sim.NewMachine(arch)
 	if err != nil {
 		return nil, err

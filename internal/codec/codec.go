@@ -153,14 +153,14 @@ func appendUintField(dst []byte, num int, v uint64) []byte {
 	return AppendUvarint(dst, v)
 }
 
-// appendFloatField appends tag + fixed64 float, omitting zero. The
-// zero-elision rule folds negative zero into zero, which is the store's
-// semantics anyway (a 0 cap means "uncapped").
+// appendFloatField appends tag + fixed64 float, omitting positive zero.
+// Negative zero is sent: its canonical key ("-0") differs from zero's, so
+// folding it into zero would merge two distinct store keys on the wire
+// and in the WAL.
 //
 //arcslint:hotpath field append on the encode path
 func appendFloatField(dst []byte, num int, f float64) []byte {
-	//arcslint:ignore floatcmp exact-zero elision is the wire contract, not a tolerance bug
-	if f == 0 {
+	if math.Float64bits(f) == 0 {
 		return dst
 	}
 	dst = appendTag(dst, num, wtFixed8)

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	arcs "arcs/internal/core"
@@ -48,6 +49,25 @@ func TestEntryRoundTrip(t *testing.T) {
 		if got != want {
 			t.Errorf("entry %d: round trip = %+v, want %+v", i, got, want)
 		}
+	}
+}
+
+// TestEntryKeepsNegativeZeroCap: -0 and 0 are distinct canonical keys,
+// so an entry frame must carry the cap's sign, not elide it as zero.
+func TestEntryKeepsNegativeZeroCap(t *testing.T) {
+	var enc Encoder
+	var dec Decoder
+	want := Entry{Key: arcs.HistoryKey{App: "SP", Workload: "B", CapW: math.Copysign(0, -1), Region: "x_solve"}}
+	_, payload, _, err := Frame(enc.AppendEntry(nil, &want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Entry
+	if err := dec.DecodeEntry(payload, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !math.Signbit(got.Key.CapW) || got.Key.String() != want.Key.String() {
+		t.Errorf("decoded key %q, want %q", got.Key.String(), want.Key.String())
 	}
 }
 

@@ -92,7 +92,8 @@ type History interface {
 	// to k's — the optimum drifts smoothly with the cap (§II), so a
 	// near-cap configuration is a far better search seed than the
 	// default. dist is the absolute cap difference in watts (0 for an
-	// exact hit); on a distance tie the lower cap wins, deterministically.
+	// exact hit); on a distance tie the lower cap wins, then the smaller
+	// canonical key (NearerCap), so the answer never depends on map order.
 	LoadNearest(k HistoryKey) (cfg ConfigValues, dist float64, ok bool)
 	// LoadNeighbors returns up to max entries from the contexts nearest
 	// to k — same app and region, in ascending NeighborDistance order
@@ -175,22 +176,31 @@ func (h *MemHistory) LoadNearest(k HistoryKey) (ConfigValues, float64, bool) {
 		return cfg, 0, true
 	}
 	var best historyEntry
+	var bestKey string
 	bestDist := math.Inf(1)
 	found := false
-	for _, e := range h.entries {
+	for ck, e := range h.entries {
 		if e.Key.App != k.App || e.Key.Workload != k.Workload || e.Key.Region != k.Region {
 			continue
 		}
 		d := math.Abs(e.Key.CapW - k.CapW)
-		//arcslint:ignore floatcmp exact tie-break between identically computed distances
-		if d < bestDist || (d == bestDist && e.Key.CapW < best.Key.CapW) {
-			best, bestDist, found = e, d, true
+		if NearerCap(d, e.Key.CapW, ck, bestDist, best.Key.CapW, bestKey) {
+			best, bestKey, bestDist, found = e, ck, d, true
 		}
 	}
 	if !found {
 		return ConfigValues{}, 0, false
 	}
 	return best.Cfg, bestDist, true
+}
+
+// NearerCap is every History's LoadNearest order: whether an entry at cap
+// distance d, cap capW and canonical key ck beats the best so far
+// (bestDist starts at +Inf). Distance, then cap, then key decide, so caps
+// that compare equal (0 and -0) never leave the answer to map order.
+func NearerCap(d, capW float64, ck string, bestDist, bestCap float64, bestKey string) bool {
+	//arcslint:ignore floatcmp exact tie-breaks between identically computed distances and stored caps
+	return d < bestDist || (d == bestDist && (capW < bestCap || (capW == bestCap && ck < bestKey)))
 }
 
 // LoadNeighbors implements History with a linear scan and a

@@ -7,6 +7,7 @@
 package historytest
 
 import (
+	"math"
 	"testing"
 
 	arcs "arcs/internal/core"
@@ -160,6 +161,22 @@ func runFallback(t *testing.T, newHistory func(t *testing.T) arcs.History) {
 		cfg, dist, ok := h.LoadNearest(key(70))
 		if !ok || cfg != cfg60 || dist != 10 {
 			t.Errorf("LoadNearest(70) = %v, %g, %v; want lower-cap %v, 10, true", cfg, dist, ok, cfg60)
+		}
+	})
+
+	t.Run("FallbackSignedZeroTieByKey", func(t *testing.T) {
+		// 0 and -0 tie on distance and cap; the canonical key ("-0" sorts
+		// first) must decide, not map order, in every fresh history.
+		negZero := math.Copysign(0, -1)
+		for i := 0; i < 50; i++ {
+			h := newHistory(t)
+			h.Save(key(0), cfg60, 1.0)
+			h.Save(key(negZero), cfg80, 1.0)
+			cfg, dist, ok := h.LoadNearest(key(10))
+			if !ok || cfg != cfg80 || dist != 10 {
+				t.Fatalf("history %d: LoadNearest(10) = %v, %g, %v; want the -0 entry's %v, 10, true",
+					i, cfg, dist, ok, cfg80)
+			}
 		}
 	})
 

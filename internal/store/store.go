@@ -438,9 +438,9 @@ func (s *Store) LoadNearest(k arcs.HistoryKey) (arcs.ConfigValues, float64, bool
 }
 
 // GetNearest is LoadNearest returning the full record. Every cap of k's
-// context lives in k's shard, so the scan reads that shard alone. Caps
-// that compare equal (0 and -0) break the tie by canonical key, so the
-// answer never depends on map order.
+// context lives in k's shard, so the scan reads that shard alone. The
+// order is arcs.NearerCap's, so caps that compare equal (0 and -0) break
+// the tie by canonical key and the answer never depends on map order.
 func (s *Store) GetNearest(k arcs.HistoryKey) (Entry, float64, bool) {
 	ck := k.String()
 	sh := s.shard(k)
@@ -458,9 +458,7 @@ func (s *Store) GetNearest(k arcs.HistoryKey) (Entry, float64, bool) {
 			continue
 		}
 		d := math.Abs(e.Key.CapW - k.CapW)
-		//arcslint:ignore floatcmp exact tie-breaks between identically computed distances and stored caps
-		tie := d == bestDist && (e.Key.CapW < best.Key.CapW || (e.Key.CapW == best.Key.CapW && ek < bestKey))
-		if d < bestDist || tie {
+		if arcs.NearerCap(d, e.Key.CapW, ek, bestDist, best.Key.CapW, bestKey) {
 			best, bestKey, bestDist, found = e, ek, d, true
 		}
 	}
