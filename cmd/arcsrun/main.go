@@ -101,21 +101,29 @@ func run(cfg runCfg) error {
 	if err != nil {
 		return err
 	}
+	printResult(os.Stdout, cfg, res)
+	return nil
+}
+
+// printResult writes the report of one run. The header names the cap the
+// machine runs at: a -cap above TDP is clamped to TDP, so it reads as
+// that -cap would.
+func printResult(w io.Writer, cfg runCfg, res runResult) {
 	arch := res.arch
-	fmt.Printf("%s.%s on %s at %s, strategy %s\n", cfg.app, cfg.workload, arch.Name, bench.CapLabel(cfg.capW, arch), cfg.strategy)
-	fmt.Printf("default : %8.3f s", res.baseT)
+	fmt.Fprintf(w, "%s.%s on %s at %s, strategy %s\n", cfg.app, cfg.workload, arch.Name, bench.CapLabel(min(cfg.capW, arch.TDPW), arch), cfg.strategy)
+	fmt.Fprintf(w, "default : %8.3f s", res.baseT)
 	if arch.HasEnergyCtr {
-		fmt.Printf("  %10.1f J", res.baseE)
+		fmt.Fprintf(w, "  %10.1f J", res.baseE)
 	}
-	fmt.Println()
-	fmt.Printf("%-8s: %8.3f s", cfg.strategy, res.tunedT)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-8s: %8.3f s", cfg.strategy, res.tunedT)
 	if arch.HasEnergyCtr {
-		fmt.Printf("  %10.1f J", res.tunedE)
+		fmt.Fprintf(w, "  %10.1f J", res.tunedE)
 	}
-	fmt.Println()
-	fmt.Printf("speedup : %8.3fx  time improvement %.1f%%\n", res.baseT/res.tunedT, (1-res.tunedT/res.baseT)*100)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "speedup : %8.3fx  time improvement %.1f%%\n", res.baseT/res.tunedT, (1-res.tunedT/res.baseT)*100)
 	if len(res.reports) > 0 {
-		fmt.Println("\nper-region configurations:")
+		fmt.Fprintln(w, "\nper-region configurations:")
 		for _, r := range res.reports {
 			status := ""
 			if r.Skipped {
@@ -123,10 +131,9 @@ func run(cfg runCfg) error {
 			} else if !r.Converged {
 				status = " [searching]"
 			}
-			fmt.Printf("  %-36s (%s)%s\n", r.Region, r.Config, status)
+			fmt.Fprintf(w, "  %-36s (%s)%s\n", r.Region, r.Config, status)
 		}
 	}
-	return nil
 }
 
 // doRun executes the baseline and tuned runs for cfg and returns the

@@ -82,6 +82,32 @@ func TestRunKeysHistoryAtEffectiveCap(t *testing.T) {
 	}
 }
 
+// TestHeaderNamesRunningCap: the report header names the cap the machine
+// runs at, so a -cap above TDP reads as -cap 115 does on Crill, and -cap
+// 0 still names the TDP level.
+func TestHeaderNamesRunningCap(t *testing.T) {
+	for _, tc := range []struct {
+		capW float64
+		want string
+	}{
+		{200, "SP.B on Crill at 115W, strategy default"},
+		{115, "SP.B on Crill at 115W, strategy default"},
+		{70, "SP.B on Crill at 70W, strategy default"},
+		{0, "SP.B on Crill at TDP(115W), strategy default"},
+	} {
+		cfg := runCfg{app: "SP", workload: "B", arch: "crill", capW: tc.capW, strategy: "default", steps: 1}
+		res, err := doRun(cfg)
+		if err != nil {
+			t.Fatalf("-cap %g: %v", tc.capW, err)
+		}
+		var out strings.Builder
+		printResult(&out, cfg, res)
+		if header, _, _ := strings.Cut(out.String(), "\n"); header != tc.want {
+			t.Errorf("-cap %g: header %q, want %q", tc.capW, header, tc.want)
+		}
+	}
+}
+
 func TestRunOnlineWithArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	cfg := runCfg{

@@ -7,23 +7,19 @@ import (
 	"arcs/internal/ompt"
 )
 
-// The serving records. Each is declared once, here, for both
-// encodings: the JSON tags are the arcsd HTTP bodies and the Append*/
-// Decode* pairs below are the binary frames. codec depends only on
-// internal/core (and ompt through it), so the store, server, fleet and
-// client packages all name these types directly and no import cycle
-// forms.
+// The serving records. Each is declared once, for both encodings, here
+// (Entry in internal/core, aliased here): the JSON tags are the arcsd
+// HTTP bodies and the Append*/Decode* pairs below are the binary
+// frames. codec depends only on internal/core (and ompt through it), so
+// the store, server, fleet and client packages all name these types
+// directly and no import cycle forms.
 
 // Entry is one stored record: a tuned configuration, the performance
-// that earned it, and a per-key monotonic version (bumped on every
-// accepted update, never reused). It is the WAL record, the /v1/merge
-// and /v1/dump element, and a snapshot row.
-type Entry struct {
-	Key     arcs.HistoryKey   `json:"key"`
-	Cfg     arcs.ConfigValues `json:"config"`
-	Perf    float64           `json:"perf"`
-	Version uint64            `json:"version"`
-}
+// that earned it, and a per-key monotonic version. It is the WAL
+// record, the /v1/merge and /v1/dump element, and a snapshot row; the
+// record itself is declared once, as arcs.Entry, which every History's
+// table holds.
+type Entry = arcs.Entry
 
 // Report is one ingested result: a POST /v1/reports record.
 type Report struct {

@@ -1,10 +1,12 @@
 package arcs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,7 +95,8 @@ type History interface {
 	// near-cap configuration is a far better search seed than the
 	// default. dist is the absolute cap difference in watts (0 for an
 	// exact hit); on a distance tie the lower cap wins, then the smaller
-	// canonical key (NearerCap), so the answer never depends on map order.
+	// canonical key (Table.Nearest), so the answer never depends on map
+	// order.
 	LoadNearest(k HistoryKey) (cfg ConfigValues, dist float64, ok bool)
 	// LoadNeighbors returns up to max entries from the contexts nearest
 	// to k — same app and region, in ascending NeighborDistance order
@@ -104,13 +107,25 @@ type History interface {
 	LoadNeighbors(k HistoryKey, max int) []Neighbor
 }
 
-// Neighbor is one entry from a neighbouring tuned context, returned by
-// History.LoadNeighbors in ascending-distance order.
+// Entry is one stored record: a tuned configuration, the performance
+// that earned it, and a per-key monotonic version (bumped on every
+// accepted update by a versioned store; MemHistory leaves it 0). It is
+// declared once, here, for every History; internal/codec aliases it as
+// the WAL record, the /v1/merge and /v1/dump element, and a snapshot row.
+type Entry struct {
+	Key     HistoryKey   `json:"key"`
+	Cfg     ConfigValues `json:"config"`
+	Perf    float64      `json:"perf"`
+	Version uint64       `json:"version"`
+}
+
+// Neighbor is one entry from a neighbouring tuned context plus its
+// transfer distance from the queried key (NeighborDistance), returned by
+// History.LoadNeighbors in ascending-distance order. Its JSON form is
+// the GET /v1/neighbors record: the entry's fields, then dist.
 type Neighbor struct {
-	Key  HistoryKey   `json:"key"`
-	Cfg  ConfigValues `json:"config"`
-	Perf float64      `json:"perf"`
-	Dist float64      `json:"dist"`
+	Entry
+	Dist float64 `json:"dist"`
 }
 
 // neighborWorkloadPenalty separates the two neighbour classes: any
@@ -136,22 +151,79 @@ func NeighborDistance(k, ek HistoryKey) (float64, bool) {
 	return d, true
 }
 
-// historyEntry is the serialised record.
-type historyEntry struct {
-	Key  HistoryKey   `json:"key"`
-	Cfg  ConfigValues `json:"config"`
-	Perf float64      `json:"perf"`
+// Table is the in-memory history table every History holds: records
+// keyed by canonical key. MemHistory is one Table and each store shard
+// another, so the nearest-cap and neighbour queries have one
+// implementation. A Table is not safe for concurrent use; its holder
+// locks.
+type Table map[string]Entry
+
+// Nearest answers LoadNearest over t: the entry at ck, k's canonical
+// key, else the entry whose key matches k's App, Workload and Region and
+// whose CapW is closest to k's. dist is the absolute cap difference (0
+// for an exact hit). Distance, then the lower cap, then the smaller
+// canonical key decide, so caps that compare equal (0 and -0) never
+// leave the answer to map order.
+func (t Table) Nearest(k HistoryKey, ck string) (Entry, float64, bool) {
+	if e, ok := t[ck]; ok {
+		return e, 0, true
+	}
+	var best Entry
+	var bestKey string // stays "" until a match: no canonical key is empty
+	bestDist := math.Inf(1)
+	for ek, e := range t {
+		if e.Key.App != k.App || e.Key.Workload != k.Workload || e.Key.Region != k.Region {
+			continue
+		}
+		d := math.Abs(e.Key.CapW - k.CapW)
+		//arcslint:ignore floatcmp exact tie-breaks between identically computed distances and stored caps
+		if d < bestDist || (d == bestDist && (e.Key.CapW < best.Key.CapW || (e.Key.CapW == best.Key.CapW && ek < bestKey))) {
+			best, bestKey, bestDist = e, ek, d
+		}
+	}
+	if bestKey == "" {
+		return Entry{}, 0, false
+	}
+	return best, bestDist, true
+}
+
+// AppendNeighbors appends every entry of t that neighbours k
+// (NeighborDistance) to dst, unranked; RankNeighbors orders the result.
+func (t Table) AppendNeighbors(dst []Neighbor, k HistoryKey) []Neighbor {
+	for _, e := range t {
+		if d, ok := NeighborDistance(k, e.Key); ok {
+			//arcslint:ignore determinism RankNeighbors totally orders the result
+			dst = append(dst, Neighbor{Entry: e, Dist: d})
+		}
+	}
+	return dst
+}
+
+// RankNeighbors sorts ns by ascending distance, breaking ties toward the
+// lower cap and then the canonical key string, and returns at most max of
+// them, so every History ranks identically.
+func RankNeighbors(ns []Neighbor, max int) []Neighbor {
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Key.CapW, b.Key.CapW); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Key.String(), b.Key.String())
+	})
+	return ns[:min(len(ns), max)]
 }
 
 // MemHistory is an in-memory History, used by the benchmark harness where
 // search and replay runs happen in one process.
 type MemHistory struct {
-	entries map[string]historyEntry
+	entries Table
 }
 
 // NewMemHistory creates an empty in-memory history.
 func NewMemHistory() *MemHistory {
-	return &MemHistory{entries: make(map[string]historyEntry)}
+	return &MemHistory{entries: make(Table)}
 }
 
 // Save implements History: duplicate keys keep the best (lowest) perf.
@@ -160,7 +232,7 @@ func (h *MemHistory) Save(k HistoryKey, cfg ConfigValues, perf float64) {
 	if old, ok := h.entries[ck]; ok && old.Perf <= perf {
 		return
 	}
-	h.entries[ck] = historyEntry{Key: k, Cfg: cfg, Perf: perf}
+	h.entries[ck] = Entry{Key: k, Cfg: cfg, Perf: perf}
 }
 
 // Load implements History.
@@ -169,127 +241,56 @@ func (h *MemHistory) Load(k HistoryKey) (ConfigValues, bool) {
 	return e.Cfg, ok
 }
 
-// LoadNearest implements History with a linear scan (in-memory
+// LoadNearest implements History with Table.Nearest (in-memory
 // histories are small — one entry per tuned region).
 func (h *MemHistory) LoadNearest(k HistoryKey) (ConfigValues, float64, bool) {
-	if cfg, ok := h.Load(k); ok {
-		return cfg, 0, true
-	}
-	var best historyEntry
-	var bestKey string
-	bestDist := math.Inf(1)
-	found := false
-	for ck, e := range h.entries {
-		if e.Key.App != k.App || e.Key.Workload != k.Workload || e.Key.Region != k.Region {
-			continue
-		}
-		d := math.Abs(e.Key.CapW - k.CapW)
-		if NearerCap(d, e.Key.CapW, ck, bestDist, best.Key.CapW, bestKey) {
-			best, bestKey, bestDist, found = e, ck, d, true
-		}
-	}
-	if !found {
-		return ConfigValues{}, 0, false
-	}
-	return best.Cfg, bestDist, true
+	e, dist, ok := h.entries.Nearest(k, k.String())
+	return e.Cfg, dist, ok
 }
 
-// NearerCap is every History's LoadNearest order: whether an entry at cap
-// distance d, cap capW and canonical key ck beats the best so far
-// (bestDist starts at +Inf). Distance, then cap, then key decide, so caps
-// that compare equal (0 and -0) never leave the answer to map order.
-func NearerCap(d, capW float64, ck string, bestDist, bestCap float64, bestKey string) bool {
-	//arcslint:ignore floatcmp exact tie-breaks between identically computed distances and stored caps
-	return d < bestDist || (d == bestDist && (capW < bestCap || (capW == bestCap && ck < bestKey)))
-}
-
-// LoadNeighbors implements History with a linear scan and a
-// deterministic sort: distance, then lower cap, then key string.
+// LoadNeighbors implements History with Table.AppendNeighbors and
+// RankNeighbors.
 func (h *MemHistory) LoadNeighbors(k HistoryKey, max int) []Neighbor {
 	if max <= 0 {
 		return nil
 	}
-	var out []Neighbor
-	for _, e := range h.entries {
-		if d, ok := NeighborDistance(k, e.Key); ok {
-			//arcslint:ignore determinism SortNeighbors totally orders the slice below
-			out = append(out, Neighbor{Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Dist: d})
-		}
-	}
-	SortNeighbors(out)
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
-}
-
-// SortNeighbors orders neighbours by ascending distance, breaking ties
-// toward the lower cap and then the canonical key string, so every
-// History implementation ranks identically.
-func SortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool { return NeighborLess(&ns[i], &ns[j]) })
-}
-
-// NeighborLess is the SortNeighbors order, for implementations that rank
-// neighbours carried inside their own records.
-func NeighborLess(a, b *Neighbor) bool {
-	switch {
-	case a.Dist < b.Dist:
-		return true
-	case a.Dist > b.Dist:
-		return false
-	case a.Key.CapW < b.Key.CapW:
-		return true
-	case a.Key.CapW > b.Key.CapW:
-		return false
-	default:
-		return a.Key.String() < b.Key.String()
-	}
+	return RankNeighbors(h.entries.AppendNeighbors(nil, k), max)
 }
 
 // Len implements History.
 func (h *MemHistory) Len() int { return len(h.entries) }
 
-// Entries returns the stored records sorted by key (deterministic output
-// for reports and tests).
-func (h *MemHistory) Entries() []struct {
-	Key  HistoryKey
-	Cfg  ConfigValues
-	Perf float64
-} {
+// Entries returns the stored records sorted by canonical key
+// (deterministic output for reports, files and tests).
+func (h *MemHistory) Entries() []Entry {
 	keys := make([]string, 0, len(h.entries))
 	for k := range h.entries {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]struct {
-		Key  HistoryKey
-		Cfg  ConfigValues
-		Perf float64
-	}, 0, len(keys))
-	for _, k := range keys {
-		e := h.entries[k]
-		out = append(out, struct {
-			Key  HistoryKey
-			Cfg  ConfigValues
-			Perf float64
-		}{e.Key, e.Cfg, e.Perf})
+	out := make([]Entry, len(keys))
+	for i, k := range keys {
+		out[i] = h.entries[k]
 	}
 	return out
+}
+
+// historyEntry is the history file's record: an Entry without the
+// version, which MemHistory does not keep.
+type historyEntry struct {
+	Key  HistoryKey   `json:"key"`
+	Cfg  ConfigValues `json:"config"`
+	Perf float64      `json:"perf"`
 }
 
 // SaveFile serialises the history to a JSON file (the paper's "history
 // file" that the offline strategy reads "only once during the whole
 // application lifetime").
 func (h *MemHistory) SaveFile(path string) error {
-	keys := make([]string, 0, len(h.entries))
-	for k := range h.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	list := make([]historyEntry, 0, len(keys))
-	for _, k := range keys {
-		list = append(list, h.entries[k])
+	es := h.Entries()
+	list := make([]historyEntry, len(es)) // an empty history is "[]", not "null"
+	for i, e := range es {
+		list[i] = historyEntry{Key: e.Key, Cfg: e.Cfg, Perf: e.Perf}
 	}
 	data, err := json.MarshalIndent(list, "", "  ")
 	if err != nil {

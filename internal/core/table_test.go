@@ -1,0 +1,144 @@
+package arcs
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// oracleNearest is a frozen copy of the nearest-cap scan Table.Nearest
+// replaced (MemHistory's and the store's were the same): the exact key,
+// else distance, then the lower cap, then the smaller canonical key.
+func oracleNearest(t Table, k HistoryKey) (Entry, float64, bool) {
+	ck := k.String()
+	if e, ok := t[ck]; ok {
+		return e, 0, true
+	}
+	var best Entry
+	var bestKey string
+	bestDist := math.Inf(1)
+	found := false
+	for ek, e := range t {
+		if e.Key.App != k.App || e.Key.Workload != k.Workload || e.Key.Region != k.Region {
+			continue
+		}
+		d := math.Abs(e.Key.CapW - k.CapW)
+		//arcslint:ignore floatcmp frozen copy of the exact tie-breaks
+		if d < bestDist || (d == bestDist && (e.Key.CapW < best.Key.CapW || (e.Key.CapW == best.Key.CapW && ek < bestKey))) {
+			best, bestKey, bestDist, found = e, ek, d, true
+		}
+	}
+	if !found {
+		return Entry{}, 0, false
+	}
+	return best, bestDist, true
+}
+
+// oracleRank is a frozen copy of the store's neighbour scan that
+// RankNeighbors(AppendNeighbors(...)) replaced: a sort.Sort over the
+// candidates with their versions carried beside them.
+type oracleRank struct {
+	ns   []Neighbor
+	vers []uint64
+}
+
+func (r oracleRank) Len() int { return len(r.ns) }
+func (r oracleRank) Less(i, j int) bool {
+	a, b := &r.ns[i], &r.ns[j]
+	switch {
+	case a.Dist < b.Dist:
+		return true
+	case a.Dist > b.Dist:
+		return false
+	case a.Key.CapW < b.Key.CapW:
+		return true
+	case a.Key.CapW > b.Key.CapW:
+		return false
+	default:
+		return a.Key.String() < b.Key.String()
+	}
+}
+func (r oracleRank) Swap(i, j int) {
+	r.ns[i], r.ns[j] = r.ns[j], r.ns[i]
+	r.vers[i], r.vers[j] = r.vers[j], r.vers[i]
+}
+
+func oracleNeighbors(t Table, k HistoryKey, max int) []Neighbor {
+	var r oracleRank
+	for _, e := range t {
+		if d, ok := NeighborDistance(k, e.Key); ok {
+			r.ns = append(r.ns, Neighbor{Entry: Entry{Key: e.Key, Cfg: e.Cfg, Perf: e.Perf}, Dist: d})
+			r.vers = append(r.vers, e.Version)
+		}
+	}
+	sort.Sort(r)
+	n := min(len(r.ns), max)
+	for i := range r.ns[:n] {
+		r.ns[i].Version = r.vers[i]
+	}
+	return r.ns[:n]
+}
+
+// Random table pools. Caps include both zeros (distinct canonical keys,
+// equal values) and steps that put a query cap at equal distance from
+// two stored caps, one on each side; every cap recurs across workloads,
+// so cross-workload donors tie at equal caps too.
+var (
+	tableApps      = []string{"SP", "BT"}
+	tableWorkloads = []string{"B", "C", "D"}
+	tableRegions   = []string{"x_solve", "y_solve"}
+	tableCaps      = []float64{0, math.Copysign(0, -1), 5, 50, 55, 60, 62.5, 65, 70, 85}
+	tableQueryCaps = append([]float64{-5, 2.5, 52.5, 57.5, 63.75, 67.5, 100}, tableCaps...)
+)
+
+func randomTableKey(r *rand.Rand, caps []float64) HistoryKey {
+	return HistoryKey{
+		App:      tableApps[r.Intn(len(tableApps))],
+		Workload: tableWorkloads[r.Intn(len(tableWorkloads))],
+		CapW:     caps[r.Intn(len(caps))],
+		Region:   tableRegions[r.Intn(len(tableRegions))],
+	}
+}
+
+// sameEntry compares two entries exactly: caps and floats by their bits,
+// so 0 and -0 differ.
+func sameEntry(a, b Entry) bool {
+	return a.Key.String() == b.Key.String() && a.Cfg == b.Cfg &&
+		math.Float64bits(a.Perf) == math.Float64bits(b.Perf) && a.Version == b.Version
+}
+
+// TestTableMatchesOracle: on seeded random tables, Table.Nearest and
+// RankNeighbors(AppendNeighbors(...)) answer exactly what the frozen
+// scans answer, tie-breaks, negative zeros and versions included.
+func TestTableMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tab := make(Table)
+		for n := 5 + r.Intn(100); len(tab) < n; { // of 120 distinct keys
+			k := randomTableKey(r, tableCaps)
+			cfg := ConfigValues{Threads: 1 + r.Intn(32), Chunk: r.Intn(8)}
+			tab[k.String()] = Entry{Key: k, Cfg: cfg, Perf: 1 + r.Float64(), Version: uint64(1 + r.Intn(5))}
+		}
+		for q := 0; q < 150; q++ {
+			k := randomTableKey(r, tableQueryCaps)
+			got, gotDist, gotOK := tab.Nearest(k, k.String())
+			want, wantDist, wantOK := oracleNearest(tab, k)
+			if gotOK != wantOK || !sameEntry(got, want) || math.Float64bits(gotDist) != math.Float64bits(wantDist) {
+				t.Fatalf("seed %d: Nearest(%v) = %+v, %g, %v; oracle %+v, %g, %v",
+					seed, k, got, gotDist, gotOK, want, wantDist, wantOK)
+			}
+			max := 1 + r.Intn(len(tab)+2)
+			ns := RankNeighbors(tab.AppendNeighbors(nil, k), max)
+			wantNs := oracleNeighbors(tab, k, max)
+			if len(ns) != len(wantNs) {
+				t.Fatalf("seed %d: %d neighbours of %v, oracle %d", seed, len(ns), k, len(wantNs))
+			}
+			for i := range ns {
+				if !sameEntry(ns[i].Entry, wantNs[i].Entry) || math.Float64bits(ns[i].Dist) != math.Float64bits(wantNs[i].Dist) {
+					t.Fatalf("seed %d: neighbour #%d of %v is %+v, oracle %+v", seed, i, k, ns[i], wantNs[i])
+				}
+			}
+		}
+	}
+}

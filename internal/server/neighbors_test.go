@@ -12,7 +12,7 @@ import (
 )
 
 // getNeighbors fetches /v1/neighbors and decodes the JSON array.
-func getNeighbors(t *testing.T, base, query string) ([]store.Neighbor, int) {
+func getNeighbors(t *testing.T, base, query string) ([]arcs.Neighbor, int) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/neighbors?" + query)
 	if err != nil {
@@ -22,7 +22,7 @@ func getNeighbors(t *testing.T, base, query string) ([]store.Neighbor, int) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, resp.StatusCode
 	}
-	var out []store.Neighbor
+	var out []arcs.Neighbor
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

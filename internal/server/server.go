@@ -370,7 +370,10 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		}
 		max = m
 	}
-	ns := s.st.Neighbors(key, max)
+	ns := s.st.LoadNeighbors(key, max)
+	if ns == nil {
+		ns = []arcs.Neighbor{} // an empty scan encodes as [], not null
+	}
 	s.met.NeighborsServed.Add(uint64(len(ns)))
 	writeJSON(w, http.StatusOK, ns)
 }

@@ -2,9 +2,9 @@
 // WALAppend measures binary record construction (the write syscall is
 // outside it); SnapshotReplay measures the full Open-and-replay path
 // against a columnar snapshot and WALReplay against a WAL of a full
-// table; StoreSnapshot measures one compaction and GetNearest one
-// nearest-cap miss in a table the size of a serving node's. All back
-// rows of bench_baseline.json.
+// table; StoreSnapshot measures one compaction, GetNearest one
+// nearest-cap miss and LoadNeighbors one neighbour scan in a table the
+// size of a serving node's. All back rows of bench_baseline.json.
 package store
 
 import (
@@ -166,5 +166,31 @@ func BenchmarkGetNearest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.GetNearest(k)
+	}
+}
+
+// BenchmarkLoadNeighbors is one transfer-seed scan in a table the size
+// of a serving node's: every shard walked, then the donors ranked. The
+// queried group adds SP/x_solve donors in two workloads at interleaved
+// caps, so no two donors tie on distance and cap: the ranking never
+// builds a canonical key to break a tie, and its allocations (the
+// donor slice's growth) do not depend on map order.
+func BenchmarkLoadNeighbors(b *testing.B) {
+	s := openBenchStore(b)
+	for i := 0; i < 8; i++ {
+		e := benchWALEntry
+		e.Key = arcs.HistoryKey{App: "SP", Workload: "B", CapW: float64(50 + 5*i), Region: "x_solve"}
+		s.Merge(e)
+		e.Key.Workload, e.Key.CapW = "C", float64(52+5*i)
+		s.Merge(e)
+	}
+	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 62.5, Region: "x_solve"}
+	if ns := s.LoadNeighbors(k, 256); len(ns) != 16 {
+		b.Fatalf("LoadNeighbors(%v) = %d donors, want 16", k, len(ns))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.LoadNeighbors(k, arcs.DefaultTransferSeeds)
 	}
 }

@@ -89,6 +89,44 @@ func TestGetNearestMatchesScan(t *testing.T) {
 	}
 }
 
+// TestStoreAnswersAsMemHistory: a store and a MemHistory fed the same
+// saves hold one arcs.Table each (per shard for the store), so they
+// answer every nearest-cap and neighbour query identically; only the
+// store versions its records.
+func TestStoreAnswersAsMemHistory(t *testing.T) {
+	unversioned := func(e Entry) Entry { e.Version = 0; return e }
+	queryCaps := append([]float64{2.5, 52.5, 57.5, 66.25, 100, -1}, shardCaps...)
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := openStore(t, t.TempDir(), Options{SnapshotEvery: -1})
+		h := arcs.NewMemHistory()
+		for i, n := 0, 20+r.Intn(300); i < n; i++ {
+			k, cfg, perf := randomKey(r), arcs.ConfigValues{Threads: 1 + r.Intn(32)}, 1+r.Float64()
+			s.Save(k, cfg, perf)
+			h.Save(k, cfg, perf)
+		}
+		for q := 0; q < 100; q++ {
+			k := randomKey(r)
+			k.CapW = queryCaps[r.Intn(len(queryCaps))]
+			se, sd, sok := s.GetNearest(k)
+			hcfg, hd, hok := h.LoadNearest(k)
+			if sok != hok || se.Cfg != hcfg || sd != hd {
+				t.Fatalf("seed %d: nearest to %v: store %+v, %g, %v; MemHistory %v, %g, %v", seed, k, se, sd, sok, hcfg, hd, hok)
+			}
+			max := 1 + r.Intn(40)
+			sns, hns := s.LoadNeighbors(k, max), h.LoadNeighbors(k, max)
+			if len(sns) != len(hns) {
+				t.Fatalf("seed %d: %d store neighbours of %v, %d MemHistory", seed, len(sns), k, len(hns))
+			}
+			for i := range sns {
+				if sns[i].Key.String() != hns[i].Key.String() || unversioned(sns[i].Entry) != hns[i].Entry || sns[i].Dist != hns[i].Dist {
+					t.Fatalf("seed %d: neighbour #%d of %v: store %+v, MemHistory %+v", seed, i, k, sns[i], hns[i])
+				}
+			}
+		}
+	}
+}
+
 // TestContextShard: every cap of a context lives in one shard, so the
 // nearest-cap scan of that shard sees all of them; distinct contexts
 // still spread over the shards.

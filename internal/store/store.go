@@ -76,9 +76,9 @@ const (
 
 // Entry is one stored record: a tuned configuration, the performance that
 // earned it, and a per-key monotonic version (bumped on every accepted
-// update, never reused). The record is declared once, in the codec, for
-// the WAL, the snapshot and both wire encodings.
-type Entry = codec.Entry
+// update, never reused). The record is declared once, as arcs.Entry, for
+// every history's table, the WAL, the snapshot and both wire encodings.
+type Entry = arcs.Entry
 
 // Options tunes a Store.
 type Options struct {
@@ -98,7 +98,7 @@ type Options struct {
 
 type shard struct {
 	mu      sync.RWMutex
-	entries map[string]Entry // keyed by canonical key; guarded by mu
+	entries arcs.Table // guarded by mu
 }
 
 // Store is a concurrent, persistent arcs.History: exact-key misses can
@@ -158,7 +158,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			"(compact it with an older arcsd first, or remove it)", dir, legacySnapshotName)
 	}
 	for i := range s.shards {
-		s.shards[i].entries = make(map[string]Entry) //arcslint:ignore guardedby constructor; the store has not escaped yet
+		s.shards[i].entries = make(arcs.Table) //arcslint:ignore guardedby constructor; the store has not escaped yet
 	}
 	s.replaySnapshot()
 	s.walRecords = s.replayWAL() //arcslint:ignore guardedby constructor; the store has not escaped yet
@@ -437,103 +437,35 @@ func (s *Store) LoadNearest(k arcs.HistoryKey) (arcs.ConfigValues, float64, bool
 	return e.Cfg, dist, ok
 }
 
-// GetNearest is LoadNearest returning the full record. Every cap of k's
-// context lives in k's shard, so the scan reads that shard alone. The
-// order is arcs.NearerCap's, so caps that compare equal (0 and -0) break
-// the tie by canonical key and the answer never depends on map order.
+// GetNearest is LoadNearest returning the full record: arcs.Table's
+// Nearest over k's shard, which holds every cap of k's context.
 func (s *Store) GetNearest(k arcs.HistoryKey) (Entry, float64, bool) {
 	ck := k.String()
 	sh := s.shard(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if e, ok := sh.entries[ck]; ok {
-		return e, 0, true
-	}
-	var best Entry
-	var bestKey string
-	bestDist := math.Inf(1)
-	found := false
-	for ek, e := range sh.entries {
-		if e.Key.App != k.App || e.Key.Workload != k.Workload || e.Key.Region != k.Region {
-			continue
-		}
-		d := math.Abs(e.Key.CapW - k.CapW)
-		if arcs.NearerCap(d, e.Key.CapW, ek, bestDist, best.Key.CapW, bestKey) {
-			best, bestKey, bestDist, found = e, ek, d, true
-		}
-	}
-	if !found {
-		return Entry{}, 0, false
-	}
-	return best, bestDist, true
+	return sh.entries.Nearest(k, ck)
 }
 
-// Neighbor is one neighbouring-context record: the stored entry plus its
-// transfer distance from the queried key (arcs.NeighborDistance). Its
-// JSON form is the GET /v1/neighbors record: the entry's fields, then
-// dist.
-type Neighbor struct {
-	Entry
-	Dist float64 `json:"dist"`
-}
-
-// Neighbors scans for the contexts nearest to k — same app and region,
-// ranked by cap distance with cross-workload entries after all
-// same-workload ones — and returns up to max of them, closest first. The
-// exact key itself is excluded (an exact hit is a replay, not a
-// transfer). This is the neighbour-scan behind /v1/neighbors: surrogate
-// searches seed their model from the result.
-func (s *Store) Neighbors(k arcs.HistoryKey, max int) []Neighbor {
-	ns, vers := s.neighbors(k, max)
-	out := make([]Neighbor, len(ns))
-	for i, n := range ns {
-		out[i] = Neighbor{Entry: Entry{Key: n.Key, Cfg: n.Cfg, Perf: n.Perf, Version: vers[i]}, Dist: n.Dist}
-	}
-	return out
-}
-
-// LoadNeighbors implements arcs.History: the Neighbors scan, without the
-// stored versions.
+// LoadNeighbors implements arcs.History: the contexts nearest to k —
+// same app and region, ranked by cap distance with cross-workload
+// entries after all same-workload ones — up to max of them, closest
+// first, each with its stored version. The exact key itself is excluded
+// (an exact hit is a replay, not a transfer). Cross-workload donors live
+// in other contexts' shards, so the scan walks every shard. This is the
+// scan behind /v1/neighbors and the server-side searcher's seeds.
 func (s *Store) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
-	ns, _ := s.neighbors(k, max)
-	return ns
-}
-
-// neighbors is the scan behind Neighbors and LoadNeighbors: the up to max
-// ranked neighbours of k and each one's stored version at the same index.
-func (s *Store) neighbors(k arcs.HistoryKey, max int) ([]arcs.Neighbor, []uint64) {
 	if max <= 0 {
-		return nil, nil
+		return nil
 	}
-	var r neighborRank
+	var ns []arcs.Neighbor
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, e := range sh.entries {
-			if d, ok := arcs.NeighborDistance(k, e.Key); ok {
-				r.ns = append(r.ns, arcs.Neighbor{Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Dist: d})
-				r.vers = append(r.vers, e.Version)
-			}
-		}
+		ns = sh.entries.AppendNeighbors(ns, k)
 		sh.mu.RUnlock()
 	}
-	sort.Sort(r)
-	n := min(len(r.ns), max)
-	return r.ns[:n], r.vers[:n]
-}
-
-// neighborRank sorts neighbours by arcs.NeighborLess, carrying their
-// versions along with them.
-type neighborRank struct {
-	ns   []arcs.Neighbor
-	vers []uint64
-}
-
-func (r neighborRank) Len() int           { return len(r.ns) }
-func (r neighborRank) Less(i, j int) bool { return arcs.NeighborLess(&r.ns[i], &r.ns[j]) }
-func (r neighborRank) Swap(i, j int) {
-	r.ns[i], r.ns[j] = r.ns[j], r.ns[i]
-	r.vers[i], r.vers[j] = r.vers[j], r.vers[i]
+	return arcs.RankNeighbors(ns, max)
 }
 
 // Entries returns every stored record sorted by canonical key

@@ -179,11 +179,7 @@ func (h *History) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 			out = append(out, n)
 		}
 	}
-	arcs.SortNeighbors(out)
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
+	return arcs.RankNeighbors(out, max)
 }
 
 // Len implements arcs.History (a full remote dump; diagnostic use only —
