@@ -50,11 +50,14 @@ func (k HistoryKey) String() string {
 	return b.String()
 }
 
+// keyEscaped reports whether writeKeyField writes c behind a `\`.
+func keyEscaped(c byte) bool { return c == '|' || c == '\\' }
+
 // escapedLen is the length of s once writeKeyField has escaped it.
 func escapedLen(s string) int {
 	n := len(s)
 	for i := 0; i < len(s); i++ {
-		if s[i] == '|' || s[i] == '\\' {
+		if keyEscaped(s[i]) {
 			n++
 		}
 	}
@@ -65,7 +68,7 @@ func escapedLen(s string) int {
 func writeKeyField(b *strings.Builder, s string) {
 	start := 0
 	for i := 0; i < len(s); i++ {
-		if s[i] == '|' || s[i] == '\\' {
+		if keyEscaped(s[i]) {
 			b.WriteString(s[start:i])
 			b.WriteByte('\\')
 			start = i // the escaped byte leads the next run
@@ -201,7 +204,8 @@ func (t Table) AppendNeighbors(dst []Neighbor, k HistoryKey) []Neighbor {
 
 // RankNeighbors sorts ns by ascending distance, breaking ties toward the
 // lower cap and then the canonical key string, and returns at most max of
-// them, so every History ranks identically.
+// them, so every History ranks identically. It builds no key: every pair
+// of cross-workload donors at one cap ties, and compareKeys orders them.
 func RankNeighbors(ns []Neighbor, max int) []Neighbor {
 	slices.SortFunc(ns, func(a, b Neighbor) int {
 		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
@@ -210,9 +214,59 @@ func RankNeighbors(ns []Neighbor, max int) []Neighbor {
 		if c := cmp.Compare(a.Key.CapW, b.Key.CapW); c != 0 {
 			return c
 		}
-		return strings.Compare(a.Key.String(), b.Key.String())
+		return compareKeys(a.Key, b.Key)
 	})
 	return ns[:min(len(ns), max)]
+}
+
+// compareKeys orders a and b as strings.Compare orders their canonical
+// keys, without building them. Each field but the last is followed by a
+// `|` no escaped field holds unescaped, so the fields compare one after
+// another, each with the separator that ends it.
+func compareKeys(a, b HistoryKey) int {
+	if c := compareKeyField(a.App, b.App, '|'); c != 0 {
+		return c
+	}
+	if c := compareKeyField(a.Workload, b.Workload, '|'); c != 0 {
+		return c
+	}
+	var na, nb [maxCapLen]byte
+	ca := strconv.AppendFloat(na[:0], a.CapW, 'g', -1, 64)
+	cb := strconv.AppendFloat(nb[:0], b.CapW, 'g', -1, 64)
+	if c := compareKeyField(ca, cb, '|'); c != 0 {
+		return c
+	}
+	return compareKeyField(a.Region, b.Region, -1)
+}
+
+// compareKeyField orders a and b as strings.Compare orders their escaped
+// forms (writeKeyField), each followed by sep; a sep of -1 is the key's
+// end.
+func compareKeyField[S string | []byte](a, b S, sep int) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	if n == len(a) && n == len(b) {
+		return 0
+	}
+	x, y := escapedByte(a, n, sep), escapedByte(b, n, sep)
+	if x == y { // both escaped: the bytes after the two `\` decide
+		return cmp.Compare(a[n], b[n])
+	}
+	return cmp.Compare(x, y)
+}
+
+// escapedByte is the byte of s's escaped form that s[n] starts, or sep
+// when s ends at n.
+func escapedByte[S string | []byte](s S, n, sep int) int {
+	switch {
+	case n == len(s):
+		return sep
+	case keyEscaped(s[n]):
+		return '\\'
+	}
+	return int(s[n])
 }
 
 // MemHistory is an in-memory History, used by the benchmark harness where

@@ -183,6 +183,48 @@ func BenchmarkProbeGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkProbeDispatch times the per-chunk dispatcher alone: one
+// dynamic chunk-1 region at LULESH-45's size (91,125 chunks) per weight
+// pattern and team size, on Minotaur, the one arch with room for 160
+// threads. Random weights send reinserted threads far from the run
+// queue's tail, its slow case: the kernels draw Random spreads from 0.2
+// to 0.8, and 2.5 is a wider one.
+func BenchmarkProbeDispatch(b *testing.B) {
+	for _, kd := range []struct {
+		name string
+		im   Imbalance
+	}{
+		{"ramp", Imbalance{Kind: Ramp, Param: 0.8}},
+		{"blocks", Imbalance{Kind: Blocks, Param: 1.45, Blocks: 4}},
+		{"sawtooth", Imbalance{Kind: Sawtooth, Param: 0.55, Blocks: 16}},
+		{"random0.6", Imbalance{Kind: Random, Param: 0.6, Seed: 1}},
+		{"random2.5", Imbalance{Kind: Random, Param: 2.5, Seed: 1}},
+	} {
+		for _, th := range []int{8, 32, 160} {
+			b.Run(kd.name+"/"+strconv.Itoa(th), func(b *testing.B) {
+				m, err := NewMachine(Minotaur())
+				if err != nil {
+					b.Fatal(err)
+				}
+				lm := benchLoopKind(91125, Uniform)
+				lm.Imbalance = kd.im
+				lm.BuildPrefix() // exclude the one-time prefix-sum build
+				cfg := Config{Threads: th, Sched: SchedDynamic, Chunk: 1}
+				var e probeMemo
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r, err := probeFresh(m, lm, cfg, &e)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink = r
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkWeightSum(b *testing.B) {
 	lm := benchLoop(91125)
 	lm.BuildPrefix()

@@ -92,14 +92,38 @@ func (r *ExecResult) BarrierFrac() float64 {
 	return r.BarrierS / total
 }
 
-// threadState is one thread's entry in the dispatcher.
-type threadState struct {
-	avail float64 // time the thread becomes idle
+// runQueue is the dispatcher of the reference and guided-decay paths: the
+// team's threads sorted by (next-idle time, id), earliest first, ties to
+// the lower id. The head is the winner. After the winner's time grows it
+// goes back in behind every thread that still precedes it: at the tail in
+// O(1) when it sorts last, as a thread that just took a chunk usually
+// does, and otherwise at the place a binary search finds, with one copy
+// shifting the threads on the shorter side of that place by a slot:
+// toward the tail, or into the slot the winner left before the head. The
+// sorted window q[head:tail] slides through a buffer of several team
+// sizes and moves back to the buffer's start when it reaches the end.
+// Every (avail, id) total order picks the same thread for every chunk, so
+// the result is the one any exact earliest-idle dispatcher gives.
+type runQueue struct {
+	avail      []float64      // the caller's per-thread next-idle times, advanced in place
+	q          []queuedThread // q[head:tail] is the team in dispatch order
+	head, tail int
+
+	// argmin, when set, replaces the queue's pick with an independent one:
+	// it returns the earliest-idle thread of avail, which becomes the
+	// head, and the rest of the queue is not kept (tests check the queue's
+	// dispatch against a linear scan through it).
+	argmin func(avail []float64) int
+}
+
+// queuedThread is one thread in the run queue and its next-idle time.
+type queuedThread struct {
+	avail float64
 	id    int
 }
 
 // before is the dispatch order: earliest-idle first, ties to the lower id.
-func (a threadState) before(b threadState) bool {
+func (a queuedThread) before(b queuedThread) bool {
 	//arcslint:ignore floatcmp exact equality defines the deterministic tie-break order
 	if a.avail != b.avail {
 		return a.avail < b.avail
@@ -107,95 +131,100 @@ func (a threadState) before(b threadState) bool {
 	return a.id < b.id
 }
 
-// loserTree is the dispatcher of the reference and guided-decay paths: a
-// tournament tree over the team's next-idle times, ordered by before. Each
-// internal node keeps the loser of the match played there and node[0] the
-// overall winner, so node[:p] holds every leaf once. After the winner's
-// time grows, replaying its leaf-to-root path costs ⌈log₂T⌉ comparisons.
-// The team is padded to a power of two with +Inf leaves whose ids exceed
-// every thread's, so they never win.
-type loserTree struct {
-	avail []float64     // the caller's per-thread next-idle times, advanced in place
-	node  []threadState // node[0] is the winner, node[1:p] the losers, node[p:] the leaves
+// runQueueSlack is the buffer's least size in team sizes: the window
+// moves back to the buffer's start at most about once per
+// (runQueueSlack-1)·T dispatches.
+const runQueueSlack = 4
 
-	// argmin, when set, replaces the tree's pick with an independent one:
-	// it returns the earliest-idle thread of avail (tests check the tree's
-	// dispatch against a linear scan through it).
-	argmin func(avail []float64) int
-}
-
-// init loads the team's next-idle times and plays every match. The tree
+// init loads the team's next-idle times and sorts the threads. The queue
 // keeps avail and advances it in place.
-func (lt *loserTree) init(avail []float64) {
-	lt.avail = avail
-	p := 1
-	for p < len(avail) {
-		p <<= 1
+func (q *runQueue) init(avail []float64) {
+	q.avail = avail
+	if n := runQueueSlack * len(avail); cap(q.q) < n {
+		// Grown as append grows, so a sweep over growing teams
+		// reallocates only a few times.
+		q.q = make([]queuedThread, max(n, 2*cap(q.q)))
 	}
-	if cap(lt.node) < 2*p {
-		lt.node = make([]threadState, 2*p)
+	q.q = q.q[:cap(q.q)]
+	q.head, q.tail = 0, 0
+	for i, a := range avail {
+		q.insert(queuedThread{avail: a, id: i})
 	}
-	nd := lt.node[:2*p]
-	lt.node = nd
-	for i := 0; i < p; i++ {
-		a := math.Inf(1)
-		if i < len(avail) {
-			a = avail[i]
-		}
-		nd[p+i] = threadState{avail: a, id: i}
-	}
-	// Winners bottom-up; then, top-down while the children still hold
-	// their winners, each internal node keeps the one that lost.
-	for n := p - 1; n >= 1; n-- {
-		a, b := nd[2*n], nd[2*n+1]
-		if b.before(a) {
-			a = b
-		}
-		nd[n] = a
-	}
-	nd[0] = nd[1]
-	for n := 1; n < p; n++ {
-		if nd[2*n].id == nd[n].id {
-			nd[n] = nd[2*n+1]
-		} else {
-			nd[n] = nd[2*n]
-		}
-	}
-	if lt.argmin != nil {
-		lt.pick()
+	if q.argmin != nil {
+		q.pick()
 	}
 }
 
 // winner returns the earliest-idle thread.
-func (lt *loserTree) winner() int { return lt.node[0].id }
+func (q *runQueue) winner() int { return q.q[q.head].id }
 
-// advance adds c to the winner's next-idle time and replays its path.
-func (lt *loserTree) advance(c float64) {
-	w := lt.node[0]
+// advance adds c to the winner's next-idle time and moves it to its place.
+func (q *runQueue) advance(c float64) {
+	w := q.q[q.head]
 	w.avail += c
-	lt.avail[w.id] = w.avail
-	if lt.argmin != nil {
-		lt.node[0] = w
-		lt.pick()
+	q.avail[w.id] = w.avail
+	q.head++
+	// The common case: w sorts last. (Alone, w follows its own old time,
+	// left in q[t-1]; appending is then right whatever the test says.)
+	if t := q.tail; t < len(q.q) && q.q[t-1].before(w) && q.argmin == nil {
+		q.q[t] = w
+		q.tail = t + 1
 		return
 	}
-	for n := (len(lt.node)/2 + w.id) >> 1; n > 0; n >>= 1 {
-		if l := lt.node[n]; l.before(w) {
-			lt.node[n], w = w, l
-		}
-	}
-	lt.node[0] = w
+	q.reinsert(w)
 }
 
-// pick swaps argmin's choice into node[0].
-func (lt *loserTree) pick() {
-	id := lt.argmin(lt.avail)
-	for j := range lt.node[:len(lt.node)/2] {
-		if lt.node[j].id == id {
-			lt.node[0], lt.node[j] = lt.node[j], lt.node[0]
+// reinsert puts the winner w, just taken off the head, back in its place.
+func (q *runQueue) reinsert(w queuedThread) {
+	if q.argmin != nil {
+		q.head--
+		q.pick()
+		return
+	}
+	if q.tail == len(q.q) {
+		// Move the window back, keeping a free slot before its head.
+		q.tail = copy(q.q[1:], q.q[q.head:q.tail]) + 1
+		q.head = 1
+	}
+	q.insert(w)
+}
+
+// pick makes argmin's choice the head.
+func (q *runQueue) pick() {
+	id := q.argmin(q.avail)
+	q.q[q.head] = queuedThread{avail: q.avail[id], id: id}
+}
+
+// insert puts e into the window behind every thread that precedes it. The
+// window must have room at the tail, or in the slot before its head.
+func (q *runQueue) insert(e queuedThread) {
+	s := q.q
+	p := q.tail
+	if p > q.head && e.before(s[p-1]) {
+		// Every thread before lo precedes e; s[hi] and every thread
+		// behind it follow e.
+		lo, hi := q.head, p-1
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if s[mid].before(e) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		p = hi
+		if q.head > 0 && p-q.head < q.tail-p {
+			// Fewer threads precede e than follow it: move those back
+			// a slot, into the free one before the head.
+			q.head--
+			copy(s[q.head:p-1], s[q.head+1:p])
+			s[p-1] = e
 			return
 		}
+		copy(s[p+1:q.tail+1], s[p:q.tail])
 	}
+	s[p] = e
+	q.tail++
 }
 
 // probeScratch holds the reusable per-Machine buffers behind a simulation,
@@ -208,9 +237,9 @@ type probeScratch struct {
 	compByOcc   []float64
 	memByOcc    []float64
 	iterNSByOcc []float64
-	start       []float64
+	iterNS      []float64 // per-thread iteration cost: iterNSByOcc at the thread's occupancy
 	finish      []float64
-	tree        loserTree
+	queue       runQueue
 	counts      []int
 }
 
@@ -230,8 +259,8 @@ func growF(s []float64, n int) []float64 {
 // Because every chunk costs the same, thread i's dispatch instants form the
 // arithmetic progression finish[i] + k*cS, and the greedy assignment is the
 // n smallest elements of the union of those t progressions. The split is
-// found by bisecting the instant threshold — O(t log n) instead of
-// O(n log t) tree replays. busy and finish are updated in place; it
+// found by bisecting the instant threshold — O(t log n) instead of one
+// run-queue reinsertion per chunk. busy and finish are updated in place; it
 // reports false (leaving them untouched) in degenerate cases the bisection
 // cannot resolve, and the caller falls back to the reference dispatcher.
 func (m *Machine) dispatchEqualChunks(busy, finish []float64, n int, cS, cLastS float64) bool {
@@ -571,20 +600,20 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 	for k := 1; k <= maxOcc; k++ {
 		iterNSByOcc[k] = compByOcc[k] + memByOcc[k]*bwScale
 	}
-
-	// Fork: threads start staggered.
-	sc.start = growF(sc.start, t)
-	start := sc.start
-	for i := range start {
-		start[i] = (a.ForkBaseUS + a.ForkStaggerUS*float64(i)) * 1e-6
+	sc.iterNS = growF(sc.iterNS, t)
+	iterNS := sc.iterNS
+	for i, k := range place.Occupancy {
+		iterNS[i] = iterNSByOcc[k]
 	}
 
 	dispatchNS := a.DispatchUS * 1000 * (1 + a.DispatchScale*float64(t-1))
 	sc.finish = growF(sc.finish, t)
 	finish := sc.finish
+	for i := range finish {
+		finish[i] = (a.ForkBaseUS + a.ForkStaggerUS*float64(i)) * 1e-6 // fork: threads start staggered
+	}
 	e.perThread = growF(e.perThread, 2*t)
 	busy, waits := e.perThread[:t], e.perThread[t:]
-	copy(finish, start)
 	for i := range busy {
 		busy[i] = 0
 	}
@@ -632,24 +661,23 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 				if tid == lastTid {
 					iters += lastSz - chunk
 				}
-				c := float64(iters) * iterNSByOcc[place.Occupancy[tid]] * 1e-9
+				c := float64(iters) * iterNS[tid] * 1e-9
 				finish[tid] += c
 				busy[tid] += c
 			}
 			chunksDispatched = nChunks
 		} else {
 			// Reference path: round-robin pre-assignment, no dispatch cost.
-			for pos, turn := 0, 0; pos < lm.Iters; turn++ {
-				tid := turn % t
-				hi := pos + chunk
-				if hi > lm.Iters {
-					hi = lm.Iters
-				}
-				c := (prefix[hi] - prefix[pos]) * iterNSByOcc[place.Occupancy[tid]] * 1e-9
+			for pos, tid := 0, 0; pos < lm.Iters; {
+				hi := min(pos+chunk, lm.Iters)
+				c := (prefix[hi] - prefix[pos]) * iterNS[tid] * 1e-9
 				finish[tid] += c
 				busy[tid] += c
 				pos = hi
 				chunksDispatched++
+				if tid++; tid == t {
+					tid = 0
+				}
 			}
 		}
 	case SchedDynamic, SchedGuided:
@@ -661,8 +689,8 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 				// Guided decay phase: exponentially shrinking chunks until
 				// the floor is reached. O(t log(iters/chunk)) chunks; the
 				// constant-size tail below is batched.
-				tr := &sc.tree
-				tr.init(finish)
+				q := &sc.queue
+				q.init(finish)
 				for remaining > 0 {
 					g := (remaining + t - 1) / t
 					if g <= chunk {
@@ -670,9 +698,9 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 					}
 					sz := g
 					c := dS + float64(sz)*iterS
-					busy[tr.winner()] += c
+					busy[q.winner()] += c
 					totalDispatchS += dS
-					tr.advance(c)
+					q.advance(c)
 					remaining -= sz
 					chunksDispatched++
 				}
@@ -695,12 +723,12 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 			}
 		}
 		if remaining > 0 {
-			// Reference path: one tree replay per dispatched chunk.
-			tr := &sc.tree
-			tr.init(finish)
+			// Reference path: one run-queue reinsertion per dispatched chunk.
+			q := &sc.queue
+			q.init(finish)
 			pos := lm.Iters - remaining
 			for remaining > 0 {
-				id := tr.winner() // earliest-idle thread grabs the next chunk
+				id := q.winner() // earliest-idle thread grabs the next chunk
 				sz := chunk
 				if cfg.Sched == SchedGuided {
 					g := (remaining + t - 1) / t
@@ -717,10 +745,10 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 				} else {
 					w = prefix[pos+sz] - prefix[pos]
 				}
-				c := dS + w*iterNSByOcc[place.Occupancy[id]]*1e-9
+				c := dS + w*iterNS[id]*1e-9
 				busy[id] += c
 				totalDispatchS += dS
-				tr.advance(c)
+				q.advance(c)
 				pos += sz
 				remaining -= sz
 				chunksDispatched++

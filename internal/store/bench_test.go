@@ -4,7 +4,8 @@
 // against a columnar snapshot and WALReplay against a WAL of a full
 // table; StoreSnapshot measures one compaction, GetNearest one
 // nearest-cap miss and LoadNeighbors one neighbour scan in a table the
-// size of a serving node's. All back rows of bench_baseline.json.
+// size of a serving node's (LoadNeighborsTies one whose donors tie). All
+// back rows of bench_baseline.json.
 package store
 
 import (
@@ -172,9 +173,8 @@ func BenchmarkGetNearest(b *testing.B) {
 // BenchmarkLoadNeighbors is one transfer-seed scan in a table the size
 // of a serving node's: every shard walked, then the donors ranked. The
 // queried group adds SP/x_solve donors in two workloads at interleaved
-// caps, so no two donors tie on distance and cap: the ranking never
-// builds a canonical key to break a tie, and its allocations (the
-// donor slice's growth) do not depend on map order.
+// caps, so no two donors tie on distance and cap (BenchmarkLoadNeighborsTies
+// has the ties).
 func BenchmarkLoadNeighbors(b *testing.B) {
 	s := openBenchStore(b)
 	for i := 0; i < 8; i++ {
@@ -187,6 +187,25 @@ func BenchmarkLoadNeighbors(b *testing.B) {
 	k := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 62.5, Region: "x_solve"}
 	if ns := s.LoadNeighbors(k, 256); len(ns) != 16 {
 		b.Fatalf("LoadNeighbors(%v) = %d donors, want 16", k, len(ns))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.LoadNeighbors(k, arcs.DefaultTransferSeeds)
+	}
+}
+
+// BenchmarkLoadNeighborsTies is the scan a realistic query pays: LU/C at
+// 62.5 W in region r40 has 32 donors, the 8 caps of its own workload and
+// of three others, and the cross-workload donors at each cap tie on
+// distance and cap, so the ranking orders them by canonical key. It builds
+// none, so its allocations (the donor slice's growth) do not depend on
+// map order.
+func BenchmarkLoadNeighborsTies(b *testing.B) {
+	s := openBenchStore(b)
+	k := arcs.HistoryKey{App: "LU", Workload: "C", CapW: 62.5, Region: "r40"}
+	if ns := s.LoadNeighbors(k, 256); len(ns) != 32 {
+		b.Fatalf("LoadNeighbors(%v) = %d donors, want 32", k, len(ns))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
