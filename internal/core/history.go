@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -26,15 +25,14 @@ type HistoryKey struct {
 // significant digits, point and a five-character exponent ("e-308").
 const maxCapLen = 24
 
-// String renders the canonical key form used in history files and as the
-// map key of every History implementation: App|Workload|CapW|Region,
-// with CapW in fmt's %g form. The form is injective: `|` and `\` inside
-// App, Workload or Region are escaped with a `\`. Ring placement,
-// digests and snapshot order all depend on these exact bytes, so the
-// form must never change (FuzzHistoryKeyString pins it to the Sprintf
-// it replaced). It is built in one buffer of exactly its length — the
-// key is retained as a map key by every store, so slack would be paid
-// per entry — and allocates only its result.
+// String renders the canonical key form used in history files:
+// App|Workload|CapW|Region, with CapW in fmt's %g form. The form is
+// injective: `|` and `\` inside App, Workload or Region are escaped with
+// a `\`. Ring placement, digests and snapshot order all depend on these
+// exact bytes, so the form must never change (FuzzHistoryKeyString pins
+// it to the Sprintf it replaced); a Table orders its entries in it
+// without building it (SortEntries). It is built in one buffer of
+// exactly its length and allocates only its result.
 func (k HistoryKey) String() string {
 	var num [maxCapLen]byte
 	capW := strconv.AppendFloat(num[:0], k.CapW, 'g', -1, 64)
@@ -86,7 +84,8 @@ type History interface {
 	// Save records the best configuration for a context. A duplicate Save
 	// keeps whichever entry has the better (lower) perf, so merging
 	// histories or repeating searches can only improve the store; on a
-	// perf tie the existing entry is retained.
+	// perf tie the existing entry is retained. A key whose cap is NaN or
+	// infinite is not stored: no Table can order it.
 	Save(k HistoryKey, cfg ConfigValues, perf float64)
 	// Load retrieves a previously saved configuration.
 	Load(k HistoryKey) (ConfigValues, bool)
@@ -154,49 +153,179 @@ func NeighborDistance(k, ek HistoryKey) (float64, bool) {
 	return d, true
 }
 
-// Table is the in-memory history table every History holds: records
-// keyed by canonical key. MemHistory is one Table and each store shard
-// another, so the nearest-cap and neighbour queries have one
-// implementation. A Table is not safe for concurrent use; its holder
-// locks.
-type Table map[string]Entry
+// Table is the in-memory history table every History holds.
+// MemHistory is one Table and each store shard another, so the exact,
+// nearest-cap and neighbour queries have one implementation. Records are
+// laid out by context: an (App, Region) group holds one run per
+// workload, each run sorted by cap (compareCaps, which keeps 0 and -0
+// apart as the canonical key does). An exact lookup is a group lookup
+// plus a binary search, a nearest-cap answer looks at the caps around
+// the query, and a neighbour scan reads one group; none builds a
+// canonical key. A run stores only what its group and workload do not
+// already name: no key string, and no key field twice. Caps must be
+// finite (a run cannot order NaN); every History rejects the rest before
+// they reach a Table. The zero Table is empty and ready to use. A Table
+// is not safe for concurrent use; its holder locks.
+type Table struct {
+	groups map[tableGroup][]tableRun
+	n      int
+}
 
-// Nearest answers LoadNearest over t: the entry at ck, k's canonical
-// key, else the entry whose key matches k's App, Workload and Region and
-// whose CapW is closest to k's. dist is the absolute cap difference (0
-// for an exact hit). Distance, then the lower cap, then the smaller
-// canonical key decide, so caps that compare equal (0 and -0) never
-// leave the answer to map order.
-func (t Table) Nearest(k HistoryKey, ck string) (Entry, float64, bool) {
-	if e, ok := t[ck]; ok {
-		return e, 0, true
+// tableGroup names one (App, Region) group of a Table.
+type tableGroup struct{ app, region string }
+
+// tableRun is one workload's records within a group, in compareCaps order.
+type tableRun struct {
+	workload string
+	recs     []tableRec
+}
+
+// tableRec is an Entry without the App, Workload and Region its group
+// and run hold.
+type tableRec struct {
+	capW    float64
+	cfg     ConfigValues
+	perf    float64
+	version uint64
+}
+
+// entry rebuilds the record at recs[i] as an Entry of app and region.
+func (r *tableRun) entry(app, region string, i int) Entry {
+	rec := &r.recs[i]
+	return Entry{
+		Key: HistoryKey{App: app, Workload: r.workload, CapW: rec.capW, Region: region},
+		Cfg: rec.cfg, Perf: rec.perf, Version: rec.version,
 	}
-	var best Entry
-	var bestKey string // stays "" until a match: no canonical key is empty
-	bestDist := math.Inf(1)
-	for ek, e := range t {
-		if e.Key.App != k.App || e.Key.Workload != k.Workload || e.Key.Region != k.Region {
-			continue
-		}
-		d := math.Abs(e.Key.CapW - k.CapW)
-		//arcslint:ignore floatcmp exact tie-breaks between identically computed distances and stored caps
-		if d < bestDist || (d == bestDist && (e.Key.CapW < best.Key.CapW || (e.Key.CapW == best.Key.CapW && ek < bestKey))) {
-			best, bestKey, bestDist = e, ek, d
+}
+
+// search returns where capW is in r, or where it would be inserted.
+func (r *tableRun) search(capW float64) (int, bool) {
+	lo, hi := 0, len(r.recs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if compareCaps(r.recs[m].capW, capW) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	if bestKey == "" {
+	return lo, lo < len(r.recs) && compareCaps(r.recs[lo].capW, capW) == 0
+}
+
+// compareCaps orders caps by value, with -0 before 0: the two are
+// distinct canonical keys, and "-0" is the smaller.
+func compareCaps(a, b float64) int {
+	if c := cmp.Compare(a, b); c != 0 {
+		return c
+	}
+	return cmp.Compare(math.Float64bits(b)>>63, math.Float64bits(a)>>63) // a set sign bit first
+}
+
+// run returns the run of k's App, Workload and Region, or nil.
+func (t *Table) run(k HistoryKey) *tableRun {
+	runs := t.groups[tableGroup{k.App, k.Region}]
+	for i := range runs {
+		if runs[i].workload == k.Workload {
+			return &runs[i]
+		}
+	}
+	return nil
+}
+
+// Len reports the number of stored entries.
+func (t *Table) Len() int { return t.n }
+
+// Get returns the entry stored at k.
+func (t *Table) Get(k HistoryKey) (Entry, bool) {
+	if r := t.run(k); r != nil {
+		if i, ok := r.search(k.CapW); ok {
+			return r.entry(k.App, k.Region, i), true
+		}
+	}
+	return Entry{}, false
+}
+
+// Put stores e at its key, replacing any entry there, and reports
+// whether the key is new. e's cap must be finite.
+func (t *Table) Put(e Entry) bool {
+	if t.groups == nil {
+		t.groups = make(map[tableGroup][]tableRun)
+	}
+	g := tableGroup{e.Key.App, e.Key.Region}
+	r := t.run(e.Key)
+	if r == nil {
+		runs := append(t.groups[g], tableRun{workload: e.Key.Workload})
+		t.groups[g] = runs
+		r = &runs[len(runs)-1]
+	}
+	rec := tableRec{capW: e.Key.CapW, cfg: e.Cfg, perf: e.Perf, version: e.Version}
+	i, ok := r.search(e.Key.CapW)
+	if ok {
+		r.recs[i] = rec
+		return false
+	}
+	r.recs = slices.Insert(r.recs, i, rec)
+	t.n++
+	return true
+}
+
+// Nearest answers LoadNearest over t: the entry at k, else the entry
+// whose key matches k's App, Workload and Region and whose CapW is
+// closest to k's. dist is the absolute cap difference (0 for an exact
+// hit). Distance, then the lower cap, then the smaller canonical key
+// decide: in a run that is the first of the closest caps, which is the
+// cap just above k's or the first cap below it at the distance of the
+// one just below. A query whose cap is not finite misses.
+func (t *Table) Nearest(k HistoryKey) (Entry, float64, bool) {
+	r := t.run(k)
+	if r == nil || math.IsNaN(k.CapW) || math.IsInf(k.CapW, 0) {
 		return Entry{}, 0, false
 	}
-	return best, bestDist, true
+	i, ok := r.search(k.CapW)
+	if ok {
+		return r.entry(k.App, k.Region, i), 0, true
+	}
+	dist := func(j int) float64 { return math.Abs(r.recs[j].capW - k.CapW) }
+	best := i // the first cap above k's, if any
+	if i > 0 && (i == len(r.recs) || dist(i-1) <= dist(i)) {
+		// Below k's cap distances grow toward the run's start; equal
+		// ones (0 beside -0, or differences that round alike) go to the
+		// lowest cap.
+		best = i - 1
+		//arcslint:ignore floatcmp exact tie between identically computed distances
+		for best > 0 && dist(best-1) == dist(best) {
+			best--
+		}
+	}
+	return r.entry(k.App, k.Region, best), dist(best), true
 }
 
 // AppendNeighbors appends every entry of t that neighbours k
 // (NeighborDistance) to dst, unranked; RankNeighbors orders the result.
-func (t Table) AppendNeighbors(dst []Neighbor, k HistoryKey) []Neighbor {
-	for _, e := range t {
-		if d, ok := NeighborDistance(k, e.Key); ok {
-			//arcslint:ignore determinism RankNeighbors totally orders the result
-			dst = append(dst, Neighbor{Entry: e, Dist: d})
+// Only k's (App, Region) group can hold one.
+func (t *Table) AppendNeighbors(dst []Neighbor, k HistoryKey) []Neighbor {
+	runs := t.groups[tableGroup{k.App, k.Region}]
+	for ri := range runs {
+		r := &runs[ri]
+		for i := range r.recs {
+			e := r.entry(k.App, k.Region, i)
+			if d, ok := NeighborDistance(k, e.Key); ok {
+				dst = append(dst, Neighbor{Entry: e, Dist: d})
+			}
+		}
+	}
+	return dst
+}
+
+// AppendEntries appends every entry of t to dst, unordered; SortEntries
+// puts them in canonical key order.
+func (t *Table) AppendEntries(dst []Entry) []Entry {
+	for g, runs := range t.groups {
+		for ri := range runs {
+			for i := range runs[ri].recs {
+				//arcslint:ignore determinism SortEntries totally orders the result
+				dst = append(dst, runs[ri].entry(g.app, g.region, i))
+			}
 		}
 	}
 	return dst
@@ -222,12 +351,10 @@ func RankNeighbors(ns []Neighbor, max int) []Neighbor {
 // compareKeys orders a and b as strings.Compare orders their canonical
 // keys, without building them. Each field but the last is followed by a
 // `|` no escaped field holds unescaped, so the fields compare one after
-// another, each with the separator that ends it.
+// another, each with the separator that ends it. The caps are formatted
+// only when App and Workload tie.
 func compareKeys(a, b HistoryKey) int {
-	if c := compareKeyField(a.App, b.App, '|'); c != 0 {
-		return c
-	}
-	if c := compareKeyField(a.Workload, b.Workload, '|'); c != 0 {
+	if c := compareAppWorkload(&a, &b); c != 0 {
 		return c
 	}
 	var na, nb [maxCapLen]byte
@@ -237,6 +364,137 @@ func compareKeys(a, b HistoryKey) int {
 		return c
 	}
 	return compareKeyField(a.Region, b.Region, -1)
+}
+
+// compareAppWorkload is compareKeys on the first two fields. Equal
+// fields, usually one shared string, skip the byte walk.
+func compareAppWorkload(a, b *HistoryKey) int {
+	if a.App != b.App {
+		return compareKeyField(a.App, b.App, '|')
+	}
+	if a.Workload != b.Workload {
+		return compareKeyField(a.Workload, b.Workload, '|')
+	}
+	return 0
+}
+
+// SortEntries sorts es into canonical key order without building a key.
+// It ranks each context (App, Workload and Region) once, by sorting the
+// runs of neighbouring entries that share one (Table.AppendEntries emits
+// each run of a Table whole), then sorts one small row per entry by App
+// and Workload rank, cap text and context rank, and moves every entry
+// once, to its place.
+func SortEntries(es []Entry) {
+	if len(es) < 2 {
+		return
+	}
+	nruns := 1
+	for i := 1; i < len(es); i++ {
+		if !sameContext(&es[i-1].Key, &es[i].Key) {
+			nruns++
+		}
+	}
+	runs := make([]entryRun, 0, nruns)
+	for i := range es {
+		if i == 0 || !sameContext(&es[i-1].Key, &es[i].Key) {
+			runs = append(runs, entryRun{start: i})
+		}
+		runs[len(runs)-1].end = i + 1
+	}
+	slices.SortFunc(runs, func(a, b entryRun) int {
+		ka, kb := &es[a.start].Key, &es[b.start].Key
+		if c := compareAppWorkload(ka, kb); c != 0 {
+			return c
+		}
+		return compareKeyField(ka.Region, kb.Region, -1)
+	})
+	rows := make([]sortRow, len(es))
+	var outer, ctx uint32
+	var caps [16]struct{ bits, prefix uint64 } // recent caps: runs repeat theirs
+	for ri, r := range runs {
+		if ri > 0 {
+			prev := &es[runs[ri-1].start].Key
+			if compareAppWorkload(prev, &es[r.start].Key) != 0 {
+				outer++
+			}
+			if !sameContext(prev, &es[r.start].Key) {
+				ctx++
+			}
+		}
+		for i := r.start; i < r.end; i++ {
+			bits := math.Float64bits(es[i].Key.CapW)
+			c := &caps[(bits^bits>>32)%uint64(len(caps))]
+			if c.bits != bits || c.prefix == 0 {
+				c.bits, c.prefix = bits, capPrefix(es[i].Key.CapW)
+			}
+			rows[i] = sortRow{outer: outer, ctx: ctx, i: uint32(i), cap: c.prefix}
+		}
+	}
+	slices.SortFunc(rows, func(a, b sortRow) int {
+		if a.outer != b.outer {
+			return cmp.Compare(a.outer, b.outer)
+		}
+		if a.cap != b.cap {
+			return cmp.Compare(a.cap, b.cap)
+		}
+		if a.cap&0xff != 0 && a.cap&0xff != '|' { // both caps' text is longer than the prefix
+			var na, nb [maxCapLen]byte
+			ca := strconv.AppendFloat(na[:0], es[a.i].Key.CapW, 'g', -1, 64)
+			cb := strconv.AppendFloat(nb[:0], es[b.i].Key.CapW, 'g', -1, 64)
+			if c := compareKeyField(ca, cb, '|'); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(a.ctx, b.ctx)
+	})
+	// Place es[rows[k].i] at k, one cycle of the permutation at a time.
+	for k := range rows {
+		if rows[k].i == uint32(k) {
+			continue
+		}
+		e := es[k]
+		j := k
+		for rows[j].i != uint32(k) {
+			src := int(rows[j].i)
+			es[j] = es[src]
+			rows[j].i = uint32(j)
+			j = src
+		}
+		es[j] = e
+		rows[j].i = uint32(j)
+	}
+}
+
+// capPrefix is the first 8 bytes of a cap's canonical text followed by
+// its `|`, zero-padded, as a big-endian number: two caps whose text
+// ends within those bytes compare as their keys do. Every byte of a
+// cap's text sorts below `|`.
+func capPrefix(capW float64) uint64 {
+	var b [maxCapLen + 1]byte
+	t := append(strconv.AppendFloat(b[:0], capW, 'g', -1, 64), '|')
+	var p uint64
+	for i := 0; i < 8; i++ {
+		p <<= 8
+		if i < len(t) {
+			p |= uint64(t[i])
+		}
+	}
+	return p
+}
+
+// sameContext reports whether a and b differ at most in their caps.
+func sameContext(a, b *HistoryKey) bool {
+	return a.App == b.App && a.Workload == b.Workload && a.Region == b.Region
+}
+
+// entryRun is a run es[start:end] of entries of one context.
+type entryRun struct{ start, end int }
+
+// sortRow is an entry's place in canonical key order: the rank of its
+// App and Workload, its cap's capPrefix, and the rank of its context.
+type sortRow struct {
+	outer, ctx, i uint32
+	cap           uint64
 }
 
 // compareKeyField orders a and b as strings.Compare orders their escaped
@@ -277,28 +535,30 @@ type MemHistory struct {
 
 // NewMemHistory creates an empty in-memory history.
 func NewMemHistory() *MemHistory {
-	return &MemHistory{entries: make(Table)}
+	return &MemHistory{}
 }
 
 // Save implements History: duplicate keys keep the best (lowest) perf.
+// A key whose cap is not finite is dropped, as the store rejects it.
 func (h *MemHistory) Save(k HistoryKey, cfg ConfigValues, perf float64) {
-	ck := k.String()
-	if old, ok := h.entries[ck]; ok && old.Perf <= perf {
+	if math.IsNaN(k.CapW) || math.IsInf(k.CapW, 0) {
 		return
 	}
-	h.entries[ck] = Entry{Key: k, Cfg: cfg, Perf: perf}
+	if old, ok := h.entries.Get(k); ok && old.Perf <= perf {
+		return
+	}
+	h.entries.Put(Entry{Key: k, Cfg: cfg, Perf: perf})
 }
 
 // Load implements History.
 func (h *MemHistory) Load(k HistoryKey) (ConfigValues, bool) {
-	e, ok := h.entries[k.String()]
+	e, ok := h.entries.Get(k)
 	return e.Cfg, ok
 }
 
-// LoadNearest implements History with Table.Nearest (in-memory
-// histories are small — one entry per tuned region).
+// LoadNearest implements History with Table.Nearest.
 func (h *MemHistory) LoadNearest(k HistoryKey) (ConfigValues, float64, bool) {
-	e, dist, ok := h.entries.Nearest(k, k.String())
+	e, dist, ok := h.entries.Nearest(k)
 	return e.Cfg, dist, ok
 }
 
@@ -312,21 +572,14 @@ func (h *MemHistory) LoadNeighbors(k HistoryKey, max int) []Neighbor {
 }
 
 // Len implements History.
-func (h *MemHistory) Len() int { return len(h.entries) }
+func (h *MemHistory) Len() int { return h.entries.Len() }
 
 // Entries returns the stored records sorted by canonical key
 // (deterministic output for reports, files and tests).
 func (h *MemHistory) Entries() []Entry {
-	keys := make([]string, 0, len(h.entries))
-	for k := range h.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Entry, len(keys))
-	for i, k := range keys {
-		out[i] = h.entries[k]
-	}
-	return out
+	es := h.entries.AppendEntries(make([]Entry, 0, h.entries.Len()))
+	SortEntries(es)
+	return es
 }
 
 // historyEntry is the history file's record: an Entry without the

@@ -107,6 +107,29 @@ func Run(t *testing.T, newHistory Factory) {
 		}
 	})
 
+	t.Run("SignedZeroCapsAreDistinctKeys", func(t *testing.T) {
+		// 0 and -0 compare equal as numbers but are distinct canonical
+		// keys ("0" and "-0"), so an exact Load must tell them apart.
+		zero := arcs.HistoryKey{App: "SP", Workload: "B", CapW: 0, Region: "x_solve"}
+		negZero := zero
+		negZero.CapW = math.Copysign(0, -1)
+		h := newHistory(t)
+		h.Save(zero, cfgA, 1.0)
+		if got, ok := h.Load(negZero); ok {
+			t.Errorf("Load(-0) after saving only 0 = %v, true; want a miss", got)
+		}
+		h.Save(negZero, cfgB, 2.0)
+		if h.Len() != 2 {
+			t.Fatalf("Len = %d after saving 0 and -0, want 2", h.Len())
+		}
+		if got, ok := h.Load(zero); !ok || got != cfgA {
+			t.Errorf("Load(0) = %v, %v; want %v, true", got, ok, cfgA)
+		}
+		if got, ok := h.Load(negZero); !ok || got != cfgB {
+			t.Errorf("Load(-0) = %v, %v; want %v, true", got, ok, cfgB)
+		}
+	})
+
 	t.Run("LenCountsDistinctKeys", func(t *testing.T) {
 		h := newHistory(t)
 		for i, region := range []string{"r1", "r2", "r3"} {

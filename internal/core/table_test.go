@@ -3,6 +3,7 @@ package arcs
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // oracleNearest is a frozen copy of the nearest-cap scan Table.Nearest
 // replaced (MemHistory's and the store's were the same): the exact key,
 // else distance, then the lower cap, then the smaller canonical key.
-func oracleNearest(t Table, k HistoryKey) (Entry, float64, bool) {
+func oracleNearest(t map[string]Entry, k HistoryKey) (Entry, float64, bool) {
 	ck := k.String()
 	if e, ok := t[ck]; ok {
 		return e, 0, true
@@ -64,7 +65,7 @@ func (r oracleRank) Swap(i, j int) {
 	r.vers[i], r.vers[j] = r.vers[j], r.vers[i]
 }
 
-func oracleNeighbors(t Table, k HistoryKey, max int) []Neighbor {
+func oracleNeighbors(t map[string]Entry, k HistoryKey, max int) []Neighbor {
 	var r oracleRank
 	for _, e := range t {
 		if d, ok := NeighborDistance(k, e.Key); ok {
@@ -114,23 +115,26 @@ func sameEntry(a, b Entry) bool {
 func TestTableMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		tab := make(Table)
-		for n := 5 + r.Intn(100); len(tab) < n; { // of 120 distinct keys
+		var tab Table
+		oracle := make(map[string]Entry)
+		for n := 5 + r.Intn(100); len(oracle) < n; { // of 120 distinct keys
 			k := randomTableKey(r, tableCaps)
 			cfg := ConfigValues{Threads: 1 + r.Intn(32), Chunk: r.Intn(8)}
-			tab[k.String()] = Entry{Key: k, Cfg: cfg, Perf: 1 + r.Float64(), Version: uint64(1 + r.Intn(5))}
+			e := Entry{Key: k, Cfg: cfg, Perf: 1 + r.Float64(), Version: uint64(1 + r.Intn(5))}
+			tab.Put(e)
+			oracle[k.String()] = e
 		}
 		for q := 0; q < 150; q++ {
 			k := randomTableKey(r, tableQueryCaps)
-			got, gotDist, gotOK := tab.Nearest(k, k.String())
-			want, wantDist, wantOK := oracleNearest(tab, k)
+			got, gotDist, gotOK := tab.Nearest(k)
+			want, wantDist, wantOK := oracleNearest(oracle, k)
 			if gotOK != wantOK || !sameEntry(got, want) || math.Float64bits(gotDist) != math.Float64bits(wantDist) {
 				t.Fatalf("seed %d: Nearest(%v) = %+v, %g, %v; oracle %+v, %g, %v",
 					seed, k, got, gotDist, gotOK, want, wantDist, wantOK)
 			}
-			max := 1 + r.Intn(len(tab)+2)
+			max := 1 + r.Intn(len(oracle)+2)
 			ns := RankNeighbors(tab.AppendNeighbors(nil, k), max)
-			wantNs := oracleNeighbors(tab, k, max)
+			wantNs := oracleNeighbors(oracle, k, max)
 			if len(ns) != len(wantNs) {
 				t.Fatalf("seed %d: %d neighbours of %v, oracle %d", seed, len(ns), k, len(wantNs))
 			}
@@ -139,6 +143,67 @@ func TestTableMatchesOracle(t *testing.T) {
 					t.Fatalf("seed %d: neighbour #%d of %v is %+v, oracle %+v", seed, i, k, ns[i], wantNs[i])
 				}
 			}
+		}
+	}
+}
+
+// TestSortEntriesMatchesKeyStrings: SortEntries orders any entries,
+// shuffled or in a Table's runs, exactly as their canonical key strings
+// sort. The pools escape separators, hold both zeros, and hold caps whose
+// text shares its first eight bytes with another's.
+func TestSortEntriesMatchesKeyStrings(t *testing.T) {
+	apps := []string{"SP", "S", "SP|", `S\P`, "LULESH"}
+	workloads := []string{"B", "", "B|C", `\`}
+	regions := []string{"x_solve", "x", `x|y`, ""}
+	caps := []float64{0, math.Copysign(0, -1), 5, 50, 55, 62.5, 1234567.5, 1234567.25, 12345678, 1e21, 1.5e-7, -3}
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var tab Table
+		for i, n := 0, 1+r.Intn(400); i < n; i++ {
+			k := HistoryKey{
+				App:      apps[r.Intn(len(apps))],
+				Workload: workloads[r.Intn(len(workloads))],
+				CapW:     caps[r.Intn(len(caps))],
+				Region:   regions[r.Intn(len(regions))],
+			}
+			tab.Put(Entry{Key: k, Perf: 1, Version: uint64(i)})
+		}
+		runs := tab.AppendEntries(nil)
+		shuffled := slices.Clone(runs)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		want := slices.Clone(runs)
+		sort.Slice(want, func(i, j int) bool { return want[i].Key.String() < want[j].Key.String() })
+		for _, es := range [][]Entry{runs, shuffled} {
+			SortEntries(es)
+			for i := range es {
+				if !sameEntry(es[i], want[i]) {
+					t.Fatalf("seed %d: entry #%d is %v, want %v", seed, i, es[i].Key, want[i].Key)
+				}
+			}
+		}
+		if len(runs) != tab.Len() {
+			t.Fatalf("seed %d: AppendEntries gave %d entries, Len %d", seed, len(runs), tab.Len())
+		}
+	}
+}
+
+// TestTableNearestRoundingTies: when two caps below the query lie at the
+// same rounded distance, the lower cap wins, as it does in the frozen
+// scan; the binary search must not stop at the cap next to the query.
+func TestTableNearestRoundingTies(t *testing.T) {
+	var tab Table
+	oracle := make(map[string]Entry)
+	for i, c := range []float64{math.Copysign(0, -1), 0, 1, 2, 3, 4e17} {
+		e := Entry{Key: HistoryKey{App: "SP", Workload: "B", CapW: c, Region: "r"}, Perf: 1, Version: uint64(i + 1)}
+		tab.Put(e)
+		oracle[e.Key.String()] = e
+	}
+	for _, q := range []float64{1e17, 2e17, 3e17, 1, 0.5, 1.5, -1, math.Copysign(0, -1), 0, 5e17} {
+		k := HistoryKey{App: "SP", Workload: "B", CapW: q, Region: "r"}
+		got, gotDist, gotOK := tab.Nearest(k)
+		want, wantDist, wantOK := oracleNearest(oracle, k)
+		if gotOK != wantOK || !sameEntry(got, want) || math.Float64bits(gotDist) != math.Float64bits(wantDist) {
+			t.Errorf("Nearest(%g) = %v, %g, %v; oracle %v, %g, %v", q, got.Key, gotDist, gotOK, want.Key, wantDist, wantOK)
 		}
 	}
 }

@@ -334,10 +334,13 @@ func parseKey(w http.ResponseWriter, q url.Values) (key arcs.HistoryKey, ok bool
 
 // checkRecord is the check every record passes before it is stored,
 // whether it arrives as a report or as a merged entry: app and region
-// present, perf finite.
+// present, cap and perf finite (as parseKey requires of a lookup's cap).
 func checkRecord(key arcs.HistoryKey, perf float64) error {
 	if key.App == "" || key.Region == "" {
 		return errors.New("app and region are required")
+	}
+	if math.IsNaN(key.CapW) || math.IsInf(key.CapW, 0) {
+		return errors.New("non-finite cap")
 	}
 	if math.IsNaN(perf) || math.IsInf(perf, 0) {
 		return errors.New("non-finite perf")

@@ -7,12 +7,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"testing"
 
 	"arcs/internal/codec"
 	arcs "arcs/internal/core"
 	"arcs/internal/ompt"
+	"arcs/internal/store"
 )
 
 func binReq(t *testing.T, method, url string, body []byte) *http.Request {
@@ -226,5 +228,39 @@ func TestJSONReportsEndpoint(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || out["saved"] != float64(2) {
 		t.Fatalf("JSON /v1/reports: status %d out %v", resp.StatusCode, out)
+	}
+}
+
+// TestNonFiniteCapIs400: a report or a merged entry whose cap is NaN or
+// infinite is refused with a 400, as a lookup at such a cap is, and the
+// store is left untouched. JSON cannot carry these caps; the binary
+// frames can.
+func TestNonFiniteCapIs400(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ts := newTestServer(t, Config{Store: st})
+	var enc codec.Encoder
+	for _, capW := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		key := arcs.HistoryKey{App: "SP", Workload: "B", CapW: capW, Region: "x_solve"}
+		for path, body := range map[string][]byte{
+			"/v1/reports": enc.AppendReportBatch(nil, []codec.Report{{Key: key, Cfg: arcs.ConfigValues{Threads: 8}, Perf: 1.5}}),
+			"/v1/merge":   enc.AppendEntry(nil, &codec.Entry{Key: key, Cfg: arcs.ConfigValues{Threads: 8}, Perf: 1.5, Version: 1}),
+		} {
+			resp, err := http.DefaultClient.Do(binReq(t, http.MethodPost, ts.URL+path, body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s at cap %v: status %d (%s), want 400", path, capW, resp.StatusCode, msg)
+			}
+		}
+	}
+	if n := st.Len(); n != 0 {
+		t.Fatalf("store holds %d entries after non-finite caps, want 0", n)
 	}
 }

@@ -2,10 +2,10 @@
 // WALAppend measures binary record construction (the write syscall is
 // outside it); SnapshotReplay measures the full Open-and-replay path
 // against a columnar snapshot and WALReplay against a WAL of a full
-// table; StoreSnapshot measures one compaction, GetNearest one
-// nearest-cap miss and LoadNeighbors one neighbour scan in a table the
-// size of a serving node's (LoadNeighborsTies one whose donors tie). All
-// back rows of bench_baseline.json.
+// table; StoreSnapshot measures one compaction, StoreGet one exact hit,
+// GetNearest one nearest-cap miss and LoadNeighbors one neighbour scan
+// in a table the size of a serving node's (LoadNeighborsTies one whose
+// donors tie). All back rows of bench_baseline.json.
 package store
 
 import (
@@ -155,6 +155,21 @@ func BenchmarkWALReplay(b *testing.B) {
 	benchReplay(b, dir)
 }
 
+// BenchmarkStoreGet is an exact hit: the warm lookup a job at a tuned
+// context pays. It builds no key and allocates nothing.
+func BenchmarkStoreGet(b *testing.B) {
+	s := openBenchStore(b)
+	k := arcs.HistoryKey{App: "LU", Workload: "C", CapW: 65, Region: "r40"}
+	if _, ok := s.Get(k); !ok {
+		b.Fatalf("Get(%v) missed", k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Get(k)
+	}
+}
+
 // BenchmarkGetNearest is a nearest-cap miss 2.5 W off a stored cap: the
 // fallback lookup a job at an untuned cap pays.
 func BenchmarkGetNearest(b *testing.B) {
@@ -171,10 +186,10 @@ func BenchmarkGetNearest(b *testing.B) {
 }
 
 // BenchmarkLoadNeighbors is one transfer-seed scan in a table the size
-// of a serving node's: every shard walked, then the donors ranked. The
-// queried group adds SP/x_solve donors in two workloads at interleaved
-// caps, so no two donors tie on distance and cap (BenchmarkLoadNeighborsTies
-// has the ties).
+// of a serving node's: the query's group read in every shard, then the
+// donors ranked. The queried group adds SP/x_solve donors in two
+// workloads at interleaved caps, so no two donors tie on distance and
+// cap (BenchmarkLoadNeighborsTies has the ties).
 func BenchmarkLoadNeighbors(b *testing.B) {
 	s := openBenchStore(b)
 	for i := 0; i < 8; i++ {

@@ -2,10 +2,10 @@
 // knowledge store behind the arcsd tuning service. It is the
 // production-scale evolution of the paper's single-process history file
 // (§III-B, "later executions can use the saved values instead of
-// repeating the search process"): a sharded in-memory map serving
-// concurrent lookups, backed by an append-only write-ahead log with
-// periodic compacted snapshots so the knowledge survives restarts and
-// crashes.
+// repeating the search process"): a sharded in-memory table (one
+// arcs.Table per shard, laid out by context) serving concurrent lookups,
+// backed by an append-only write-ahead log with periodic compacted
+// snapshots so the knowledge survives restarts and crashes.
 //
 // Durability model: every accepted Save appends one CRC-framed binary
 // record (internal/codec) to the WAL before returning; snapshots use the
@@ -31,7 +31,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -57,7 +56,7 @@ const (
 	// contention under concurrent serving. A key's shard is the FNV-1a
 	// hash of its context — App, Workload and Region, not the cap — so
 	// every cap of one context lives in one shard and a nearest-cap
-	// lookup scans only that shard. Exported because the fleet's
+	// lookup reads only that shard. Exported because the fleet's
 	// anti-entropy sweep walks the store shard by shard (ShardEntries)
 	// and exchanges per-shard digests — every node computes the same
 	// key→shard mapping, so the constant and the mapping are part of the
@@ -156,9 +155,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if _, err := s.fs.ReadFile(filepath.Join(dir, legacySnapshotName)); err == nil {
 		return nil, fmt.Errorf("store: %s holds a pre-binary %s this store cannot read "+
 			"(compact it with an older arcsd first, or remove it)", dir, legacySnapshotName)
-	}
-	for i := range s.shards {
-		s.shards[i].entries = make(arcs.Table) //arcslint:ignore guardedby constructor; the store has not escaped yet
 	}
 	s.replaySnapshot()
 	s.walRecords = s.replayWAL() //arcslint:ignore guardedby constructor; the store has not escaped yet
@@ -337,20 +333,37 @@ func cfgLess(a, b arcs.ConfigValues) bool {
 
 // applyReplay merges one replayed record under the Supersedes order:
 // better perf wins, then higher version, then config order, so a
-// duplicated or reordered record never displaces a better one.
+// duplicated or reordered record never displaces a better one. A record
+// whose cap or perf is not finite, which no Save or Merge accepts, is
+// skipped.
 func (s *Store) applyReplay(e Entry) {
-	ck := e.Key.String()
+	if nonFinite(e.Key.CapW, e.Perf) {
+		return
+	}
 	sh := s.shard(e.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	old, ok := sh.entries[ck]
-	if ok && !Supersedes(e, old) {
-		return
+	s.put(sh, e)
+}
+
+// put stores e in sh unless the entry at its key supersedes it, and
+// reports whether it did.
+//
+//arcslint:locked mu
+func (s *Store) put(sh *shard, e Entry) bool {
+	if old, ok := sh.entries.Get(e.Key); ok && !Supersedes(e, old) {
+		return false
 	}
-	if !ok {
+	if sh.entries.Put(e) {
 		s.live.Add(1)
 	}
-	sh.entries[ck] = e
+	return true
+}
+
+// nonFinite reports whether a cap or a perf is NaN or infinite. Neither
+// can be ordered: a Table sorts caps, and keep-best compares perfs.
+func nonFinite(capW, perf float64) bool {
+	return math.IsNaN(capW) || math.IsInf(capW, 0) || math.IsNaN(perf) || math.IsInf(perf, 0)
 }
 
 // Merge applies one already-versioned entry — a record replicated from
@@ -358,52 +371,44 @@ func (s *Store) applyReplay(e Entry) {
 // merge to the WAL exactly like a Save. Unlike Save it never assigns a
 // version: the entry's author did, and replicas converge byte-identically
 // only if that version is applied verbatim. Returns whether the entry
-// replaced (or created) the stored record. Non-finite perfs are
-// rejected as in Save.
+// replaced (or created) the stored record. Non-finite caps and perfs
+// are rejected as in Save.
 func (s *Store) Merge(e Entry) bool {
-	if math.IsNaN(e.Perf) || math.IsInf(e.Perf, 0) {
-		s.setErr(fmt.Errorf("store: non-finite perf %v for merged %v rejected", e.Perf, e.Key))
+	if nonFinite(e.Key.CapW, e.Perf) {
+		s.setErr(fmt.Errorf("store: non-finite cap %v or perf %v for merged %v rejected", e.Key.CapW, e.Perf, e.Key))
 		return false
 	}
-	ck := e.Key.String()
 	sh := s.shard(e.Key)
 	sh.mu.Lock()
-	old, ok := sh.entries[ck]
-	if ok && !Supersedes(e, old) {
-		sh.mu.Unlock()
-		return false
-	}
-	if !ok {
-		s.live.Add(1)
-	}
-	sh.entries[ck] = e
+	ok := s.put(sh, e)
 	sh.mu.Unlock()
-	s.appendWAL(e)
-	return true
+	if ok {
+		s.appendWAL(e)
+	}
+	return ok
 }
 
 // Save implements arcs.History: duplicate keys keep the best (lowest)
 // perf; an accepted update bumps the entry's version and is appended to
-// the WAL before Save returns. Non-finite perf values are rejected (they
-// cannot be serialised and cannot be meaningfully compared).
+// the WAL before Save returns. Non-finite caps and perfs are rejected
+// through Err: neither can be ordered, a cap in its table nor a perf by
+// keep-best.
 func (s *Store) Save(k arcs.HistoryKey, cfg arcs.ConfigValues, perf float64) {
-	if math.IsNaN(perf) || math.IsInf(perf, 0) {
-		s.setErr(fmt.Errorf("store: non-finite perf %v for %v rejected", perf, k))
+	if nonFinite(k.CapW, perf) {
+		s.setErr(fmt.Errorf("store: non-finite cap %v or perf %v for %v rejected", k.CapW, perf, k))
 		return
 	}
-	ck := k.String()
 	sh := s.shard(k)
 	sh.mu.Lock()
-	old, ok := sh.entries[ck]
+	old, ok := sh.entries.Get(k)
 	if ok && old.Perf <= perf {
 		sh.mu.Unlock()
 		return
 	}
-	if !ok {
+	e := Entry{Key: k, Cfg: cfg, Perf: perf, Version: old.Version + 1}
+	if sh.entries.Put(e) {
 		s.live.Add(1)
 	}
-	e := Entry{Key: k, Cfg: cfg, Perf: perf, Version: old.Version + 1}
-	sh.entries[ck] = e
 	sh.mu.Unlock()
 	s.appendWAL(e)
 }
@@ -416,12 +421,10 @@ func (s *Store) Load(k arcs.HistoryKey) (arcs.ConfigValues, bool) {
 
 // Get returns the full stored record for a key.
 func (s *Store) Get(k arcs.HistoryKey) (Entry, bool) {
-	ck := k.String()
 	sh := s.shard(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	e, ok := sh.entries[ck]
-	return e, ok
+	return sh.entries.Get(k)
 }
 
 // Len implements arcs.History. The store never deletes a key, so the
@@ -438,13 +441,13 @@ func (s *Store) LoadNearest(k arcs.HistoryKey) (arcs.ConfigValues, float64, bool
 }
 
 // GetNearest is LoadNearest returning the full record: arcs.Table's
-// Nearest over k's shard, which holds every cap of k's context.
+// Nearest over k's shard, which holds every cap of k's context. It reads
+// one run of caps, sorted, and looks only at the caps around k's.
 func (s *Store) GetNearest(k arcs.HistoryKey) (Entry, float64, bool) {
-	ck := k.String()
 	sh := s.shard(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.entries.Nearest(k, ck)
+	return sh.entries.Nearest(k)
 }
 
 // LoadNeighbors implements arcs.History: the contexts nearest to k —
@@ -452,8 +455,10 @@ func (s *Store) GetNearest(k arcs.HistoryKey) (Entry, float64, bool) {
 // entries after all same-workload ones — up to max of them, closest
 // first, each with its stored version. The exact key itself is excluded
 // (an exact hit is a replay, not a transfer). Cross-workload donors live
-// in other contexts' shards, so the scan walks every shard. This is the
-// scan behind /v1/neighbors and the server-side searcher's seeds.
+// in other contexts' shards, so the scan visits every shard, and reads
+// only k's (App, Region) group in each (arcs.Table.AppendNeighbors).
+// This is the scan behind /v1/neighbors and the server-side searcher's
+// seeds.
 func (s *Store) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 	if max <= 0 {
 		return nil
@@ -489,44 +494,26 @@ func (s *Store) ShardEntries(i int) []Entry {
 }
 
 // sortedCopy copies the records of shards into one slice, sorted
-// by canonical key. It sorts on the map keys the shards already hold —
-// the canonical strings — rather than re-deriving a key per comparison,
-// and makes one copy of the table: a key slice beside the entry slice,
-// each allocated once at its final size. Each shard is read under its
+// by canonical key (arcs.SortEntries): one slice at its final size,
+// plus the sort's one buffer of cap text. Each shard is read under its
 // own lock; a write landing mid-walk is either in the copy or not, as
 // with any snapshot of a live store.
 func sortedCopy(shards []shard) []Entry {
 	n := 0
 	for i := range shards {
 		shards[i].mu.RLock()
-		n += len(shards[i].entries)
+		n += shards[i].entries.Len()
 		shards[i].mu.RUnlock()
 	}
-	t := keyed{keys: make([]string, 0, n), ents: make([]Entry, 0, n)}
+	es := make([]Entry, 0, n)
 	for i := range shards {
 		sh := &shards[i]
 		sh.mu.RLock()
-		for ck, e := range sh.entries {
-			t.keys = append(t.keys, ck)
-			t.ents = append(t.ents, e)
-		}
+		es = sh.entries.AppendEntries(es)
 		sh.mu.RUnlock()
 	}
-	sort.Sort(&t)
-	return t.ents
-}
-
-// keyed sorts a table copy by the canonical keys collected beside it.
-type keyed struct {
-	keys []string
-	ents []Entry
-}
-
-func (t *keyed) Len() int           { return len(t.keys) }
-func (t *keyed) Less(i, j int) bool { return t.keys[i] < t.keys[j] }
-func (t *keyed) Swap(i, j int) {
-	t.keys[i], t.keys[j] = t.keys[j], t.keys[i]
-	t.ents[i], t.ents[j] = t.ents[j], t.ents[i]
+	arcs.SortEntries(es)
+	return es
 }
 
 // appendWAL serialises one accepted update as a single CRC-framed

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -236,6 +237,61 @@ func TestNonFiniteRejected(t *testing.T) {
 	}
 	if err := s.Err(); err == nil {
 		t.Errorf("rejected save must surface through Err")
+	}
+}
+
+// TestNonFiniteCapRejected: a NaN or infinite cap has no place in a
+// cap-sorted table. Save and Merge reject it through Err, and replay
+// skips such a record in a WAL while keeping the records beside it.
+func TestNonFiniteCapRejected(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Options{})
+	cfg := arcs.ConfigValues{Threads: 8}
+	for _, capW := range []float64{math.NaN(), math.NaN(), math.Inf(1)} {
+		s.Save(testKey("r", capW), cfg, 1.0)
+		if err := s.Err(); err == nil {
+			t.Errorf("Save at cap %v must surface through Err", capW)
+		}
+	}
+	if s.Merge(Entry{Key: testKey("r", math.Inf(-1)), Cfg: cfg, Perf: 1, Version: 1}) {
+		t.Error("Merge at cap -Inf was accepted")
+	}
+	if err := s.Err(); err == nil {
+		t.Error("Merge at cap -Inf must surface through Err")
+	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("Len = %d after non-finite caps, want 0", n)
+	}
+	s.Save(testKey("r", 60), cfg, 1.0)
+	if _, d, ok := s.GetNearest(testKey("r", 70)); !ok || d != 10 {
+		t.Errorf("GetNearest(70) = dist %v, ok %v; want the 60 W entry, 10 W away", d, ok)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A WAL written by a store that accepted such caps replays without them.
+	var enc codec.Encoder
+	var wal []byte
+	for i, capW := range []float64{math.NaN(), 55, math.Inf(1)} {
+		wal = enc.AppendEntry(wal, &Entry{Key: testKey("q", capW), Cfg: cfg, Perf: 1, Version: uint64(i + 1)})
+	}
+	f, err := os.OpenFile(filepath.Join(dir, WALName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(wal); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openStore(t, dir, Options{})
+	if n := s2.Len(); n != 2 {
+		t.Fatalf("replayed Len = %d, want 2 (60 W at r, 55 W at q)", n)
+	}
+	if _, ok := s2.Get(testKey("q", 55)); !ok {
+		t.Error("the finite record between two non-finite ones was not replayed")
 	}
 }
 
