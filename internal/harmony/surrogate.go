@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"fmt"
 	"math/rand"
 
 	"arcs/internal/surrogate"
@@ -32,8 +33,9 @@ type SurrogateStrategy struct {
 	maxEvals int
 
 	reports  int
-	observed map[string]bool
+	observed []bool // by lattice index (pointAt's order)
 	nObs     int
+	scan     Point // buffer pointAt decodes into
 
 	queue []Point // remaining initial-design points (seed phase)
 	want  Point   // next candidate while the model phase is active
@@ -58,12 +60,12 @@ type SurrogateStrategy struct {
 	polishQ   []Point
 	done      bool
 
-	// expect maps a transfer seed's lattice key to the perf its source
+	// expect maps a transfer seed's lattice index to the perf its source
 	// context promised (NewSurrogateTransfer). A seed probe that performs
 	// at least that well — the transfer hypothesis verified in one
 	// measurement — ends the search immediately; a seed that deviates
 	// falls through to the full model pipeline.
-	expect map[string]float64
+	expect map[int]float64
 }
 
 // Tuning constants. The probe economics they encode are exercised by the
@@ -113,17 +115,18 @@ func NewSurrogate(space Space, start Point, maxEvals int, seed int64, seeds []Po
 		space:    space,
 		model:    surrogate.NewForest(d, surrogate.Options{Seed: seed}),
 		maxEvals: maxEvals,
-		observed: make(map[string]bool),
+		observed: make([]bool, space.Size()),
+		scan:     make(Point, d),
 	}
 	// Initial design: transfer seeds first (they are the best guesses),
 	// then the caller's start point, then — only when that leaves the
 	// design too small to fit a first model — deterministic filler drawn
 	// from a seeded stream.
-	inDesign := make(map[string]bool)
+	inDesign := make([]bool, len(s.observed))
 	push := func(p Point) {
 		p = space.Clamp(p)
-		if k := p.Key(); !inDesign[k] {
-			inDesign[k] = true
+		if i := s.index(p); !inDesign[i] {
+			inDesign[i] = true
 			s.queue = append(s.queue, p)
 		}
 	}
@@ -138,7 +141,8 @@ func NewSurrogate(space Space, start Point, maxEvals int, seed int64, seeds []Po
 		rng := rand.New(rand.NewSource(seed))
 		sz := space.Size()
 		for tries := 0; len(s.queue) < minDesign && tries < 16*sz; tries++ {
-			push(s.pointAt(rng.Intn(sz)))
+			s.pointAt(s.scan, rng.Intn(sz))
+			push(s.scan)
 		}
 	}
 	s.want, s.queue = s.queue[0], s.queue[1:]
@@ -160,9 +164,9 @@ func NewSurrogateTransfer(space Space, start Point, maxEvals int, seed int64, se
 		if i >= len(perfs) || perfs[i] <= 0 || len(p) != d {
 			continue
 		}
-		k := space.Clamp(p).Key()
+		k := s.index(space.Clamp(p))
 		if s.expect == nil {
-			s.expect = make(map[string]float64, len(seeds))
+			s.expect = make(map[int]float64, len(seeds))
 		}
 		if _, dup := s.expect[k]; !dup {
 			s.expect[k] = perfs[i]
@@ -220,14 +224,20 @@ func (s *SurrogateStrategy) NextBatch(max int) []Point {
 
 // Report implements Strategy. It feeds the observation to the model,
 // advances the phase machine, and — in the model phase — refits and picks
-// the next expected-improvement candidate.
+// the next expected-improvement candidate. p must be a point of the space
+// (Space.Valid), as every point the strategy proposes is; Report panics
+// on any other, since the observed set is indexed by lattice position.
 func (s *SurrogateStrategy) Report(p Point, f float64) {
 	if s.done {
 		return
 	}
+	if !s.space.Valid(p) {
+		panic(fmt.Sprintf("harmony: surrogate given point %v outside its space", p))
+	}
 	s.reports++
-	if k := p.Key(); !s.observed[k] {
-		s.observed[k] = true
+	i := s.index(p)
+	if !s.observed[i] {
+		s.observed[i] = true
 		s.model.Observe(p, f)
 		s.nObs++
 		if s.nObs == 1 || f < s.yLo {
@@ -245,7 +255,7 @@ func (s *SurrogateStrategy) Report(p Point, f float64) {
 	// promised proves the neighbouring optimum carried over — nothing
 	// left worth probing.
 	if s.expect != nil && s.refine == nil && !s.polishing {
-		if e, ok := s.expect[p.Key()]; ok && f <= e*(1+surTransferTolFrac) {
+		if e, ok := s.expect[i]; ok && f <= e*(1+surTransferTolFrac) {
 			s.done = true
 			return
 		}
@@ -329,7 +339,7 @@ func (s *SurrogateStrategy) advance() {
 	for len(s.queue) > 0 {
 		q := s.queue[0]
 		s.queue = s.queue[1:]
-		if !s.observed[q.Key()] {
+		if !s.observed[s.index(q)] {
 			s.want = q
 			return
 		}
@@ -339,9 +349,11 @@ func (s *SurrogateStrategy) advance() {
 
 // fitAndPick refits the forest and scans the lattice for the unobserved
 // point maximising expected improvement. Scan order is lexicographic and
-// ties keep the earlier point, so the choice is deterministic. When the
-// best EI falls below tolerance, the model proposals stall, or the lattice
-// is exhausted, it switches to the refinement phase.
+// ties keep the earlier point, so the choice is deterministic. The scan
+// decodes each point into one buffer and copies only those that enter
+// the ranked candidates. When the best EI falls below tolerance, the
+// model proposals stall, or the lattice is exhausted, it switches to the
+// refinement phase.
 func (s *SurrogateStrategy) fitAndPick() {
 	s.modelStarted = true
 	if s.stall >= surStallLimit {
@@ -351,12 +363,12 @@ func (s *SurrogateStrategy) fitAndPick() {
 	s.model.Fit()
 	s.cands = s.cands[:0]
 	eis := make([]float64, 0, surCandsMax)
-	sz := s.space.Size()
-	for idx := 0; idx < sz; idx++ {
-		p := s.pointAt(idx)
-		if s.observed[p.Key()] {
+	p := s.scan
+	for idx, seen := range s.observed {
+		if seen {
 			continue
 		}
+		s.pointAt(p, idx)
 		mean, std, ok := s.model.Predict(p)
 		if !ok {
 			break
@@ -373,7 +385,7 @@ func (s *SurrogateStrategy) fitAndPick() {
 			eis = append(eis, 0)
 			copy(s.cands[at+1:], s.cands[at:])
 			copy(eis[at+1:], eis[at:])
-			s.cands[at], eis[at] = p, ei
+			s.cands[at], eis[at] = p.Clone(), ei
 			if len(s.cands) > surCandsMax {
 				s.cands = s.cands[:surCandsMax]
 				eis = eis[:surCandsMax]
@@ -407,15 +419,24 @@ func (s *SurrogateStrategy) enterRefine() {
 }
 
 // pointAt decodes a lexicographic lattice index (dimension 0 slowest)
-// into a point.
-func (s *SurrogateStrategy) pointAt(idx int) Point {
-	p := make(Point, s.space.Dims())
-	for i := s.space.Dims() - 1; i >= 0; i-- {
+// into p.
+func (s *SurrogateStrategy) pointAt(p Point, idx int) {
+	for i := len(p) - 1; i >= 0; i-- {
 		card := s.space.Params[i].Card
 		p[i] = idx % card
 		idx /= card
 	}
-	return p
+}
+
+// index is pointAt's inverse: the lattice index of p, which must be a
+// point of the space. Callers pass clamped or proposed points, and Report
+// checks the one point that comes from outside.
+func (s *SurrogateStrategy) index(p Point) int {
+	idx := 0
+	for i, v := range p {
+		idx = idx*s.space.Params[i].Card + v
+	}
+	return idx
 }
 
 var (

@@ -195,3 +195,76 @@ func TestSurrogateTransferZeroPerfIgnored(t *testing.T) {
 		t.Errorf("zero expectations changed the trajectory: %+v vs %+v", plain, zeroed)
 	}
 }
+
+// TestSurrogateProposesValidPoints: every point the strategy proposes,
+// through Next and NextBatch in every phase, is a point of its space, so
+// reporting it back (the observed set is indexed by lattice position)
+// needs no clamping. In the model phase the slate is distinct unobserved
+// points: the lattice scan decodes into one reused buffer, so a
+// candidate it kept without copying would alias the others. It drives
+// the strategy directly, without a session.
+func TestSurrogateProposesValidPoints(t *testing.T) {
+	space := space3(t)
+	for _, seed := range []int64{3, 11, 77} {
+		strats := []*SurrogateStrategy{
+			NewSurrogate(space, Point{0, 0, 0}, 0, seed, nil),
+			NewSurrogate(space, Point{-3, 9, 40}, 0, seed, []Point{{6, 3, 8}, {9, -1, 2}}),
+			NewSurrogateTransfer(space, Point{1, 1, 1}, 0, seed, []Point{{0, 0, 0}}, []float64{1e-3}),
+		}
+		for _, s := range strats {
+			for i := 0; !s.Converged(); i++ {
+				if i > space.Size()+64 {
+					t.Fatalf("seed %d: no convergence after %d reports", seed, i)
+				}
+				slate := s.NextBatch(8)
+				modelPhase := s.modelStarted && s.refine == nil && !s.polishing
+				seen := map[string]bool{}
+				for j, q := range slate {
+					if !space.Valid(q) {
+						t.Fatalf("seed %d: NextBatch proposed %v outside the space", seed, q)
+					}
+					// slate[0] is the head candidate, which the ranked
+					// candidates after it repeat first.
+					if modelPhase && j > 0 && (seen[q.Key()] || s.observed[s.index(q)]) {
+						t.Fatalf("seed %d: model-phase slate %v repeats or re-proposes %v", seed, slate, q)
+					}
+					if j > 0 {
+						seen[q.Key()] = true
+					}
+				}
+				p, ok := s.Next()
+				if !ok {
+					break
+				}
+				if !space.Valid(p) {
+					t.Fatalf("seed %d: Next proposed %v outside the space", seed, p)
+				}
+				s.Report(p, rugged(p))
+			}
+		}
+	}
+}
+
+// TestSurrogateIndexInvertsPointAt: the lattice index the observed set
+// uses is pointAt's inverse over the whole space, and Report refuses a
+// point outside the space rather than aliasing it onto one inside it.
+func TestSurrogateIndexInvertsPointAt(t *testing.T) {
+	space := space3(t)
+	s := NewSurrogate(space, Point{0, 0, 0}, 0, 1, nil)
+	p := make(Point, space.Dims())
+	for idx := 0; idx < space.Size(); idx++ {
+		s.pointAt(p, idx)
+		if !space.Valid(p) {
+			t.Fatalf("pointAt(%d) = %v outside the space", idx, p)
+		}
+		if got := s.index(p); got != idx {
+			t.Fatalf("index(pointAt(%d) = %v) = %d", idx, p, got)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Report accepted a point outside the space")
+		}
+	}()
+	s.Report(Point{0, 4, 0}, 1)
+}

@@ -6,12 +6,12 @@
 // how much the model expects them to improve on the incumbent best.
 //
 // Everything is stdlib-only and deterministic: tree construction draws
-// from a private PRNG per tree, seeded once per forest, split selection
-// breaks ties by (dimension, cut) order, and prediction is a pure
-// function of the fitted trees. The same observation sequence always
-// yields the same model — the package is under the arcslint determinism
-// contract, and batched search sessions replaying it must stay
-// byte-identical to serial ones.
+// from a private math/rand stream per tree, seeded once per forest,
+// split selection breaks ties by (dimension, cut) order, and prediction
+// is a pure function of the fitted trees. The same observation sequence
+// always yields the same model — the package is under the arcslint
+// determinism contract, and batched search sessions replaying it must
+// stay byte-identical to serial ones.
 package surrogate
 
 import (
@@ -60,14 +60,62 @@ type Forest struct {
 	streams []treeStream // one per tree, seeded by the first Fit
 }
 
-// treeStream is one tree's private PRNG, seeded once per Forest, with
-// every raw Int31 it has produced. Each Fit draws its bootstrap sample
-// from the start of the stream, as a freshly seeded PRNG would: it
-// replays the recorded values and extends them only when the sample has
-// grown past them, so a refit costs no re-seeding.
+// treeStream is one tree's private math/rand stream, with every raw Int31
+// it has produced. Each Fit draws its bootstrap sample from the start of
+// the stream, as a freshly seeded source would: it replays the recorded
+// values and extends them only when the sample has grown past them, so a
+// refit costs no re-seeding.
+//
+// The stream draws exactly what rand.NewSource(seed) would, without
+// building its 607-word register. rngSource.Seed fills word i from three
+// steps of the Lehmer LCG x ← 48271·x mod (2³¹−1), taken after 20+3i
+// steps from the seed, XORed with rngCooked[i]; draw d (0-based) returns
+// word 333−d plus word 606−d and overwrites word 333−d. Before draw 273
+// the tap never reaches an overwritten word, so each draw adds two fresh
+// words: the stream keeps the LCG state before each of them and steps
+// both back three LCG steps per draw. Draws 273 on, which only a sample of
+// some 270 points or more reaches, come from a real source advanced past
+// the first 273 draws.
 type treeStream struct {
-	src rand.Source
-	raw []int32
+	seed      int64  // as given, for the fallback source
+	feed, tap uint64 // LCG states just before the next draw's two words
+	src       rand.Source
+	raw       []int32
+}
+
+// math/rand's generator (rng.go) and the LCG that seeds it.
+const (
+	rngLen      = 607
+	rngTap      = 273       // draws before the tap meets an overwritten word
+	lcgMod      = 1<<31 - 1 // a Mersenne prime
+	lcgMul      = 48271
+	lcgInv3     = 856800417 // lcgMul⁻³ mod lcgMod: back one register word
+	lcgZeroSeed = 89482311  // what Seed uses for a seed ≡ 0
+)
+
+// feedStart and tapStart are the LCG's multipliers, from the seed, to
+// the states just before the register words the first draw adds.
+var (
+	feedStart = lcgPow(20 + 3*(rngLen-rngTap-1))
+	tapStart  = lcgPow(20 + 3*(rngLen-1))
+)
+
+// newTreeStream returns the stream rand.NewSource(seed) draws, recording
+// its values in raw's spare capacity first.
+func newTreeStream(seed int64, raw []int32) treeStream {
+	x := seed % lcgMod // rngSource.Seed's normalisation
+	if x < 0 {
+		x += lcgMod
+	}
+	if x == 0 {
+		x = lcgZeroSeed
+	}
+	return treeStream{
+		seed: seed,
+		feed: mulmod(uint64(x), feedStart),
+		tap:  mulmod(uint64(x), tapStart),
+		raw:  raw,
+	}
 }
 
 // treeStreamRoom is how many draws each tree's stream has room for before
@@ -77,9 +125,62 @@ const treeStreamRoom = 64
 // int31 returns the stream's p-th Int31, drawing it if it is new.
 func (s *treeStream) int31(p int) int32 {
 	for p >= len(s.raw) {
-		s.raw = append(s.raw, int32(s.src.Int63()>>32)) // rand.(*Rand).Int31
+		s.raw = append(s.raw, s.next())
 	}
 	return s.raw[p]
+}
+
+// next draws the Int31 after the recorded ones: rand.(*Rand).Int31, the
+// top 31 bits of the source's 63-bit Int63.
+func (s *treeStream) next() int32 {
+	d := len(s.raw)
+	if d < rngTap {
+		sum := registerWord(s.feed, rngLen-rngTap-1-d) + registerWord(s.tap, rngLen-1-d)
+		s.feed = mulmod(s.feed, lcgInv3)
+		s.tap = mulmod(s.tap, lcgInv3)
+		return int32((uint64(sum) & (1<<63 - 1)) >> 32)
+	}
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed)
+		for range rngTap {
+			s.src.Int63()
+		}
+	}
+	return int32(s.src.Int63() >> 32)
+}
+
+// registerWord is word i of a seeded source's register, given the LCG
+// state x just before it: rngSource.Seed's three steps and table XOR.
+func registerWord(x uint64, i int) int64 {
+	x1 := mulmod(x, lcgMul)
+	x2 := mulmod(x1, lcgMul)
+	x3 := mulmod(x2, lcgMul)
+	return int64(x1)<<40 ^ int64(x2)<<20 ^ int64(x3) ^ rngCooked[i]
+}
+
+// mulmod returns a·b mod 2³¹−1 for a, b in [1, 2³¹−1) without dividing:
+// 2³¹ ≡ 1, so the product's high bits fold onto its low ones. The fold is
+// at most 2·(2³¹−1) and never a multiple of the prime, so one subtraction
+// reduces it.
+func mulmod(a, b uint64) uint64 {
+	p := a * b
+	r := p&lcgMod + p>>31
+	if r >= lcgMod {
+		r -= lcgMod
+	}
+	return r
+}
+
+// lcgPow returns lcgMul^e mod 2³¹−1.
+func lcgPow(e int) uint64 {
+	r, b := uint64(1), uint64(lcgMul)
+	for ; e > 0; e >>= 1 {
+		if e&1 != 0 {
+			r = mulmod(r, b)
+		}
+		b = mulmod(b, b)
+	}
+	return r
 }
 
 // intn replays rand.(*Rand).Intn(n) for 0 < n < 2^31 from the p-th Int31
@@ -142,8 +243,8 @@ func (f *Forest) Fit() {
 		for t := range f.streams {
 			// Private deterministic stream per tree; the odd multiplier
 			// keeps neighbouring tree seeds decorrelated.
-			f.streams[t].src = rand.NewSource(f.opts.Seed + int64(t)*0x9E3779B1 + 1)
-			f.streams[t].raw = room[t*treeStreamRoom : t*treeStreamRoom : (t+1)*treeStreamRoom]
+			f.streams[t] = newTreeStream(f.opts.Seed+int64(t)*0x9E3779B1+1,
+				room[t*treeStreamRoom:t*treeStreamRoom:(t+1)*treeStreamRoom])
 		}
 	}
 	idx := make([]int, n)

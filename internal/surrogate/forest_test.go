@@ -157,7 +157,7 @@ func TestExpectedImprovement(t *testing.T) {
 // as one forest's refits do.
 func TestTreeStreamReplaysIntn(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		s := treeStream{src: rand.NewSource(seed)}
+		s := newTreeStream(seed, nil)
 		for n := 1; n <= 300; n++ {
 			ref := rand.New(rand.NewSource(seed))
 			for i, p := 0, 0; i < n; i++ {
@@ -180,6 +180,100 @@ func TestTreeStreamReplaysIntn(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTreeStreamMatchesMathRand: the closed-form stream must draw exactly
+// what rand.NewSource(seed) draws, for seeds at and around every case of
+// rngSource.Seed's normalisation (0, the modulus and its multiples, the
+// stand-in for a zero seed, the int64 extremes) and for random seeds,
+// over the first 700 draws: past draw 273, where it hands over to a real
+// source, and past the 607-word register's first wrap.
+func TestTreeStreamMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, lcgZeroSeed, -lcgZeroSeed, math.MinInt64, math.MaxInt64}
+	for _, k := range []int64{1, 2, 3, 1 << 20, math.MaxInt64 / lcgMod} {
+		for _, d := range []int64{-1, 0, 1} {
+			seeds = append(seeds, k*lcgMod+d, -k*lcgMod+d)
+		}
+	}
+	gen := rand.New(rand.NewSource(2718))
+	for range 300 {
+		seeds = append(seeds, gen.Int63()-gen.Int63())
+	}
+	const draws = 700
+	for _, seed := range seeds {
+		s := newTreeStream(seed, nil)
+		ref := rand.New(rand.NewSource(seed))
+		for p := 0; p < draws; p++ {
+			if got, want := s.int31(p), ref.Int31(); got != want {
+				t.Fatalf("seed %d draw %d: stream %d, math/rand %d", seed, p, got, want)
+			}
+		}
+		if s.src == nil {
+			t.Fatalf("seed %d: %d draws never reached the fallback source", seed, draws)
+		}
+	}
+}
+
+// TestTreeStreamAllocs: a stream with room for its draws allocates
+// nothing to seed or draw; a math/rand source would allocate its
+// 4.9 KB register, an increase BenchmarkForestFit's allocs/op gate is
+// too coarse to see.
+func TestTreeStreamAllocs(t *testing.T) {
+	raw := make([]int32, 0, treeStreamRoom)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		s := newTreeStream(seed, raw)
+		s.int31(treeStreamRoom - 1)
+	})
+	if allocs != 0 {
+		t.Errorf("seeding a stream and drawing %d values: %v allocs, want 0", treeStreamRoom, allocs)
+	}
+}
+
+// TestLCGInverse: lcgInv3 steps the seeding LCG back by exactly three
+// steps, and mulmod reduces like the % operator.
+func TestLCGInverse(t *testing.T) {
+	if got := lcgInv3 * lcgPow(3) % lcgMod; got != 1 {
+		t.Errorf("lcgInv3 · 48271³ ≡ %d (mod 2³¹−1), want 1", got)
+	}
+	gen := rand.New(rand.NewSource(5))
+	for range 10000 {
+		a, b := uint64(gen.Int63n(lcgMod-1)+1), uint64(gen.Int63n(lcgMod-1)+1)
+		if got, want := mulmod(a, b), a*b%lcgMod; got != want {
+			t.Fatalf("mulmod(%d, %d) = %d, want %d", a, b, got, want)
+		}
+	}
+	for _, a := range []uint64{1, 2, lcgMod - 2, lcgMod - 1} {
+		for _, b := range []uint64{1, 2, lcgMod - 2, lcgMod - 1} {
+			if got, want := mulmod(a, b), a*b%lcgMod; got != want {
+				t.Fatalf("mulmod(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkForestFit times one fresh 16-tree forest's first Fit over 40
+// observations: seeding its streams, drawing the bootstrap samples and
+// growing the trees.
+func BenchmarkForestFit(b *testing.B) {
+	var xs [][]int
+	for a := 0; a < 7; a++ {
+		for c := 0; c < 9; c++ {
+			if (a*9+c)%3 != 1 && len(xs) < 40 {
+				xs = append(xs, []int{a, (a + c) % 4, c})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := NewForest(3, Options{Seed: 7})
+		for _, x := range xs {
+			f.Observe(x, synth(x))
+		}
+		f.Fit()
 	}
 }
 
