@@ -22,6 +22,12 @@
 // and exact: -tolerance does not apply, so any rise fails and a fall is
 // relocked in the baseline); custom units matching neither suffix are
 // informational only.
+// The JSON also records the Go toolchain that ran the benchmarks
+// (runtime.Version() of this binary, built by the same go command), under
+// the key "go_version": allocation counts depend on the runtime, so
+// -compare refuses a baseline recorded under another toolchain instead
+// of gating one runtime's counts against another's.
+//
 // A benchmark named in the baseline but missing from the current run is
 // itself a failure — a silently deleted benchmark must not pass the
 // gate — and so is a benchmark present in the run but absent from the
@@ -36,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,10 +71,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *compareFile == "" {
-		// encoding/json renders map keys sorted, so the artifact is stable.
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
+		if err := encode(os.Stdout, results); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
@@ -79,9 +83,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	var baseline map[string]Entry
-	if err := json.Unmarshal(raw, &baseline); err != nil {
+	baseline, version, err := decode(raw)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: baseline %s: %v\n", *compareFile, err)
+		os.Exit(1)
+	}
+	if msg := checkToolchain(version, runtime.Version()); msg != "" {
+		fmt.Fprintf(os.Stderr, "benchjson: baseline %s: %s\n", *compareFile, msg)
 		os.Exit(1)
 	}
 	failures := compare(baseline, results, *tolerance, parseMetrics(*metrics))
@@ -131,17 +139,72 @@ func load(r *bufio.Reader) (map[string]Entry, error) {
 		return nil, err
 	}
 	if head[0] == '{' {
-		var results map[string]Entry
 		data, err := io.ReadAll(r)
 		if err != nil {
 			return nil, err
 		}
-		if err := json.Unmarshal(data, &results); err != nil {
+		results, _, err := decode(data)
+		if err != nil {
 			return nil, fmt.Errorf("stdin looks like JSON but does not parse: %w", err)
 		}
 		return results, nil
 	}
 	return parse(bufio.NewScanner(r))
+}
+
+// toolchainKey is the one key of the JSON form that names no benchmark:
+// the Go toolchain the benchmarks ran under.
+const toolchainKey = "go_version"
+
+// encode writes results as indented JSON, with this binary's toolchain
+// under toolchainKey. encoding/json renders map keys sorted, so the
+// artifact is stable.
+func encode(w io.Writer, results map[string]Entry) error {
+	out := make(map[string]any, len(results)+1)
+	for name, e := range results {
+		out[name] = e
+	}
+	out[toolchainKey] = runtime.Version()
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
+// decode reads the JSON form: the benchmarks, and the toolchain they
+// ran under ("" when the file records none).
+func decode(data []byte) (map[string]Entry, string, error) {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, "", err
+	}
+	var version string
+	if v, ok := raw[toolchainKey]; ok {
+		if err := json.Unmarshal(v, &version); err != nil {
+			return nil, "", fmt.Errorf("%s: %w", toolchainKey, err)
+		}
+		delete(raw, toolchainKey)
+	}
+	results := make(map[string]Entry, len(raw))
+	for name, v := range raw {
+		var e Entry
+		if err := json.Unmarshal(v, &e); err != nil {
+			return nil, "", fmt.Errorf("%s: %w", name, err)
+		}
+		results[name] = e
+	}
+	return results, version, nil
+}
+
+// checkToolchain explains why a baseline recorded under toolchain base
+// cannot gate a run under cur, or returns "" when it can.
+func checkToolchain(base, cur string) string {
+	switch base {
+	case cur:
+		return ""
+	case "":
+		return fmt.Sprintf("records no %s; re-record it under %s", toolchainKey, cur)
+	}
+	return fmt.Sprintf("recorded under %s, but this run uses %s: allocation counts differ between runtimes, so run the gate under %s or re-record the baseline", base, cur, base)
 }
 
 // compare checks every baseline benchmark against the current run and

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -235,5 +236,35 @@ ok  	arcs/internal/sim	12.3s
 	}
 	if e.NsPerOp != 1925880 {
 		t.Fatalf("standard units lost alongside custom ones: %+v", e)
+	}
+}
+
+// TestToolchainRecordedAndChecked: the JSON form records the toolchain
+// beside the benchmarks and reads both back, and a baseline gates only a
+// run under the toolchain it was recorded with.
+func TestToolchainRecordedAndChecked(t *testing.T) {
+	var b strings.Builder
+	if err := encode(&b, map[string]Entry{"BenchmarkX": {NsPerOp: 100, AllocsPerOp: 2, Iterations: 10}}); err != nil {
+		t.Fatal(err)
+	}
+	results, version, err := decode([]byte(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if version != runtime.Version() || len(results) != 1 || results["BenchmarkX"].AllocsPerOp != 2 {
+		t.Fatalf("decode(encode(...)) = %+v, %q; want BenchmarkX and %q", results, version, runtime.Version())
+	}
+	if got, err := load(bufio.NewReader(strings.NewReader(b.String()))); err != nil || len(got) != 1 {
+		t.Fatalf("load of an artifact with a toolchain: %+v, %v", got, err)
+	}
+
+	if msg := checkToolchain("go1.24.0", "go1.24.0"); msg != "" {
+		t.Errorf("same toolchain refused: %s", msg)
+	}
+	if msg := checkToolchain("go1.24.0", "go1.22.12"); !strings.Contains(msg, "go1.24.0") || !strings.Contains(msg, "go1.22.12") {
+		t.Errorf("other toolchain: message %q does not name both", msg)
+	}
+	if msg := checkToolchain("", "go1.24.0"); !strings.Contains(msg, toolchainKey) {
+		t.Errorf("baseline without a toolchain: message %q", msg)
 	}
 }

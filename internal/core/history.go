@@ -300,21 +300,21 @@ func (t *Table) Nearest(k HistoryKey) (Entry, float64, bool) {
 	return r.entry(k.App, k.Region, best), dist(best), true
 }
 
-// AppendNeighbors appends every entry of t that neighbours k
-// (NeighborDistance) to dst, unranked; RankNeighbors orders the result.
-// Only k's (App, Region) group can hold one.
-func (t *Table) AppendNeighbors(dst []Neighbor, k HistoryKey) []Neighbor {
+// Neighbors folds every entry of t that neighbours k (NeighborDistance)
+// into ns, a ranked slice of at most max (InsertNeighbor), and returns
+// it. Only k's (App, Region) group can hold one.
+func (t *Table) Neighbors(ns []Neighbor, k HistoryKey, max int) []Neighbor {
 	runs := t.groups[tableGroup{k.App, k.Region}]
 	for ri := range runs {
 		r := &runs[ri]
 		for i := range r.recs {
 			e := r.entry(k.App, k.Region, i)
 			if d, ok := NeighborDistance(k, e.Key); ok {
-				dst = append(dst, Neighbor{Entry: e, Dist: d})
+				ns = InsertNeighbor(ns, Neighbor{Entry: e, Dist: d}, max)
 			}
 		}
 	}
-	return dst
+	return ns
 }
 
 // AppendEntries appends every entry of t to dst, unordered; SortEntries
@@ -331,21 +331,44 @@ func (t *Table) AppendEntries(dst []Entry) []Entry {
 	return dst
 }
 
-// RankNeighbors sorts ns by ascending distance, breaking ties toward the
-// lower cap and then the canonical key string, and returns at most max of
-// them, so every History ranks identically. It builds no key: every pair
-// of cross-workload donors at one cap ties, and compareKeys orders them.
-func RankNeighbors(ns []Neighbor, max int) []Neighbor {
-	slices.SortFunc(ns, func(a, b Neighbor) int {
-		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
-			return c
+// InsertNeighbor folds n into ns, a slice of at most max >= 1 neighbours
+// in rank order, and returns it: n lands at its rank, and when ns is
+// full the last one drops. Folding every candidate keeps the max best
+// without holding or sorting the rest. The rank order is every
+// History's: ascending distance, then the lower cap, then the canonical
+// key (compareNeighbors). Candidates must have distinct keys.
+func InsertNeighbor(ns []Neighbor, n Neighbor, max int) []Neighbor {
+	if len(ns) >= max && compareNeighbors(&n, &ns[len(ns)-1]) >= 0 {
+		return ns
+	}
+	lo, hi := 0, len(ns)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if compareNeighbors(&ns[m], &n) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		if c := cmp.Compare(a.Key.CapW, b.Key.CapW); c != 0 {
-			return c
-		}
-		return compareKeys(a.Key, b.Key)
-	})
-	return ns[:min(len(ns), max)]
+	}
+	if len(ns) < max {
+		ns = append(ns, Neighbor{})
+	}
+	copy(ns[lo+1:], ns[lo:len(ns)-1])
+	ns[lo] = n
+	return ns
+}
+
+// compareNeighbors is the neighbour rank order: distance, then cap, then
+// compareKeys, which builds no key (every pair of cross-workload donors
+// at one cap ties on the first two).
+func compareNeighbors(a, b *Neighbor) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Key.CapW, b.Key.CapW); c != 0 {
+		return c
+	}
+	return compareKeys(a.Key, b.Key)
 }
 
 // compareKeys orders a and b as strings.Compare orders their canonical
@@ -562,13 +585,12 @@ func (h *MemHistory) LoadNearest(k HistoryKey) (ConfigValues, float64, bool) {
 	return e.Cfg, dist, ok
 }
 
-// LoadNeighbors implements History with Table.AppendNeighbors and
-// RankNeighbors.
+// LoadNeighbors implements History with Table.Neighbors.
 func (h *MemHistory) LoadNeighbors(k HistoryKey, max int) []Neighbor {
 	if max <= 0 {
 		return nil
 	}
-	return RankNeighbors(h.entries.AppendNeighbors(nil, k), max)
+	return h.entries.Neighbors(make([]Neighbor, 0, max), k, max)
 }
 
 // Len implements History.

@@ -228,6 +228,11 @@ func searchRegion(ctx context.Context, rm RegionModel, env searchEnv) (BatchSear
 			wg.Add(1)
 			go func(i int, cfg ConfigValues) {
 				defer wg.Done()
+				if env.opts.Cache == nil {
+					fresh.Add(1)
+					perfs[i], perr[i] = probeConfig(env.machines, rm.Model, cfg, env.opts.Objective)
+					return
+				}
 				key := evalcache.Key{
 					Arch: env.archName, App: env.opts.App, Workload: env.opts.Workload,
 					Region: rm.Name, CapW: env.effCap, Config: cacheConfigKey(cfg),

@@ -110,8 +110,8 @@ func sameEntry(a, b Entry) bool {
 }
 
 // TestTableMatchesOracle: on seeded random tables, Table.Nearest and
-// RankNeighbors(AppendNeighbors(...)) answer exactly what the frozen
-// scans answer, tie-breaks, negative zeros and versions included.
+// Table.Neighbors answer exactly what the frozen scans answer,
+// tie-breaks, negative zeros and versions included.
 func TestTableMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -133,7 +133,7 @@ func TestTableMatchesOracle(t *testing.T) {
 					seed, k, got, gotDist, gotOK, want, wantDist, wantOK)
 			}
 			max := 1 + r.Intn(len(oracle)+2)
-			ns := RankNeighbors(tab.AppendNeighbors(nil, k), max)
+			ns := tab.Neighbors(nil, k, max)
 			wantNs := oracleNeighbors(oracle, k, max)
 			if len(ns) != len(wantNs) {
 				t.Fatalf("seed %d: %d neighbours of %v, oracle %d", seed, len(ns), k, len(wantNs))
@@ -141,6 +141,53 @@ func TestTableMatchesOracle(t *testing.T) {
 			for i := range ns {
 				if !sameEntry(ns[i].Entry, wantNs[i].Entry) || math.Float64bits(ns[i].Dist) != math.Float64bits(wantNs[i].Dist) {
 					t.Fatalf("seed %d: neighbour #%d of %v is %+v, oracle %+v", seed, i, k, ns[i], wantNs[i])
+				}
+			}
+		}
+	}
+}
+
+// TestInsertNeighborMatchesSortAll: folding candidates one at a time
+// into a slice of at most max, in any order, keeps exactly the first max
+// of the frozen sort-everything ranking (oracleNeighbors), versions
+// included, for every max from 1 to past the candidate count. Every cap
+// recurs across the three workloads (cross-workload ties on distance and
+// cap), both zeros are caps, and the query caps sit between stored caps
+// at equal distances on each side.
+func TestInsertNeighborMatchesSortAll(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		k := randomTableKey(r, tableQueryCaps)
+		oracle := make(map[string]Entry)
+		var cands []Neighbor
+		for n := 1 + r.Intn(25); len(cands) < n; { // of at least 28 donors
+			ek := HistoryKey{
+				App:      k.App,
+				Workload: tableWorkloads[r.Intn(len(tableWorkloads))],
+				CapW:     tableCaps[r.Intn(len(tableCaps))],
+				Region:   k.Region,
+			}
+			d, ok := NeighborDistance(k, ek)
+			if _, dup := oracle[ek.String()]; dup || !ok {
+				continue
+			}
+			e := Entry{Key: ek, Cfg: ConfigValues{Threads: 1 + r.Intn(32)}, Perf: 1 + r.Float64(), Version: uint64(1 + r.Intn(5))}
+			oracle[ek.String()] = e
+			cands = append(cands, Neighbor{Entry: e, Dist: d})
+		}
+		for max := 1; max <= len(cands)+2; max++ {
+			r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+			var ns []Neighbor
+			for _, n := range cands {
+				ns = InsertNeighbor(ns, n, max)
+			}
+			want := oracleNeighbors(oracle, k, max)
+			if len(ns) != len(want) {
+				t.Fatalf("seed %d: %d of %d neighbours of %v kept at max %d, oracle %d", seed, len(ns), len(cands), k, max, len(want))
+			}
+			for i := range ns {
+				if !sameEntry(ns[i].Entry, want[i].Entry) || math.Float64bits(ns[i].Dist) != math.Float64bits(want[i].Dist) {
+					t.Fatalf("seed %d, max %d: neighbour #%d of %v is %+v, oracle %+v", seed, max, i, k, ns[i], want[i])
 				}
 			}
 		}

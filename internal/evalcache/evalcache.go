@@ -67,15 +67,14 @@ func appendField(b []byte, s string) []byte {
 	return append(b, s[start:]...)
 }
 
-// Stats is a snapshot of the cache counters, exported on /metrics
-// through the metric and help tags.
+// Stats is a snapshot of the cache counters.
 type Stats struct {
-	Hits     uint64 `metric:"arcsd_evalcache_hits_total,counter" help:"Probe evaluations served from the eval cache."`                  // Do served from the cache
-	Misses   uint64 `metric:"arcsd_evalcache_misses_total,counter" help:"Probe evaluations computed fresh (cache misses)."`             // Do invocations that ran the compute function
-	Dedups   uint64 `metric:"arcsd_evalcache_dedup_total,counter" help:"Probe evaluations shared with a concurrent in-flight compute."` // Do invocations that waited on another worker's compute
+	Hits     uint64 // Do served from the cache
+	Misses   uint64 // Do invocations that ran the compute function
+	Dedups   uint64 // Do invocations that waited on another worker's compute
 	Errors   uint64 // compute failures (never cached)
-	Entries  int    `metric:"arcsd_evalcache_entries,gauge" help:"Resident eval-cache entries."`           // resident values
-	InFlight int    `metric:"arcsd_evalcache_inflight,gauge" help:"Probe computations currently running."` // computes currently running
+	Entries  int    // resident values
+	InFlight int    // computes currently running
 }
 
 // call is one in-flight single-flight computation.

@@ -2,7 +2,6 @@ package harmony
 
 import (
 	"fmt"
-	"math/rand"
 
 	"arcs/internal/surrogate"
 )
@@ -138,7 +137,7 @@ func NewSurrogate(space Space, start Point, maxEvals int, seed int64, seeds []Po
 	push(start)
 	minDesign := surDesignFactor*d + 2
 	if len(seeds) == 0 && len(s.queue) < minDesign {
-		rng := rand.New(rand.NewSource(seed))
+		rng := surrogate.NewStream(seed, make([]int32, 0, 2*minDesign))
 		sz := space.Size()
 		for tries := 0; len(s.queue) < minDesign && tries < 16*sz; tries++ {
 			s.pointAt(s.scan, rng.Intn(sz))

@@ -3,7 +3,7 @@ package server
 // arcsd's /metrics. Each series is declared once, as a struct field
 // tagged `metric:"<name>,<type>" help:"<text>"` beside the value it
 // reads. The snapshot structs /healthz already serves (store.Health,
-// evalcache.Stats, fleet.Stats, FleetHealth) declare theirs; the
+// fleet.Stats, FleetHealth) declare theirs; the
 // server's own counters are serverSeries and fleetSeries below.
 // writeMetrics renders every tagged field of its sources in one loop,
 // sorted by family name, so adding a series is adding one field.

@@ -20,11 +20,6 @@ import (
 // standaloneFamilies pins every family a standalone arcsd serves; a
 // series added or lost shows up as a diff here.
 var standaloneFamilies = []string{
-	"arcsd_evalcache_dedup_total",
-	"arcsd_evalcache_entries",
-	"arcsd_evalcache_hits_total",
-	"arcsd_evalcache_inflight",
-	"arcsd_evalcache_misses_total",
 	"arcsd_handler_panics_total",
 	"arcsd_lookup_fallbacks_total",
 	"arcsd_lookup_hits_total",

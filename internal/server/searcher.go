@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"arcs/internal/cli"
@@ -17,10 +19,16 @@ import (
 type SearchRequest struct {
 	App      string
 	Workload string
+	Region   string // the region the caller asked for ("" = any); an app without it fails with ErrUnknownRegion
 	Arch     string
 	CapW     float64 // 0 or the machine's TDP = run uncapped
 	MaxEvals int     // per-region evaluation budget
 }
+
+// ErrUnknownRegion is the error a Searcher returns, before any probe,
+// for a request whose app has no region of that name: a miss to answer
+// 404, not a failed search.
+var ErrUnknownRegion = errors.New("server: the app has no such region")
 
 // SearchResult is one region's best configuration from a search.
 type SearchResult struct {
@@ -42,8 +50,7 @@ type Searcher interface {
 // (§III-B), hosted server-side so the cost is paid once per context
 // instead of once per client. Regions are probed directly through
 // arcs.BatchSearch: candidate batches evaluate concurrently on Machine
-// clones, and results are memoised in the eval cache so a repeated search
-// (same app, workload, arch, cap) does no probe work at all.
+// clones, memoised in Cache when one is set.
 //
 // A search takes its app from a pool per (app, workload) and builds it
 // only on a miss, so a new-cap search reuses the region models, and the
@@ -52,11 +59,16 @@ type Searcher interface {
 // mutated once probed; each search probes fresh Machine clones with
 // empty memos, so results are bit-identical to a search on a freshly
 // built app. An app goes back to its pool only after a search that
-// returned without error, and an idle app is dropped after two GC
-// cycles, as sync.Pool drops any item. The pool map itself keeps one
-// small entry per distinct (app, workload) ever searched, which is
-// unbounded across SYNTH seeds, as the store's per-region entries for
-// the same contexts are.
+// returned without error. By then every region has been probed and
+// every prefix built, so the app is read-only and any number of searches
+// may share it: it goes back twice, once into the current P's private
+// slot and once into the shared chain a Get on any other P steals from.
+// An idle app is dropped after two GC cycles, as sync.Pool drops any
+// item, so the pool holds no app's prefix sums against the live heap.
+// The pool map itself keeps one small entry per distinct (app, workload)
+// ever built, with the app's region names, which is unbounded across
+// SYNTH seeds, as the store's per-region entries for the same contexts
+// are.
 type SimSearcher struct {
 	// Parallelism bounds concurrent probes per search; 0 selects
 	// GOMAXPROCS, 1 evaluates serially.
@@ -73,21 +85,35 @@ type SimSearcher struct {
 	Neighbors func(k arcs.HistoryKey, max int) []arcs.Neighbor
 }
 
-// Search implements Searcher.
+// Search implements Searcher. A request for a region the app lacks fails
+// with ErrUnknownRegion before any probe, and once the app has been
+// built, before taking it from its pool.
 func (s SimSearcher) Search(ctx context.Context, req SearchRequest) ([]SearchResult, error) {
 	if req.MaxEvals <= 0 {
 		return nil, fmt.Errorf("server: search budget must be positive, got %d", req.MaxEvals)
 	}
 	key := appKey{app: req.App, workload: req.Workload}
+	var pool *appPool
 	var app *kernels.App
-	pool, _ := appPools.Load(key)
-	if pool != nil {
-		app, _ = pool.(*sync.Pool).Get().(*kernels.App)
+	if v, ok := appPools.Load(key); ok {
+		pool = v.(*appPool)
+		if !pool.hasRegion(req.Region) {
+			return nil, unknownRegion(req)
+		}
+		app, _ = pool.Get().(*kernels.App)
 	}
 	if app == nil {
 		var err error
 		if app, err = buildApp(req.App, req.Workload); err != nil {
 			return nil, err
+		}
+		if pool == nil {
+			v, _ := appPools.LoadOrStore(key, newAppPool(app))
+			pool = v.(*appPool)
+			if !pool.hasRegion(req.Region) {
+				pool.share(app) // never probed: any search may take it
+				return nil, unknownRegion(req)
+			}
 		}
 	}
 	out, err := s.search(ctx, app, req)
@@ -97,18 +123,50 @@ func (s SimSearcher) Search(ctx context.Context, req SearchRequest) ([]SearchRes
 	// Not deferred: a panic inside a prefix build leaves the model's
 	// sync.Once done with no prefix, so only a search that returned puts
 	// its app back.
-	if pool == nil {
-		pool, _ = appPools.LoadOrStore(key, new(sync.Pool))
-	}
-	pool.(*sync.Pool).Put(app)
+	pool.share(app)
 	return out, nil
+}
+
+// unknownRegion is ErrUnknownRegion naming req's app and region.
+func unknownRegion(req SearchRequest) error {
+	return fmt.Errorf("%w: %s.%s has no region %q", ErrUnknownRegion, req.App, req.Workload, req.Region)
 }
 
 // appKey names one pool of built apps.
 type appKey struct{ app, workload string }
 
-// appPools maps an appKey to the *sync.Pool of its idle apps. An entry
-// is made only after a search of a valid app succeeded.
+// appPool holds the idle built apps of one (app, workload), and the
+// region names every one of them has.
+type appPool struct {
+	sync.Pool
+	regions []string
+}
+
+// newAppPool returns an empty pool for app's (app, workload).
+func newAppPool(app *kernels.App) *appPool {
+	p := &appPool{regions: make([]string, len(app.Regions))}
+	for i := range app.Regions {
+		p.regions[i] = app.Regions[i].Name
+	}
+	return p
+}
+
+// hasRegion reports whether the pool's apps have a region named name;
+// every app has "".
+func (p *appPool) hasRegion(name string) bool {
+	return name == "" || slices.Contains(p.regions, name)
+}
+
+// share puts a read-only app where a Get on any P finds it: Put fills
+// the current P's private slot if it is empty, which only a Get on that
+// P sees, and the second Put goes to the shared chain.
+func (p *appPool) share(app *kernels.App) {
+	p.Put(app)
+	p.Put(app)
+}
+
+// appPools maps an appKey to its *appPool. An entry is made when an app
+// is first built, which only a valid app name and workload can be.
 var appPools sync.Map
 
 // buildApp builds an app on a pool miss; tests count builds through it.

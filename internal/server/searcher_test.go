@@ -17,6 +17,7 @@ import (
 
 	"arcs/internal/cli"
 	arcs "arcs/internal/core"
+	"arcs/internal/kernels"
 )
 
 // freshSearch runs req through s on a freshly built app, bypassing the
@@ -68,30 +69,35 @@ func TestConcurrentSearchesMatchFreshApp(t *testing.T) {
 }
 
 // TestCancelledSearchKeepsAppOutOfPool checks that a search that returns
-// an error does not put its app back, and that the next search of the
-// app still matches the golden file's first context (SP B at 50 W,
-// searched before the store held any neighbour).
+// an error on a freshly built app pools nothing, and that the next
+// search of the app still matches the golden file's first context (SP B
+// at 50 W, searched before the store held any neighbour).
 func TestCancelledSearchKeepsAppOutOfPool(t *testing.T) {
-	// One P and no GC, so the pool neither drops the app the first
-	// search puts nor hides it on another P from the cancelled search.
+	// Two GC cycles empty every app pool, and with GC off nothing but
+	// the searches below fills or empties one.
+	runtime.GC()
+	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	builds := 0
+	defer func(orig func(string, string) (*kernels.App, error)) { buildApp = orig }(buildApp)
+	buildApp = func(app, workload string) (*kernels.App, error) {
+		builds++
+		return cli.BuildApp(app, workload)
+	}
 	s := SimSearcher{Parallelism: 2, Algo: arcs.AlgoSurrogate}
 	req := SearchRequest{App: "SP", Workload: "B", Arch: "crill", CapW: 50, MaxEvals: 40}
-	if _, err := s.Search(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Search(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search: err = %v, want context.Canceled", err)
 	}
-	p, ok := appPools.Load(appKey{app: req.App, workload: req.Workload})
-	if !ok {
-		t.Fatal("no app pool after a successful search")
+	if builds != 1 {
+		t.Fatalf("cancelled search built the app %d times, want 1", builds)
 	}
-	if app := p.(*sync.Pool).Get(); app != nil {
-		t.Error("cancelled search returned its app to the pool")
+	if p, ok := appPools.Load(appKey{app: req.App, workload: req.Workload}); ok {
+		if app := p.(*appPool).Get(); app != nil {
+			t.Error("cancelled search put its freshly built app in the pool")
+		}
 	}
 
 	res, err := s.Search(context.Background(), req)

@@ -53,7 +53,6 @@ import (
 	"arcs/internal/cli"
 	"arcs/internal/codec"
 	arcs "arcs/internal/core"
-	"arcs/internal/evalcache"
 	"arcs/internal/fleet"
 	"arcs/internal/store"
 	"arcs/internal/storeclient"
@@ -74,7 +73,8 @@ type Config struct {
 	// Store is the backing knowledge store (required).
 	Store *store.Store
 	// Searcher answers total misses; nil selects the simulator-backed
-	// SimSearcher with a server-owned eval cache.
+	// SimSearcher, which memoises nothing: the store keeps each search's
+	// winners, so a context is searched once.
 	Searcher Searcher
 	// SearchBudget caps the evaluations per region of a server-side
 	// search; 0 disables server-side searching entirely.
@@ -126,8 +126,7 @@ type Server struct {
 	start         time.Time     // for /healthz uptime
 	mux           *http.ServeMux
 	met           *metrics
-	evc           *evalcache.Cache // probe memoisation for the default searcher
-	fleet         *fleet.Fleet     // nil when standalone
+	fleet         *fleet.Fleet // nil when standalone
 	peerClient    func(string) *storeclient.Client
 
 	sfMu     sync.Mutex
@@ -179,10 +178,8 @@ func New(cfg Config) *Server {
 		s.searchSem = make(chan struct{}, maxSearches)
 	}
 	if s.searcher == nil {
-		s.evc = evalcache.New()
 		s.searcher = SimSearcher{
 			Parallelism: cfg.SearchParallelism,
-			Cache:       s.evc,
 			Algo:        cfg.SearchAlgo,
 			Neighbors:   cfg.Store.LoadNeighbors,
 		}
@@ -281,32 +278,37 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	}
 	// Total miss: optionally search server-side.
 	if allowSearch && s.budget > 0 && arch != "" {
-		if err := s.searchOnce(r.Context(), SearchRequest{
-			App: key.App, Workload: key.Workload, Arch: arch, CapW: key.CapW, MaxEvals: s.budget,
-		}); err != nil {
-			switch {
-			case errors.Is(err, errSearchShed):
-				// Load shedding, not failure: tell the client when to come
-				// back instead of queueing it.
-				w.Header().Set("Retry-After", "1")
-				errorJSON(w, http.StatusTooManyRequests, "server busy: %v", err)
-			case errors.Is(err, errSearchTimeout) || errors.Is(err, context.DeadlineExceeded):
-				s.met.SearchErrors.Add(1)
-				errorJSON(w, http.StatusGatewayTimeout, "server-side search: %v", err)
-			default:
-				s.met.SearchErrors.Add(1)
-				errorJSON(w, http.StatusBadGateway, "server-side search: %v", err)
+		err := s.searchOnce(r.Context(), SearchRequest{
+			App: key.App, Workload: key.Workload, Region: key.Region, Arch: arch, CapW: key.CapW, MaxEvals: s.budget,
+		})
+		switch {
+		case err == nil:
+			if e, ok := s.st.Get(key); ok {
+				writeConfig(w, r, codec.ConfigAnswer{
+					Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Version: e.Version, Source: "searched",
+				})
+				return
 			}
+			// The search ran but stored nothing at this key: an honest
+			// miss.
+		case errors.Is(err, ErrUnknownRegion):
+			// The app has no such region, and the searcher said so
+			// before probing: a miss, not a failed search.
+		case errors.Is(err, errSearchShed):
+			// Load shedding, not failure: tell the client when to come
+			// back instead of queueing it.
+			w.Header().Set("Retry-After", "1")
+			errorJSON(w, http.StatusTooManyRequests, "server busy: %v", err)
+			return
+		case errors.Is(err, errSearchTimeout) || errors.Is(err, context.DeadlineExceeded):
+			s.met.SearchErrors.Add(1)
+			errorJSON(w, http.StatusGatewayTimeout, "server-side search: %v", err)
+			return
+		default:
+			s.met.SearchErrors.Add(1)
+			errorJSON(w, http.StatusBadGateway, "server-side search: %v", err)
 			return
 		}
-		if e, ok := s.st.Get(key); ok {
-			writeConfig(w, r, codec.ConfigAnswer{
-				Key: e.Key, Cfg: e.Cfg, Perf: e.Perf, Version: e.Version, Source: "searched",
-			})
-			return
-		}
-		// The search ran but this region never executed (wrong region
-		// name, or app has fewer regions): an honest miss.
 	}
 	s.met.Misses.Add(1)
 	errorJSON(w, http.StatusNotFound, "no configuration for %v", key)
@@ -410,6 +412,11 @@ func (s *Server) searchOnce(ctx context.Context, req SearchRequest) error {
 		s.met.SearchDeduped.Add(1)
 		select {
 		case <-f.done:
+			if errors.Is(f.err, ErrUnknownRegion) {
+				// That flight asked for a region the app lacks, which
+				// says nothing of this request's region.
+				return s.searchOnce(ctx, req)
+			}
 			return f.err
 		case <-ctx.Done():
 			return ctx.Err()
@@ -766,11 +773,11 @@ func (s *Server) fleetHealth() *FleetHealth {
 	}
 }
 
-// handleMetrics serves the server's own series, the store's and the
-// eval cache's, and on a fleet member the fleet's.
+// handleMetrics serves the server's own series and the store's, and on
+// a fleet member the fleet's.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	health, evc := s.st.Health(), s.evc.Stats()
-	srcs := []any{&s.met.serverSeries, &health, &evc}
+	health := s.st.Health()
+	srcs := []any{&s.met.serverSeries, &health}
 	if s.fleet != nil {
 		fh := s.fleetHealth()
 		srcs = append(srcs, &s.met.fleetSeries, fh, &fh.Stats)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,9 +13,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"arcs/internal/cli"
 	"arcs/internal/codec"
 	arcs "arcs/internal/core"
+	"arcs/internal/kernels"
 	"arcs/internal/store"
 )
 
@@ -431,42 +435,106 @@ func scrapeMetric(t *testing.T, base, name string) float64 {
 	return 0
 }
 
-// TestSearchEvalCacheWarm: a repeated server-side search over the same
-// context is served entirely by the eval cache — the fresh-probe (miss)
-// counter does not move while the hit counter does. The search repeats
-// because the requested region never executes, so the store stays cold.
-func TestSearchEvalCacheWarm(t *testing.T) {
+// TestUnknownRegionLookupSearchesNothing: /v1/config for a region the
+// app lacks answers 404 every time without searching. The searcher
+// rejects the region before any probe: the first request for an app
+// builds it to learn its regions (here a direct Search), and later ones
+// build nothing. Neither lookup counts as a search or a failed one.
+func TestUnknownRegionLookupSearchesNothing(t *testing.T) {
+	var builds atomic.Int64
+	defer func(orig func(string, string) (*kernels.App, error)) { buildApp = orig }(buildApp)
+	buildApp = func(app, workload string) (*kernels.App, error) {
+		builds.Add(1)
+		return cli.BuildApp(app, workload)
+	}
+	ghost := SearchRequest{App: "SYNTH", Workload: "7919", Region: "no_such_region", Arch: "crill", CapW: 70, MaxEvals: 6}
+	if _, err := (SimSearcher{}).Search(context.Background(), ghost); !errors.Is(err, ErrUnknownRegion) {
+		t.Fatalf("search of a ghost region: err = %v, want ErrUnknownRegion", err)
+	}
+	// Once, unless an earlier test in this process built it.
+	first := builds.Load()
+	if first > 1 {
+		t.Fatalf("first ghost-region search built the app %d times, want at most 1", first)
+	}
+
 	ts := newTestServer(t, Config{SearchBudget: 6, SearchParallelism: 4})
+	for i := 0; i < 2; i++ {
+		if _, code := getConfig(t, ts.URL, "app=SYNTH&workload=7919&cap=70&region=no_such_region&arch=crill"); code != 404 {
+			t.Fatalf("ghost region lookup #%d: status %d, want 404", i+1, code)
+		}
+	}
+	for name, want := range map[string]float64{
+		"arcsd_searches_total":      0,
+		"arcsd_search_errors_total": 0,
+		"arcsd_lookup_misses_total": 2,
+	} {
+		if got := scrapeMetric(t, ts.URL, name); got != want {
+			t.Errorf("%s = %g, want %g", name, got, want)
+		}
+	}
+	if n := builds.Load() - first; n != 0 {
+		t.Errorf("ghost region lookups built the app %d times, want 0", n)
+	}
+}
 
-	if _, code := getConfig(t, ts.URL, "app=SYNTH&workload=3&cap=70&region=no_such_region&arch=crill"); code != 404 {
-		t.Fatalf("ghost region lookup should 404 after searching, got %d", code)
-	}
-	coldMisses := scrapeMetric(t, ts.URL, "arcsd_evalcache_misses_total")
-	coldHits := scrapeMetric(t, ts.URL, "arcsd_evalcache_hits_total")
-	if coldMisses == 0 {
-		t.Fatal("cold search recorded no cache misses")
-	}
-	if entries := scrapeMetric(t, ts.URL, "arcsd_evalcache_entries"); entries == 0 {
-		t.Fatal("cold search cached nothing")
-	}
+// ghostFirstSearcher answers the first search, whatever its region, with
+// ErrUnknownRegion once released, and every later one with a result for
+// region "r".
+type ghostFirstSearcher struct {
+	started chan struct{} // closed when the first search begins
+	release chan struct{} // the first search returns when closed
+	calls   atomic.Int64
+}
 
-	if _, code := getConfig(t, ts.URL, "app=SYNTH&workload=3&cap=70&region=no_such_region&arch=crill"); code != 404 {
-		t.Fatalf("second lookup should 404, got %d", code)
+func (g *ghostFirstSearcher) Search(ctx context.Context, req SearchRequest) ([]SearchResult, error) {
+	if g.calls.Add(1) == 1 {
+		close(g.started)
+		<-g.release
+		return nil, unknownRegion(req)
 	}
-	warmMisses := scrapeMetric(t, ts.URL, "arcsd_evalcache_misses_total")
-	warmHits := scrapeMetric(t, ts.URL, "arcsd_evalcache_hits_total")
-	if warmMisses != coldMisses {
-		t.Errorf("repeat search did %g fresh probes, want 0", warmMisses-coldMisses)
+	return []SearchResult{{Region: "r", CapW: req.CapW, Cfg: arcs.ConfigValues{Threads: 8}, Perf: 1}}, nil
+}
+
+// TestUnknownRegionFlightDoesNotFailItsWaiters: a lookup that joins a
+// search started for a region the app lacks searches again once that
+// flight ends, instead of taking its miss: the flight said nothing of
+// the joiner's region.
+func TestUnknownRegionFlightDoesNotFailItsWaiters(t *testing.T) {
+	g := &ghostFirstSearcher{started: make(chan struct{}), release: make(chan struct{})}
+	ts := newTestServer(t, Config{Searcher: g, SearchBudget: 5})
+	type answer struct {
+		ans  codec.ConfigAnswer
+		code int
+		err  error
 	}
-	if warmHits <= coldHits {
-		t.Error("repeat search never hit the eval cache")
+	lookup := func(region string, out chan<- answer) {
+		resp, err := http.Get(ts.URL + "/v1/config?app=SP&workload=B&cap=70&arch=crill&region=" + region)
+		if err != nil {
+			out <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		a := answer{code: resp.StatusCode}
+		if a.code == http.StatusOK {
+			a.err = json.NewDecoder(resp.Body).Decode(&a.ans)
+		}
+		out <- a
 	}
-	// A different cap is a different context: fresh probes again.
-	getConfig(t, ts.URL, "app=SYNTH&workload=3&cap=55&region=no_such_region&arch=crill")
-	if m := scrapeMetric(t, ts.URL, "arcsd_evalcache_misses_total"); m <= warmMisses {
-		t.Error("different cap reused cache entries; capW must be part of the key")
+	ghost, joiner := make(chan answer, 1), make(chan answer, 1)
+	go lookup("ghost", ghost)
+	<-g.started
+	go lookup("r", joiner)
+	for scrapeMetric(t, ts.URL, "arcsd_search_dedup_total") == 0 {
+		time.Sleep(time.Millisecond)
 	}
-	if inflight := scrapeMetric(t, ts.URL, "arcsd_evalcache_inflight"); inflight != 0 {
-		t.Errorf("inflight gauge = %g at rest", inflight)
+	close(g.release)
+	if a := <-ghost; a.err != nil || a.code != 404 {
+		t.Errorf("ghost region lookup: status %d, err %v; want 404", a.code, a.err)
+	}
+	if a := <-joiner; a.err != nil || a.code != 200 || a.ans.Source != "searched" || a.ans.Cfg.Threads != 8 {
+		t.Errorf("lookup that joined the ghost's flight: status %d, %+v, err %v; want a searched answer", a.code, a.ans, a.err)
+	}
+	if n := g.calls.Load(); n != 2 {
+		t.Errorf("%d searches, want 2", n)
 	}
 }

@@ -455,22 +455,23 @@ func (s *Store) GetNearest(k arcs.HistoryKey) (Entry, float64, bool) {
 // entries after all same-workload ones — up to max of them, closest
 // first, each with its stored version. The exact key itself is excluded
 // (an exact hit is a replay, not a transfer). Cross-workload donors live
-// in other contexts' shards, so the scan visits every shard, and reads
-// only k's (App, Region) group in each (arcs.Table.AppendNeighbors).
+// in other contexts' shards, so the scan visits every shard, reads only
+// k's (App, Region) group in each, and keeps only the max best it has
+// seen (arcs.Table.Neighbors).
 // This is the scan behind /v1/neighbors and the server-side searcher's
 // seeds.
 func (s *Store) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 	if max <= 0 {
 		return nil
 	}
-	var ns []arcs.Neighbor
+	ns := make([]arcs.Neighbor, 0, max)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		ns = sh.entries.AppendNeighbors(ns, k)
+		ns = sh.entries.Neighbors(ns, k, max)
 		sh.mu.RUnlock()
 	}
-	return arcs.RankNeighbors(ns, max)
+	return ns
 }
 
 // Entries returns every stored record sorted by canonical key

@@ -151,10 +151,10 @@ func (h *History) LoadNearest(k arcs.HistoryKey) (arcs.ConfigValues, float64, bo
 
 // LoadNeighbors implements arcs.History: the server's neighbour
 // scan merged with this process's local mirror (remote entries win on a
-// duplicated context), re-ranked under the shared distance order. A
-// pre-neighbors arcsd (endpoint 404s) or an unreachable daemon degrades
-// to the local mirror alone — never an error, matching the rest of the
-// adapter.
+// duplicated context), folded into one ranking of at most max
+// (arcs.InsertNeighbor). A pre-neighbors arcsd (endpoint 404s) or an
+// unreachable daemon degrades to the local mirror alone — never an
+// error, matching the rest of the adapter.
 func (h *History) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 	if max <= 0 {
 		return nil
@@ -169,17 +169,17 @@ func (h *History) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 	local := h.local.LoadNeighbors(k, max)
 	h.mu.Unlock()
 	seen := make(map[string]bool, len(remote))
-	out := make([]arcs.Neighbor, 0, len(remote)+len(local))
+	out := make([]arcs.Neighbor, 0, max)
 	for _, n := range remote {
 		seen[n.Key.String()] = true
-		out = append(out, n)
+		out = arcs.InsertNeighbor(out, n, max)
 	}
 	for _, n := range local {
 		if !seen[n.Key.String()] {
-			out = append(out, n)
+			out = arcs.InsertNeighbor(out, n, max)
 		}
 	}
-	return arcs.RankNeighbors(out, max)
+	return out
 }
 
 // Len implements arcs.History (a full remote dump; diagnostic use only —

@@ -57,14 +57,15 @@ type Forest struct {
 	xs      [][]int
 	ys      []float64
 	trees   []*node
-	streams []treeStream // one per tree, seeded by the first Fit
+	streams []Stream // one per tree, seeded by the first Fit
 }
 
-// treeStream is one tree's private math/rand stream, with every raw Int31
-// it has produced. Each Fit draws its bootstrap sample from the start of
-// the stream, as a freshly seeded source would: it replays the recorded
-// values and extends them only when the sample has grown past them, so a
-// refit costs no re-seeding.
+// Stream is a seeded math/rand stream, with every raw Int31 it has
+// produced. Each tree of a Forest has one: each Fit draws its bootstrap
+// sample from the start of the stream, as a freshly seeded source would,
+// replaying the recorded values and extending them only when the sample
+// has grown past them, so a refit costs no re-seeding. Intn reads it
+// once, front to back, as rand.New(rand.NewSource(seed)).Intn would.
 //
 // The stream draws exactly what rand.NewSource(seed) would, without
 // building its 607-word register. rngSource.Seed fills word i from three
@@ -76,11 +77,12 @@ type Forest struct {
 // both back three LCG steps per draw. Draws 273 on, which only a sample of
 // some 270 points or more reaches, come from a real source advanced past
 // the first 273 draws.
-type treeStream struct {
+type Stream struct {
 	seed      int64  // as given, for the fallback source
 	feed, tap uint64 // LCG states just before the next draw's two words
 	src       rand.Source
 	raw       []int32
+	pos       int // the value the next Intn reads first
 }
 
 // math/rand's generator (rng.go) and the LCG that seeds it.
@@ -100,9 +102,9 @@ var (
 	tapStart  = lcgPow(20 + 3*(rngLen-1))
 )
 
-// newTreeStream returns the stream rand.NewSource(seed) draws, recording
-// its values in raw's spare capacity first.
-func newTreeStream(seed int64, raw []int32) treeStream {
+// NewStream returns the stream rand.NewSource(seed) draws, recording its
+// values in raw's spare capacity first (raw may be nil).
+func NewStream(seed int64, raw []int32) Stream {
 	x := seed % lcgMod // rngSource.Seed's normalisation
 	if x < 0 {
 		x += lcgMod
@@ -110,7 +112,7 @@ func newTreeStream(seed int64, raw []int32) treeStream {
 	if x == 0 {
 		x = lcgZeroSeed
 	}
-	return treeStream{
+	return Stream{
 		seed: seed,
 		feed: mulmod(uint64(x), feedStart),
 		tap:  mulmod(uint64(x), tapStart),
@@ -122,8 +124,19 @@ func newTreeStream(seed int64, raw []int32) treeStream {
 // its first reallocation: the sample sizes of a bounded search.
 const treeStreamRoom = 64
 
+// Intn returns what the next rand.(*Rand).Intn(n) of a source seeded
+// alike would, for 0 < n < 2³¹; it panics on any other n.
+func (s *Stream) Intn(n int) int {
+	if n <= 0 || n > math.MaxInt32 {
+		panic("surrogate: Stream.Intn wants 0 < n < 2^31")
+	}
+	v, p := s.intn(n, s.pos)
+	s.pos = p
+	return v
+}
+
 // int31 returns the stream's p-th Int31, drawing it if it is new.
-func (s *treeStream) int31(p int) int32 {
+func (s *Stream) int31(p int) int32 {
 	for p >= len(s.raw) {
 		s.raw = append(s.raw, s.next())
 	}
@@ -132,7 +145,7 @@ func (s *treeStream) int31(p int) int32 {
 
 // next draws the Int31 after the recorded ones: rand.(*Rand).Int31, the
 // top 31 bits of the source's 63-bit Int63.
-func (s *treeStream) next() int32 {
+func (s *Stream) next() int32 {
 	d := len(s.raw)
 	if d < rngTap {
 		sum := registerWord(s.feed, rngLen-rngTap-1-d) + registerWord(s.tap, rngLen-1-d)
@@ -187,7 +200,7 @@ func lcgPow(e int) uint64 {
 // on: a power of two masks one value; any other n skips the values past
 // the last whole multiple of n below 2^31 and reduces the first one kept
 // mod n. It returns the result and the position of the next unread value.
-func (s *treeStream) intn(n, p int) (int, int) {
+func (s *Stream) intn(n, p int) (int, int) {
 	n32 := int32(n)
 	if n32&(n32-1) == 0 {
 		return int(s.int31(p) & (n32 - 1)), p + 1
@@ -238,12 +251,12 @@ func (f *Forest) Fit() {
 		return
 	}
 	if f.streams == nil {
-		f.streams = make([]treeStream, f.opts.Trees)
+		f.streams = make([]Stream, f.opts.Trees)
 		room := make([]int32, treeStreamRoom*len(f.streams))
 		for t := range f.streams {
 			// Private deterministic stream per tree; the odd multiplier
 			// keeps neighbouring tree seeds decorrelated.
-			f.streams[t] = newTreeStream(f.opts.Seed+int64(t)*0x9E3779B1+1,
+			f.streams[t] = NewStream(f.opts.Seed+int64(t)*0x9E3779B1+1,
 				room[t*treeStreamRoom:t*treeStreamRoom:(t+1)*treeStreamRoom])
 		}
 	}

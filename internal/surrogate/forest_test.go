@@ -157,7 +157,7 @@ func TestExpectedImprovement(t *testing.T) {
 // as one forest's refits do.
 func TestTreeStreamReplaysIntn(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		s := newTreeStream(seed, nil)
+		s := NewStream(seed, nil)
 		for n := 1; n <= 300; n++ {
 			ref := rand.New(rand.NewSource(seed))
 			for i, p := 0, 0; i < n; i++ {
@@ -183,6 +183,33 @@ func TestTreeStreamReplaysIntn(t *testing.T) {
 	}
 }
 
+// TestStreamIntnMatchesMathRand: Stream.Intn draws what
+// rand.New(rand.NewSource(seed)).Intn draws, call after call, for Table
+// I's 252-point lattice and other lattice sizes, powers of two among
+// them, and for a size that changes every call. Each stream runs past
+// draw 273, where it hands over to a real source.
+func TestStreamIntnMatchesMathRand(t *testing.T) {
+	const calls = 400
+	for seed := int64(-3); seed < 40; seed++ {
+		for _, n := range []int{252, 1, 2, 7, 64, 150, 504, 4096, 100000, 0} {
+			s := NewStream(seed, nil)
+			ref := rand.New(rand.NewSource(seed))
+			for i := 0; i < calls; i++ {
+				m := n
+				if m == 0 { // a size that changes every call
+					m = 1 + i%300
+				}
+				if got, want := s.Intn(m), ref.Intn(m); got != want {
+					t.Fatalf("seed %d n %d call %d: Stream.Intn %d, math/rand %d", seed, m, i, got, want)
+				}
+			}
+			if s.src == nil {
+				t.Fatalf("seed %d n %d: %d calls never reached the fallback source", seed, n, calls)
+			}
+		}
+	}
+}
+
 // TestTreeStreamMatchesMathRand: the closed-form stream must draw exactly
 // what rand.NewSource(seed) draws, for seeds at and around every case of
 // rngSource.Seed's normalisation (0, the modulus and its multiples, the
@@ -202,7 +229,7 @@ func TestTreeStreamMatchesMathRand(t *testing.T) {
 	}
 	const draws = 700
 	for _, seed := range seeds {
-		s := newTreeStream(seed, nil)
+		s := NewStream(seed, nil)
 		ref := rand.New(rand.NewSource(seed))
 		for p := 0; p < draws; p++ {
 			if got, want := s.int31(p), ref.Int31(); got != want {
@@ -224,7 +251,7 @@ func TestTreeStreamAllocs(t *testing.T) {
 	seed := int64(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		seed++
-		s := newTreeStream(seed, raw)
+		s := NewStream(seed, raw)
 		s.int31(treeStreamRoom - 1)
 	})
 	if allocs != 0 {
