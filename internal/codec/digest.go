@@ -55,7 +55,7 @@ func ConfigChecksum(c *arcs.ConfigValues) uint32 {
 //	count × uvarint cfgSum
 //
 // Entries should be in a deterministic order (the store hands them out
-// sorted by canonical key).
+// in entry order, arcs.CompareEntryKeys: by context, then cap).
 func (enc *Encoder) AppendDigest(dst []byte, d *Digest) []byte {
 	p := enc.payload[:0]
 	p = AppendUvarint(p, digestVersion)

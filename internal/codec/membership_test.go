@@ -6,7 +6,7 @@ import (
 )
 
 // sampleTransfer is one shard range as /v1/transfer sends it: a few
-// entries in canonical-key order.
+// entries, which the codec keeps in the order given.
 func sampleTransfer() []Entry { return sampleEntries() }
 
 func TestMemberListRoundTrip(t *testing.T) {

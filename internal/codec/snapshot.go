@@ -36,7 +36,8 @@ const snapshotVersion = 1
 
 // AppendSnapshot appends an entry set as one framed columnar snapshot.
 // Entries should be in a deterministic order (the store and the
-// transfer endpoint pass them sorted by canonical key). The string
+// transfer endpoint pass them in entry order, arcs.CompareEntryKeys).
+// The string
 // table is staged in buffers the Encoder reuses, so steady-state
 // encoding allocates nothing.
 //

@@ -82,32 +82,3 @@ func FuzzHistoryKeyString(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCompareKeys checks that compareKeys, which builds no key, orders
-// two keys as strings.Compare orders their canonical forms: escapes, one
-// field a prefix of the other, and caps whose forms differ though their
-// values compare equal (0 and -0).
-func FuzzCompareKeys(f *testing.F) {
-	zero, negZero := math.Float64bits(0), math.Float64bits(math.Copysign(0, -1))
-	at := math.Float64bits(62.5)
-	f.Add("LU", "C", at, "r40", "LU", "A", at, "r40")
-	f.Add("LU", "C", at, "r40", "LU", "C", at, "r40")
-	f.Add("LU", "C", zero, "r40", "LU", "C", negZero, "r40")
-	f.Add("LU", "C", at, "r4", "LU", "C", at, "r40")
-	f.Add("LU", "C", at, "r", "LU", "C", at, `r\`)
-	f.Add("LU", "B", at, "r", "LU", "BX", at, "r")
-	f.Add("LU", "B", at, "r", "LU", "B|", at, "r")
-	f.Add("LU", "B", at, "r", "LU", `B\`, at, "r")
-	f.Add("LU", `B\`, at, "r", "LU", "B|", at, "r")
-	f.Add(`a|b`, "", at, "", `a\b`, "", at, "")
-	f.Add("SP", "B", math.Float64bits(5), "x", "SP", "B", math.Float64bits(50), "x")
-	f.Add("SP", "B", math.Float64bits(1e21), "x", "SP", "B", math.Float64bits(1e-5), "x")
-	f.Add("", "", math.Float64bits(math.NaN()), "", "", "", uint64(0x7ff8000000000001), "")
-	f.Fuzz(func(t *testing.T, app1, wl1 string, cap1 uint64, reg1, app2, wl2 string, cap2 uint64, reg2 string) {
-		a := HistoryKey{App: app1, Workload: wl1, CapW: math.Float64frombits(cap1), Region: reg1}
-		b := HistoryKey{App: app2, Workload: wl2, CapW: math.Float64frombits(cap2), Region: reg2}
-		if got, want := compareKeys(a, b), strings.Compare(a.String(), b.String()); got != want {
-			t.Fatalf("compareKeys(%q, %q) = %d, strings.Compare = %d", a.String(), b.String(), got, want)
-		}
-	})
-}

@@ -25,14 +25,13 @@ type HistoryKey struct {
 // significant digits, point and a five-character exponent ("e-308").
 const maxCapLen = 24
 
-// String renders the canonical key form used in history files:
-// App|Workload|CapW|Region, with CapW in fmt's %g form. The form is
-// injective: `|` and `\` inside App, Workload or Region are escaped with
-// a `\`. Ring placement, digests and snapshot order all depend on these
-// exact bytes, so the form must never change (FuzzHistoryKeyString pins
-// it to the Sprintf it replaced); a Table orders its entries in it
-// without building it (SortEntries). It is built in one buffer of
-// exactly its length and allocates only its result.
+// String renders the canonical key form: App|Workload|CapW|Region, with
+// CapW in fmt's %g form. The form is injective: `|` and `\` inside App,
+// Workload or Region are escaped with a `\`. Ring placement and the
+// keys of digest and transfer maps depend on these exact bytes, so the
+// form must never change (FuzzHistoryKeyString pins it to the Sprintf
+// it replaced); entry order does not (CompareEntryKeys). It is built in
+// one buffer of exactly its length and allocates only its result.
 func (k HistoryKey) String() string {
 	var num [maxCapLen]byte
 	capW := strconv.AppendFloat(num[:0], k.CapW, 'g', -1, 64)
@@ -102,7 +101,7 @@ type History interface {
 	LoadNearest(k HistoryKey) (cfg ConfigValues, dist float64, ok bool)
 	// LoadNeighbors returns up to max entries from the contexts nearest
 	// to k — same app and region, in ascending NeighborDistance order
-	// (ties: lower cap, then key string), so cross-workload entries come
+	// (ties: lower cap, then entry order), so cross-workload entries come
 	// after all same-workload ones. Surrogate search uses them to seed
 	// its model and start simplex in a new context (§II: optima drift
 	// smoothly with cap and workload).
@@ -317,8 +316,8 @@ func (t *Table) Neighbors(ns []Neighbor, k HistoryKey, max int) []Neighbor {
 	return ns
 }
 
-// AppendEntries appends every entry of t to dst, unordered; SortEntries
-// puts them in canonical key order.
+// AppendEntries appends every entry of t to dst, each context's run
+// whole and in cap order; SortEntries puts the runs in entry order.
 func (t *Table) AppendEntries(dst []Entry) []Entry {
 	for g, runs := range t.groups {
 		for ri := range runs {
@@ -335,8 +334,8 @@ func (t *Table) AppendEntries(dst []Entry) []Entry {
 // in rank order, and returns it: n lands at its rank, and when ns is
 // full the last one drops. Folding every candidate keeps the max best
 // without holding or sorting the rest. The rank order is every
-// History's: ascending distance, then the lower cap, then the canonical
-// key (compareNeighbors). Candidates must have distinct keys.
+// History's: ascending distance, then the lower cap, then entry order
+// (compareNeighbors). Candidates must have distinct keys.
 func InsertNeighbor(ns []Neighbor, n Neighbor, max int) []Neighbor {
 	if len(ns) >= max && compareNeighbors(&n, &ns[len(ns)-1]) >= 0 {
 		return ns
@@ -359,8 +358,8 @@ func InsertNeighbor(ns []Neighbor, n Neighbor, max int) []Neighbor {
 }
 
 // compareNeighbors is the neighbour rank order: distance, then cap, then
-// compareKeys, which builds no key (every pair of cross-workload donors
-// at one cap ties on the first two).
+// entry order (every pair of cross-workload donors at one cap ties on
+// the first two).
 func compareNeighbors(a, b *Neighbor) int {
 	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
 		return c
@@ -368,186 +367,53 @@ func compareNeighbors(a, b *Neighbor) int {
 	if c := cmp.Compare(a.Key.CapW, b.Key.CapW); c != 0 {
 		return c
 	}
-	return compareKeys(a.Key, b.Key)
+	return CompareEntryKeys(&a.Key, &b.Key)
 }
 
-// compareKeys orders a and b as strings.Compare orders their canonical
-// keys, without building them. Each field but the last is followed by a
-// `|` no escaped field holds unescaped, so the fields compare one after
-// another, each with the separator that ends it. The caps are formatted
-// only when App and Workload tie.
-func compareKeys(a, b HistoryKey) int {
-	if c := compareAppWorkload(&a, &b); c != 0 {
-		return c
-	}
-	var na, nb [maxCapLen]byte
-	ca := strconv.AppendFloat(na[:0], a.CapW, 'g', -1, 64)
-	cb := strconv.AppendFloat(nb[:0], b.CapW, 'g', -1, 64)
-	if c := compareKeyField(ca, cb, '|'); c != 0 {
-		return c
-	}
-	return compareKeyField(a.Region, b.Region, -1)
+// CompareEntryKeys is the one order of history entries, a Table's own
+// layout: by context (App, then Region, then Workload, each as plain
+// bytes), then by cap (compareCaps: by value, -0 before 0). Entries,
+// dumps, snapshots, digests and history files all come out in it.
+func CompareEntryKeys(a, b *HistoryKey) int {
+	return cmp.Or(
+		strings.Compare(a.App, b.App),
+		strings.Compare(a.Region, b.Region),
+		strings.Compare(a.Workload, b.Workload),
+		compareCaps(a.CapW, b.CapW))
 }
 
-// compareAppWorkload is compareKeys on the first two fields. Equal
-// fields, usually one shared string, skip the byte walk.
-func compareAppWorkload(a, b *HistoryKey) int {
-	if a.App != b.App {
-		return compareKeyField(a.App, b.App, '|')
-	}
-	if a.Workload != b.Workload {
-		return compareKeyField(a.Workload, b.Workload, '|')
-	}
-	return 0
-}
-
-// SortEntries sorts es into canonical key order without building a key.
-// It ranks each context (App, Workload and Region) once, by sorting the
-// runs of neighbouring entries that share one (Table.AppendEntries emits
-// each run of a Table whole), then sorts one small row per entry by App
-// and Workload rank, cap text and context rank, and moves every entry
-// once, to its place.
+// SortEntries sorts es, laid out as Table.AppendEntries lays it out
+// (each context's entries together and in cap order), into entry order
+// (CompareEntryKeys). Only the runs need sorting, one per context, and
+// no two compare equal; then each entry is swapped into its place.
 func SortEntries(es []Entry) {
-	if len(es) < 2 {
-		return
+	starts := func(i int) bool { // whether es[i] starts a context's run
+		a, b := &es[max(i-1, 0)].Key, &es[i].Key
+		return i == 0 || a.App != b.App || a.Region != b.Region || a.Workload != b.Workload
 	}
-	nruns := 1
-	for i := 1; i < len(es); i++ {
-		if !sameContext(&es[i-1].Key, &es[i].Key) {
-			nruns++
-		}
-	}
-	runs := make([]entryRun, 0, nruns)
+	// One buffer: where each entry goes, then where each run starts.
+	dst := make([]int, len(es), 2*len(es))
+	runs := dst[len(es):]
 	for i := range es {
-		if i == 0 || !sameContext(&es[i-1].Key, &es[i].Key) {
-			runs = append(runs, entryRun{start: i})
-		}
-		runs[len(runs)-1].end = i + 1
-	}
-	slices.SortFunc(runs, func(a, b entryRun) int {
-		ka, kb := &es[a.start].Key, &es[b.start].Key
-		if c := compareAppWorkload(ka, kb); c != 0 {
-			return c
-		}
-		return compareKeyField(ka.Region, kb.Region, -1)
-	})
-	rows := make([]sortRow, len(es))
-	var outer, ctx uint32
-	var caps [16]struct{ bits, prefix uint64 } // recent caps: runs repeat theirs
-	for ri, r := range runs {
-		if ri > 0 {
-			prev := &es[runs[ri-1].start].Key
-			if compareAppWorkload(prev, &es[r.start].Key) != 0 {
-				outer++
-			}
-			if !sameContext(prev, &es[r.start].Key) {
-				ctx++
-			}
-		}
-		for i := r.start; i < r.end; i++ {
-			bits := math.Float64bits(es[i].Key.CapW)
-			c := &caps[(bits^bits>>32)%uint64(len(caps))]
-			if c.bits != bits || c.prefix == 0 {
-				c.bits, c.prefix = bits, capPrefix(es[i].Key.CapW)
-			}
-			rows[i] = sortRow{outer: outer, ctx: ctx, i: uint32(i), cap: c.prefix}
+		if starts(i) {
+			runs = append(runs, i)
 		}
 	}
-	slices.SortFunc(rows, func(a, b sortRow) int {
-		if a.outer != b.outer {
-			return cmp.Compare(a.outer, b.outer)
-		}
-		if a.cap != b.cap {
-			return cmp.Compare(a.cap, b.cap)
-		}
-		if a.cap&0xff != 0 && a.cap&0xff != '|' { // both caps' text is longer than the prefix
-			var na, nb [maxCapLen]byte
-			ca := strconv.AppendFloat(na[:0], es[a.i].Key.CapW, 'g', -1, 64)
-			cb := strconv.AppendFloat(nb[:0], es[b.i].Key.CapW, 'g', -1, 64)
-			if c := compareKeyField(ca, cb, '|'); c != 0 {
-				return c
-			}
-		}
-		return cmp.Compare(a.ctx, b.ctx)
-	})
-	// Place es[rows[k].i] at k, one cycle of the permutation at a time.
-	for k := range rows {
-		if rows[k].i == uint32(k) {
-			continue
-		}
-		e := es[k]
-		j := k
-		for rows[j].i != uint32(k) {
-			src := int(rows[j].i)
-			es[j] = es[src]
-			rows[j].i = uint32(j)
-			j = src
-		}
-		es[j] = e
-		rows[j].i = uint32(j)
-	}
-}
-
-// capPrefix is the first 8 bytes of a cap's canonical text followed by
-// its `|`, zero-padded, as a big-endian number: two caps whose text
-// ends within those bytes compare as their keys do. Every byte of a
-// cap's text sorts below `|`.
-func capPrefix(capW float64) uint64 {
-	var b [maxCapLen + 1]byte
-	t := append(strconv.AppendFloat(b[:0], capW, 'g', -1, 64), '|')
-	var p uint64
-	for i := 0; i < 8; i++ {
-		p <<= 8
-		if i < len(t) {
-			p |= uint64(t[i])
+	slices.SortFunc(runs, func(a, b int) int { return CompareEntryKeys(&es[a].Key, &es[b].Key) })
+	k := 0
+	for _, start := range runs {
+		for i := start; i < len(es) && (i == start || !starts(i)); i++ {
+			dst[i] = k
+			k++
 		}
 	}
-	return p
-}
-
-// sameContext reports whether a and b differ at most in their caps.
-func sameContext(a, b *HistoryKey) bool {
-	return a.App == b.App && a.Workload == b.Workload && a.Region == b.Region
-}
-
-// entryRun is a run es[start:end] of entries of one context.
-type entryRun struct{ start, end int }
-
-// sortRow is an entry's place in canonical key order: the rank of its
-// App and Workload, its cap's capPrefix, and the rank of its context.
-type sortRow struct {
-	outer, ctx, i uint32
-	cap           uint64
-}
-
-// compareKeyField orders a and b as strings.Compare orders their escaped
-// forms (writeKeyField), each followed by sep; a sep of -1 is the key's
-// end.
-func compareKeyField[S string | []byte](a, b S, sep int) int {
-	n := 0
-	for n < len(a) && n < len(b) && a[n] == b[n] {
-		n++
+	for i := range es { // each swap puts one entry at its place
+		for dst[i] != i {
+			j := dst[i]
+			es[i], es[j] = es[j], es[i]
+			dst[i], dst[j] = dst[j], j
+		}
 	}
-	if n == len(a) && n == len(b) {
-		return 0
-	}
-	x, y := escapedByte(a, n, sep), escapedByte(b, n, sep)
-	if x == y { // both escaped: the bytes after the two `\` decide
-		return cmp.Compare(a[n], b[n])
-	}
-	return cmp.Compare(x, y)
-}
-
-// escapedByte is the byte of s's escaped form that s[n] starts, or sep
-// when s ends at n.
-func escapedByte[S string | []byte](s S, n, sep int) int {
-	switch {
-	case n == len(s):
-		return sep
-	case keyEscaped(s[n]):
-		return '\\'
-	}
-	return int(s[n])
 }
 
 // MemHistory is an in-memory History, used by the benchmark harness where
@@ -596,8 +462,8 @@ func (h *MemHistory) LoadNeighbors(k HistoryKey, max int) []Neighbor {
 // Len implements History.
 func (h *MemHistory) Len() int { return h.entries.Len() }
 
-// Entries returns the stored records sorted by canonical key
-// (deterministic output for reports, files and tests).
+// Entries returns the stored records in entry order (CompareEntryKeys:
+// deterministic output for reports, files and tests).
 func (h *MemHistory) Entries() []Entry {
 	es := h.entries.AppendEntries(make([]Entry, 0, h.entries.Len()))
 	SortEntries(es)

@@ -188,8 +188,8 @@ func runFallback(t *testing.T, newHistory func(t *testing.T) arcs.History) {
 	})
 
 	t.Run("FallbackSignedZeroTieByKey", func(t *testing.T) {
-		// 0 and -0 tie on distance and cap; the canonical key ("-0" sorts
-		// first) must decide, not map order, in every fresh history.
+		// 0 and -0 tie on distance and cap; entry order (-0 sorts first)
+		// must decide, not map order, in every fresh history.
 		negZero := math.Copysign(0, -1)
 		for i := 0; i < 50; i++ {
 			h := newHistory(t)

@@ -38,7 +38,8 @@ func oracleNearest(t map[string]Entry, k HistoryKey) (Entry, float64, bool) {
 
 // oracleRank is a frozen copy of the store's neighbour scan that
 // RankNeighbors(AppendNeighbors(...)) replaced: a sort.Sort over the
-// candidates with their versions carried beside them.
+// candidates with their versions carried beside them. Its last
+// tie-break is entry order (CompareEntryKeys).
 type oracleRank struct {
 	ns   []Neighbor
 	vers []uint64
@@ -57,7 +58,7 @@ func (r oracleRank) Less(i, j int) bool {
 	case a.Key.CapW > b.Key.CapW:
 		return false
 	default:
-		return a.Key.String() < b.Key.String()
+		return CompareEntryKeys(&a.Key, &b.Key) < 0
 	}
 }
 func (r oracleRank) Swap(i, j int) {
@@ -84,10 +85,11 @@ func oracleNeighbors(t map[string]Entry, k HistoryKey, max int) []Neighbor {
 // Random table pools. Caps include both zeros (distinct canonical keys,
 // equal values) and steps that put a query cap at equal distance from
 // two stored caps, one on each side; every cap recurs across workloads,
-// so cross-workload donors tie at equal caps too.
+// so cross-workload donors tie at equal caps too. "B|" sorts after "B"
+// as plain bytes but before it as escaped key text.
 var (
 	tableApps      = []string{"SP", "BT"}
-	tableWorkloads = []string{"B", "C", "D"}
+	tableWorkloads = []string{"B", "C", "D", "B|"}
 	tableRegions   = []string{"x_solve", "y_solve"}
 	tableCaps      = []float64{0, math.Copysign(0, -1), 5, 50, 55, 60, 62.5, 65, 70, 85}
 	tableQueryCaps = append([]float64{-5, 2.5, 52.5, 57.5, 63.75, 67.5, 100}, tableCaps...)
@@ -151,9 +153,9 @@ func TestTableMatchesOracle(t *testing.T) {
 // into a slice of at most max, in any order, keeps exactly the first max
 // of the frozen sort-everything ranking (oracleNeighbors), versions
 // included, for every max from 1 to past the candidate count. Every cap
-// recurs across the three workloads (cross-workload ties on distance and
-// cap), both zeros are caps, and the query caps sit between stored caps
-// at equal distances on each side.
+// recurs across the four workloads (cross-workload ties on distance and
+// cap, one workload with an escaped byte), both zeros are caps, and the
+// query caps sit between stored caps at equal distances on each side.
 func TestInsertNeighborMatchesSortAll(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -194,11 +196,11 @@ func TestInsertNeighborMatchesSortAll(t *testing.T) {
 	}
 }
 
-// TestSortEntriesMatchesKeyStrings: SortEntries orders any entries,
-// shuffled or in a Table's runs, exactly as their canonical key strings
-// sort. The pools escape separators, hold both zeros, and hold caps whose
-// text shares its first eight bytes with another's.
-func TestSortEntriesMatchesKeyStrings(t *testing.T) {
+// TestSortEntriesMatchesSortFunc: SortEntries orders a Table's entries,
+// as AppendEntries emits them, exactly as slices.SortFunc with
+// CompareEntryKeys does. The pools escape separators, hold both zeros,
+// and hold caps whose text order differs from their numeric order.
+func TestSortEntriesMatchesSortFunc(t *testing.T) {
 	apps := []string{"SP", "S", "SP|", `S\P`, "LULESH"}
 	workloads := []string{"B", "", "B|C", `\`}
 	regions := []string{"x_solve", "x", `x|y`, ""}
@@ -215,21 +217,17 @@ func TestSortEntriesMatchesKeyStrings(t *testing.T) {
 			}
 			tab.Put(Entry{Key: k, Perf: 1, Version: uint64(i)})
 		}
-		runs := tab.AppendEntries(nil)
-		shuffled := slices.Clone(runs)
-		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		want := slices.Clone(runs)
-		sort.Slice(want, func(i, j int) bool { return want[i].Key.String() < want[j].Key.String() })
-		for _, es := range [][]Entry{runs, shuffled} {
-			SortEntries(es)
-			for i := range es {
-				if !sameEntry(es[i], want[i]) {
-					t.Fatalf("seed %d: entry #%d is %v, want %v", seed, i, es[i].Key, want[i].Key)
-				}
-			}
+		es := tab.AppendEntries(nil)
+		if len(es) != tab.Len() {
+			t.Fatalf("seed %d: AppendEntries gave %d entries, Len %d", seed, len(es), tab.Len())
 		}
-		if len(runs) != tab.Len() {
-			t.Fatalf("seed %d: AppendEntries gave %d entries, Len %d", seed, len(runs), tab.Len())
+		want := slices.Clone(es)
+		slices.SortFunc(want, func(a, b Entry) int { return CompareEntryKeys(&a.Key, &b.Key) })
+		SortEntries(es)
+		for i := range es {
+			if !sameEntry(es[i], want[i]) {
+				t.Fatalf("seed %d: entry #%d is %v, want %v", seed, i, es[i].Key, want[i].Key)
+			}
 		}
 	}
 }

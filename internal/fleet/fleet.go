@@ -423,7 +423,7 @@ func (f *Fleet) sweep(ctx context.Context) {
 }
 
 // BuildDigest summarises one store shard for the /v1/digest handler,
-// one row per entry in canonical key order (ShardEntries order).
+// one row per entry in entry order (ShardEntries order).
 func BuildDigest(st *store.Store, shard int) codec.Digest {
 	entries := st.ShardEntries(shard)
 	d := codec.Digest{Shard: uint64(shard)}

@@ -171,8 +171,9 @@ const drainBatch = 512
 // Drain pushes every locally held entry to its owners under the
 // current ring. Called after ProposeLeave(self) has removed this node
 // from the membership, so "its owners" are the new owners of every
-// range this node held — the departing half of a clean leave. Returns
-// the number of entry-pushes acknowledged.
+// range this node held — the departing half of a clean leave. Entries
+// go out shard by shard, each in entry order (ShardEntries order).
+// Returns the number of entry-pushes acknowledged.
 func (f *Fleet) Drain(ctx context.Context) (int, error) {
 	v := f.View()
 	batches := make(map[string][]store.Entry)
@@ -230,9 +231,9 @@ func (f *Fleet) Drain(ctx context.Context) (int, error) {
 // forNode under v's ring — the serving side of a range transfer. The
 // caller passes the view it checked the requested epoch against, so the
 // range always follows the ring of the epoch the transfer names, even
-// if a membership change is adopted meanwhile. Entries come back sorted
-// by canonical key (ShardEntries order), so transfer frames are
-// deterministic for a given store state.
+// if a membership change is adopted meanwhile. Entries come back in
+// entry order (ShardEntries order: by context, then cap), so transfer
+// frames are deterministic for a given store state.
 func (f *Fleet) RangeEntries(v *View[Peer], shard int, forNode string) []store.Entry {
 	var out []store.Entry
 	var ownerBuf []string

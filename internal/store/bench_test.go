@@ -213,9 +213,9 @@ func BenchmarkLoadNeighbors(b *testing.B) {
 // BenchmarkLoadNeighborsTies is the scan a realistic query pays: LU/C at
 // 62.5 W in region r40 has 32 donors, the 8 caps of its own workload and
 // of three others, and the cross-workload donors at each cap tie on
-// distance and cap, so the ranking orders them by canonical key. It builds
-// none, so its allocations (the donor slice's growth) do not depend on
-// map order.
+// distance and cap, so the ranking orders them by entry order (their
+// workloads, as plain bytes). It builds no key, so its allocations (the
+// donor slice's growth) do not depend on map order.
 func BenchmarkLoadNeighborsTies(b *testing.B) {
 	s := openBenchStore(b)
 	k := arcs.HistoryKey{App: "LU", Workload: "C", CapW: 62.5, Region: "r40"}

@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	arcs "arcs/internal/core"
@@ -49,7 +49,7 @@ func bruteNearest(s *Store, k arcs.HistoryKey) (Entry, float64, bool) {
 	var best Entry
 	bestDist := math.Inf(1)
 	found := false
-	for _, e := range s.Entries() { // canonical key order: first of a tie is the lower key
+	for _, e := range s.Entries() { // entry order: first of a tie is the lower key
 		if e.Key.String() == k.String() {
 			return e, 0, true
 		}
@@ -168,33 +168,41 @@ func TestContextShard(t *testing.T) {
 	}
 }
 
-// sortedByString is the reference order: sort.Slice on Key.String().
-func sortedByString(es []Entry) []Entry {
-	out := make([]Entry, len(es))
-	copy(out, es)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
+// sortedByEntryKeys is the reference order: slices.SortFunc with
+// arcs.CompareEntryKeys.
+func sortedByEntryKeys(es []Entry) []Entry {
+	out := slices.Clone(es)
+	slices.SortFunc(out, func(a, b Entry) int { return arcs.CompareEntryKeys(&a.Key, &b.Key) })
 	return out
 }
 
 // TestEntriesOrder: Entries and every ShardEntries come back in exactly
-// canonical-key order, and the shards re-sorted rebuild Entries.
+// entry order, and the shards re-sorted rebuild Entries. Besides the
+// pools' escaped fields and both zeros, the stores hold caps whose text
+// order differs from their numeric order ("100" < "7.5" < "70").
 func TestEntriesOrder(t *testing.T) {
+	wideCaps := []float64{7.5, 100, 125, 1000}
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		s := randomStore(t, r, 50+r.Intn(500))
+		for i := 0; i < 50; i++ {
+			k := randomKey(r)
+			k.CapW = wideCaps[r.Intn(len(wideCaps))]
+			s.Save(k, arcs.ConfigValues{Threads: 1 + r.Intn(32)}, 1+r.Float64())
+		}
 		all := s.Entries()
-		if want := sortedByString(all); !reflect.DeepEqual(all, want) {
-			t.Fatalf("seed %d: Entries not in canonical key order", seed)
+		if want := sortedByEntryKeys(all); !reflect.DeepEqual(all, want) {
+			t.Fatalf("seed %d: Entries not in entry order", seed)
 		}
 		var concat []Entry
 		for i := 0; i < NumShards; i++ {
 			sh := s.ShardEntries(i)
-			if want := sortedByString(sh); !reflect.DeepEqual(sh, want) {
-				t.Fatalf("seed %d: ShardEntries(%d) not in canonical key order", seed, i)
+			if want := sortedByEntryKeys(sh); !reflect.DeepEqual(sh, want) {
+				t.Fatalf("seed %d: ShardEntries(%d) not in entry order", seed, i)
 			}
 			concat = append(concat, sh...)
 		}
-		if got := sortedByString(concat); !reflect.DeepEqual(got, all) {
+		if got := sortedByEntryKeys(concat); !reflect.DeepEqual(got, all) {
 			t.Fatalf("seed %d: re-sorted shards differ from Entries (%d vs %d entries)", seed, len(got), len(all))
 		}
 	}

@@ -474,14 +474,14 @@ func (s *Store) LoadNeighbors(k arcs.HistoryKey, max int) []arcs.Neighbor {
 	return ns
 }
 
-// Entries returns every stored record sorted by canonical key
-// (deterministic dumps and snapshots).
+// Entries returns every stored record in entry order (arcs.CompareEntryKeys:
+// by context, then cap), for deterministic dumps and snapshots.
 func (s *Store) Entries() []Entry {
 	return sortedCopy(s.shards[:])
 }
 
-// ShardEntries returns the records of one in-process shard, sorted by
-// canonical key. The fleet's anti-entropy sweep walks the store shard
+// ShardEntries returns the records of one in-process shard in entry
+// order. The fleet's anti-entropy sweep walks the store shard
 // by shard so a digest exchange touches one shard lock at a time; every
 // node computes the same key→shard mapping (FNV-1a of the context, mod
 // NumShards), so shard i here summarises exactly the keys a peer's
@@ -494,11 +494,11 @@ func (s *Store) ShardEntries(i int) []Entry {
 	return sortedCopy(s.shards[i : i+1])
 }
 
-// sortedCopy copies the records of shards into one slice, sorted
-// by canonical key (arcs.SortEntries): one slice at its final size,
-// plus the sort's one buffer of cap text. Each shard is read under its
-// own lock; a write landing mid-walk is either in the copy or not, as
-// with any snapshot of a live store.
+// sortedCopy copies the records of shards into one slice at its final
+// size, each context's run whole (a context lives in one shard), and
+// sorts the runs into entry order (arcs.SortEntries). Each shard is
+// read under its own lock; a write landing mid-walk is either in the
+// copy or not, as with any snapshot of a live store.
 func sortedCopy(shards []shard) []Entry {
 	n := 0
 	for i := range shards {

@@ -58,6 +58,7 @@ type Forest struct {
 	ys      []float64
 	trees   []*node
 	streams []Stream // one per tree, seeded by the first Fit
+	maxV    int      // the largest observed lattice coordinate
 }
 
 // Stream is a seeded math/rand stream, with every raw Int31 it has
@@ -237,6 +238,9 @@ func (f *Forest) Len() int { return len(f.xs) }
 func (f *Forest) Observe(x []int, y float64) {
 	cp := make([]int, len(x))
 	copy(cp, x)
+	for _, v := range x {
+		f.maxV = max(f.maxV, v)
+	}
 	f.xs = append(f.xs, cp)
 	f.ys = append(f.ys, y)
 }
@@ -260,17 +264,25 @@ func (f *Forest) Fit() {
 				room[t*treeStreamRoom:t*treeStreamRoom:(t+1)*treeStreamRoom])
 		}
 	}
+	buckets := make([]bucket, f.maxV+1) // bestSplit's scratch, for every node
 	idx := make([]int, n)
 	for t := range f.streams {
 		for i, p := 0, 0; i < n; i++ {
 			idx[i], p = f.streams[t].intn(n, p)
 		}
-		f.trees = append(f.trees, f.build(idx, 0))
+		f.trees = append(f.trees, f.build(idx, 0, buckets))
 	}
 }
 
-// build grows one tree over the given sample indices.
-func (f *Forest) build(idx []int, depth int) *node {
+// bucket sums the samples of one lattice value for bestSplit.
+type bucket struct {
+	sum, sq float64
+	n       int
+}
+
+// build grows one tree over the given sample indices; buckets has room
+// for every lattice value of the observations.
+func (f *Forest) build(idx []int, depth int, buckets []bucket) *node {
 	sum, sumsq := 0.0, 0.0
 	for _, i := range idx {
 		sum += f.ys[i]
@@ -284,7 +296,7 @@ func (f *Forest) build(idx []int, depth int) *node {
 	}
 	bestDim, bestCut, bestScore, found := 0, 0, sse, false
 	for d := 0; d < f.dims; d++ {
-		dim, cut, score, ok := f.bestSplit(idx, d)
+		dim, cut, score, ok := f.bestSplit(idx, d, buckets)
 		// Strict improvement with first-wins ties: dimension order (then
 		// cut order inside bestSplit) is the deterministic tie-break.
 		if ok && score < bestScore {
@@ -307,43 +319,41 @@ func (f *Forest) build(idx []int, depth int) *node {
 	}
 	return &node{
 		dim: bestDim, cut: bestCut,
-		left:  f.build(left, depth+1),
-		right: f.build(right, depth+1),
+		left:  f.build(left, depth+1, buckets),
+		right: f.build(right, depth+1, buckets),
 	}
 }
 
 // bestSplit scans dimension d for the cut minimising the post-split SSE.
 // Feature values are small lattice indices, so samples are bucketed by
-// value and cuts are evaluated in ascending value order (deterministic).
-func (f *Forest) bestSplit(idx []int, d int) (dim, cut int, score float64, ok bool) {
+// value (into buckets, zeroed first) and cuts are evaluated in
+// ascending value order (deterministic).
+func (f *Forest) bestSplit(idx []int, d int, buckets []bucket) (dim, cut int, score float64, ok bool) {
 	maxV := 0
 	for _, i := range idx {
-		if v := f.xs[i][d]; v > maxV {
-			maxV = v
-		}
+		maxV = max(maxV, f.xs[i][d])
 	}
-	sums := make([]float64, maxV+1)
-	sqs := make([]float64, maxV+1)
-	cnt := make([]int, maxV+1)
+	b := buckets[:maxV+1]
+	clear(b)
 	for _, i := range idx {
 		v := f.xs[i][d]
-		sums[v] += f.ys[i]
-		sqs[v] += f.ys[i] * f.ys[i]
-		cnt[v]++
+		b[v].sum += f.ys[i]
+		b[v].sq += f.ys[i] * f.ys[i]
+		b[v].n++
 	}
 	total, totalSq, n := 0.0, 0.0, 0
-	for v := range sums {
-		total += sums[v]
-		totalSq += sqs[v]
-		n += cnt[v]
+	for v := range b {
+		total += b[v].sum
+		totalSq += b[v].sq
+		n += b[v].n
 	}
 	lSum, lSq := 0.0, 0.0
 	lN := 0
 	best := math.Inf(1)
 	for v := 0; v < maxV; v++ { // cut at v: left is x<=v, so v=maxV is no split
-		lSum += sums[v]
-		lSq += sqs[v]
-		lN += cnt[v]
+		lSum += b[v].sum
+		lSq += b[v].sq
+		lN += b[v].n
 		if lN == 0 || lN == n {
 			continue
 		}
