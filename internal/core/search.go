@@ -3,6 +3,7 @@ package arcs
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -187,23 +188,11 @@ type searchEnv struct {
 
 // searchRegion runs one region's batched session to convergence.
 func searchRegion(ctx context.Context, rm RegionModel, env searchEnv) (BatchSearchResult, error) {
-	seed := env.opts.Seed ^ hashName(rm.Name)
-	var seeds []harmony.Point
-	var seedPerfs []float64
+	var seeds []TransferSeed
 	if env.opts.Seeds != nil {
-		for _, ts := range env.opts.Seeds(rm.Name) {
-			if p, ok := env.space.Encode(ts.Cfg); ok {
-				seeds = append(seeds, p)
-				seedPerfs = append(seedPerfs, ts.Perf)
-			}
-		}
+		seeds = env.opts.Seeds(rm.Name)
 	}
-	start := env.space.DefaultPoint()
-	if len(seeds) > 0 {
-		start = seeds[0]
-	}
-	strat := newStrategy(env.hs, env.algo, start, env.opts.MaxEvals, seed, seeds, seedPerfs)
-	sess := harmony.NewSession(env.hs, strat)
+	sess := newSession(env.space, env.hs, env.algo, rm.Name, env.opts.Seed, env.opts.MaxEvals, nil, seeds)
 
 	var fresh, hits atomic.Int64
 	for round := 0; ; round++ {
@@ -316,35 +305,55 @@ func cacheConfigKey(c ConfigValues) string {
 	return string(b)
 }
 
-// newStrategy builds the Harmony strategy for one search. Shared by the
-// Tuner's per-region sessions and BatchSearch. seeds are transfer points
-// from neighbouring contexts; only the surrogate strategy consumes them
-// (when non-empty, the first seed also becomes its start point, so the
-// local refinement begins from the best imported guess). seedPerfs,
-// aligned with seeds, carries each seed's source-context perf so the
-// surrogate can verify a transfer in one probe (0 entries or a nil slice
-// disable the verified exit).
-func newStrategy(hs harmony.Space, algo SearchAlgo, start harmony.Point, maxEvals int, seed int64, seeds []harmony.Point, seedPerfs []float64) harmony.Strategy {
+// newSession builds the Active Harmony session for one region's search,
+// for the Tuner and BatchSearch alike. seed is the run's seed; the
+// region's name perturbs it, so regions of one run search apart. seeds
+// are transfer seeds from neighbouring contexts, best first; those the
+// space cannot encode are dropped, and only the surrogate strategy
+// consumes the rest, each positive Perf letting it verify a transfer in
+// one probe. The search starts at warm (a served nearest-cap point) when
+// it is set, else at the first seed, so the local refinement begins from
+// the best imported guess, else at the space's default point.
+func newSession(space SearchSpace, hs harmony.Space, algo SearchAlgo, region string, seed int64, maxEvals int, warm harmony.Point, seeds []TransferSeed) *harmony.Session {
+	var pts []harmony.Point
+	var perfs []float64
+	for _, ts := range seeds {
+		if p, ok := space.Encode(ts.Cfg); ok {
+			pts = append(pts, p)
+			perfs = append(perfs, ts.Perf)
+		}
+	}
+	start := warm
+	if start == nil {
+		start = space.DefaultPoint()
+		if len(pts) > 0 {
+			start = pts[0]
+		}
+	}
+	seed ^= hashName(region)
+	var strat harmony.Strategy
 	switch algo {
 	case AlgoExhaustive:
-		return harmony.NewExhaustive(hs)
+		strat = harmony.NewExhaustive(hs)
 	case AlgoPRO:
-		return harmony.NewPRO(hs, start, maxEvals, seed)
+		strat = harmony.NewPRO(hs, start, maxEvals, seed)
 	case AlgoRandom:
 		if maxEvals <= 0 {
 			maxEvals = 90
 		}
-		return harmony.NewRandom(hs, maxEvals, seed)
+		strat = harmony.NewRandom(hs, maxEvals, seed)
 	case AlgoCoordinate:
-		return harmony.NewCoordinateDescent(hs, start, maxEvals)
+		strat = harmony.NewCoordinateDescent(hs, start, maxEvals)
 	case AlgoSurrogate:
-		for _, pf := range seedPerfs {
-			if pf > 0 {
-				return harmony.NewSurrogateTransfer(hs, start, maxEvals, seed, seeds, seedPerfs)
-			}
-		}
-		return harmony.NewSurrogate(hs, start, maxEvals, seed, seeds)
+		strat = harmony.NewSurrogate(hs, start, maxEvals, seed, pts, perfs)
 	default: // AlgoNelderMead and AlgoAuto
-		return harmony.NewNelderMead(hs, start, maxEvals)
+		strat = harmony.NewNelderMead(hs, start, maxEvals)
 	}
+	return harmony.NewSession(hs, strat)
+}
+
+func hashName(name string) int64 {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(name))
+	return int64(h.Sum64())
 }

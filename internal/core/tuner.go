@@ -2,7 +2,6 @@ package arcs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"arcs/internal/apex"
@@ -174,9 +173,8 @@ type regionState struct {
 	replayCfg ConfigValues
 	replayOK  bool
 	lookedUp  bool
-	warmSeed  harmony.Point   // nearest-cap warm-start point (nil = none)
-	seedPts   []harmony.Point // transfer seeds from neighbouring contexts
-	seedPerfs []float64       // each seed's source-context perf (0 = unknown)
+	warmSeed  harmony.Point  // nearest-cap warm-start point (nil = none)
+	seeds     []TransferSeed // transfer seeds the space can encode
 }
 
 // DefaultTransferSeeds bounds how many neighbouring contexts seed a
@@ -255,34 +253,6 @@ func (t *Tuner) resolvedAlgo() SearchAlgo {
 	return algo
 }
 
-// newSession builds the Active Harmony session for one region. A
-// warm-started region begins its search at the served nearest-cap
-// configuration instead of the default point; transfer seeds collected by
-// warmLookup flow to the surrogate strategy.
-func (t *Tuner) newSession(name string, rs *regionState) *harmony.Session {
-	algo := t.resolvedAlgo()
-	start := t.opts.Space.DefaultPoint()
-	var seeds []harmony.Point
-	var seedPerfs []float64
-	if rs != nil {
-		seeds, seedPerfs = rs.seedPts, rs.seedPerfs
-		switch {
-		case rs.warmSeed != nil:
-			start = rs.warmSeed
-		case len(seeds) > 0:
-			start = seeds[0]
-		}
-	}
-	seed := t.opts.Seed ^ hashName(name)
-	return harmony.NewSession(t.hs, newStrategy(t.hs, algo, start, t.opts.MaxEvals, seed, seeds, seedPerfs))
-}
-
-func hashName(name string) int64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return int64(h.Sum64())
-}
-
 // onStart is the TimerStart policy: it chooses and applies the
 // configuration for the imminent region invocation.
 func (t *Tuner) onStart(ctx apex.Context) {
@@ -324,7 +294,8 @@ func (t *Tuner) onStart(ctx apex.Context) {
 			return
 		}
 		if rs.sess == nil {
-			rs.sess = t.newSession(ctx.Timer, rs)
+			rs.sess = newSession(t.opts.Space, t.hs, t.resolvedAlgo(), ctx.Timer,
+				t.opts.Seed, t.opts.MaxEvals, rs.warmSeed, rs.seeds)
 		}
 		p, done := rs.sess.Fetch()
 		cfg, err := t.opts.Space.Decode(p)
@@ -371,7 +342,7 @@ func (t *Tuner) checkCapChange(ctx apex.Context) {
 		rs.lookedUp = false
 		rs.replayOK = false
 		rs.warmSeed = nil
-		rs.seedPts, rs.seedPerfs = nil, nil
+		rs.seeds = nil
 	}
 }
 
@@ -389,13 +360,12 @@ func (t *Tuner) warmLookup(name string, rs *regionState) {
 	// just the single nearest cap: the model learns from all of them.
 	if t.resolvedAlgo() == AlgoSurrogate {
 		for _, sd := range TransferSeeds(k, t.opts.History.LoadNeighbors(k, DefaultTransferSeeds)) {
-			if p, enc := t.opts.Space.Encode(sd.Cfg); enc {
-				rs.seedPts = append(rs.seedPts, p)
-				rs.seedPerfs = append(rs.seedPerfs, sd.Perf)
+			if _, enc := t.opts.Space.Encode(sd.Cfg); enc {
+				rs.seeds = append(rs.seeds, sd)
 			}
 		}
-		if len(rs.seedPts) > 0 {
-			t.apx.IncrCounter("arcs.transfer_seeds", float64(len(rs.seedPts)))
+		if len(rs.seeds) > 0 {
+			t.apx.IncrCounter("arcs.transfer_seeds", float64(len(rs.seeds)))
 		}
 	}
 	if cfg, _, ok := t.opts.History.LoadNearest(k); ok {
@@ -405,7 +375,7 @@ func (t *Tuner) warmLookup(name string, rs *regionState) {
 			return
 		}
 	}
-	if len(rs.seedPts) == 0 {
+	if len(rs.seeds) == 0 {
 		t.apx.IncrCounter("arcs.warm_misses", 1)
 	}
 }
@@ -469,8 +439,9 @@ func (t *Tuner) onStop(ctx apex.Context) {
 }
 
 // Finish persists the per-region best configurations to the history (for
-// search strategies). The paper: "When the program completes, the policy
-// saves the best parameters found during the search."
+// search strategies), in region-name order. The paper: "When the program
+// completes, the policy saves the best parameters found during the
+// search."
 func (t *Tuner) Finish() error {
 	if t.opts.Strategy == StrategyOfflineReplay {
 		return nil
@@ -478,7 +449,8 @@ func (t *Tuner) Finish() error {
 	if t.opts.History == nil || t.opts.Key == nil {
 		return nil
 	}
-	for name, rs := range t.regions {
+	for _, name := range t.regionNames() {
+		rs := t.regions[name]
 		if rs.sess == nil {
 			continue
 		}
@@ -507,11 +479,7 @@ type RegionReport struct {
 // Report returns per-region tuning outcomes sorted by region name; for
 // replay runs the config is the one loaded from history.
 func (t *Tuner) Report() []RegionReport {
-	names := make([]string, 0, len(t.regions))
-	for n := range t.regions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := t.regionNames()
 	out := make([]RegionReport, 0, len(names))
 	for _, n := range names {
 		rs := t.regions[n]
@@ -531,4 +499,14 @@ func (t *Tuner) Report() []RegionReport {
 		out = append(out, r)
 	}
 	return out
+}
+
+// regionNames returns the names of the regions seen so far, sorted.
+func (t *Tuner) regionNames() []string {
+	names := make([]string, 0, len(t.regions))
+	for n := range t.regions {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

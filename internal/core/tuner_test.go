@@ -2,9 +2,11 @@ package arcs
 
 import (
 	"os"
+	"sort"
 	"testing"
 
 	"arcs/internal/apex"
+	"arcs/internal/kernels"
 	"arcs/internal/omp"
 	"arcs/internal/ompt"
 	"arcs/internal/sim"
@@ -319,5 +321,47 @@ func TestStrategyStrings(t *testing.T) {
 	}
 	if AlgoExhaustive.String() != "exhaustive" {
 		t.Errorf("algo name wrong")
+	}
+}
+
+// saveRecorder is a MemHistory that records the region of every Save, in
+// call order.
+type saveRecorder struct {
+	*MemHistory
+	regions []string
+}
+
+func (h *saveRecorder) Save(k HistoryKey, cfg ConfigValues, perf float64) {
+	h.regions = append(h.regions, k.Region)
+	h.MemHistory.Save(k, cfg, perf)
+}
+
+// TestFinishSavesInRegionOrder: Finish hands a run's bests to the History
+// in region-name order, not map order; through a remote history that
+// order is the order of its report requests.
+func TestFinishSavesInRegionOrder(t *testing.T) {
+	app, err := kernels.SP(kernels.ClassB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t)
+	hist := &saveRecorder{MemHistory: NewMemHistory()}
+	tuner, err := New(r.apx, r.mach.Arch(), Options{
+		Strategy: StrategyOnline, Seed: 1, History: hist, Key: key("SP"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.WithSteps(1).Run(r.rt); err != nil {
+		t.Fatal(err)
+	}
+	if err := tuner.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if len(hist.regions) != len(app.Regions) || len(hist.regions) <= 12 {
+		t.Fatalf("saved %d regions, want all %d of SP's", len(hist.regions), len(app.Regions))
+	}
+	if !sort.StringsAreSorted(hist.regions) {
+		t.Errorf("Finish saved regions out of name order: %v", hist.regions)
 	}
 }

@@ -15,32 +15,35 @@ import (
 // same seed, because reports are merged in batch order.
 
 // strategyCases enumerates every strategy with a deterministic factory.
+// Start and seed points are written for five dimensions and cut to the
+// space's.
 func strategyCases(space Space) map[string]func() Strategy {
+	at := func(vs ...int) Point { return Point(vs[:space.Dims()]) }
 	return map[string]func() Strategy{
 		"exhaustive": func() Strategy { return NewExhaustive(space) },
 		"nelder-mead": func() Strategy {
-			return NewNelderMead(space, Point{0, 0, 0}, 0)
+			return NewNelderMead(space, at(0, 0, 0, 0, 0), 0)
 		},
 		"pro": func() Strategy {
-			return NewPRO(space, Point{0, 0, 0}, 0, 12345)
+			return NewPRO(space, at(0, 0, 0, 0, 0), 0, 12345)
 		},
 		"random": func() Strategy { return NewRandom(space, 60, 6789) },
 		"coordinate-descent": func() Strategy {
-			return NewCoordinateDescent(space, Point{3, 1, 4}, 0)
+			return NewCoordinateDescent(space, at(3, 1, 4, 2, 1), 0)
 		},
 		"surrogate": func() Strategy {
-			return NewSurrogate(space, Point{0, 0, 0}, 0, 424242, nil)
+			return NewSurrogate(space, at(0, 0, 0, 0, 0), 0, 424242, nil, nil)
 		},
 		"surrogate-seeded": func() Strategy {
-			return NewSurrogate(space, Point{0, 0, 0}, 0, 424242,
-				[]Point{{4, 2, 5}, {3, 2, 4}})
+			return NewSurrogate(space, at(0, 0, 0, 0, 0), 0, 424242,
+				[]Point{at(4, 2, 5, 3, 1), at(3, 2, 4, 2, 0)}, nil)
 		},
 		"surrogate-transfer": func() Strategy {
 			// Expectations deliberately unmeetable on the rugged objective,
 			// so the strategy falls through the verified exit into the full
 			// pipeline — the batched trajectory must still match serial.
-			return NewSurrogateTransfer(space, Point{0, 0, 0}, 0, 424242,
-				[]Point{{4, 2, 5}, {3, 2, 4}}, []float64{1e-9, 1e-9})
+			return NewSurrogate(space, at(0, 0, 0, 0, 0), 0, 424242,
+				[]Point{at(4, 2, 5, 3, 1), at(3, 2, 4, 2, 0)}, []float64{1e-9, 1e-9})
 		},
 	}
 }
@@ -112,32 +115,36 @@ func rugged(p Point) float64 {
 	return v
 }
 
+// TestBatchedMatchesSerialEveryStrategy runs over the 3-D Table I space
+// and the 5-D one with DVFS and bind, so the session's index-keyed
+// de-duplication is checked at mixed radices.
 func TestBatchedMatchesSerialEveryStrategy(t *testing.T) {
-	space := space3(t)
-	objectives := map[string]func(Point) float64{
-		"quad":   quad(Point{4, 2, 5}),
-		"rugged": rugged,
-	}
-	for objName, f := range objectives {
-		for name, mk := range strategyCases(space) {
-			for _, width := range []int{1, 2, 3, 8, 64} {
-				serial := runSerial(t, space, mk(), f)
-				batched := runBatched(t, space, mk(), f, width, nil)
-				if !serial.ok || !batched.ok {
-					t.Fatalf("%s/%s width %d: no best (serial ok=%v batched ok=%v)",
-						objName, name, width, serial.ok, batched.ok)
-				}
-				if !serial.best.Equal(batched.best) {
-					t.Errorf("%s/%s width %d: winner %v (batched) != %v (serial)",
-						objName, name, width, batched.best, serial.best)
-				}
-				if serial.perf != batched.perf {
-					t.Errorf("%s/%s width %d: perf %g (batched) != %g (serial)",
-						objName, name, width, batched.perf, serial.perf)
-				}
-				if serial.evals != batched.evals {
-					t.Errorf("%s/%s width %d: evals %d (batched) != %d (serial)",
-						objName, name, width, batched.evals, serial.evals)
+	for _, space := range []Space{space3(t), space5(t)} {
+		objectives := map[string]func(Point) float64{
+			"quad":   quad(Point{4, 2, 5, 3, 1}[:space.Dims()]),
+			"rugged": rugged,
+		}
+		for objName, f := range objectives {
+			for name, mk := range strategyCases(space) {
+				for _, width := range []int{1, 2, 3, 8, 64} {
+					serial := runSerial(t, space, mk(), f)
+					batched := runBatched(t, space, mk(), f, width, nil)
+					if !serial.ok || !batched.ok {
+						t.Fatalf("%dD %s/%s width %d: no best (serial ok=%v batched ok=%v)",
+							space.Dims(), objName, name, width, serial.ok, batched.ok)
+					}
+					if !serial.best.Equal(batched.best) {
+						t.Errorf("%dD %s/%s width %d: winner %v (batched) != %v (serial)",
+							space.Dims(), objName, name, width, batched.best, serial.best)
+					}
+					if serial.perf != batched.perf {
+						t.Errorf("%dD %s/%s width %d: perf %g (batched) != %g (serial)",
+							space.Dims(), objName, name, width, batched.perf, serial.perf)
+					}
+					if serial.evals != batched.evals {
+						t.Errorf("%dD %s/%s width %d: evals %d (batched) != %d (serial)",
+							space.Dims(), objName, name, width, batched.evals, serial.evals)
+					}
 				}
 			}
 		}

@@ -61,7 +61,7 @@ func (cd *CoordinateDescent) Next() (Point, bool) {
 	return cd.want.Clone(), true
 }
 
-// NextBatch implements BatchStrategy: the remainder of the current axis
+// NextBatch implements Strategy: the remainder of the current axis
 // sweep, speculated from the current base point. An improvement mid-sweep
 // rebases the sweep and discards the speculation (the session keeps the
 // measured values memoised in case a later sweep revisits them).
@@ -119,7 +119,4 @@ func (cd *CoordinateDescent) advance() {
 	cd.want[cd.dim] = cd.idx
 }
 
-var (
-	_ Strategy      = (*CoordinateDescent)(nil)
-	_ BatchStrategy = (*CoordinateDescent)(nil)
-)
+var _ Strategy = (*CoordinateDescent)(nil)

@@ -10,8 +10,8 @@
 //	perf := measure(pt)
 //	sess.Report(perf)          // feeds the strategy, updates the best
 //
-// Strategies that implement BatchStrategy additionally expose whole rounds
-// of candidates for concurrent evaluation through the batched protocol:
+// Every strategy also reads ahead: NextBatch exposes whole rounds of
+// candidates for concurrent evaluation through the batched protocol:
 //
 //	batch, done := sess.FetchBatch(width) // candidates safe to run in parallel
 //	perfs := measureAll(batch)            // any order, results by index
@@ -26,13 +26,14 @@
 // are reused if the search reaches them later.
 //
 // Points are index vectors into the per-parameter value sets; mapping
-// indices to OpenMP configuration values is the caller's concern.
+// indices to OpenMP configuration values is the caller's concern. A
+// point's one identity is its lattice index (Space.Index), which keys the
+// session's caches and the surrogate's observed set.
 package harmony
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 )
 
 // Param is one tunable dimension: a name and the cardinality of its
@@ -100,20 +101,29 @@ func (s Space) Clamp(p Point) Point {
 	return out
 }
 
+// Index returns the lexicographic lattice index of p (dimension 0
+// slowest), in [0, Size()). p must be a point of the space (Valid):
+// callers pass clamped or proposed points.
+func (s Space) Index(p Point) int {
+	idx := 0
+	for i, v := range p {
+		idx = idx*s.Params[i].Card + v
+	}
+	return idx
+}
+
+// PointAt is Index's inverse: it decodes the lattice index idx into p,
+// which must have Dims() coordinates.
+func (s Space) PointAt(p Point, idx int) {
+	for i := len(p) - 1; i >= 0; i-- {
+		card := s.Params[i].Card
+		p[i] = idx % card
+		idx /= card
+	}
+}
+
 // Point is an index vector, one index per parameter.
 type Point []int
-
-// Key renders a canonical map key.
-func (p Point) Key() string {
-	var b strings.Builder
-	for i, v := range p {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(v))
-	}
-	return b.String()
-}
 
 // Clone returns a copy.
 func (p Point) Clone() Point {
@@ -137,7 +147,14 @@ func (p Point) Equal(q Point) bool {
 
 // Strategy is a search algorithm. Implementations are single-threaded
 // state machines: Next proposes a candidate, Report feeds its measured
-// performance (lower is better) back.
+// performance (lower is better) back, and NextBatch reads ahead a round
+// of candidates for concurrent evaluation: PRO's 2d-1 reflections,
+// Nelder-Mead's speculative reflect/expand/contract branches, the next
+// enumeration window of Exhaustive and Random. NextBatch is advisory and
+// must not mutate the strategy's observable Next/Report stream: the
+// serial Fetch/Report protocol remains the source of truth (a strategy
+// driven one point at a time behaves as a batch of 1), which is what
+// makes batched and serial sessions bit-identical.
 type Strategy interface {
 	// Next returns the next candidate. ok=false means the strategy has
 	// converged or exhausted its budget; use the session's best point.
@@ -148,18 +165,6 @@ type Strategy interface {
 	Converged() bool
 	// Name identifies the strategy for logs and history files.
 	Name() string
-}
-
-// BatchStrategy is implemented by strategies that can propose a whole
-// round of candidates for concurrent evaluation: PRO's 2d-1 reflections,
-// Nelder-Mead's speculative reflect/expand/contract branches, the next
-// enumeration window of Exhaustive and Random. NextBatch is advisory and
-// must not mutate the strategy's observable Next/Report stream: the
-// serial Fetch/Report protocol remains the source of truth (a strategy
-// driven one point at a time behaves as a batch of 1), which is what
-// makes batched and serial sessions bit-identical.
-type BatchStrategy interface {
-	Strategy
 	// NextBatch returns up to max candidates that can usefully be
 	// evaluated concurrently right now, starting with the point Next
 	// would return. Later entries may be speculative: the strategy may
@@ -168,14 +173,14 @@ type BatchStrategy interface {
 }
 
 // Session drives one tuning search: it deduplicates candidate evaluations
-// (re-reporting cached results to the strategy, as Active Harmony's point
-// rejection does), tracks the global best, and exposes the fetch/report
-// protocol.
+// by lattice index (re-reporting cached results to the strategy, as
+// Active Harmony's point rejection does), tracks the global best, and
+// exposes the fetch/report protocol.
 type Session struct {
 	space Space
 	strat Strategy
 
-	cache    map[string]float64
+	cache    map[int]float64
 	pending  Point
 	hasPend  bool
 	best     Point
@@ -187,12 +192,12 @@ type Session struct {
 	// Batched-protocol state: the outstanding FetchBatch (nil when none)
 	// and the memo of measured-but-not-yet-consumed speculative results.
 	batch []Point
-	memo  map[string]float64
+	memo  map[int]float64
 }
 
 // NewSession creates a session for the given space and strategy.
 func NewSession(space Space, strat Strategy) *Session {
-	return &Session{space: space, strat: strat, cache: make(map[string]float64)}
+	return &Session{space: space, strat: strat, cache: make(map[int]float64)}
 }
 
 // Space returns the session's parameter space.
@@ -220,7 +225,7 @@ func (s *Session) Fetch() (p Point, done bool) {
 			return s.bestOrZero(), true
 		}
 		p = s.space.Clamp(p)
-		if perf, seen := s.cache[p.Key()]; seen {
+		if perf, seen := s.cache[s.space.Index(p)]; seen {
 			s.strat.Report(p, perf)
 			if s.strat.Converged() {
 				return s.bestOrZero(), true
@@ -243,7 +248,7 @@ func (s *Session) Report(perf float64) {
 	}
 	p := s.pending
 	s.hasPend = false
-	s.cache[p.Key()] = perf
+	s.cache[s.space.Index(p)] = perf
 	s.evals++
 	if !s.hasBest || perf < s.bestPerf {
 		s.best = p.Clone()
@@ -257,10 +262,9 @@ func (s *Session) Report(perf float64) {
 // for concurrent evaluation, or done=true once the search has converged.
 // The first element is always the point a serial Fetch would have
 // returned; the rest are the remainder of the strategy's current round
-// (or speculative branches) when it implements BatchStrategy, capped at
-// max. FetchBatch panics if a previous batch was never ReportBatch'ed.
-// Batched and serial calls may be interleaved between (but not within)
-// batches.
+// (or speculative branches), capped at max. FetchBatch panics if a
+// previous batch was never ReportBatch'ed. Batched and serial calls may
+// be interleaved between (but not within) batches.
 func (s *Session) FetchBatch(max int) (batch []Point, done bool) {
 	if s.batch != nil {
 		panic("harmony: FetchBatch called with a pending unreported batch")
@@ -274,27 +278,20 @@ func (s *Session) FetchBatch(max int) (batch []Point, done bool) {
 		}
 	}
 	batch = append(batch, s.pending.Clone())
-	if bs, ok := s.strat.(BatchStrategy); ok && max > 1 {
-		for _, q := range bs.NextBatch(max) {
+	if max > 1 {
+		for _, q := range s.strat.NextBatch(max) {
 			if len(batch) >= max {
 				break
 			}
 			q = s.space.Clamp(q)
-			k := q.Key()
+			k := s.space.Index(q)
 			if _, seen := s.cache[k]; seen {
 				continue
 			}
 			if _, seen := s.memo[k]; seen {
 				continue
 			}
-			dup := false
-			for _, b := range batch {
-				if b.Key() == k {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if !slices.ContainsFunc(batch, q.Equal) {
 				batch = append(batch, q)
 			}
 		}
@@ -317,17 +314,17 @@ func (s *Session) ReportBatch(perfs []float64) {
 		panic(fmt.Sprintf("harmony: ReportBatch got %d perfs for a batch of %d", len(perfs), len(s.batch)))
 	}
 	if s.memo == nil {
-		s.memo = make(map[string]float64)
+		s.memo = make(map[int]float64)
 	}
 	for i, q := range s.batch {
-		s.memo[q.Key()] = perfs[i]
+		s.memo[s.space.Index(q)] = perfs[i]
 	}
 	s.batch = nil
 	// Drain: consume memoised results through the serial protocol until a
 	// fetched point needs a fresh evaluation (it becomes the head of the
 	// next batch) or the search converges.
 	for s.hasPend {
-		perf, ok := s.memo[s.pending.Key()]
+		perf, ok := s.memo[s.space.Index(s.pending)]
 		if !ok {
 			return
 		}

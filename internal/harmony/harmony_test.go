@@ -2,6 +2,7 @@ package harmony
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -9,6 +10,17 @@ import (
 func space3(t *testing.T) Space {
 	t.Helper()
 	s, err := NewSpace(Param{"threads", 7}, Param{"sched", 4}, Param{"chunk", 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// space5 is shaped like Table I plus the DVFS (6 frequencies) and bind
+// (spread/close) dimensions: mixed radices, 3,024 points.
+func space5(t *testing.T) Space {
+	t.Helper()
+	s, err := NewSpace(Param{"threads", 7}, Param{"sched", 4}, Param{"chunk", 9}, Param{"freq", 6}, Param{"bind", 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +83,30 @@ func TestSpaceValidClamp(t *testing.T) {
 	}
 }
 
+// TestSpaceIndexInvertsPointAt: the lattice index is PointAt's inverse
+// over the whole space, in lexicographic order (dimension 0 slowest).
+func TestSpaceIndexInvertsPointAt(t *testing.T) {
+	for _, space := range []Space{space3(t), space5(t)} {
+		p := make(Point, space.Dims())
+		prev := Point(nil)
+		for idx := 0; idx < space.Size(); idx++ {
+			space.PointAt(p, idx)
+			if !space.Valid(p) {
+				t.Fatalf("PointAt(%d) = %v outside the space", idx, p)
+			}
+			if got := space.Index(p); got != idx {
+				t.Fatalf("Index(PointAt(%d) = %v) = %d", idx, p, got)
+			}
+			if prev != nil && slices.Compare(prev, p) >= 0 {
+				t.Fatalf("PointAt(%d) = %v does not follow %v lexicographically", idx, p, prev)
+			}
+			prev = p.Clone()
+		}
+	}
+}
+
 func TestPointHelpers(t *testing.T) {
 	p := Point{1, 2, 3}
-	if p.Key() != "1,2,3" {
-		t.Errorf("Key = %q", p.Key())
-	}
 	q := p.Clone()
 	q[0] = 9
 	if p[0] != 1 {
@@ -91,7 +122,7 @@ func TestExhaustiveCoversSpace(t *testing.T) {
 	sess := NewSession(s, NewExhaustive(s))
 	target := Point{5, 2, 7}
 	f := quad(target)
-	seen := map[string]int{}
+	seen := map[int]int{}
 	for {
 		p, done := sess.Fetch()
 		if done {
@@ -100,7 +131,7 @@ func TestExhaustiveCoversSpace(t *testing.T) {
 			}
 			break
 		}
-		seen[p.Key()]++
+		seen[s.Index(p)]++
 		sess.Report(f(p))
 	}
 	if len(seen) != s.Size() {
@@ -108,7 +139,7 @@ func TestExhaustiveCoversSpace(t *testing.T) {
 	}
 	for k, n := range seen {
 		if n != 1 {
-			t.Errorf("point %s evaluated %d times", k, n)
+			t.Errorf("point %d evaluated %d times", k, n)
 		}
 	}
 	if sess.Evals() != s.Size() {
@@ -226,15 +257,15 @@ func TestPROFindsGoodPoint(t *testing.T) {
 
 func TestRandomBudgetAndDeterminism(t *testing.T) {
 	s := space3(t)
-	mk := func(seed int64) []string {
+	mk := func(seed int64) []int {
 		r := NewRandom(s, 20, seed)
-		var keys []string
+		var keys []int
 		for {
 			p, ok := r.Next()
 			if !ok {
 				break
 			}
-			keys = append(keys, p.Key())
+			keys = append(keys, s.Index(p))
 			r.Report(p, 0)
 		}
 		return keys

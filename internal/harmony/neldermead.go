@@ -117,7 +117,7 @@ func (nm *NelderMead) Next() (Point, bool) {
 	return nm.space.round(nm.want), true
 }
 
-// NextBatch implements BatchStrategy. During simplex seeding and shrink
+// NextBatch implements Strategy. During simplex seeding and shrink
 // re-evaluation the batch is the remaining vertex set (all of which the
 // serial protocol will fetch). During a reflection it is speculative: the
 // reflection plus the expansion and both contraction points, every branch
@@ -278,9 +278,9 @@ func (nm *NelderMead) replaceWorst(x []float64, f float64) {
 
 // collapsed reports whether every vertex rounds to the same lattice point.
 func (s Space) collapsed(verts []nmVertex) bool {
-	first := s.round(verts[0].x).Key()
+	first := s.round(verts[0].x)
 	for _, v := range verts[1:] {
-		if s.round(v.x).Key() != first {
+		if !s.round(v.x).Equal(first) {
 			return false
 		}
 	}
@@ -306,7 +306,4 @@ func combine(c, x []float64, coef float64) []float64 {
 	return out
 }
 
-var (
-	_ Strategy      = (*NelderMead)(nil)
-	_ BatchStrategy = (*NelderMead)(nil)
-)
+var _ Strategy = (*NelderMead)(nil)

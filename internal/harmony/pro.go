@@ -88,7 +88,7 @@ func (p *PRO) Next() (Point, bool) {
 	return p.space.round(p.want), true
 }
 
-// NextBatch implements BatchStrategy: the not-yet-reported remainder of
+// NextBatch implements Strategy: the not-yet-reported remainder of
 // the current round — initial vertices during seeding, the reflection (or
 // shrink re-evaluation) candidates afterwards. Nothing is speculative:
 // every batched point is one the serial protocol is guaranteed to fetch.
@@ -206,7 +206,4 @@ func (p *PRO) finishRound() {
 	p.startRound()
 }
 
-var (
-	_ Strategy      = (*PRO)(nil)
-	_ BatchStrategy = (*PRO)(nil)
-)
+var _ Strategy = (*PRO)(nil)

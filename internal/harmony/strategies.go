@@ -45,7 +45,7 @@ func (e *Exhaustive) Report(Point, float64) {}
 // Converged implements Strategy.
 func (e *Exhaustive) Converged() bool { return e.done }
 
-// NextBatch implements BatchStrategy: the upcoming enumeration window,
+// NextBatch implements Strategy: the upcoming enumeration window,
 // read ahead from a copy of the odometer so the serial stream is
 // untouched.
 func (e *Exhaustive) NextBatch(max int) []Point {
@@ -126,7 +126,7 @@ func (r *Random) Report(Point, float64) {}
 // Converged implements Strategy.
 func (r *Random) Converged() bool { return r.drawn >= r.budget }
 
-// NextBatch implements BatchStrategy: pre-draws up to max proposals
+// NextBatch implements Strategy: pre-draws up to max proposals
 // (bounded by the remaining budget) into the queue Next serves from, so
 // batching never perturbs the RNG stream.
 func (r *Random) NextBatch(max int) []Point {
@@ -148,8 +148,6 @@ func (r *Random) NextBatch(max int) []Point {
 }
 
 var (
-	_ Strategy      = (*Exhaustive)(nil)
-	_ Strategy      = (*Random)(nil)
-	_ BatchStrategy = (*Exhaustive)(nil)
-	_ BatchStrategy = (*Random)(nil)
+	_ Strategy = (*Exhaustive)(nil)
+	_ Strategy = (*Random)(nil)
 )

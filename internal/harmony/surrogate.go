@@ -32,9 +32,9 @@ type SurrogateStrategy struct {
 	maxEvals int
 
 	reports  int
-	observed []bool // by lattice index (pointAt's order)
+	observed []bool // by lattice index (Space.Index)
 	nObs     int
-	scan     Point // buffer pointAt decodes into
+	scan     Point // buffer Space.PointAt decodes into
 
 	queue []Point // remaining initial-design points (seed phase)
 	want  Point   // next candidate while the model phase is active
@@ -60,7 +60,7 @@ type SurrogateStrategy struct {
 	done      bool
 
 	// expect maps a transfer seed's lattice index to the perf its source
-	// context promised (NewSurrogateTransfer). A seed probe that performs
+	// context promised (NewSurrogate's perfs). A seed probe that performs
 	// at least that well — the transfer hypothesis verified in one
 	// measurement — ends the search immediately; a seed that deviates
 	// falls through to the full model pipeline.
@@ -101,8 +101,15 @@ const (
 // dimension-scaled default as Nelder-Mead, keeping budgets comparable).
 // seed drives the deterministic bootstrap and design sampling. seeds are
 // optional transfer points probed before anything else; duplicates and
-// out-of-space points are dropped.
-func NewSurrogate(space Space, start Point, maxEvals int, seed int64, seeds []Point) *SurrogateStrategy {
+// out-of-space points are dropped. perfs[i], when present and positive,
+// is the objective value seeds[i] achieved in its source context: a seed
+// probe that measures within surTransferTolFrac of that promise verifies
+// the transfer hypothesis and ends the search on the spot, the one-probe
+// path that collapses new-context search cost. Seeds without a promise,
+// and seeds that deviate from it (the context genuinely differs from its
+// neighbours), are just design points: the strategy falls through to the
+// usual model/refine/polish pipeline.
+func NewSurrogate(space Space, start Point, maxEvals int, seed int64, seeds []Point, perfs []float64) *SurrogateStrategy {
 	d := space.Dims()
 	if maxEvals <= 0 {
 		maxEvals = 30 * d
@@ -122,16 +129,28 @@ func NewSurrogate(space Space, start Point, maxEvals int, seed int64, seeds []Po
 	// design too small to fit a first model — deterministic filler drawn
 	// from a seeded stream.
 	inDesign := make([]bool, len(s.observed))
-	push := func(p Point) {
+	push := func(p Point) int {
 		p = space.Clamp(p)
-		if i := s.index(p); !inDesign[i] {
+		i := space.Index(p)
+		if !inDesign[i] {
 			inDesign[i] = true
 			s.queue = append(s.queue, p)
 		}
+		return i
 	}
-	for _, p := range seeds {
-		if len(p) == d {
-			push(p)
+	for i, p := range seeds {
+		if len(p) != d {
+			continue
+		}
+		k := push(p)
+		if i >= len(perfs) || perfs[i] <= 0 {
+			continue
+		}
+		if s.expect == nil {
+			s.expect = make(map[int]float64, len(seeds))
+		}
+		if _, dup := s.expect[k]; !dup {
+			s.expect[k] = perfs[i]
 		}
 	}
 	push(start)
@@ -140,37 +159,11 @@ func NewSurrogate(space Space, start Point, maxEvals int, seed int64, seeds []Po
 		rng := surrogate.NewStream(seed, make([]int32, 0, 2*minDesign))
 		sz := space.Size()
 		for tries := 0; len(s.queue) < minDesign && tries < 16*sz; tries++ {
-			s.pointAt(s.scan, rng.Intn(sz))
+			space.PointAt(s.scan, rng.Intn(sz))
 			push(s.scan)
 		}
 	}
 	s.want, s.queue = s.queue[0], s.queue[1:]
-	return s
-}
-
-// NewSurrogateTransfer is NewSurrogate with perf expectations attached to
-// the transfer seeds: perfs[i] is the objective value seeds[i] achieved
-// in its source context (0 = unknown, no expectation). A seed probe that
-// measures within surTransferTolFrac of its promise verifies the
-// transfer hypothesis and ends the search on the spot — the one-probe
-// path that collapses new-context search cost. Seeds that deviate (the
-// context genuinely differs from its neighbours) are just design points:
-// the strategy falls through to the usual model/refine/polish pipeline.
-func NewSurrogateTransfer(space Space, start Point, maxEvals int, seed int64, seeds []Point, perfs []float64) *SurrogateStrategy {
-	s := NewSurrogate(space, start, maxEvals, seed, seeds)
-	d := space.Dims()
-	for i, p := range seeds {
-		if i >= len(perfs) || perfs[i] <= 0 || len(p) != d {
-			continue
-		}
-		k := s.index(space.Clamp(p))
-		if s.expect == nil {
-			s.expect = make(map[int]float64, len(seeds))
-		}
-		if _, dup := s.expect[k]; !dup {
-			s.expect[k] = perfs[i]
-		}
-	}
 	return s
 }
 
@@ -191,7 +184,7 @@ func (s *SurrogateStrategy) Next() (Point, bool) {
 	return s.want.Clone(), true
 }
 
-// NextBatch implements BatchStrategy: the rest of the initial design
+// NextBatch implements Strategy: the rest of the initial design
 // during seeding, the runner-up EI candidates during the model phase
 // (speculative — a refit after the head result usually re-ranks them),
 // and Nelder-Mead's branches during refinement.
@@ -234,7 +227,7 @@ func (s *SurrogateStrategy) Report(p Point, f float64) {
 		panic(fmt.Sprintf("harmony: surrogate given point %v outside its space", p))
 	}
 	s.reports++
-	i := s.index(p)
+	i := s.space.Index(p)
 	if !s.observed[i] {
 		s.observed[i] = true
 		s.model.Observe(p, f)
@@ -338,7 +331,7 @@ func (s *SurrogateStrategy) advance() {
 	for len(s.queue) > 0 {
 		q := s.queue[0]
 		s.queue = s.queue[1:]
-		if !s.observed[s.index(q)] {
+		if !s.observed[s.space.Index(q)] {
 			s.want = q
 			return
 		}
@@ -367,7 +360,7 @@ func (s *SurrogateStrategy) fitAndPick() {
 		if seen {
 			continue
 		}
-		s.pointAt(p, idx)
+		s.space.PointAt(p, idx)
 		mean, std, ok := s.model.Predict(p)
 		if !ok {
 			break
@@ -417,28 +410,4 @@ func (s *SurrogateStrategy) enterRefine() {
 	s.refine = NewNelderMeadLocal(s.space, s.bestP, budget)
 }
 
-// pointAt decodes a lexicographic lattice index (dimension 0 slowest)
-// into p.
-func (s *SurrogateStrategy) pointAt(p Point, idx int) {
-	for i := len(p) - 1; i >= 0; i-- {
-		card := s.space.Params[i].Card
-		p[i] = idx % card
-		idx /= card
-	}
-}
-
-// index is pointAt's inverse: the lattice index of p, which must be a
-// point of the space. Callers pass clamped or proposed points, and Report
-// checks the one point that comes from outside.
-func (s *SurrogateStrategy) index(p Point) int {
-	idx := 0
-	for i, v := range p {
-		idx = idx*s.space.Params[i].Card + v
-	}
-	return idx
-}
-
-var (
-	_ Strategy      = (*SurrogateStrategy)(nil)
-	_ BatchStrategy = (*SurrogateStrategy)(nil)
-)
+var _ Strategy = (*SurrogateStrategy)(nil)

@@ -9,7 +9,7 @@ func TestSurrogateFindsOptimum(t *testing.T) {
 	space := space3(t)
 	target := Point{4, 2, 5}
 	f := quad(target)
-	out := runSerial(t, space, NewSurrogate(space, Point{0, 0, 0}, 0, 11, nil), f)
+	out := runSerial(t, space, NewSurrogate(space, Point{0, 0, 0}, 0, 11, nil, nil), f)
 	if !out.ok {
 		t.Fatal("no best")
 	}
@@ -25,9 +25,9 @@ func TestSurrogateSeededConvergesFaster(t *testing.T) {
 	space := space3(t)
 	target := Point{4, 2, 5}
 	f := quad(target)
-	cold := runSerial(t, space, NewSurrogate(space, Point{0, 0, 0}, 0, 11, nil), f)
+	cold := runSerial(t, space, NewSurrogate(space, Point{0, 0, 0}, 0, 11, nil, nil), f)
 	seeded := runSerial(t, space,
-		NewSurrogate(space, Point{0, 0, 0}, 0, 11, []Point{{4, 2, 4}, {3, 2, 5}}), f)
+		NewSurrogate(space, Point{0, 0, 0}, 0, 11, []Point{{4, 2, 4}, {3, 2, 5}}, nil), f)
 	if !seeded.ok || !seeded.best.Equal(target) {
 		t.Fatalf("seeded best = %v, want %v", seeded.best, target)
 	}
@@ -41,17 +41,17 @@ func TestSurrogateSeededConvergesFaster(t *testing.T) {
 func TestSurrogateDeterministic(t *testing.T) {
 	space := space3(t)
 	f := rugged
-	run := func() ([]string, sessionOutcome) {
-		strat := NewSurrogate(space, Point{1, 1, 1}, 0, 77, []Point{{5, 3, 7}})
+	run := func() ([]int, sessionOutcome) {
+		strat := NewSurrogate(space, Point{1, 1, 1}, 0, 77, []Point{{5, 3, 7}}, nil)
 		sess := NewSession(space, strat)
-		var trace []string
+		var trace []int
 		for i := 0; i < 10000; i++ {
 			p, done := sess.Fetch()
 			if done {
 				best, perf, ok := sess.Best()
 				return trace, sessionOutcome{best: best, perf: perf, evals: sess.Evals(), ok: ok}
 			}
-			trace = append(trace, p.Key())
+			trace = append(trace, space.Index(p))
 			sess.Report(f(p))
 		}
 		t.Fatal("did not converge")
@@ -64,7 +64,7 @@ func TestSurrogateDeterministic(t *testing.T) {
 	}
 	for i := range tr1 {
 		if tr1[i] != tr2[i] {
-			t.Fatalf("trajectories diverge at step %d: %s vs %s", i, tr1[i], tr2[i])
+			t.Fatalf("trajectories diverge at step %d: %d vs %d", i, tr1[i], tr2[i])
 		}
 	}
 	if !out1.best.Equal(out2.best) || out1.perf != out2.perf || out1.evals != out2.evals {
@@ -77,7 +77,7 @@ func TestSurrogateDeterministic(t *testing.T) {
 func TestSurrogateSeedsProbedFirst(t *testing.T) {
 	space := space3(t)
 	seeds := []Point{{6, 3, 8}, {2, 1, 2}}
-	strat := NewSurrogate(space, Point{0, 0, 0}, 0, 5, seeds)
+	strat := NewSurrogate(space, Point{0, 0, 0}, 0, 5, seeds, nil)
 	sess := NewSession(space, strat)
 	for i, want := range seeds {
 		p, done := sess.Fetch()
@@ -101,7 +101,7 @@ func TestSurrogateInvalidSeedsDropped(t *testing.T) {
 		{3, 2, 4},       // fine
 		{3, 2, 4},       // duplicate: dropped
 		{6, 3, 8, 1, 2}, // wrong dimensionality: dropped
-	})
+	}, nil)
 	out := runSerial(t, space, strat, quad(Point{3, 2, 4}))
 	if !out.ok {
 		t.Fatal("no best")
@@ -115,7 +115,7 @@ func TestSurrogateInvalidSeedsDropped(t *testing.T) {
 func TestSurrogateRespectsBudget(t *testing.T) {
 	space := space3(t)
 	for _, budget := range []int{1, 2, 5, 12} {
-		strat := NewSurrogate(space, Point{0, 0, 0}, budget, 3, nil)
+		strat := NewSurrogate(space, Point{0, 0, 0}, budget, 3, nil, nil)
 		sess := NewSession(space, strat)
 		n := 0
 		for i := 0; i < 10000; i++ {
@@ -137,7 +137,7 @@ func TestSurrogateRespectsBudget(t *testing.T) {
 func TestSurrogateBatchSpeculationBounded(t *testing.T) {
 	space := space3(t)
 	var probes atomic.Int64
-	out := runBatched(t, space, NewSurrogate(space, Point{0, 0, 0}, 0, 21, nil), rugged, 8, &probes)
+	out := runBatched(t, space, NewSurrogate(space, Point{0, 0, 0}, 0, 21, nil, nil), rugged, 8, &probes)
 	if !out.ok {
 		t.Fatal("no best")
 	}
@@ -154,7 +154,7 @@ func TestSurrogateTransferVerified(t *testing.T) {
 	target := Point{4, 2, 5}
 	f := quad(target)
 	seed := Point{4, 2, 4} // near-optimal import; f(seed) = 1
-	strat := NewSurrogateTransfer(space, seed, 0, 11, []Point{seed}, []float64{f(seed)})
+	strat := NewSurrogate(space, seed, 0, 11, []Point{seed}, []float64{f(seed)})
 	out := runSerial(t, space, strat, f)
 	if !out.ok || !out.best.Equal(seed) {
 		t.Fatalf("best = %v, want the verified seed %v", out.best, seed)
@@ -173,7 +173,7 @@ func TestSurrogateTransferDeviationSearches(t *testing.T) {
 	target := Point{4, 2, 5}
 	f := quad(target)
 	seed := Point{0, 0, 0} // far off; f(seed) large
-	strat := NewSurrogateTransfer(space, seed, 0, 11, []Point{seed}, []float64{f(seed) / 100})
+	strat := NewSurrogate(space, seed, 0, 11, []Point{seed}, []float64{f(seed) / 100})
 	out := runSerial(t, space, strat, f)
 	if !out.ok || !out.best.Equal(target) {
 		t.Fatalf("best = %v (perf %g), want full search to reach %v", out.best, out.perf, target)
@@ -189,8 +189,8 @@ func TestSurrogateTransferZeroPerfIgnored(t *testing.T) {
 	space := space3(t)
 	f := quad(Point{4, 2, 5})
 	seeds := []Point{{4, 2, 4}, {3, 2, 5}}
-	plain := runSerial(t, space, NewSurrogate(space, seeds[0], 0, 11, seeds), f)
-	zeroed := runSerial(t, space, NewSurrogateTransfer(space, seeds[0], 0, 11, seeds, []float64{0, 0}), f)
+	plain := runSerial(t, space, NewSurrogate(space, seeds[0], 0, 11, seeds, nil), f)
+	zeroed := runSerial(t, space, NewSurrogate(space, seeds[0], 0, 11, seeds, []float64{0, 0}), f)
 	if !plain.best.Equal(zeroed.best) || plain.evals != zeroed.evals {
 		t.Errorf("zero expectations changed the trajectory: %+v vs %+v", plain, zeroed)
 	}
@@ -207,9 +207,9 @@ func TestSurrogateProposesValidPoints(t *testing.T) {
 	space := space3(t)
 	for _, seed := range []int64{3, 11, 77} {
 		strats := []*SurrogateStrategy{
-			NewSurrogate(space, Point{0, 0, 0}, 0, seed, nil),
-			NewSurrogate(space, Point{-3, 9, 40}, 0, seed, []Point{{6, 3, 8}, {9, -1, 2}}),
-			NewSurrogateTransfer(space, Point{1, 1, 1}, 0, seed, []Point{{0, 0, 0}}, []float64{1e-3}),
+			NewSurrogate(space, Point{0, 0, 0}, 0, seed, nil, nil),
+			NewSurrogate(space, Point{-3, 9, 40}, 0, seed, []Point{{6, 3, 8}, {9, -1, 2}}, nil),
+			NewSurrogate(space, Point{1, 1, 1}, 0, seed, []Point{{0, 0, 0}}, []float64{1e-3}),
 		}
 		for _, s := range strats {
 			for i := 0; !s.Converged(); i++ {
@@ -218,18 +218,18 @@ func TestSurrogateProposesValidPoints(t *testing.T) {
 				}
 				slate := s.NextBatch(8)
 				modelPhase := s.modelStarted && s.refine == nil && !s.polishing
-				seen := map[string]bool{}
+				seen := map[int]bool{}
 				for j, q := range slate {
 					if !space.Valid(q) {
 						t.Fatalf("seed %d: NextBatch proposed %v outside the space", seed, q)
 					}
 					// slate[0] is the head candidate, which the ranked
 					// candidates after it repeat first.
-					if modelPhase && j > 0 && (seen[q.Key()] || s.observed[s.index(q)]) {
+					if modelPhase && j > 0 && (seen[space.Index(q)] || s.observed[space.Index(q)]) {
 						t.Fatalf("seed %d: model-phase slate %v repeats or re-proposes %v", seed, slate, q)
 					}
 					if j > 0 {
-						seen[q.Key()] = true
+						seen[space.Index(q)] = true
 					}
 				}
 				p, ok := s.Next()
@@ -245,22 +245,12 @@ func TestSurrogateProposesValidPoints(t *testing.T) {
 	}
 }
 
-// TestSurrogateIndexInvertsPointAt: the lattice index the observed set
-// uses is pointAt's inverse over the whole space, and Report refuses a
-// point outside the space rather than aliasing it onto one inside it.
-func TestSurrogateIndexInvertsPointAt(t *testing.T) {
+// TestSurrogateReportRejectsOutsidePoint: Report refuses a point outside
+// the space rather than aliasing it onto the lattice index of one inside
+// it.
+func TestSurrogateReportRejectsOutsidePoint(t *testing.T) {
 	space := space3(t)
-	s := NewSurrogate(space, Point{0, 0, 0}, 0, 1, nil)
-	p := make(Point, space.Dims())
-	for idx := 0; idx < space.Size(); idx++ {
-		s.pointAt(p, idx)
-		if !space.Valid(p) {
-			t.Fatalf("pointAt(%d) = %v outside the space", idx, p)
-		}
-		if got := s.index(p); got != idx {
-			t.Fatalf("index(pointAt(%d) = %v) = %d", idx, p, got)
-		}
-	}
+	s := NewSurrogate(space, Point{0, 0, 0}, 0, 1, nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("Report accepted a point outside the space")

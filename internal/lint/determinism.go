@@ -15,7 +15,7 @@ import (
 //     unseeded source (explicitly seeded *rand.Rand values are the
 //     sanctioned way to be pseudo-random and reproducible);
 //  3. ranging over a map and feeding the iteration order into an
-//     order-sensitive sink — printing/encoding directly, or appending
+//     order-sensitive sink — printing/encoding/saving directly, or appending
 //     to a slice that is never sorted afterwards in the same function.
 func runDeterminism(p *pass) {
 	for _, file := range p.pkg.Files {
@@ -68,7 +68,7 @@ func checkBannedIdent(p *pass, id *ast.Ident) {
 }
 
 // checkMapRanges flags map iteration whose order escapes: a sink call
-// (fmt printing, Write/Encode methods) inside the loop emits in map
+// (fmt printing, Write/Encode/Save methods) inside the loop emits in map
 // order; an append inside the loop is only deterministic if the target
 // slice is sorted later in the same function.
 func checkMapRanges(p *pass, body *ast.BlockStmt) {
@@ -128,7 +128,9 @@ func checkMapRanges(p *pass, body *ast.BlockStmt) {
 }
 
 // orderSink reports whether a call emits its arguments in call order:
-// fmt printing functions and Write/WriteString/Encode-shaped methods.
+// fmt printing functions, Write/WriteString/Encode-shaped methods, and
+// Save methods (a History.Save reaches a store, or the wire, in call
+// order).
 func orderSink(p *pass, call *ast.CallExpr) (string, bool) {
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
@@ -141,7 +143,7 @@ func orderSink(p *pass, call *ast.CallExpr) (string, bool) {
 			}
 			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 				switch fn.Name() {
-				case "Write", "WriteString", "WriteByte", "WriteRune", "Encode":
+				case "Write", "WriteString", "WriteByte", "WriteRune", "Encode", "Save":
 					return fn.Name(), true
 				}
 			}

@@ -36,6 +36,31 @@ func emitsMapOrder(m map[string]int) {
 	}
 }
 
+// history is a sink shaped like arcs.History: Save calls reach the
+// store in call order.
+type history interface {
+	Save(key string, perf float64)
+}
+
+// saveBests is the shape of a tuner that persists per-region bests
+// straight out of its region map.
+func saveBests(h history, bests map[string]float64) {
+	for region, perf := range bests {
+		h.Save(region, perf) // want determinism
+	}
+}
+
+func saveBestsSorted(h history, bests map[string]float64) {
+	names := make([]string, 0, len(bests))
+	for region := range bests {
+		names = append(names, region) // ok: sorted below
+	}
+	sort.Strings(names)
+	for _, region := range names {
+		h.Save(region, bests[region]) // ok: slice order
+	}
+}
+
 func unsortedAppend(m map[string]int) []string {
 	var out []string
 	for k := range m {

@@ -266,11 +266,12 @@ func (f *Forest) Fit() {
 	}
 	buckets := make([]bucket, f.maxV+1) // bestSplit's scratch, for every node
 	idx := make([]int, n)
+	right := make([]int, n) // build's partition scratch, for every node
 	for t := range f.streams {
 		for i, p := 0, 0; i < n; i++ {
 			idx[i], p = f.streams[t].intn(n, p)
 		}
-		f.trees = append(f.trees, f.build(idx, 0, buckets))
+		f.trees = append(f.trees, f.build(idx, 0, buckets, right))
 	}
 }
 
@@ -280,9 +281,10 @@ type bucket struct {
 	n       int
 }
 
-// build grows one tree over the given sample indices; buckets has room
-// for every lattice value of the observations.
-func (f *Forest) build(idx []int, depth int, buckets []bucket) *node {
+// build grows one tree over the given sample indices, which it reorders
+// in place; buckets has room for every lattice value of the observations
+// and right for every sample.
+func (f *Forest) build(idx []int, depth int, buckets []bucket, right []int) *node {
 	sum, sumsq := 0.0, 0.0
 	for _, i := range idx {
 		sum += f.ys[i]
@@ -306,21 +308,27 @@ func (f *Forest) build(idx []int, depth int, buckets []bucket) *node {
 	if !found {
 		return &node{leaf: true, mean: mean}
 	}
-	var left, right []int
+	// Stable in-place partition: the left side packs to the front of idx
+	// and the right side, staged in right, follows it. Each side keeps its
+	// sample order, so the sums below accumulate in the same order.
+	nl, nr := 0, 0
 	for _, i := range idx {
 		if f.xs[i][bestDim] <= bestCut {
-			left = append(left, i)
+			idx[nl] = i
+			nl++
 		} else {
-			right = append(right, i)
+			right[nr] = i
+			nr++
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
+	if nl == 0 || nr == 0 {
 		return &node{leaf: true, mean: mean}
 	}
+	copy(idx[nl:], right[:nr])
 	return &node{
 		dim: bestDim, cut: bestCut,
-		left:  f.build(left, depth+1, buckets),
-		right: f.build(right, depth+1, buckets),
+		left:  f.build(idx[:nl], depth+1, buckets, right),
+		right: f.build(idx[nl:], depth+1, buckets, right),
 	}
 }
 
