@@ -144,7 +144,30 @@ func BenchmarkProbeTableISweep(b *testing.B) {
 // matrix at NPB scale. The Uniform rows hit the closed-form/batched fast
 // paths; the Ramp rows hit the reference dispatcher, so the grid shows
 // both the fast-path win and that the reference path did not regress.
+// The UniformSMT24 rows run uniform weights on 24 threads, which leave
+// Crill's cores unequally occupied (8 with two threads, 8 with one), so
+// their dynamic and guided chunks take the reference dispatcher too.
 func BenchmarkProbeGrid(b *testing.B) {
+	row := func(name string, kind ImbalanceKind, cfg Config) {
+		b.Run(name, func(b *testing.B) {
+			m, err := NewMachine(Crill())
+			if err != nil {
+				b.Fatal(err)
+			}
+			lm := benchLoopKind(10404, kind)
+			lm.BuildPrefix() // exclude the one-time prefix-sum build
+			var e probeMemo
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := probeFresh(m, lm, cfg, &e)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = r
+			}
+		})
+	}
 	scheds := []struct {
 		name string
 		s    Schedule
@@ -156,39 +179,22 @@ func BenchmarkProbeGrid(b *testing.B) {
 	for _, sc := range scheds {
 		for _, chunk := range []int{1, 8, 128} {
 			for _, kd := range kinds {
-				name := sc.name + "/Chunk" + strconv.Itoa(chunk) + "/" + kd.name
-				b.Run(name, func(b *testing.B) {
-					m, err := NewMachine(Crill())
-					if err != nil {
-						b.Fatal(err)
-					}
-					lm := benchLoopKind(10404, kd.k)
-					cfg := Config{Threads: 32, Sched: sc.s, Chunk: chunk}
-					if kd.k != Uniform {
-						lm.BuildPrefix() // exclude the one-time prefix-sum build
-					}
-					var e probeMemo
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						r, err := probeFresh(m, lm, cfg, &e)
-						if err != nil {
-							b.Fatal(err)
-						}
-						benchSink = r
-					}
-				})
+				row(sc.name+"/Chunk"+strconv.Itoa(chunk)+"/"+kd.name, kd.k,
+					Config{Threads: 32, Sched: sc.s, Chunk: chunk})
 			}
+		}
+		if sc.s != SchedStatic {
+			row(sc.name+"/Chunk1/UniformSMT24", Uniform, Config{Threads: 24, Sched: sc.s, Chunk: 1})
 		}
 	}
 }
 
-// BenchmarkProbeDispatch times the per-chunk dispatcher alone: one
-// dynamic chunk-1 region at LULESH-45's size (91,125 chunks) per weight
-// pattern and team size, on Minotaur, the one arch with room for 160
-// threads. Random weights send reinserted threads far from the run
-// queue's tail, its slow case: the kernels draw Random spreads from 0.2
-// to 0.8, and 2.5 is a wider one.
+// BenchmarkProbeDispatch times regions whose cost is nearly all the
+// per-chunk dispatch loop: one dynamic chunk-1 region at LULESH-45's size
+// (91,125 chunks) per weight pattern and team size, on Minotaur, the one
+// arch with room for 160 threads. Random weights send reinserted threads
+// far from the run queue's tail, its slow case: the kernels draw Random
+// spreads from 0.2 to 0.8, and 2.5 is a wider one.
 func BenchmarkProbeDispatch(b *testing.B) {
 	for _, kd := range []struct {
 		name string

@@ -106,6 +106,54 @@ func TestRunQueueReinsertsEverywhere(t *testing.T) {
 	}
 }
 
+// TestDispatchMatchesLinearScanOnTies runs the dispatch loop on inputs
+// whose every time and cost is a small integer, so threads tie on their
+// next-idle times often and in every id order, and requires the same
+// chunks, times and totals as the loop gives when linearArgmin picks each
+// winner through the argmin seam. Ties reach the inline tail append, which
+// the seam never takes. Each cost form runs: weighted, uniform and the
+// guided decay phase's.
+func TestDispatchMatchesLinearScanOnTies(t *testing.T) {
+	type dispatched struct {
+		Busy, Finish []float64
+		Left, Chunks int
+		DispatchS    float64
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, 3, 5, 8, 33} {
+		for _, form := range []string{"weighted", "uniform", "decay"} {
+			for trial := 0; trial < 10; trial++ {
+				iters := 40*n + rng.Intn(50)
+				l := chunkLoop{threads: n, chunk: 1 + rng.Intn(3), guided: form == "decay" || rng.Intn(2) == 0,
+					decay: form == "decay", dS: float64(rng.Intn(2)), iterS: 1, iterNS: make([]float64, n)}
+				if form == "weighted" {
+					l.prefix = make([]float64, iters+1)
+					for i := 1; i <= iters; i++ {
+						l.prefix[i] = l.prefix[i-1] + float64(1+rng.Intn(3))
+					}
+				}
+				start := make([]float64, n)
+				for i := range start {
+					l.iterNS[i] = float64(1+rng.Intn(2)) * 1e9 // a cost of w·iterNS·1e-9 rounds to the integer 1 or 2·w
+					start[i] = float64(rng.Intn(3))
+				}
+				run := func(argmin func([]float64) int) dispatched {
+					q := runQueue{argmin: argmin}
+					lc := l
+					d := dispatched{Busy: make([]float64, n), Finish: append([]float64(nil), start...)}
+					d.Left = q.dispatch(d.Busy, d.Finish, &lc, 0, iters)
+					d.Chunks, d.DispatchS = lc.chunks, lc.dispatchS
+					return d
+				}
+				if got, want := run(nil), run(linearArgmin); !reflect.DeepEqual(got, want) {
+					t.Fatalf("T=%d %s trial %d (chunk %d, guided %v, dS %g): queue %+v\nlinear scan %+v",
+						n, form, trial, l.chunk, l.guided, l.dS, got, want)
+				}
+			}
+		}
+	}
+}
+
 // loserTree is a frozen copy of the dispatcher the run queue replaced: a
 // tournament tree over the team's next-idle times, ordered by before. Each
 // internal node keeps the loser of the match played there and node[0] the
@@ -332,5 +380,78 @@ func TestProbeMatchesLinearScanDispatcher(t *testing.T) {
 	cfg := Config{Threads: 8, Sched: SchedDynamic, Chunk: 4}
 	if reflect.DeepEqual(probe(t, rigged, rampLoop(), cfg), probe(t, m, rampLoop(), cfg)) {
 		t.Fatal("replacing the dispatcher did not change the dispatch")
+	}
+}
+
+// roundRobin is a frozen copy of the chunk-major static loop the
+// thread-major one replaced: chunk k of size chunk (the last one possibly
+// smaller) goes to thread k mod t, and each chunk's cost is added to the
+// thread's finish and busy times as the chunk comes up. It returns the
+// chunks dispatched.
+func roundRobin(finish, busy, iterNS, prefix []float64, iters, chunk int) int {
+	t := len(finish)
+	chunks := 0
+	for pos, tid := 0, 0; pos < iters; {
+		hi := min(pos+chunk, iters)
+		c := (prefix[hi] - prefix[pos]) * iterNS[tid] * 1e-9
+		finish[tid] += c
+		busy[tid] += c
+		pos = hi
+		chunks++
+		if tid++; tid == t {
+			tid = 0
+		}
+	}
+	return chunks
+}
+
+// TestStaticMatchesRoundRobin holds every non-uniform static probe to the
+// frozen chunk-major loop, bit for bit: the per-thread busy times ProbeLoop
+// returns, the finish times it leaves in the machine's scratch and the
+// chunk count must equal the oracle's, run from the same fork times and
+// per-thread iteration costs. Every weight kind that reaches the loop runs
+// on every team of Crill and Minotaur under both bindings, with chunks
+// that leave threads without a chunk (Iters below t·chunk) and that do
+// not divide Iters. (Uniform weights take the closed form instead.)
+func TestStaticMatchesRoundRobin(t *testing.T) {
+	kinds := []Imbalance{
+		{Kind: Ramp, Param: 1.2},
+		{Kind: Blocks, Param: 4, Blocks: 3},
+		{Kind: Random, Param: 0.6, Seed: 5},
+		{Kind: Sawtooth, Param: 1.0, Blocks: 4},
+	}
+	type dispatched struct {
+		Busy, Finish []float64
+		Chunks       int
+	}
+	for _, arch := range []*Arch{Crill(), Minotaur()} {
+		m, err := NewMachine(arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, iters := range []int{50, 3001} {
+			for _, im := range kinds {
+				lm := &LoopModel{Name: "static", Iters: iters, CompNSPerIter: 9000, SerialNS: 20000,
+					Imbalance: im, Mem: benchLoop(1).Mem}
+				for th := 1; th <= arch.HWThreads(); th++ {
+					for _, bind := range []BindPolicy{BindSpread, BindClose} {
+						for _, chunk := range []int{1, 7, 64, iters} {
+							cfg := Config{Threads: th, Sched: SchedStatic, Chunk: chunk, Bind: bind}
+							res := probe(t, m, lm, cfg)
+							got := dispatched{res.PerThreadBusyS, m.scratch.finish, res.Chunks}
+							want := dispatched{Busy: make([]float64, th), Finish: make([]float64, th)}
+							for i := range want.Finish {
+								want.Finish[i] = (arch.ForkBaseUS + arch.ForkStaggerUS*float64(i)) * 1e-6
+							}
+							want.Chunks = roundRobin(want.Finish, want.Busy, m.scratch.iterNS, lm.prefix, iters, chunk)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s Iters %d %v %v: thread-major %+v\nchunk-major %+v",
+									arch.Name, iters, im.Kind, cfg, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -92,27 +92,33 @@ func (r *ExecResult) BarrierFrac() float64 {
 	return r.BarrierS / total
 }
 
-// runQueue is the dispatcher of the reference and guided-decay paths: the
+// runQueue is the per-chunk dispatcher of dynamic and guided regions: the
 // team's threads sorted by (next-idle time, id), earliest first, ties to
-// the lower id. The head is the winner. After the winner's time grows it
-// goes back in behind every thread that still precedes it: at the tail in
-// O(1) when it sorts last, as a thread that just took a chunk usually
-// does, and otherwise at the place a binary search finds, with one copy
-// shifting the threads on the shorter side of that place by a slot:
-// toward the tail, or into the slot the winner left before the head. The
-// sorted window q[head:tail] slides through a buffer of several team
-// sizes and moves back to the buffer's start when it reaches the end.
-// Every (avail, id) total order picks the same thread for every chunk, so
-// the result is the one any exact earliest-idle dispatcher gives.
+// the lower id. The head is the winner. dispatch runs every chunk of a
+// region through one loop that keeps the sorted window q[head:tail] and
+// each thread's next-idle time in locals and queue entries, and writes
+// the times back to avail once, at the end. After the winner's time grows
+// it goes back in behind every thread that still precedes it: appended at
+// the tail, inline, when it sorts last, as a thread that just took a
+// chunk usually does; otherwise advance places it, by a backward scan and
+// shift when it lands at most nearSlots places from the tail, as most of
+// the rest do, and by a binary search and one copy shifting the threads
+// on the shorter side of its place by a slot (toward the tail, or into
+// the slot the winner left before the head) when it lands farther. The
+// window slides through a buffer of several team sizes and moves back to
+// the buffer's start when it reaches the end. Every (avail, id) total
+// order picks the same thread for every chunk, so the result is the one
+// any exact earliest-idle dispatcher gives.
 type runQueue struct {
-	avail      []float64      // the caller's per-thread next-idle times, advanced in place
+	avail      []float64      // the caller's per-thread next-idle times
 	q          []queuedThread // q[head:tail] is the team in dispatch order
 	head, tail int
 
 	// argmin, when set, replaces the queue's pick with an independent one:
 	// it returns the earliest-idle thread of avail, which becomes the
-	// head, and the rest of the queue is not kept (tests check the queue's
-	// dispatch against a linear scan through it).
+	// head, and the rest of the queue is not kept. Every chunk then takes
+	// advance, which keeps avail current (tests check the queue's dispatch
+	// against a linear scan through it).
 	argmin func(avail []float64) int
 }
 
@@ -136,8 +142,11 @@ func (a queuedThread) before(b queuedThread) bool {
 // (runQueueSlack-1)·T dispatches.
 const runQueueSlack = 4
 
-// init loads the team's next-idle times and sorts the threads. The queue
-// keeps avail and advances it in place.
+// nearSlots is how far from the tail insert looks for a thread's place by
+// a backward scan before it binary-searches the window instead.
+const nearSlots = 16
+
+// init loads the team's next-idle times and sorts the threads.
 func (q *runQueue) init(avail []float64) {
 	q.avail = avail
 	if n := runQueueSlack * len(avail); cap(q.q) < n {
@@ -158,29 +167,97 @@ func (q *runQueue) init(avail []float64) {
 // winner returns the earliest-idle thread.
 func (q *runQueue) winner() int { return q.q[q.head].id }
 
-// advance adds c to the winner's next-idle time and moves it to its place.
+// chunkLoop is what dispatch needs to size and cost each chunk of a
+// dynamic or guided region.
+type chunkLoop struct {
+	threads, chunk int
+	guided         bool
+	// decay stops the loop where guided chunks reach the chunk floor and
+	// costs a chunk of sz iterations dS + sz·iterS, one cost for every
+	// thread; otherwise it costs dS + w·iterNS[id]·1e-9, w the chunk's
+	// weight: sz, or its prefix-sum difference when prefix is not nil.
+	decay  bool
+	dS     float64
+	iterS  float64
+	iterNS []float64
+	prefix []float64
+
+	chunks    int     // chunks dispatched so far
+	dispatchS float64 // dispatch overhead so far: dS per chunk
+}
+
+// dispatch hands the chunks of iterations [pos, pos+remaining) one at a
+// time to the earliest-idle thread of finish, adding each chunk's cost to
+// the thread's busy and finish times, and counts them in l. It returns
+// the iterations left: only the decay phase leaves any.
+func (q *runQueue) dispatch(busy, finish []float64, l *chunkLoop, pos, remaining int) int {
+	q.init(finish)
+	s, head, tail := q.q, q.head, q.tail
+	seam := q.argmin != nil
+	t, chunk, guided, decay := l.threads, l.chunk, l.guided, l.decay
+	dS, iterS, iterNS, prefix := l.dS, l.iterS, l.iterNS, l.prefix
+	chunks, dispatchS := l.chunks, l.dispatchS
+	for remaining > 0 {
+		sz := chunk
+		if guided {
+			if g := (remaining + t - 1) / t; g > sz {
+				sz = g
+			} else if decay {
+				break
+			}
+		}
+		sz = min(sz, remaining)
+		w := s[head]
+		var c float64
+		switch {
+		case decay:
+			c = dS + float64(sz)*iterS
+		case prefix == nil:
+			c = dS + float64(sz)*iterNS[w.id]*1e-9
+		default:
+			c = dS + (prefix[pos+sz]-prefix[pos])*iterNS[w.id]*1e-9
+		}
+		busy[w.id] += c
+		dispatchS += dS
+		pos += sz
+		remaining -= sz
+		chunks++
+		w.avail += c
+		// The common case: w sorts last. (Alone, w follows its own old
+		// time, left in s[tail-1]; appending is then right whatever the
+		// test says.)
+		if tail < len(s) && s[tail-1].before(w) && !seam {
+			s[tail] = w
+			head++
+			tail++
+			continue
+		}
+		q.head, q.tail = head, tail
+		q.advance(c)
+		head, tail = q.head, q.tail
+	}
+	q.head, q.tail = head, tail
+	if !seam {
+		for _, e := range s[head:tail] {
+			finish[e.id] = e.avail
+		}
+	}
+	l.chunks, l.dispatchS = chunks, dispatchS
+	return remaining
+}
+
+// advance adds c to the winner's next-idle time, records it in avail and
+// moves the winner to its place: dispatch's branch for a winner that does
+// not sort last, or for every chunk when argmin is set.
 func (q *runQueue) advance(c float64) {
 	w := q.q[q.head]
 	w.avail += c
 	q.avail[w.id] = w.avail
-	q.head++
-	// The common case: w sorts last. (Alone, w follows its own old time,
-	// left in q[t-1]; appending is then right whatever the test says.)
-	if t := q.tail; t < len(q.q) && q.q[t-1].before(w) && q.argmin == nil {
-		q.q[t] = w
-		q.tail = t + 1
-		return
-	}
-	q.reinsert(w)
-}
-
-// reinsert puts the winner w, just taken off the head, back in its place.
-func (q *runQueue) reinsert(w queuedThread) {
 	if q.argmin != nil {
-		q.head--
 		q.pick()
 		return
 	}
+	q.head++
 	if q.tail == len(q.q) {
 		// Move the window back, keeping a free slot before its head.
 		q.tail = copy(q.q[1:], q.q[q.head:q.tail]) + 1
@@ -198,12 +275,11 @@ func (q *runQueue) pick() {
 // insert puts e into the window behind every thread that precedes it. The
 // window must have room at the tail, or in the slot before its head.
 func (q *runQueue) insert(e queuedThread) {
-	s := q.q
-	p := q.tail
-	if p > q.head && e.before(s[p-1]) {
-		// Every thread before lo precedes e; s[hi] and every thread
-		// behind it follow e.
-		lo, hi := q.head, p-1
+	s, p := q.q, q.tail
+	if f := p - nearSlots - 1; f >= q.head && e.before(s[f]) {
+		// More than nearSlots threads follow e. Every thread before lo
+		// precedes e; s[hi] and every thread behind it follow e.
+		lo, hi := q.head, f
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
 			if s[mid].before(e) {
@@ -222,6 +298,12 @@ func (q *runQueue) insert(e queuedThread) {
 			return
 		}
 		copy(s[p+1:q.tail+1], s[p:q.tail])
+	} else {
+		// At most nearSlots threads follow e: shift them up a slot one
+		// by one, from the tail.
+		for ; p > q.head && e.before(s[p-1]); p-- {
+			s[p] = s[p-1]
+		}
 	}
 	s[p] = e
 	q.tail++
@@ -259,10 +341,13 @@ func growF(s []float64, n int) []float64 {
 // Because every chunk costs the same, thread i's dispatch instants form the
 // arithmetic progression finish[i] + k*cS, and the greedy assignment is the
 // n smallest elements of the union of those t progressions. The split is
-// found by bisecting the instant threshold — O(t log n) instead of one
-// run-queue reinsertion per chunk. busy and finish are updated in place; it
-// reports false (leaving them untouched) in degenerate cases the bisection
-// cannot resolve, and the caller falls back to the reference dispatcher.
+// found by bisecting the instant threshold to float precision: about 50
+// to 60 rounds of t divisions each, whatever n is. On a short tail that
+// costs more than per-chunk dispatch would, but choosing the path by n
+// would change results: this path's bits are not the per-chunk
+// dispatcher's. busy and finish are updated in place; it reports false
+// (leaving them untouched) in degenerate cases the bisection cannot
+// resolve, and the caller falls back to the reference dispatcher.
 func (m *Machine) dispatchEqualChunks(busy, finish []float64, n int, cS, cLastS float64) bool {
 	t := len(finish)
 	if n <= 0 || cS <= 0 {
@@ -667,43 +752,35 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 			}
 			chunksDispatched = nChunks
 		} else {
-			// Reference path: round-robin pre-assignment, no dispatch cost.
-			for pos, tid := 0, 0; pos < lm.Iters; {
-				hi := min(pos+chunk, lm.Iters)
-				c := (prefix[hi] - prefix[pos]) * iterNS[tid] * 1e-9
-				finish[tid] += c
-				busy[tid] += c
-				pos = hi
-				chunksDispatched++
-				if tid++; tid == t {
-					tid = 0
+			// Reference path: round-robin pre-assignment, no dispatch
+			// cost. Thread tid owns chunks tid, tid+t, …; each thread's
+			// times are summed in its chunk order, one thread at a time.
+			stride := t * chunk
+			for tid := 0; tid < t; tid++ {
+				ft, bt, cost := finish[tid], busy[tid], iterNS[tid]
+				for pos := tid * chunk; pos < lm.Iters; pos += stride {
+					hi := min(pos+chunk, lm.Iters)
+					c := (prefix[hi] - prefix[pos]) * cost * 1e-9
+					ft += c
+					bt += c
 				}
+				finish[tid], busy[tid] = ft, bt
 			}
+			chunksDispatched = (lm.Iters + chunk - 1) / chunk
 		}
 	case SchedDynamic, SchedGuided:
-		dS := dispatchNS * 1e-9
+		l := chunkLoop{threads: t, chunk: chunk, guided: cfg.Sched == SchedGuided,
+			dS: dispatchNS * 1e-9, iterNS: iterNS, prefix: prefix}
 		remaining := lm.Iters
 		if uniform && occUniform {
-			iterS := iterNSByOcc[place.Occupancy[0]] * 1e-9
-			if cfg.Sched == SchedGuided {
+			l.iterS = iterNSByOcc[place.Occupancy[0]] * 1e-9
+			if l.guided {
 				// Guided decay phase: exponentially shrinking chunks until
 				// the floor is reached. O(t log(iters/chunk)) chunks; the
 				// constant-size tail below is batched.
-				q := &sc.queue
-				q.init(finish)
-				for remaining > 0 {
-					g := (remaining + t - 1) / t
-					if g <= chunk {
-						break
-					}
-					sz := g
-					c := dS + float64(sz)*iterS
-					busy[q.winner()] += c
-					totalDispatchS += dS
-					q.advance(c)
-					remaining -= sz
-					chunksDispatched++
-				}
+				l.decay = true
+				remaining = sc.queue.dispatch(busy, finish, &l, 0, remaining)
+				l.decay = false
 			}
 			if remaining > 0 {
 				// Batched equal-cost dispatch: all remaining chunks have
@@ -713,47 +790,20 @@ func (m *Machine) simulate(lm *LoopModel, cfg Config, e *probeMemo) error {
 				// arithmetic progressions.
 				n := (remaining + chunk - 1) / chunk
 				rem := remaining - (n-1)*chunk
-				cS := dS + float64(chunk)*iterS
-				cLastS := dS + float64(rem)*iterS
+				cS := l.dS + float64(chunk)*l.iterS
+				cLastS := l.dS + float64(rem)*l.iterS
 				if cS > 0 && m.dispatchEqualChunks(busy, finish, n, cS, cLastS) {
-					chunksDispatched += n
-					totalDispatchS += float64(n) * dS
+					l.chunks += n
+					l.dispatchS += float64(n) * l.dS
 					remaining = 0
 				}
 			}
 		}
 		if remaining > 0 {
-			// Reference path: one run-queue reinsertion per dispatched chunk.
-			q := &sc.queue
-			q.init(finish)
-			pos := lm.Iters - remaining
-			for remaining > 0 {
-				id := q.winner() // earliest-idle thread grabs the next chunk
-				sz := chunk
-				if cfg.Sched == SchedGuided {
-					g := (remaining + t - 1) / t
-					if g > sz {
-						sz = g
-					}
-				}
-				if sz > remaining {
-					sz = remaining
-				}
-				var w float64
-				if uniform {
-					w = float64(sz)
-				} else {
-					w = prefix[pos+sz] - prefix[pos]
-				}
-				c := dS + w*iterNS[id]*1e-9
-				busy[id] += c
-				totalDispatchS += dS
-				q.advance(c)
-				pos += sz
-				remaining -= sz
-				chunksDispatched++
-			}
+			// Reference path: every chunk through the run queue.
+			sc.queue.dispatch(busy, finish, &l, lm.Iters-remaining, remaining)
 		}
+		chunksDispatched, totalDispatchS = l.chunks, l.dispatchS
 	}
 
 	loopEnd := 0.0
