@@ -170,6 +170,9 @@ type regionState struct {
 	skipped   bool
 	calls     int
 
+	// replayCfg, when replayOK, is served on every invocation without a
+	// session step: the history's configuration for the region, or the
+	// best of its converged search.
 	replayCfg ConfigValues
 	replayOK  bool
 	lookedUp  bool
@@ -284,8 +287,8 @@ func (t *Tuner) onStart(ctx apex.Context) {
 			t.warmLookup(ctx.Timer, rs)
 		}
 		if rs.replayOK {
-			// Warm exact hit: serve the stored configuration and never
-			// open a search session for this region.
+			// Warm exact hit, or a search that has converged: serve the
+			// stored configuration without touching a session.
 			if !rs.converged {
 				rs.converged = true
 				t.apx.IncrCounter("arcs.warm_hits", 1)
@@ -304,10 +307,11 @@ func (t *Tuner) onStart(ctx apex.Context) {
 			return
 		}
 		if done {
-			if !rs.converged {
-				rs.converged = true
-				t.apx.IncrCounter("arcs.converged_regions", 1)
-			}
+			// A converged session's best never changes: keep it decoded,
+			// so later invocations take the replay path above.
+			rs.converged = true
+			rs.replayCfg, rs.replayOK = cfg, true
+			t.apx.IncrCounter("arcs.converged_regions", 1)
 			t.apply(ctx.CP, cfg)
 			return
 		}

@@ -87,8 +87,12 @@ func (s Space) Valid(p Point) bool {
 }
 
 // Clamp limits each coordinate into range, returning a new point.
-func (s Space) Clamp(p Point) Point {
-	out := make(Point, len(p))
+func (s Space) Clamp(p Point) Point { return s.clampInto(nil, p) }
+
+// clampInto is Clamp writing into dst's storage, which it grows when too
+// short; it returns the clamped point.
+func (s Space) clampInto(dst, p Point) Point {
+	out := slices.Grow(dst[:0], len(p))[:len(p)]
 	for i, v := range p {
 		if v < 0 {
 			v = 0
@@ -158,8 +162,11 @@ func (p Point) Equal(q Point) bool {
 type Strategy interface {
 	// Next returns the next candidate. ok=false means the strategy has
 	// converged or exhausted its budget; use the session's best point.
+	// The point is valid until the next call on the strategy, which may
+	// reuse its storage; a caller copies what it keeps.
 	Next() (p Point, ok bool)
 	// Report delivers the performance of the point last returned by Next.
+	// p is valid only for the call: a strategy copies what it keeps.
 	Report(p Point, perf float64)
 	// Converged reports whether the strategy has finished.
 	Converged() bool
@@ -175,15 +182,16 @@ type Strategy interface {
 // Session drives one tuning search: it deduplicates candidate evaluations
 // by lattice index (re-reporting cached results to the strategy, as
 // Active Harmony's point rejection does), tracks the global best, and
-// exposes the fetch/report protocol.
+// exposes the fetch/report protocol. The pending and best points live in
+// buffers the session owns, so a step copies no point.
 type Session struct {
 	space Space
 	strat Strategy
 
 	cache    map[int]float64
-	pending  Point
+	pending  Point // the fetched point awaiting Report, when hasPend
 	hasPend  bool
-	best     Point
+	best     Point // the best point once hasBest; all zeros before
 	bestPerf float64
 	hasBest  bool
 	evals    int
@@ -197,7 +205,8 @@ type Session struct {
 
 // NewSession creates a session for the given space and strategy.
 func NewSession(space Space, strat Strategy) *Session {
-	return &Session{space: space, strat: strat, cache: make(map[int]float64)}
+	return &Session{space: space, strat: strat, cache: make(map[int]float64),
+		best: make(Point, space.Dims())}
 }
 
 // Space returns the session's parameter space.
@@ -208,13 +217,16 @@ func (s *Session) StrategyName() string { return s.strat.Name() }
 
 // Fetch returns the next configuration to run. done=true means the search
 // has converged and the returned point is the best found (which the caller
-// should keep using). Fetch panics if a previous Fetch was never Reported.
+// should keep using; the origin if nothing was evaluated). The point is a
+// read-only view of a session buffer, valid until the session's next Fetch
+// or Report: a caller that keeps it copies it. Fetch panics if a previous
+// Fetch was never Reported.
 func (s *Session) Fetch() (p Point, done bool) {
 	if s.hasPend {
 		panic("harmony: Fetch called with a pending unreported point")
 	}
 	if s.strat.Converged() {
-		return s.bestOrZero(), true
+		return s.best, true
 	}
 	// Bound the auto-replay loop by the space size plus slack: a strategy
 	// proposing only cached points will drain its budget through replays.
@@ -222,22 +234,21 @@ func (s *Session) Fetch() (p Point, done bool) {
 	for i := 0; i < limit; i++ {
 		p, ok := s.strat.Next()
 		if !ok {
-			return s.bestOrZero(), true
+			return s.best, true
 		}
-		p = s.space.Clamp(p)
-		if perf, seen := s.cache[s.space.Index(p)]; seen {
-			s.strat.Report(p, perf)
+		s.pending = s.space.clampInto(s.pending, p)
+		if perf, seen := s.cache[s.space.Index(s.pending)]; seen {
+			s.strat.Report(s.pending, perf)
 			if s.strat.Converged() {
-				return s.bestOrZero(), true
+				return s.best, true
 			}
 			continue
 		}
-		s.pending = p.Clone()
 		s.hasPend = true
 		s.fetches++
 		return s.pending, false
 	}
-	return s.bestOrZero(), true
+	return s.best, true
 }
 
 // Report delivers the measured performance (lower is better) of the point
@@ -251,7 +262,7 @@ func (s *Session) Report(perf float64) {
 	s.cache[s.space.Index(p)] = perf
 	s.evals++
 	if !s.hasBest || perf < s.bestPerf {
-		s.best = p.Clone()
+		copy(s.best, p)
 		s.bestPerf = perf
 		s.hasBest = true
 	}
@@ -349,10 +360,3 @@ func (s *Session) Converged() bool { return s.strat.Converged() && !s.hasPend }
 
 // Evals returns the number of distinct configurations evaluated.
 func (s *Session) Evals() int { return s.evals }
-
-func (s *Session) bestOrZero() Point {
-	if s.hasBest {
-		return s.best.Clone()
-	}
-	return make(Point, s.space.Dims())
-}

@@ -201,10 +201,11 @@ func TestSessionConvergedKeepsBest(t *testing.T) {
 		}
 		sess.Report(f(p))
 	}
-	b1, _ := sess.Fetch()
-	b2, _ := sess.Fetch()
-	if !b1.Equal(b2) {
-		t.Errorf("converged session must return a stable best: %v vs %v", b1, b2)
+	best, _, _ := sess.Best()
+	for i := 0; i < 2; i++ {
+		if p, done := sess.Fetch(); !done || !p.Equal(best) {
+			t.Errorf("converged Fetch %d: %v, %v; want the best %v", i, p, done, best)
+		}
 	}
 }
 
@@ -339,5 +340,45 @@ func TestStrategyValidityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSessionStepAllocs: a Fetch/Report step over Exhaustive copies no
+// point (the session clamps into its pending buffer and copies an
+// improvement into its best buffer), and a converged session's Fetch
+// allocates nothing. The one allocation left on the search path is the
+// evaluation cache's growth, a handful of times over a whole sweep, so
+// the per-step average reads 0; a point copied per step would read 1.
+func TestSessionStepAllocs(t *testing.T) {
+	s := space3(t)
+	sess := NewSession(s, NewExhaustive(s))
+	f := quad(Point{3, 1, 4})
+	step := func() {
+		p, done := sess.Fetch()
+		if done {
+			t.Fatal("the sweep ended inside the measured window")
+		}
+		sess.Report(f(p))
+	}
+	for i := 0; i < 20; i++ { // warm-up: the session's buffers and the odometer's
+		step()
+	}
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("a Fetch/Report step allocates %v times; want 0", n)
+	}
+	for {
+		p, done := sess.Fetch()
+		if done {
+			break
+		}
+		sess.Report(f(p))
+	}
+	want, _, _ := sess.Best()
+	if n := testing.AllocsPerRun(100, func() {
+		if p, done := sess.Fetch(); !done || !p.Equal(want) {
+			t.Fatalf("converged Fetch: %v, %v; want %v, true", p, done, want)
+		}
+	}); n != 0 {
+		t.Fatalf("a converged Fetch allocates %v times; want 0", n)
 	}
 }

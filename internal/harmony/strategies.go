@@ -8,6 +8,7 @@ import "math/rand"
 type Exhaustive struct {
 	space Space
 	next  Point
+	cur   Point // the point Next last returned, reused by the next call
 	done  bool
 }
 
@@ -24,7 +25,7 @@ func (e *Exhaustive) Next() (Point, bool) {
 	if e.done {
 		return nil, false
 	}
-	p := e.next.Clone()
+	e.cur = append(e.cur[:0], e.next...)
 	// Advance odometer.
 	for i := e.space.Dims() - 1; i >= 0; i-- {
 		e.next[i]++
@@ -36,7 +37,7 @@ func (e *Exhaustive) Next() (Point, bool) {
 			e.done = true
 		}
 	}
-	return p, true
+	return e.cur, true
 }
 
 // Report implements Strategy (exhaustive search ignores feedback).

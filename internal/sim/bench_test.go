@@ -44,7 +44,7 @@ func probeFresh(m *Machine, lm *LoopModel, cfg Config, e *probeMemo) (ExecResult
 	if err := m.simulate(lm, cfg, e); err != nil {
 		return ExecResult{}, err
 	}
-	return e.result(m.noiseFactor(), lm.Iters, m.arch), nil
+	return m.result(e, m.noiseFactor(), lm.Iters), nil
 }
 
 var benchSink ExecResult
@@ -88,7 +88,7 @@ func BenchmarkProbeDynamicLULESH(b *testing.B) {
 // BenchmarkProbeRepeat probes one region under one configuration again and
 // again, as the paper's three runs per arm and a converged region do: every
 // iteration after the first is a probe-table hit, paying only the noise
-// draw and the copy of the per-thread slices.
+// draw and the copy of the per-thread times into the machine's buffer.
 func BenchmarkProbeRepeat(b *testing.B) {
 	m, err := NewMachine(Crill())
 	if err != nil {
@@ -114,8 +114,9 @@ func BenchmarkProbeRepeat(b *testing.B) {
 // BenchmarkProbeTableISweep sweeps one Ramp region at NPB scale over
 // Crill's 252 Table I points, resolved as omp.Resolve does, in the offline
 // search's odometer order on one Machine, and reports the simulations the
-// sweep paid (sims/op): 238, since each dynamic and guided chunk-0 point
-// finds its chunk-1 twin 8 probes back in the region's probe table.
+// sweep paid (sims/op): 150, one per distinct resolved configuration,
+// since the region's probe table holds every alias's twin (see
+// probeTableCap).
 func BenchmarkProbeTableISweep(b *testing.B) {
 	points := tableI(Crill())
 	lm := benchLoop(10404)

@@ -57,7 +57,10 @@ func (c Config) String() string {
 }
 
 // ExecResult reports everything the OMPT/APEX layers observe about one
-// region execution.
+// region execution. Its per-thread slices are views of the probing
+// Machine's output buffer: they stay valid until that machine's next probe,
+// which overwrites them. A caller that keeps them longer copies them;
+// writing to them never reaches the machine's probe table.
 type ExecResult struct {
 	TimeS     float64 // wall time of the region (fork to join)
 	EnergyJ   float64 // package energy including static share
@@ -78,8 +81,8 @@ type ExecResult struct {
 	DispatchS float64 // total dispatch overhead across the team
 	Chunks    int     // chunks dispatched
 
-	PerThreadBusyS []float64 // busy (work+dispatch) seconds per thread
-	PerThreadWaitS []float64 // barrier wait seconds per thread
+	PerThreadBusyS []float64 // busy (work+dispatch) seconds per thread; valid until the next probe
+	PerThreadWaitS []float64 // barrier wait seconds per thread; valid until the next probe
 }
 
 // BarrierFrac returns barrier time as a fraction of total thread-seconds,
@@ -310,10 +313,10 @@ func (q *runQueue) insert(e queuedThread) {
 }
 
 // probeScratch holds the reusable per-Machine buffers behind a simulation,
-// so the probe path allocates nothing beyond the buffer behind the two
-// per-thread slices copied into each ExecResult. A Machine (and therefore
-// ProbeLoop) is not safe for concurrent use; the experiment harness gives
-// every worker goroutine its own Machine.
+// so a probe allocates nothing once its buffers have grown to the team
+// size. A Machine (and therefore ProbeLoop) is not safe for concurrent
+// use; the experiment harness gives every worker goroutine its own
+// Machine.
 type probeScratch struct {
 	missByOcc   []MissRates
 	compByOcc   []float64
@@ -492,15 +495,30 @@ func ResolveChunk(sched Schedule, chunk, iters, threads int) int {
 }
 
 // probeTableCap is how many distinct probes of one LoopModel a Machine
-// remembers. The offline sweep walks Table I's chunk list
-// {1, 8, 16, 32, 64, 128, 256, 512, 0} innermost, so a dynamic or guided
-// chunk-0 probe, which resolves to chunk 1, comes 8 probes after its
-// chunk-1 twin: 8 entries catch it. That twin dispatches one chunk per
-// iteration, the costliest simulation of a region. The default-schedule
-// and 0-thread aliases come 18 and 36 probes after their twins; 24 entries
-// would catch the first and 40 both, but either grows paper-repro's live
-// heap past its 10% bound (DESIGN.md §6).
-const probeTableCap = 8
+// remembers. It is set by Table I's shape, as the offline sweep walks it:
+// threads outermost, then the schedules {dynamic, static, guided,
+// default}, then the chunks {1, 8, 16, 32, 64, 128, 256, 512, 0}
+// innermost. omp.Resolve maps the default schedule to static and 0
+// threads to every hardware thread, and ResolveChunk maps chunk 0 to 1
+// under dynamic and guided, so 102 of the 252 points alias a point probed
+// earlier. The table catches an alias when fewer than probeTableCap
+// distinct probes lie between it and its twin:
+//
+//   - a dynamic or guided chunk-0 point follows its chunk-1 twin after 7
+//     distinct probes;
+//   - a default-schedule point follows its static twin after at most 16
+//     (the static points after its twin and 8 guided), so 17 entries
+//     catch it;
+//   - the 0-thread block repeats the largest explicit team, and its first
+//     point, dynamic chunk 1, follows its twin after 24: 7 dynamic, 9
+//     static (the chunk-0 point counts when iters/threads rounds to no
+//     Table I chunk) and 8 guided. Every later point of the block is
+//     closer to its twin, so 25 entries catch every alias.
+//
+// At 25 every distinct resolved configuration of a region is simulated
+// once per sweep. The entries cost live heap (DESIGN.md §6 gives the
+// paper-repro heap at 24, 25 and 40).
+const probeTableCap = 25
 
 // probeMemo is one entry of a probeTable: the inputs that decide a
 // noise-free probe result, and that result. The floats are compared bit
@@ -525,12 +543,14 @@ func (e *probeMemo) holds(m *Machine, cfg Config) bool {
 		e.capBits == math.Float64bits(m.capW) && e.ghzBits == math.Float64bits(m.userGHz)
 }
 
-// result applies the noise factor nf to the memoised result and returns it
-// with a fresh copy of the per-thread slices, both in one allocation.
-func (e *probeMemo) result(nf float64, iters int, a *Arch) ExecResult {
+// result applies the noise factor nf to e's memoised result and returns
+// it. The per-thread slices are views of m.perThread, the machine's output
+// buffer, which the next probe on m overwrites.
+func (m *Machine) result(e *probeMemo, nf float64, iters int) ExecResult {
 	r := e.res
 	t := len(r.PerThreadBusyS)
-	pt := make([]float64, 2*t)
+	m.perThread = growF(m.perThread, 2*t)
+	pt := m.perThread
 	copy(pt, e.perThread)
 	r.PerThreadBusyS, r.PerThreadWaitS = pt[:t:t], pt[t:]
 	// Run-to-run measurement noise (1 unless enabled): scales the whole
@@ -548,7 +568,7 @@ func (e *probeMemo) result(nf float64, iters int, a *Arch) ExecResult {
 	}
 	r.DRAMBytes = r.Miss.BytesPerIter * float64(iters) * nf
 	r.AvgPowerW = r.EnergyJ / math.Max(r.TimeS, 1e-12)
-	r.DRAMEnergyJ = a.DRAMStaticW*r.TimeS + a.DRAMEnergyPerByte*r.DRAMBytes
+	r.DRAMEnergyJ = m.arch.DRAMStaticW*r.TimeS + m.arch.DRAMEnergyPerByte*r.DRAMBytes
 	return r
 }
 
@@ -579,7 +599,10 @@ func (t *probeTable) lookup(m *Machine, cfg Config) *probeMemo {
 
 // ProbeLoop simulates one execution of lm under cfg without advancing the
 // machine clock or energy counter. ExecuteLoop is Probe + Account; tests
-// and calibration tools use Probe directly.
+// and calibration tools use Probe directly. The result's per-thread
+// slices are views of the machine's output buffer, valid until its next
+// probe; ProbeLoop allocates nothing once the buffers and the table have
+// grown.
 //
 // The machine remembers its last probeTableCap distinct probes of each
 // LoopModel, keyed by cfg with its chunk resolved (so chunk 0 and chunk 1
@@ -615,7 +638,7 @@ func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
 		}
 		m.probes[lm] = t
 	}
-	return e.result(m.noiseFactor(), lm.Iters, m.arch), nil
+	return m.result(e, m.noiseFactor(), lm.Iters), nil
 }
 
 // simulate runs the region model: it dispatches every chunk of lm under

@@ -12,28 +12,31 @@ import (
 // interface; the internal/omp runtime advances it as regions execute.
 //
 // A Machine keeps, per LoopModel, a probe table: the noise-free results of
-// its last probeTableCap (8) distinct probes and the inputs that decided
+// its last probeTableCap (25) distinct probes and the inputs that decided
 // each (config with its chunk resolved, power cap, user frequency
 // request). A repeat, such as the paper's three runs of one arm, a
-// converged region re-run every time step, or a sweep's chunk-0 point 8
-// probes after its chunk-1 twin, reuses that result and only draws fresh
-// noise. The LoopModels it probes and its Arch must therefore not be
-// mutated afterwards.
+// converged region re-run every time step, or an offline sweep's Table I
+// point that resolves to one probed earlier in its thread block, reuses
+// that result and only draws fresh noise. The LoopModels it probes and its
+// Arch must therefore not be mutated afterwards.
 //
 // A Machine is NOT safe for concurrent use: probes reuse per-machine
-// scratch buffers and the probe tables, and the noise RNG is stateful.
-// Concurrent harness code must give each goroutine its own Machine (they
-// are cheap to build).
+// scratch buffers, the probe tables and the output buffer behind every
+// result's per-thread slices, and the noise RNG is stateful. Concurrent
+// harness code must give each goroutine its own Machine (they are cheap
+// to build).
 type Machine struct {
 	arch *Arch
 
 	// scratch holds the reusable simulation buffers; placeCache memoises
 	// Placement by (threads, bind), both keeping the probe hot path
 	// allocation free. probes holds each LoopModel's probe table, so a
-	// probe it remembers skips the simulation (see ProbeLoop).
+	// probe it remembers skips the simulation (see ProbeLoop). perThread
+	// backs the per-thread slices of the last result ProbeLoop returned.
 	scratch    probeScratch
 	placeCache map[int]Placement
 	probes     map[*LoopModel]probeTable
+	perThread  []float64
 
 	capW    float64 // 0 = uncapped (TDP)
 	userGHz float64 // user-requested frequency ceiling (0 = none)
@@ -64,8 +67,8 @@ func (m *Machine) SetNoise(sigma float64, seed int64) {
 
 // Clone returns an independent machine for concurrent probing. The clone
 // shares only the immutable *Arch; the probe scratch buffers, the placement
-// cache (rebuilt lazily), the probe tables (starting empty), and the noise
-// RNG are private, so probing a clone from one goroutine never races with
+// cache (rebuilt lazily), the probe tables (starting empty), the output
+// buffer and the noise RNG are private, so probing a clone from one goroutine never races with
 // probes on the original or on sibling clones. Power cap, user frequency
 // request, clock, and energy accumulators are copied. If noise is enabled
 // the clone's RNG restarts from the recorded seed — the clone behaves like

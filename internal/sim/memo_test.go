@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -37,16 +38,14 @@ func tableI(a *Arch) []Config {
 	return out
 }
 
-// probeCounted probes lm under cfg on m and reports whether the probe
-// simulated: a miss, and only a miss, commits a table slot.
+// probeCounted is ProbeCounted failing tb on an error.
 func probeCounted(tb testing.TB, m *Machine, lm *LoopModel, cfg Config) (ExecResult, bool) {
 	tb.Helper()
-	next := m.probes[lm].next
-	res, err := m.ProbeLoop(lm, cfg)
+	res, sim, err := ProbeCounted(m, lm, cfg)
 	if err != nil {
 		tb.Fatalf("ProbeLoop(%v): %v", cfg, err)
 	}
-	return res, m.probes[lm].next != next
+	return res, sim
 }
 
 // twin pairs a machine under test with a reference that simulates every
@@ -177,11 +176,11 @@ func TestProbeTableMatchesAlwaysSimulating(t *testing.T) {
 }
 
 // TestProbeTableSweep sweeps Table I in odometer order over two
-// interleaved regions, as an offline search runs an app's steps. Each
-// region simulates every point except the chunk-0 points whose resolved
-// chunk was probed within the last probeTableCap probes of that region:
-// dynamic and guided chunk 0 (chunk 1, 8 probes back), and static chunk 0
-// where iters/threads rounds up to a Table I chunk.
+// interleaved regions, as an offline search runs an app's steps. No alias
+// lies more than probeTableCap-1 distinct probes after its twin in the
+// region's table (see probeTableCap), so each region simulates each of its
+// distinct resolved configurations once: every chunk-0 point, every
+// default-schedule point and the whole all-threads block are hits.
 func TestProbeTableSweep(t *testing.T) {
 	w := newTwin(t, 7)
 	lms := []*LoopModel{rampLoop(), memLoop()}
@@ -194,18 +193,13 @@ func TestProbeTableSweep(t *testing.T) {
 			}
 		}
 	}
-	inTable := map[int]bool{1: true, 8: true, 16: true, 32: true, 64: true, 128: true, 256: true, 512: true}
 	for i, lm := range lms {
-		want := len(points)
+		distinct := map[Config]bool{}
 		for _, cfg := range points {
-			if cfg.Chunk != 0 {
-				continue
-			}
-			if cfg.Sched != SchedStatic || inTable[ResolveChunk(cfg.Sched, 0, lm.Iters, cfg.Threads)] {
-				want--
-			}
+			cfg.Chunk = ResolveChunk(cfg.Sched, cfg.Chunk, lm.Iters, cfg.Threads)
+			distinct[cfg] = true
 		}
-		if sims[i] != want {
+		if want := len(distinct); sims[i] != want {
 			t.Errorf("%s: %d of %d probes simulated, want %d", lm.Name, sims[i], len(points), want)
 		}
 	}
@@ -233,11 +227,20 @@ func TestMemoRepeatsMatchAlwaysMissing(t *testing.T) {
 	}
 }
 
+// detach returns r with private copies of its per-thread slices, which
+// otherwise the machine's next probe overwrites: a test that holds two
+// results of one machine detaches the first before probing again.
+func detach(r ExecResult) ExecResult {
+	r.PerThreadBusyS = slices.Clone(r.PerThreadBusyS)
+	r.PerThreadWaitS = slices.Clone(r.PerThreadWaitS)
+	return r
+}
+
 func TestMemoMissesOnChangedInputs(t *testing.T) {
 	m := newCrill(t)
 	lm := rampLoop()
 	cfg := Config{Threads: 16, Sched: SchedDynamic, Chunk: 4}
-	prev := probe(t, m, lm, cfg)
+	prev := detach(probe(t, m, lm, cfg))
 	steps := []struct {
 		name   string
 		change func(*Machine) error
@@ -267,7 +270,7 @@ func TestMemoMissesOnChangedInputs(t *testing.T) {
 		if reflect.DeepEqual(got, prev) {
 			t.Fatalf("after %s: the result did not change, so the step checks nothing", s.name)
 		}
-		prev = got
+		prev = detach(got)
 	}
 }
 
@@ -275,7 +278,7 @@ func TestCloneStartsWithEmptyMemo(t *testing.T) {
 	m := newCrill(t)
 	lm := rampLoop()
 	cfg := Config{Threads: 8, Sched: SchedGuided, Chunk: 2}
-	want := probe(t, m, lm, cfg)
+	want := detach(probe(t, m, lm, cfg))
 	c := m.Clone()
 	if len(c.probes) != 0 {
 		t.Fatalf("clone starts with %d probe tables", len(c.probes))
@@ -343,7 +346,10 @@ func TestProbeErrorCachesNothing(t *testing.T) {
 	}
 }
 
-func TestMemoReturnsFreshSlices(t *testing.T) {
+// TestResultSlicesAreViews: a result's per-thread slices are views of the
+// machine's output buffer. Writing to them never reaches the probe table,
+// and the machine's next probe overwrites them.
+func TestResultSlicesAreViews(t *testing.T) {
 	m := newCrill(t)
 	lm := rampLoop()
 	cfg := Config{Threads: 8, Sched: SchedDynamic, Chunk: 1}
@@ -353,13 +359,19 @@ func TestMemoReturnsFreshSlices(t *testing.T) {
 		first.PerThreadBusyS[i] = -1
 		first.PerThreadWaitS[i] = -1
 	}
-	if got := probe(t, m, lm, cfg); !reflect.DeepEqual(got, want) {
+	got := probe(t, m, lm, cfg)
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after mutating a returned result: %+v, want %+v", got, want)
+	}
+	if !slices.Equal(first.PerThreadBusyS, want.PerThreadBusyS) || !slices.Equal(first.PerThreadWaitS, want.PerThreadWaitS) {
+		t.Fatalf("the next probe left the earlier result's slices as %v, %v; want them overwritten with %v, %v",
+			first.PerThreadBusyS, first.PerThreadWaitS, want.PerThreadBusyS, want.PerThreadWaitS)
 	}
 }
 
-// TestProbeAllocs holds a probe, hit or miss, to the one buffer behind the
-// two per-thread slices it returns.
+// TestProbeAllocs holds a probe, hit or miss, to no allocation once the
+// table is full: a miss simulates into the evicted entry's buffers, and
+// every result's per-thread slices are views of the machine's buffer.
 func TestProbeAllocs(t *testing.T) {
 	m := newCrill(t)
 	m.SetNoise(0.02, 3)
@@ -386,7 +398,7 @@ func TestProbeAllocs(t *testing.T) {
 	if misses != i {
 		t.Fatalf("%d of %d cycled probes missed; want all", misses, i)
 	}
-	if hit > 1 || miss > 1 {
-		t.Fatalf("allocs per probe: hit %v, miss %v; want at most 1", hit, miss)
+	if hit != 0 || miss != 0 {
+		t.Fatalf("allocs per probe: hit %v, miss %v; want 0", hit, miss)
 	}
 }
