@@ -11,7 +11,7 @@ import (
 	"arcs/internal/sim"
 )
 
-// SearchCacheRow is one batched search pass in the cold/warm protocol.
+// SearchCacheRow is one BatchSearch pass in the cold/warm protocol.
 type SearchCacheRow struct {
 	Phase  string  // "cold" or "warm"
 	CapW   float64 // 0 = TDP
@@ -20,7 +20,7 @@ type SearchCacheRow struct {
 	Hits   int     // probe requests served from the eval cache
 }
 
-// SearchCacheResult demonstrates the batched-search eval cache: the same
+// SearchCacheResult demonstrates BatchSearch's eval cache: the same
 // per-region Harmony searches run twice per power cap against one shared
 // cache. Cold passes pay a fresh probe per evaluation; warm passes are
 // served entirely from the cache. Only deterministic counters are
@@ -34,7 +34,9 @@ type SearchCacheResult struct {
 }
 
 // SearchCache runs SP class B region searches on Crill at 70 W and TDP,
-// cold then warm, through one shared eval cache.
+// cold then warm, through one shared eval cache. It probes on one machine,
+// so the machine's probe table sees each region's probes in session order
+// and the suite's simulation count is the same on every run.
 func SearchCache() (*SearchCacheResult, error) {
 	arch := sim.Crill()
 	app, err := kernels.SP(kernels.ClassB)
@@ -54,7 +56,7 @@ func SearchCache() (*SearchCacheResult, error) {
 				Algo:        arcs.AlgoNelderMead,
 				MaxEvals:    40,
 				CapW:        capW,
-				Parallelism: 4,
+				Parallelism: 1,
 				Cache:       cache,
 				App:         app.Name,
 				Workload:    app.Workload,

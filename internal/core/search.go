@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"arcs/internal/evalcache"
 	"arcs/internal/harmony"
@@ -15,14 +14,14 @@ import (
 	"arcs/internal/sim"
 )
 
-// This file implements direct batched searches: instead of replaying an
+// This file implements direct searches: instead of replaying an
 // application step loop and tuning through the OMPT event path (one
 // serial invocation per candidate), BatchSearch probes each region's loop
-// model straight against per-worker Machine clones. The batched Harmony
-// session exposes whole rounds of candidates at once, so independent
-// probes run concurrently while the search trajectory stays byte-for-byte
-// identical to the serial protocol. Results are memoised in an optional
-// eval cache keyed by (arch, app, workload, region, cap, config), making
+// model straight against Machine clones. Each region runs one serial
+// Harmony session (Fetch, probe, Report), and the regions of a call
+// search concurrently, so a region's trajectory is the serial protocol's
+// whatever the parallelism. Results are memoised in an optional eval
+// cache keyed by (arch, app, workload, region, cap, config), making
 // repeated searches over the same context free.
 
 // RegionModel names one region's workload model for a direct search.
@@ -40,8 +39,8 @@ type BatchSearchOptions struct {
 	Seed      int64       // perturbs stochastic algorithms (xor'd per region)
 	CapW      float64     // package power cap; 0 = TDP
 
-	// Parallelism bounds concurrent probes across all regions; <=1 runs
-	// serially. Each worker probes a private Machine clone.
+	// Parallelism bounds concurrent probes across all regions; <=1
+	// probes one at a time. Each probe borrows a private Machine clone.
 	Parallelism int
 
 	// Cache, when non-nil, memoises probe results and deduplicates
@@ -92,13 +91,13 @@ type BatchSearchResult struct {
 	Cfg    ConfigValues
 	Perf   float64
 	Evals  int // configurations the session evaluated
-	Probes int // fresh simulator probes; may exceed Evals when the strategy speculates
-	Hits   int // probe requests served by the eval cache
+	Probes int // fresh simulator probes: Evals - Hits
+	Hits   int // evaluations served by the eval cache
 }
 
-// BatchSearch runs one bounded Harmony search per region, evaluating
-// candidate batches concurrently on Machine clones. The winner per region
-// is identical to what the serial Fetch/Report protocol finds.
+// BatchSearch runs one bounded serial Harmony search per region, the
+// regions concurrently, probing on Machine clones. A region's winner and
+// evaluation count do not depend on Parallelism.
 func BatchSearch(ctx context.Context, arch *sim.Arch, regions []RegionModel, opts BatchSearchOptions) ([]BatchSearchResult, error) {
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("arcs: batch search needs at least one region")
@@ -146,7 +145,7 @@ func BatchSearch(ctx context.Context, arch *sim.Arch, regions []RegionModel, opt
 
 	// Free list of private machines: taking one is the concurrency token,
 	// so at most par probes run at any moment no matter how many regions
-	// have batches outstanding (the pattern internal/bench/pool.go uses).
+	// are searching (the pattern internal/bench/pool.go uses).
 	machines := make(chan *sim.Machine, par)
 	for i := 0; i < par; i++ {
 		machines <- proto.Clone()
@@ -161,7 +160,7 @@ func BatchSearch(ctx context.Context, arch *sim.Arch, regions []RegionModel, opt
 			defer wg.Done()
 			results[ri], errs[ri] = searchRegion(ctx, rm, searchEnv{
 				space: space, hs: hs, algo: algo, opts: opts,
-				archName: arch.Name, effCap: effCap, par: par, machines: machines,
+				archName: arch.Name, effCap: effCap, machines: machines,
 			})
 		}(ri, rm)
 	}
@@ -182,11 +181,11 @@ type searchEnv struct {
 	opts     BatchSearchOptions
 	archName string
 	effCap   float64
-	par      int
 	machines chan *sim.Machine
 }
 
-// searchRegion runs one region's batched session to convergence.
+// searchRegion runs one region's session to convergence, evaluating each
+// fetched configuration before fetching the next.
 func searchRegion(ctx context.Context, rm RegionModel, env searchEnv) (BatchSearchResult, error) {
 	var seeds []TransferSeed
 	if env.opts.Seeds != nil {
@@ -194,57 +193,40 @@ func searchRegion(ctx context.Context, rm RegionModel, env searchEnv) (BatchSear
 	}
 	sess := newSession(env.space, env.hs, env.algo, rm.Name, env.opts.Seed, env.opts.MaxEvals, nil, seeds)
 
-	var fresh, hits atomic.Int64
-	for round := 0; ; round++ {
+	hits := 0
+	for {
 		if err := ctx.Err(); err != nil {
 			return BatchSearchResult{}, err
 		}
-		if round > env.hs.Size()+1024 {
-			return BatchSearchResult{}, fmt.Errorf("arcs: search for %q did not converge", rm.Name)
-		}
-		batch, done := sess.FetchBatch(env.par)
+		p, done := sess.Fetch()
 		if done {
 			break
 		}
-		perfs := make([]float64, len(batch))
-		perr := make([]error, len(batch))
-		var wg sync.WaitGroup
-		for i, p := range batch {
-			cfg, err := env.space.Decode(p)
-			if err != nil {
-				return BatchSearchResult{}, err
-			}
-			wg.Add(1)
-			go func(i int, cfg ConfigValues) {
-				defer wg.Done()
-				if env.opts.Cache == nil {
-					fresh.Add(1)
-					perfs[i], perr[i] = probeConfig(env.machines, rm.Model, cfg, env.opts.Objective)
-					return
-				}
-				key := evalcache.Key{
-					Arch: env.archName, App: env.opts.App, Workload: env.opts.Workload,
-					Region: rm.Name, CapW: env.effCap, Config: cacheConfigKey(cfg),
-				}
-				served := false
-				v, err := env.opts.Cache.Do(key, func() (float64, error) {
-					served = true
-					fresh.Add(1)
-					return probeConfig(env.machines, rm.Model, cfg, env.opts.Objective)
-				})
-				if !served {
-					hits.Add(1)
-				}
-				perfs[i], perr[i] = v, err
-			}(i, cfg)
+		cfg, err := env.space.Decode(p)
+		if err != nil {
+			return BatchSearchResult{}, err
 		}
-		wg.Wait()
-		for _, err := range perr {
-			if err != nil {
-				return BatchSearchResult{}, err // lowest batch index: deterministic
+		var perf float64
+		if env.opts.Cache == nil {
+			perf, err = probeConfig(env.machines, rm.Model, cfg, env.opts.Objective)
+		} else {
+			key := evalcache.Key{
+				Arch: env.archName, App: env.opts.App, Workload: env.opts.Workload,
+				Region: rm.Name, CapW: env.effCap, Config: cacheConfigKey(cfg),
+			}
+			served := false
+			perf, err = env.opts.Cache.Do(key, func() (float64, error) {
+				served = true
+				return probeConfig(env.machines, rm.Model, cfg, env.opts.Objective)
+			})
+			if !served {
+				hits++
 			}
 		}
-		sess.ReportBatch(perfs)
+		if err != nil {
+			return BatchSearchResult{}, err
+		}
+		sess.Report(perf)
 	}
 
 	p, perf, ok := sess.Best()
@@ -257,15 +239,16 @@ func searchRegion(ctx context.Context, rm RegionModel, env searchEnv) (BatchSear
 	}
 	return BatchSearchResult{
 		Region: rm.Name, CapW: env.effCap, Cfg: cfg, Perf: perf,
-		Evals: sess.Evals(), Probes: int(fresh.Load()), Hits: int(hits.Load()),
+		Evals: sess.Evals(), Probes: sess.Evals() - hits, Hits: hits,
 	}, nil
 }
 
 // probeConfig borrows a machine from the free list, measures cfg, and
 // evaluates the objective on the observed metrics. The region's prefix
 // sums are built before the machine is taken: the first probe of a region
-// builds them, and a concurrent probe of the same region waits for that
-// build, without either holding a token other regions' probes could use.
+// builds them, and a concurrent probe of the same region (another search
+// sharing the model) waits for that build, without either holding a token
+// other regions' probes could use.
 func probeConfig(machines chan *sim.Machine, lm *sim.LoopModel, cfg ConfigValues, obj Objective) (float64, error) {
 	lm.BuildPrefix()
 	m := <-machines

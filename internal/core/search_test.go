@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"arcs/internal/evalcache"
+	"arcs/internal/kernels"
 	"arcs/internal/ompt"
 	"arcs/internal/sim"
 )
@@ -31,35 +32,59 @@ func searchRegions() []RegionModel {
 	return []RegionModel{{Name: "ramp", Model: ramp}, {Name: "balanced", Model: bal}}
 }
 
-// TestBatchSearchParallelMatchesSerial: the whole point of the batched
-// protocol — any parallelism level returns byte-identical results.
+// TestBatchSearchParallelMatchesSerial: a region's search is one serial
+// session whatever the parallelism, so every parallelism level returns
+// identical results, and every evaluation is one fresh probe: nothing is
+// probed speculatively. It runs every algorithm over a small space, and
+// the online algorithms over Table I on SP class B's regions.
 func TestBatchSearchParallelMatchesSerial(t *testing.T) {
 	arch := sim.Crill()
-	for _, algo := range []SearchAlgo{AlgoNelderMead, AlgoExhaustive, AlgoPRO, AlgoCoordinate} {
+	sp, err := kernels.SP(kernels.ClassB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spRegions []RegionModel
+	for _, r := range sp.Regions {
+		spRegions = append(spRegions, RegionModel{Name: r.Name, Model: r.Model})
+	}
+	type searchCase struct {
+		name    string
+		regions []RegionModel
+		space   SearchSpace
+		algo    SearchAlgo
+		evals   int
+	}
+	var cases []searchCase
+	for _, algo := range []SearchAlgo{AlgoNelderMead, AlgoExhaustive, AlgoPRO, AlgoCoordinate, AlgoSurrogate, AlgoRandom} {
+		cases = append(cases, searchCase{"small", searchRegions(), smallSpace(), algo, 0})
+	}
+	for _, algo := range []SearchAlgo{AlgoNelderMead, AlgoSurrogate} {
+		cases = append(cases, searchCase{"SP.B Table I", spRegions, TableISpace(arch), algo, 40})
+	}
+	for _, c := range cases {
 		var want []BatchSearchResult
 		for _, par := range []int{1, 2, 8} {
-			got, err := BatchSearch(context.Background(), arch, searchRegions(), BatchSearchOptions{
-				Space: smallSpace(), Algo: algo, Seed: 7, CapW: 70, Parallelism: par,
+			got, err := BatchSearch(context.Background(), arch, c.regions, BatchSearchOptions{
+				Space: c.space, Algo: c.algo, MaxEvals: c.evals, Seed: 7, CapW: 70, Parallelism: par,
 			})
 			if err != nil {
-				t.Fatalf("%v par %d: %v", algo, par, err)
+				t.Fatalf("%s %v par %d: %v", c.name, c.algo, par, err)
 			}
-			// Probes/Hits are scheduling-independent too (uncached: every
-			// eval is a fresh probe), so compare results wholesale.
+			for _, r := range got {
+				if r.Evals == 0 || r.Probes != r.Evals || r.Hits != 0 {
+					t.Errorf("%s %v par %d: %s uncached has evals=%d probes=%d hits=%d",
+						c.name, c.algo, par, r.Region, r.Evals, r.Probes, r.Hits)
+				}
+				if r.CapW != 70 {
+					t.Errorf("%s %v par %d: effective cap %g, want 70", c.name, c.algo, par, r.CapW)
+				}
+			}
 			if par == 1 {
 				want = got
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v par %d:\n got %+v\nwant %+v", algo, par, got, want)
-			}
-		}
-		for _, r := range want {
-			if r.Evals == 0 || r.Probes != r.Evals || r.Hits != 0 {
-				t.Errorf("%v: uncached result has evals=%d probes=%d hits=%d", algo, r.Evals, r.Probes, r.Hits)
-			}
-			if r.CapW != 70 {
-				t.Errorf("%v: effective cap %g, want 70", algo, r.CapW)
+				t.Errorf("%s %v par %d:\n got %+v\nwant %+v", c.name, c.algo, par, got, want)
 			}
 		}
 	}

@@ -47,38 +47,3 @@ func BenchmarkSessionPRO(b *testing.B) {
 func BenchmarkSessionRandom(b *testing.B) {
 	benchSession(b, func(s Space) Strategy { return NewRandom(s, 60, 1) })
 }
-
-// benchSessionBatched drives the batched protocol at the given width (the
-// objective itself is evaluated inline; this measures the protocol's
-// bookkeeping cost, not probe concurrency).
-func benchSessionBatched(b *testing.B, width int, mk func(Space) Strategy) {
-	b.Helper()
-	space, err := NewSpace(Param{"t", 7}, Param{"s", 4}, Param{"c", 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess := NewSession(space, mk(space))
-		for {
-			batch, done := sess.FetchBatch(width)
-			if done {
-				break
-			}
-			perfs := make([]float64, len(batch))
-			for j, p := range batch {
-				perfs[j] = benchObjective(p)
-			}
-			sess.ReportBatch(perfs)
-		}
-	}
-}
-
-func BenchmarkSessionPROBatched(b *testing.B) {
-	benchSessionBatched(b, 8, func(s Space) Strategy { return NewPRO(s, Point{0, 0, 0}, 0, 1) })
-}
-
-func BenchmarkSessionNelderMeadBatched(b *testing.B) {
-	benchSessionBatched(b, 8, func(s Space) Strategy { return NewNelderMead(s, Point{0, 0, 0}, 0) })
-}

@@ -61,23 +61,6 @@ func (cd *CoordinateDescent) Next() (Point, bool) {
 	return cd.want.Clone(), true
 }
 
-// NextBatch implements Strategy: the remainder of the current axis
-// sweep, speculated from the current base point. An improvement mid-sweep
-// rebases the sweep and discards the speculation (the session keeps the
-// measured values memoised in case a later sweep revisits them).
-func (cd *CoordinateDescent) NextBatch(max int) []Point {
-	if cd.done || max < 1 {
-		return nil
-	}
-	out := []Point{cd.want.Clone()}
-	for v := cd.idx + 1; v < cd.space.Params[cd.dim].Card && len(out) < max; v++ {
-		q := cd.current.Clone()
-		q[cd.dim] = v
-		out = append(out, q)
-	}
-	return out
-}
-
 // Report implements Strategy.
 func (cd *CoordinateDescent) Report(p Point, perf float64) {
 	if cd.done {

@@ -10,25 +10,16 @@
 //	perf := measure(pt)
 //	sess.Report(perf)          // feeds the strategy, updates the best
 //
-// Every strategy also reads ahead: NextBatch exposes whole rounds of
-// candidates for concurrent evaluation through the batched protocol:
-//
-//	batch, done := sess.FetchBatch(width) // candidates safe to run in parallel
-//	perfs := measureAll(batch)            // any order, results by index
-//	sess.ReportBatch(perfs)               // merged in batch order
-//
-// The batched protocol is a strict superset of the serial one — results
-// are merged in batch order (never completion order) through the same
-// Fetch/Report state machine, so a batched session converges to the
-// identical winner with the identical evaluation count as a serial
-// session over the same strategy and seed. Speculative candidates whose
-// results the strategy never consumes stay in a session-side memo and
-// are reused if the search reaches them later.
+// A session is stepped only this way, one candidate at a time, as the
+// paper's per-region Harmony session is. Concurrency lives above it: a
+// caller searching several regions runs one session per region side by
+// side (arcs.BatchSearch does), and a session's trajectory depends on
+// nothing but its strategy, seed and reported values.
 //
 // Points are index vectors into the per-parameter value sets; mapping
 // indices to OpenMP configuration values is the caller's concern. A
 // point's one identity is its lattice index (Space.Index), which keys the
-// session's caches and the surrogate's observed set.
+// session's cache and the surrogate's observed set.
 package harmony
 
 import (
@@ -150,15 +141,8 @@ func (p Point) Equal(q Point) bool {
 }
 
 // Strategy is a search algorithm. Implementations are single-threaded
-// state machines: Next proposes a candidate, Report feeds its measured
-// performance (lower is better) back, and NextBatch reads ahead a round
-// of candidates for concurrent evaluation: PRO's 2d-1 reflections,
-// Nelder-Mead's speculative reflect/expand/contract branches, the next
-// enumeration window of Exhaustive and Random. NextBatch is advisory and
-// must not mutate the strategy's observable Next/Report stream: the
-// serial Fetch/Report protocol remains the source of truth (a strategy
-// driven one point at a time behaves as a batch of 1), which is what
-// makes batched and serial sessions bit-identical.
+// state machines: Next proposes a candidate and Report feeds its measured
+// performance (lower is better) back.
 type Strategy interface {
 	// Next returns the next candidate. ok=false means the strategy has
 	// converged or exhausted its budget; use the session's best point.
@@ -172,11 +156,6 @@ type Strategy interface {
 	Converged() bool
 	// Name identifies the strategy for logs and history files.
 	Name() string
-	// NextBatch returns up to max candidates that can usefully be
-	// evaluated concurrently right now, starting with the point Next
-	// would return. Later entries may be speculative: the strategy may
-	// end up never asking for their results.
-	NextBatch(max int) []Point
 }
 
 // Session drives one tuning search: it deduplicates candidate evaluations
@@ -195,12 +174,6 @@ type Session struct {
 	bestPerf float64
 	hasBest  bool
 	evals    int
-	fetches  int
-
-	// Batched-protocol state: the outstanding FetchBatch (nil when none)
-	// and the memo of measured-but-not-yet-consumed speculative results.
-	batch []Point
-	memo  map[int]float64
 }
 
 // NewSession creates a session for the given space and strategy.
@@ -245,7 +218,6 @@ func (s *Session) Fetch() (p Point, done bool) {
 			continue
 		}
 		s.hasPend = true
-		s.fetches++
 		return s.pending, false
 	}
 	return s.best, true
@@ -267,83 +239,6 @@ func (s *Session) Report(perf float64) {
 		s.hasBest = true
 	}
 	s.strat.Report(p, perf)
-}
-
-// FetchBatch returns the next batch of distinct, unevaluated candidates
-// for concurrent evaluation, or done=true once the search has converged.
-// The first element is always the point a serial Fetch would have
-// returned; the rest are the remainder of the strategy's current round
-// (or speculative branches), capped at max. FetchBatch panics if a
-// previous batch was never ReportBatch'ed. Batched and serial calls may
-// be interleaved between (but not within) batches.
-func (s *Session) FetchBatch(max int) (batch []Point, done bool) {
-	if s.batch != nil {
-		panic("harmony: FetchBatch called with a pending unreported batch")
-	}
-	if max < 1 {
-		max = 1
-	}
-	if !s.hasPend {
-		if _, done := s.Fetch(); done {
-			return nil, true
-		}
-	}
-	batch = append(batch, s.pending.Clone())
-	if max > 1 {
-		for _, q := range s.strat.NextBatch(max) {
-			if len(batch) >= max {
-				break
-			}
-			q = s.space.Clamp(q)
-			k := s.space.Index(q)
-			if _, seen := s.cache[k]; seen {
-				continue
-			}
-			if _, seen := s.memo[k]; seen {
-				continue
-			}
-			if !slices.ContainsFunc(batch, q.Equal) {
-				batch = append(batch, q)
-			}
-		}
-	}
-	s.batch = batch
-	return batch, false
-}
-
-// ReportBatch delivers the measured performances of the batch returned by
-// the last FetchBatch, perfs[i] belonging to batch[i]. Results are merged
-// through the serial Fetch/Report state machine in batch order — never in
-// completion order — so the session's winner and evaluation count are
-// identical to a serial session's; results the strategy does not consume
-// remain memoised for later rounds.
-func (s *Session) ReportBatch(perfs []float64) {
-	if s.batch == nil {
-		panic("harmony: ReportBatch without a pending batch")
-	}
-	if len(perfs) != len(s.batch) {
-		panic(fmt.Sprintf("harmony: ReportBatch got %d perfs for a batch of %d", len(perfs), len(s.batch)))
-	}
-	if s.memo == nil {
-		s.memo = make(map[int]float64)
-	}
-	for i, q := range s.batch {
-		s.memo[s.space.Index(q)] = perfs[i]
-	}
-	s.batch = nil
-	// Drain: consume memoised results through the serial protocol until a
-	// fetched point needs a fresh evaluation (it becomes the head of the
-	// next batch) or the search converges.
-	for s.hasPend {
-		perf, ok := s.memo[s.space.Index(s.pending)]
-		if !ok {
-			return
-		}
-		s.Report(perf)
-		if _, done := s.Fetch(); done {
-			return
-		}
-	}
 }
 
 // Best returns the best point and its performance; ok=false if nothing has

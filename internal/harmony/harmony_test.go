@@ -3,6 +3,8 @@ package harmony
 import (
 	"math"
 	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -37,6 +39,110 @@ func quad(target Point) func(Point) float64 {
 		}
 		return s + 1
 	}
+}
+
+// rugged is a deterministic multi-modal objective: enough structure to
+// exercise every Nelder-Mead branch (expand, both contractions, shrink).
+func rugged(p Point) float64 {
+	v := 0.0
+	for i, x := range p {
+		d := float64(x - 2*i)
+		v += d*d + 3*math.Sin(float64(x)*1.7+float64(i))
+	}
+	return v
+}
+
+// strategyCases enumerates every strategy with a deterministic factory.
+// Start and seed points are written for five dimensions and cut to the
+// space's.
+func strategyCases(space Space) map[string]func() Strategy {
+	at := func(vs ...int) Point { return Point(vs[:space.Dims()]) }
+	return map[string]func() Strategy{
+		"exhaustive": func() Strategy { return NewExhaustive(space) },
+		"nelder-mead": func() Strategy {
+			return NewNelderMead(space, at(0, 0, 0, 0, 0), 0)
+		},
+		"pro": func() Strategy {
+			return NewPRO(space, at(0, 0, 0, 0, 0), 0, 12345)
+		},
+		"random": func() Strategy { return NewRandom(space, 60, 6789) },
+		"coordinate-descent": func() Strategy {
+			return NewCoordinateDescent(space, at(3, 1, 4, 2, 1), 0)
+		},
+		"surrogate": func() Strategy {
+			return NewSurrogate(space, at(0, 0, 0, 0, 0), 0, 424242, nil, nil)
+		},
+		"surrogate-seeded": func() Strategy {
+			return NewSurrogate(space, at(0, 0, 0, 0, 0), 0, 424242,
+				[]Point{at(4, 2, 5, 3, 1), at(3, 2, 4, 2, 0)}, nil)
+		},
+		"surrogate-transfer": func() Strategy {
+			// Expectations deliberately unmeetable on the rugged objective,
+			// so the strategy falls through the verified exit into the full
+			// pipeline.
+			return NewSurrogate(space, at(0, 0, 0, 0, 0), 0, 424242,
+				[]Point{at(4, 2, 5, 3, 1), at(3, 2, 4, 2, 0)}, []float64{1e-9, 1e-9})
+		},
+	}
+}
+
+// sessionOutcome is what a session converged to.
+type sessionOutcome struct {
+	best  Point
+	perf  float64
+	evals int
+	ok    bool
+}
+
+// runSerial drives the Fetch/Report loop to convergence.
+func runSerial(t *testing.T, space Space, strat Strategy, f func(Point) float64) sessionOutcome {
+	t.Helper()
+	sess := NewSession(space, strat)
+	for i := 0; i < 100000; i++ {
+		p, done := sess.Fetch()
+		if done {
+			best, perf, ok := sess.Best()
+			return sessionOutcome{best: best, perf: perf, evals: sess.Evals(), ok: ok}
+		}
+		sess.Report(f(p))
+	}
+	t.Fatal("session did not converge")
+	return sessionOutcome{}
+}
+
+// runBatch steps a batch of sessions, one per factory, each in its own
+// goroutine, the way BatchSearch steps an app's regions side by side. It
+// returns each session's outcome and its count of objective calls
+// (probes), in factory order.
+func runBatch(t *testing.T, space Space, mks []func() Strategy, f func(Point) float64) ([]sessionOutcome, []int) {
+	t.Helper()
+	outs := make([]sessionOutcome, len(mks))
+	probes := make([]int, len(mks))
+	var wg sync.WaitGroup
+	for i, mk := range mks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := NewSession(space, mk())
+			for n := 0; n <= space.Size(); n++ {
+				p, done := sess.Fetch()
+				if done {
+					outs[i].best, outs[i].perf, outs[i].ok = sess.Best()
+					outs[i].evals = sess.Evals()
+					return
+				}
+				probes[i]++
+				sess.Report(f(p))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, out := range outs {
+		if !out.ok {
+			t.Fatalf("session %d of the batch did not converge to a best", i)
+		}
+	}
+	return outs, probes
 }
 
 // drive runs a session to convergence against f, with an eval budget guard.
@@ -380,5 +486,174 @@ func TestSessionStepAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("a converged Fetch allocates %v times; want 0", n)
+	}
+}
+
+// replayChecker wraps a strategy and checks every value the session
+// reports to it, fresh or replayed from the session cache, against the
+// objective at the reported point. It counts the reports.
+type replayChecker struct {
+	Strategy
+	t       *testing.T
+	f       func(Point) float64
+	reports int
+}
+
+func (c *replayChecker) Report(p Point, perf float64) {
+	if want := c.f(p); perf != want {
+		c.t.Fatalf("%s: reported %g for %v, whose value is %g", c.Name(), perf, p, want)
+	}
+	c.reports++
+	c.Strategy.Report(p, perf)
+}
+
+// TestSessionEveryStrategy drives every strategy through the serial
+// session over the 3-D Table I space and the 5-D one with DVFS and bind,
+// so the index-keyed evaluation cache is checked at mixed radices: every
+// fetch is a valid point never fetched before (evaluations equal
+// fetches), every replayed value belongs to the point it is replayed for,
+// the best is the first minimum reported, and a second run repeats the
+// trajectory exactly.
+func TestSessionEveryStrategy(t *testing.T) {
+	for _, space := range []Space{space3(t), space5(t)} {
+		objectives := map[string]func(Point) float64{
+			"quad":   quad(Point{4, 2, 5, 3, 1}[:space.Dims()]),
+			"rugged": rugged,
+		}
+		replays := 0
+		for objName, f := range objectives {
+			for name, mk := range strategyCases(space) {
+				run := func() ([]int, sessionOutcome) {
+					strat := &replayChecker{Strategy: mk(), t: t, f: f}
+					sess := NewSession(space, strat)
+					var trace []int
+					seen := map[int]bool{}
+					var best Point
+					bestPerf := math.Inf(1)
+					for {
+						if len(trace) > space.Size() {
+							t.Fatalf("%dD %s/%s: more fetches than lattice points", space.Dims(), objName, name)
+						}
+						p, done := sess.Fetch()
+						if !space.Valid(p) {
+							t.Fatalf("%dD %s/%s: fetched %v outside the space", space.Dims(), objName, name, p)
+						}
+						if done {
+							break
+						}
+						k := space.Index(p)
+						if seen[k] {
+							t.Fatalf("%dD %s/%s: fetched %v twice", space.Dims(), objName, name, p)
+						}
+						seen[k] = true
+						trace = append(trace, k)
+						v := f(p)
+						if v < bestPerf {
+							best, bestPerf = p.Clone(), v
+						}
+						sess.Report(v)
+					}
+					out := sessionOutcome{evals: sess.Evals()}
+					out.best, out.perf, out.ok = sess.Best()
+					if !out.ok || !out.best.Equal(best) || out.perf != bestPerf || out.evals != len(trace) {
+						t.Fatalf("%dD %s/%s: best %v (%g) after %d evals; want %v (%g) after %d fetches",
+							space.Dims(), objName, name, out.best, out.perf, out.evals, best, bestPerf, len(trace))
+					}
+					if p, done := sess.Fetch(); !done || !p.Equal(best) {
+						t.Fatalf("%dD %s/%s: converged Fetch %v, %v; want the best %v", space.Dims(), objName, name, p, done, best)
+					}
+					replays += strat.reports - out.evals
+					return trace, out
+				}
+				tr1, out1 := run()
+				tr2, out2 := run()
+				if !slices.Equal(tr1, tr2) || !out1.best.Equal(out2.best) || out1.perf != out2.perf {
+					t.Errorf("%dD %s/%s: a second run diverged", space.Dims(), objName, name)
+				}
+			}
+		}
+		if replays == 0 {
+			t.Errorf("%dD: no strategy was served a replay, so the cache went unchecked", space.Dims())
+		}
+	}
+}
+
+// TestBatchedMatchesSerialEveryStrategy runs every strategy over the 3-D
+// Table I space and the 5-D one with DVFS and bind, twice each, as one
+// batch of sessions stepped concurrently: each session must converge to
+// the winner, winning performance and evaluation count of the same
+// strategy run alone, so sessions share no state and a batch's
+// scheduling cannot move a result.
+func TestBatchedMatchesSerialEveryStrategy(t *testing.T) {
+	for _, space := range []Space{space3(t), space5(t)} {
+		objectives := map[string]func(Point) float64{
+			"quad":   quad(Point{4, 2, 5, 3, 1}[:space.Dims()]),
+			"rugged": rugged,
+		}
+		cases := strategyCases(space)
+		names := make([]string, 0, len(cases))
+		for name := range cases {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for objName, f := range objectives {
+			var mks []func() Strategy
+			for range 2 {
+				for _, name := range names {
+					mks = append(mks, cases[name])
+				}
+			}
+			outs, probes := runBatch(t, space, mks, f)
+			for i, out := range outs {
+				name := names[i%len(names)]
+				serial := runSerial(t, space, mks[i](), f)
+				if !serial.best.Equal(out.best) || serial.perf != out.perf || serial.evals != out.evals {
+					t.Errorf("%dD %s/%s: batched best %v (%g) after %d evals; serial %v (%g) after %d",
+						space.Dims(), objName, name, out.best, out.perf, out.evals, serial.best, serial.perf, serial.evals)
+				}
+				if probes[i] != out.evals {
+					t.Errorf("%dD %s/%s: %d probes for %d evals", space.Dims(), objName, name, probes[i], out.evals)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchedExhaustiveProbeCount: a batch of exhaustive sessions stepped
+// concurrently probes each lattice point exactly once per session.
+func TestBatchedExhaustiveProbeCount(t *testing.T) {
+	space := space3(t)
+	target := Point{1, 1, 1}
+	mks := make([]func() Strategy, 16)
+	for i := range mks {
+		mks[i] = func() Strategy { return NewExhaustive(space) }
+	}
+	outs, probes := runBatch(t, space, mks, quad(target))
+	for i, out := range outs {
+		if !out.best.Equal(target) {
+			t.Errorf("session %d: best %v, want %v", i, out.best, target)
+		}
+		if probes[i] != space.Size() || out.evals != space.Size() {
+			t.Errorf("session %d: %d probes, %d evals; want %d each (one per lattice point)",
+				i, probes[i], out.evals, space.Size())
+		}
+	}
+}
+
+// TestBatchedSpeculationIsBounded: a session never probes a point it does
+// not evaluate, so a batch of Nelder-Mead sessions stepped concurrently
+// makes exactly one probe per evaluation.
+func TestBatchedSpeculationIsBounded(t *testing.T) {
+	space := space3(t)
+	mks := make([]func() Strategy, 8)
+	for i := range mks {
+		start := Point{i % 7, i % 4, i % 9}
+		mks[i] = func() Strategy { return NewNelderMead(space, start, 0) }
+	}
+	outs, probes := runBatch(t, space, mks, rugged)
+	for i, out := range outs {
+		if probes[i] != out.evals {
+			t.Errorf("session %d: %d probes for %d evals", i, probes[i], out.evals)
+		}
 	}
 }

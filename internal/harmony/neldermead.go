@@ -117,48 +117,6 @@ func (nm *NelderMead) Next() (Point, bool) {
 	return nm.space.round(nm.want), true
 }
 
-// NextBatch implements Strategy. During simplex seeding and shrink
-// re-evaluation the batch is the remaining vertex set (all of which the
-// serial protocol will fetch). During a reflection it is speculative: the
-// reflection plus the expansion and both contraction points, every branch
-// the Report state machine might ask for next — the session memoises the
-// branches that end up unused and the strategy simply never consumes
-// those reports.
-func (nm *NelderMead) NextBatch(max int) []Point {
-	if nm.done || max < 1 {
-		return nil
-	}
-	var xs [][]float64
-	switch nm.phase {
-	case nmInit:
-		for _, v := range nm.simplex[nm.initIdx:] {
-			xs = append(xs, v.x)
-		}
-	case nmShrink:
-		for _, v := range nm.simplex[nm.shrIdx:] {
-			xs = append(xs, v.x)
-		}
-	case nmReflect:
-		worst := nm.simplex[len(nm.simplex)-1].x
-		xs = [][]float64{
-			nm.xr,
-			combine(nm.centroid, nm.xr, nmGamma), // expansion if xr is a new best
-			combine(nm.centroid, nm.xr, nmRho),   // outside contraction
-			combine(nm.centroid, worst, nmRho),   // inside contraction
-		}
-	case nmExpand, nmContractOut, nmContractIn:
-		xs = [][]float64{nm.want}
-	}
-	if len(xs) > max {
-		xs = xs[:max]
-	}
-	out := make([]Point, 0, len(xs))
-	for _, x := range xs {
-		out = append(out, nm.space.round(x))
-	}
-	return out
-}
-
 // Report implements Strategy.
 func (nm *NelderMead) Report(_ Point, f float64) {
 	if nm.done {
@@ -293,7 +251,7 @@ func (s Space) round(x []float64) Point {
 	for i, v := range x {
 		p[i] = int(math.Round(v))
 	}
-	return s.Clamp(p)
+	return s.clampInto(p, p)
 }
 
 // combine returns c + coef*(x - c): coef -1 reflects x through c, +2

@@ -9,12 +9,10 @@ import (
 // Active Harmony ships. It keeps a simplex of 2d vertices; each round
 // reflects every non-best vertex through the best, accepts the
 // reflections that improve, and shrinks toward the best when none do. PRO
-// was designed for parallel evaluation — the paper picked Harmony
-// precisely because multiple configurations can be evaluated in parallel
-// (§III-A) — and NextBatch exposes each round of 2d-1 reflections (and
-// the initial/shrunk vertex sets) as one batch; driven through the serial
-// Fetch/Report protocol instead, the same rounds evaluate one candidate
-// at a time with identical results.
+// was designed for parallel evaluation (the paper picked Harmony because
+// multiple configurations can be evaluated in parallel, §III-A); here a
+// session evaluates each round's candidates one at a time, and
+// parallelism comes from searching several regions at once.
 type PRO struct {
 	space Space
 	rng   *rand.Rand
@@ -86,31 +84,6 @@ func (p *PRO) Next() (Point, bool) {
 		return nil, false
 	}
 	return p.space.round(p.want), true
-}
-
-// NextBatch implements Strategy: the not-yet-reported remainder of
-// the current round — initial vertices during seeding, the reflection (or
-// shrink re-evaluation) candidates afterwards. Nothing is speculative:
-// every batched point is one the serial protocol is guaranteed to fetch.
-func (p *PRO) NextBatch(max int) []Point {
-	if p.done || max < 1 {
-		return nil
-	}
-	var rest []nmVertex
-	switch p.phase {
-	case proInit:
-		rest = p.verts[p.idx:]
-	case proEval:
-		rest = p.cands[p.idx:]
-	}
-	if len(rest) > max {
-		rest = rest[:max]
-	}
-	out := make([]Point, 0, len(rest))
-	for _, v := range rest {
-		out = append(out, p.space.round(v.x))
-	}
-	return out
 }
 
 // Report implements Strategy.
@@ -185,7 +158,7 @@ func (p *PRO) finishRound() {
 				p.verts[i].x[k] = best[k] + proShrinkSigma*(p.verts[i].x[k]-best[k])
 			}
 			// Shrunk vertices need re-evaluation; reuse the eval machinery
-			// by treating them as the next candidate batch.
+			// by treating them as the next candidate round.
 		}
 		p.cands = p.cands[:0]
 		for i := 1; i < len(p.verts); i++ {

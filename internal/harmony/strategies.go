@@ -46,33 +46,6 @@ func (e *Exhaustive) Report(Point, float64) {}
 // Converged implements Strategy.
 func (e *Exhaustive) Converged() bool { return e.done }
 
-// NextBatch implements Strategy: the upcoming enumeration window,
-// read ahead from a copy of the odometer so the serial stream is
-// untouched.
-func (e *Exhaustive) NextBatch(max int) []Point {
-	if e.done || max < 1 {
-		return nil
-	}
-	cur := e.next.Clone()
-	out := make([]Point, 0, max)
-	for len(out) < max {
-		out = append(out, cur.Clone())
-		carry := true
-		for i := e.space.Dims() - 1; i >= 0; i-- {
-			cur[i]++
-			if cur[i] < e.space.Params[i].Card {
-				carry = false
-				break
-			}
-			cur[i] = 0
-		}
-		if carry {
-			break // wrapped: the window reached the end of the lattice
-		}
-	}
-	return out
-}
-
 // Random samples the space uniformly for a fixed budget of proposals. It
 // serves as the naive baseline in the search-strategy ablation.
 type Random struct {
@@ -80,11 +53,6 @@ type Random struct {
 	rng    *rand.Rand
 	budget int
 	drawn  int
-
-	// queue holds proposals pre-drawn by NextBatch; Next serves them
-	// before touching the RNG again, so the emitted stream is identical
-	// whether or not batching is used.
-	queue []Point
 }
 
 // NewRandom creates a random search with the given proposal budget.
@@ -104,21 +72,11 @@ func (r *Random) Next() (Point, bool) {
 		return nil, false
 	}
 	r.drawn++
-	if len(r.queue) > 0 {
-		p := r.queue[0]
-		r.queue = r.queue[1:]
-		return p, true
-	}
-	return r.draw(), true
-}
-
-// draw samples one fresh uniform proposal.
-func (r *Random) draw() Point {
 	p := make(Point, r.space.Dims())
 	for i, prm := range r.space.Params {
 		p[i] = r.rng.Intn(prm.Card)
 	}
-	return p
+	return p, true
 }
 
 // Report implements Strategy.
@@ -126,27 +84,6 @@ func (r *Random) Report(Point, float64) {}
 
 // Converged implements Strategy.
 func (r *Random) Converged() bool { return r.drawn >= r.budget }
-
-// NextBatch implements Strategy: pre-draws up to max proposals
-// (bounded by the remaining budget) into the queue Next serves from, so
-// batching never perturbs the RNG stream.
-func (r *Random) NextBatch(max int) []Point {
-	remaining := r.budget - r.drawn
-	if remaining <= 0 || max < 1 {
-		return nil
-	}
-	if max > remaining {
-		max = remaining
-	}
-	for len(r.queue) < max {
-		r.queue = append(r.queue, r.draw())
-	}
-	out := make([]Point, 0, max)
-	for _, p := range r.queue[:max] {
-		out = append(out, p.Clone())
-	}
-	return out
-}
 
 var (
 	_ Strategy = (*Exhaustive)(nil)

@@ -24,8 +24,7 @@ import (
 // optimisation.
 //
 // Like every strategy in this package it is a deterministic serial state
-// machine: all mutation happens in Report, Next and NextBatch are pure,
-// so batched sessions remain byte-identical to serial ones.
+// machine: all mutation happens in Report, and Next is pure.
 type SurrogateStrategy struct {
 	space    Space
 	model    *surrogate.Forest
@@ -38,7 +37,6 @@ type SurrogateStrategy struct {
 
 	queue []Point // remaining initial-design points (seed phase)
 	want  Point   // next candidate while the model phase is active
-	cands []Point // ranked EI candidates from the last fit (want first)
 
 	bestP   Point
 	bestF   float64
@@ -75,8 +73,6 @@ const (
 	// surDesignFactor sizes the cold-start space-filling design at
 	// surDesignFactor*dims+2 points; transfer seeds replace the filler.
 	surDesignFactor = 2
-	// surCandsMax bounds the speculative EI candidates NextBatch offers.
-	surCandsMax = 16
 	// surEITolFrac: the model phase ends when the best expected
 	// improvement drops below this fraction of the observed perf spread.
 	surEITolFrac = 0.02
@@ -182,36 +178,6 @@ func (s *SurrogateStrategy) Next() (Point, bool) {
 		return s.refine.Next()
 	}
 	return s.want.Clone(), true
-}
-
-// NextBatch implements Strategy: the rest of the initial design
-// during seeding, the runner-up EI candidates during the model phase
-// (speculative — a refit after the head result usually re-ranks them),
-// and Nelder-Mead's branches during refinement.
-func (s *SurrogateStrategy) NextBatch(max int) []Point {
-	if s.done || max < 1 {
-		return nil
-	}
-	if s.refine != nil {
-		return s.refine.NextBatch(max)
-	}
-	out := []Point{s.want.Clone()}
-	var extra []Point
-	switch {
-	case s.polishing:
-		extra = s.polishQ
-	case s.modelStarted:
-		extra = s.cands
-	default:
-		extra = s.queue
-	}
-	for _, p := range extra {
-		if len(out) >= max {
-			break
-		}
-		out = append(out, p.Clone())
-	}
-	return out
 }
 
 // Report implements Strategy. It feeds the observation to the model,
@@ -342,10 +308,10 @@ func (s *SurrogateStrategy) advance() {
 // fitAndPick refits the forest and scans the lattice for the unobserved
 // point maximising expected improvement. Scan order is lexicographic and
 // ties keep the earlier point, so the choice is deterministic. The scan
-// decodes each point into one buffer and copies only those that enter
-// the ranked candidates. When the best EI falls below tolerance, the
-// model proposals stall, or the lattice is exhausted, it switches to the
-// refinement phase.
+// decodes each point into one buffer and copies only the point it
+// proposes. When the best EI falls below tolerance, the model proposals
+// stall, or the lattice is exhausted, it switches to the refinement
+// phase.
 func (s *SurrogateStrategy) fitAndPick() {
 	s.modelStarted = true
 	if s.stall >= surStallLimit {
@@ -353,8 +319,7 @@ func (s *SurrogateStrategy) fitAndPick() {
 		return
 	}
 	s.model.Fit()
-	s.cands = s.cands[:0]
-	eis := make([]float64, 0, surCandsMax)
+	best, bestEI := -1, 0.0
 	p := s.scan
 	for idx, seen := range s.observed {
 		if seen {
@@ -365,34 +330,22 @@ func (s *SurrogateStrategy) fitAndPick() {
 		if !ok {
 			break
 		}
-		ei := surrogate.ExpectedImprovement(mean, std, s.bestF)
-		// Insertion into the ranked candidate list; strict > keeps the
-		// earlier (lexicographically lower) point on ties.
-		at := len(s.cands)
-		for at > 0 && ei > eis[at-1] {
-			at--
-		}
-		if at < surCandsMax {
-			s.cands = append(s.cands, nil)
-			eis = append(eis, 0)
-			copy(s.cands[at+1:], s.cands[at:])
-			copy(eis[at+1:], eis[at:])
-			s.cands[at], eis[at] = p.Clone(), ei
-			if len(s.cands) > surCandsMax {
-				s.cands = s.cands[:surCandsMax]
-				eis = eis[:surCandsMax]
-			}
+		// Strict > keeps the earlier (lexicographically lower) point on
+		// ties.
+		if ei := surrogate.ExpectedImprovement(mean, std, s.bestF); best < 0 || ei > bestEI {
+			best, bestEI = idx, ei
 		}
 	}
-	if len(s.cands) == 0 {
+	if best < 0 {
 		s.enterRefine()
 		return
 	}
-	if tol := surEITolFrac * (s.yHi - s.yLo); eis[0] <= tol {
+	if tol := surEITolFrac * (s.yHi - s.yLo); bestEI <= tol {
 		s.enterRefine()
 		return
 	}
-	s.want = s.cands[0]
+	s.want = make(Point, s.space.Dims())
+	s.space.PointAt(s.want, best)
 }
 
 // enterRefine hands the search to a budget-capped Nelder-Mead around the

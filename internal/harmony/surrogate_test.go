@@ -1,9 +1,6 @@
 package harmony
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 func TestSurrogateFindsOptimum(t *testing.T) {
 	space := space3(t)
@@ -37,7 +34,7 @@ func TestSurrogateSeededConvergesFaster(t *testing.T) {
 }
 
 // TestSurrogateDeterministic: identical constructions produce identical
-// full trajectories (the determinism contract batched sessions rely on).
+// full trajectories.
 func TestSurrogateDeterministic(t *testing.T) {
 	space := space3(t)
 	f := rugged
@@ -132,20 +129,6 @@ func TestSurrogateRespectsBudget(t *testing.T) {
 	}
 }
 
-// TestSurrogateBatchSpeculationBounded: the strategy's speculative EI
-// candidates must stay within the advertised cap per round.
-func TestSurrogateBatchSpeculationBounded(t *testing.T) {
-	space := space3(t)
-	var probes atomic.Int64
-	out := runBatched(t, space, NewSurrogate(space, Point{0, 0, 0}, 0, 21, nil, nil), rugged, 8, &probes)
-	if !out.ok {
-		t.Fatal("no best")
-	}
-	if got := int(probes.Load()); got > 8*out.evals+16 {
-		t.Errorf("probes = %d for %d evals: speculation unbounded", got, out.evals)
-	}
-}
-
 // TestSurrogateTransferVerified: a seed performing as its source context
 // promised ends the search after that single probe, with the seed as the
 // winner — the one-probe path transfer seeding exists for.
@@ -196,13 +179,29 @@ func TestSurrogateTransferZeroPerfIgnored(t *testing.T) {
 	}
 }
 
-// TestSurrogateProposesValidPoints: every point the strategy proposes,
-// through Next and NextBatch in every phase, is a point of its space, so
-// reporting it back (the observed set is indexed by lattice position)
-// needs no clamping. In the model phase the slate is distinct unobserved
-// points: the lattice scan decodes into one reused buffer, so a
-// candidate it kept without copying would alias the others. It drives
-// the strategy directly, without a session.
+// TestSurrogateBatchSpeculationBounded: the surrogate proposes one point
+// per round and the session evaluates it, so a batch of surrogate
+// sessions stepped concurrently makes exactly one probe per evaluation.
+func TestSurrogateBatchSpeculationBounded(t *testing.T) {
+	space := space3(t)
+	mks := make([]func() Strategy, 8)
+	for i := range mks {
+		seed := int64(21 + i)
+		mks[i] = func() Strategy { return NewSurrogate(space, Point{0, 0, 0}, 0, seed, nil, nil) }
+	}
+	outs, probes := runBatch(t, space, mks, rugged)
+	for i, out := range outs {
+		if probes[i] != out.evals {
+			t.Errorf("session %d: %d probes for %d evals", i, probes[i], out.evals)
+		}
+	}
+}
+
+// TestSurrogateProposesValidPoints: every point the strategy proposes
+// through Next, in every phase, is a point of its space, so reporting it
+// back (the observed set is indexed by lattice position) needs no
+// clamping. In the model phase the proposal is an unobserved point. It
+// drives the strategy directly, without a session.
 func TestSurrogateProposesValidPoints(t *testing.T) {
 	space := space3(t)
 	for _, seed := range []int64{3, 11, 77} {
@@ -216,28 +215,16 @@ func TestSurrogateProposesValidPoints(t *testing.T) {
 				if i > space.Size()+64 {
 					t.Fatalf("seed %d: no convergence after %d reports", seed, i)
 				}
-				slate := s.NextBatch(8)
 				modelPhase := s.modelStarted && s.refine == nil && !s.polishing
-				seen := map[int]bool{}
-				for j, q := range slate {
-					if !space.Valid(q) {
-						t.Fatalf("seed %d: NextBatch proposed %v outside the space", seed, q)
-					}
-					// slate[0] is the head candidate, which the ranked
-					// candidates after it repeat first.
-					if modelPhase && j > 0 && (seen[space.Index(q)] || s.observed[space.Index(q)]) {
-						t.Fatalf("seed %d: model-phase slate %v repeats or re-proposes %v", seed, slate, q)
-					}
-					if j > 0 {
-						seen[space.Index(q)] = true
-					}
-				}
 				p, ok := s.Next()
 				if !ok {
 					break
 				}
 				if !space.Valid(p) {
 					t.Fatalf("seed %d: Next proposed %v outside the space", seed, p)
+				}
+				if modelPhase && s.observed[space.Index(p)] {
+					t.Fatalf("seed %d: the model phase re-proposed the observed point %v", seed, p)
 				}
 				s.Report(p, rugged(p))
 			}

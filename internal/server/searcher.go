@@ -49,8 +49,8 @@ type Searcher interface {
 // analytic simulator — the paper's unmeasured offline search execution
 // (§III-B), hosted server-side so the cost is paid once per context
 // instead of once per client. Regions are probed directly through
-// arcs.BatchSearch: candidate batches evaluate concurrently on Machine
-// clones, memoised in Cache when one is set.
+// arcs.BatchSearch: one serial session per region, the regions searching
+// concurrently on Machine clones, memoised in Cache when one is set.
 //
 // A search takes its app from a pool per (app, workload) and builds it
 // only on a miss, so a new-cap search reuses the region models, and the
@@ -70,8 +70,8 @@ type Searcher interface {
 // SYNTH seeds, as the store's per-region entries for the same contexts
 // are.
 type SimSearcher struct {
-	// Parallelism bounds concurrent probes per search; 0 selects
-	// GOMAXPROCS, 1 evaluates serially.
+	// Parallelism bounds concurrent probes per search, across its
+	// regions; 0 selects GOMAXPROCS, 1 probes one at a time.
 	Parallelism int
 	// Cache memoises probe results across searches (nil = no memoisation).
 	Cache *evalcache.Cache

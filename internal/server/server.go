@@ -79,9 +79,10 @@ type Config struct {
 	// SearchBudget caps the evaluations per region of a server-side
 	// search; 0 disables server-side searching entirely.
 	SearchBudget int
-	// SearchParallelism bounds concurrent candidate probes inside one
-	// server-side search (the arcsd -search-parallelism flag); 0 selects
-	// GOMAXPROCS, 1 evaluates serially. Ignored when Searcher is set.
+	// SearchParallelism bounds concurrent probes inside one server-side
+	// search, whose regions search side by side (the arcsd
+	// -search-parallelism flag); 0 selects GOMAXPROCS, 1 probes one at a
+	// time. Ignored when Searcher is set.
 	SearchParallelism int
 	// SearchAlgo selects the server-side search strategy (the arcsd
 	// -search-algo flag); AlgoAuto keeps the historical Nelder-Mead.

@@ -576,7 +576,7 @@ func (m *Machine) result(e *probeMemo, nf float64, iters int) ExecResult {
 // probes of one LoopModel, oldest out first. A miss overwrites the oldest
 // entry and reuses its per-thread buffer.
 type probeTable struct {
-	e    []probeMemo // grown on demand up to probeTableCap entries
+	e    []probeMemo // grown on demand, by doubling, to at most probeTableCap entries
 	next int         // the slot the next miss fills: the oldest entry once e is full
 }
 
@@ -626,6 +626,11 @@ func (m *Machine) ProbeLoop(lm *LoopModel, cfg Config) (ExecResult, error) {
 		// the entry, and the table is stored back only after a success, so
 		// a failed probe leaves the table as it was.
 		if t.next == len(t.e) {
+			if len(t.e) == cap(t.e) { // double, but never past probeTableCap
+				grown := make([]probeMemo, len(t.e), min(max(2*len(t.e), 1), probeTableCap))
+				copy(grown, t.e)
+				t.e = grown
+			}
 			t.e = append(t.e, probeMemo{})
 		}
 		e = &t.e[t.next]

@@ -346,6 +346,29 @@ func TestProbeErrorCachesNothing(t *testing.T) {
 	}
 }
 
+// TestProbeTableCapacity: a table's entry slice grows by doubling but
+// never past probeTableCap, so a full table keeps no dead entry, and a
+// table that only ever replays one probe holds one entry.
+func TestProbeTableCapacity(t *testing.T) {
+	m := newCrill(t)
+	lm := rampLoop()
+	for i := 0; i < 3; i++ {
+		probe(t, m, lm, Config{Threads: 8, Sched: SchedStatic})
+	}
+	if n := cap(m.probes[lm].e); n != 1 {
+		t.Fatalf("a replay-only table has capacity %d; want 1", n)
+	}
+	for c := 1; c <= 100; c++ {
+		probe(t, m, lm, Config{Threads: 16, Sched: SchedGuided, Chunk: c})
+		if n := cap(m.probes[lm].e); n > probeTableCap {
+			t.Fatalf("after %d distinct probes the table has capacity %d; want at most %d", c+1, n, probeTableCap)
+		}
+	}
+	if n := len(m.probes[lm].e); n != probeTableCap {
+		t.Fatalf("a full table holds %d entries; want %d", n, probeTableCap)
+	}
+}
+
 // TestResultSlicesAreViews: a result's per-thread slices are views of the
 // machine's output buffer. Writing to them never reaches the probe table,
 // and the machine's next probe overwrites them.

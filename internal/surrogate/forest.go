@@ -10,8 +10,8 @@
 // split selection breaks ties by (dimension, cut) order, and prediction
 // is a pure function of the fitted trees. The same observation sequence
 // always yields the same model — the package is under the arcslint
-// determinism contract, and batched search sessions replaying it must
-// stay byte-identical to serial ones.
+// determinism contract, so a search session that replays an observation
+// sequence proposes the same candidates every time.
 package surrogate
 
 import (
